@@ -10,14 +10,19 @@ up cold (fresh field tables, six fresh plans), draws its vectors from
 ``--seed`` and computes the oracle (``naive_dft_batch``) once per vector set
 outside the timed region.  It then runs a closed loop of rounds for
 ``--seconds`` of apply time; a round sends one vector (one batch for
-``batch_m12``) through every plan.  Further cold set-ups, each replacing the
+``batch_m11``) through every plan.  Further cold set-ups, each replacing the
 plans in use, are spread evenly through the loop, and ``setup_s`` is their
 median.  Every output is compared with the oracle; a call that raises counts
 as a mismatch.
 
-Shared machines run in fast and slow spells of a few seconds, so the
-timings are medians: ``vectors_per_s`` and the latency percentiles take each
-call kind (a plan, or a plan and its stage-2 kernel) at its median latency.
+Shared machines run the same code up to 1.7 times slower in some spells
+than in others, so every timing is made in reference seconds
+(``hostclock``): each call and each piece of a set-up is bracketed by a
+short fixed probe, sampled with it every 40 ms inside, and scaled by the
+probe's nominal time over its measured time.  The timings are also medians:
+``vectors_per_s`` and the latency percentiles take each call kind (a plan,
+or a plan and its stage-2 kernel) at its median latency.  The wall-clock
+figures and the host's speed are printed alongside.
 
 Workloads (the reasons they were chosen are in BENCHMARK.json):
 
@@ -28,7 +33,10 @@ Workloads (the reasons they were chosen are in BENCHMARK.json):
   Four-Russians stage 2.  The vectors cycle through a fixed seed-determined
   set and the loop stops after whole passes over it, so the counts repeat
   exactly for a seed.
-* ``batch_m12``: m=12.  ``apply_batch`` on one 32-vector batch per plan.
+* ``batch_m11``: m=11.  ``apply_batch`` on one 32-vector batch per plan.
+  Not m=12: there a run has time for two rounds only, and with probes
+  around the calls alone its timings spread 8 to 10% from run to run,
+  against 5 to 6% at m=11; an m=11 run also takes half as long.
 
 Operation counts on the uncounted workloads come from an untimed tallied
 pass after the timed loop: a few of their vectors through the four factored
@@ -39,7 +47,7 @@ Every tallied factored call is cross-checked against the structural counts.
 set-up up front under the tracer, runs half of the time untraced and half
 traced (``trace.overhead_frac`` compares the two), prints the per-layer
 metrics and a per-layer self-time table, and writes the spans as JSON under
-``perfbench_out/``.
+``perfbench_out/``.  The spans, and so the per-layer times, are wall-clock.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``.  The exit code is 1
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -78,6 +87,7 @@ if Path(gfft.__file__).resolve().parent != SRC / "gfft":
 from gfft import algorithms, binmat, field, reference  # noqa: E402
 from gfft.structure import BinaryMatrix  # noqa: E402
 
+from hostclock import HostClock  # noqa: E402
 from spans import Tracer  # noqa: E402
 
 FACTORED = set(algorithms.FACTORED_TAGS)
@@ -99,7 +109,7 @@ WORKLOADS = {
     for w in (
         Workload("rs255_stream", m=8, mode="stream", vectors=64, counted_vectors=16, setups=15),
         Workload("counted_m10", m=10, mode="counted", vectors=2, counted_vectors=0, setups=7),
-        Workload("batch_m12", m=12, mode="batch", vectors=32, counted_vectors=1, setups=2),
+        Workload("batch_m11", m=11, mode="batch", vectors=32, counted_vectors=1, setups=3),
     )
 }
 
@@ -112,12 +122,15 @@ WORKLOADS = {
 class Ledger:
     """Latencies, checks and tallies of one run."""
 
-    def __init__(self, workload: Workload, seed: int):
+    def __init__(self, workload: Workload, seed: int, clock: HostClock):
         self.workload = workload
         self.seed = seed
-        # Per call kind (a plan, or a plan and stage-2 kernel): latencies and
-        # vectors per call.  Every kind runs exactly once per round.
+        self.clock = clock
+        # Per call kind (a plan, or a plan and stage-2 kernel): latencies in
+        # reference seconds and vectors per call.  Every kind runs exactly
+        # once per round.
         self.latencies: dict[str, list[float]] = {}
+        self.wall_latencies: dict[str, list[float]] = {}
         self.vectors_per_call: dict[str, int] = {}
         self.attempted = 0
         self.failed = 0
@@ -155,18 +168,16 @@ class Ledger:
         """Run fn once and check its output (a list of vectors when batch)
         against expected, whose first vector has the given index.  The call
         is timed under kind unless kind is None."""
-        start = perf_counter()
-        try:
-            out = fn()
-        except Exception as exc:  # a raising call is a failed call, not a crash
+        out, wall, elapsed, raised = self.clock.timed(fn)
+        if raised:  # a raising call is a failed call, not a crash
             self.attempted += len(expected)
             self.fail(tag, index, output_index=None, expected=None, actual=None,
-                      reason="raised", error=repr(exc), traceback=traceback.format_exc())
+                      reason="raised", error=repr(out),
+                      traceback="".join(traceback.format_exception(out)))
             return None
-        finally:
-            elapsed = perf_counter() - start
         if kind is not None:
             self.latencies.setdefault(kind, []).append(elapsed)
+            self.wall_latencies.setdefault(kind, []).append(wall)
             self.vectors_per_call[kind] = len(expected)
         outs = out if batch else [out]
         if len(outs) != len(expected):
@@ -211,15 +222,17 @@ class Ledger:
             self.fail(tag, index, output_index=None, expected=None, actual=None,
                       reason="count cross-check", problems=problems)
 
-    def round_medians(self, since: dict[str, int] | None = None) -> dict[str, float]:
+    def round_medians(self, since: dict[str, int] | None = None,
+                      wall: bool = False) -> dict[str, float]:
         """Median latency per call kind, over the calls after `since`."""
         since = since or {}
-        return {k: statistics.median(v[since.get(k, 0):]) for k, v in self.latencies.items()}
+        latencies = self.wall_latencies if wall else self.latencies
+        return {k: statistics.median(v[since.get(k, 0):]) for k, v in latencies.items()}
 
-    def vectors_per_s(self, since: dict[str, int] | None = None) -> float:
+    def vectors_per_s(self, since: dict[str, int] | None = None, wall: bool = False) -> float:
         """Vectors in one round over the round's time, each kind's call
         taking its median latency."""
-        medians = self.round_medians(since)
+        medians = self.round_medians(since, wall)
         return sum(self.vectors_per_call[k] for k in medians) / sum(medians.values())
 
 
@@ -247,10 +260,12 @@ def scope(tracer: Tracer | None, tag: str):
 class Bench:
     """The plans in use, the vectors and their oracle outputs."""
 
-    def __init__(self, workload: Workload, seed: int, tracer: Tracer | None):
+    def __init__(self, workload: Workload, seed: int, clock: HostClock, tracer: Tracer | None):
         self.workload = workload
+        self.clock = clock
         self.tracer = tracer
-        self.setup_times: list[float] = []
+        self.setup_times: list[float] = []  # reference seconds
+        self.setup_wall: list[float] = []
         self.plans: dict = {}
         self.set_up()
         rng = random.Random(f"{workload.name}/{seed}")
@@ -263,14 +278,22 @@ class Bench:
     def set_up(self) -> None:
         """Field tables plus six cold builds, replacing the plans in use."""
         self.plans = {}  # release the previous plans first
-        start = perf_counter()
-        with scope(self.tracer, "field"):
-            ctx = field.build_field(field.FieldSpec(self.workload.m))
-        plans = {}
-        for tag in algorithms.ALL_TAGS:
+        gc.collect()  # and free them now, so that peak memory is the same on every run
+        wall = ref = 0.0
+
+        def timed(tag, fn):
+            nonlocal wall, ref
             with scope(self.tracer, tag):
-                plans[tag] = algorithms.build(tag, ctx)
-        self.setup_times.append(perf_counter() - start)
+                out, w, r, raised = self.clock.timed(fn)
+            if raised:
+                raise out
+            wall, ref = wall + w, ref + r
+            return out
+
+        ctx = timed("field", lambda: field.build_field(field.FieldSpec(self.workload.m)))
+        plans = {tag: timed(tag, lambda: algorithms.build(tag, ctx)) for tag in algorithms.ALL_TAGS}
+        self.setup_times.append(ref)
+        self.setup_wall.append(wall)
         self.ctx, self.plans = ctx, plans
         self.structural = structural_counts(plans, ctx.n)
 
@@ -337,7 +360,7 @@ def tally_pass(bench, led):
     """Untimed tallied pass for the workloads whose timed calls are uncounted:
     the factored plans through the Four-Russians stage 2.  goertzel and
     blahut2008 are left out because their only counted stage 2 is the naive
-    fold, which takes seconds per vector at m=12."""
+    fold, which is slow at the batch size (about 11 s per vector at m=12)."""
     for i in range(bench.workload.counted_vectors):
         for tag in algorithms.FACTORED_TAGS:
             led.tallied_call(bench, tag, i, True, timed=False)
@@ -383,7 +406,7 @@ def binary_matrix_bytes(obj) -> int:
 def per_layer_metrics(tracer: Tracer, led: Ledger, plans: dict, setups: int, rounds: int,
                       vps_untraced: float, vps_traced: float) -> dict:
     """Set-up metrics are per set-up; apply metrics are per round, one round
-    being one vector (one batch for batch_m12) through all six plans."""
+    being one vector (one batch for batch_m11) through all six plans."""
     own = tracer.self_times()
     total: dict[str, float] = {}
     calls: dict[str, int] = {}
@@ -494,11 +517,12 @@ def run(workload: Workload, seed: int, seconds: float, trace: bool, out_dir: Pat
     """Run one workload; returns the result dict, the lines to print before
     it and the first failure (None when every check passed)."""
     tracer = Tracer() if trace else None
-    led = Ledger(workload, seed)
+    clock = HostClock(ticks=not trace)
+    led = Ledger(workload, seed, clock)
     if trace:
         # Set-ups all traced up front; then half the time untraced, half traced.
         with tracer.installed():
-            bench = Bench(workload, seed, tracer)
+            bench = Bench(workload, seed, clock, tracer)
             for _ in range(workload.setups - 1):
                 bench.set_up()
         timed_loop(bench, led, seconds / 2)
@@ -508,7 +532,7 @@ def run(workload: Workload, seed: int, seconds: float, trace: bool, out_dir: Pat
         vps_untraced = led.vectors_per_s()
         vps_traced = led.vectors_per_s(since)
     else:
-        bench = Bench(workload, seed, None)
+        bench = Bench(workload, seed, clock, None)
         rounds = timed_loop(bench, led, seconds, interleave=True)
     tally_pass(bench, led)
 
@@ -527,6 +551,9 @@ def run(workload: Workload, seed: int, seconds: float, trace: bool, out_dir: Pat
         metrics = end_to_end_metrics(led, bench.setup_times)
         samples = {k: len(v) for k, v in led.latencies.items()}
         lines.append(f"rounds {rounds}; timed calls per kind {json.dumps(samples)}")
+        lines.append(f"host speed {clock.speed():.3f} of the reference; wall-clock median "
+                     f"set-up {statistics.median(bench.setup_wall):.4g} s, "
+                     f"{led.vectors_per_s(wall=True):.4g} vectors per s")
     lines.append(f"mismatch_frac {led.failed / max(led.attempted, 1):.6g} "
                  f"({led.failed} of {led.attempted})")
     lines += [f"{name:<40} {value:>16.6g} {unit}" for name, (value, unit) in metrics.items()]

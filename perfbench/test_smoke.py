@@ -17,10 +17,11 @@ import pytest
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
+import hostclock  # noqa: E402
 import run as bench  # noqa: E402
 
 SPEC = json.loads((HERE.parent / "BENCHMARK.json").read_text())
-TINY_M = {"rs255_stream": 4, "counted_m10": 5, "batch_m12": 5}
+TINY_M = {"rs255_stream": 4, "counted_m10": 5, "batch_m11": 5}
 
 
 def tiny(name):
@@ -77,3 +78,28 @@ def test_count_cross_check_fails_the_run(monkeypatch):
     result, _, first = bench.run(tiny("counted_m10"), 3, 0.1, False)
     assert not result["correct"]
     assert first["reason"] == "count cross-check"
+
+
+def test_raising_call_is_a_failure(monkeypatch):
+    apply = bench.algorithms.apply
+
+    def raising(plan, *args, **kw):
+        if isinstance(plan, bench.algorithms.GoertzelPlan):
+            raise RuntimeError("boom")
+        return apply(plan, *args, **kw)
+
+    monkeypatch.setattr(bench.algorithms, "apply", raising)
+    result, _, first = bench.run(tiny("rs255_stream"), 3, 0.1, False)
+    assert not result["correct"] and result["failed"] > 0
+    assert first["tag"] == "goertzel" and first["reason"] == "raised"
+    assert "RuntimeError: boom" in first["traceback"]
+
+
+def test_host_clock_scales_by_the_probe(monkeypatch):
+    monkeypatch.setattr(hostclock, "probe", lambda: 2 * hostclock.PROBE_REF_S)
+    clock = hostclock.HostClock()
+    out, wall, ref, raised = clock.timed(lambda: 7)
+    assert out == 7 and not raised and ref == pytest.approx(wall / 2)
+    assert clock.speed() == pytest.approx(0.5)
+    out, _, _, raised = clock.timed(lambda: 1 / 0)
+    assert raised and isinstance(out, ZeroDivisionError)
