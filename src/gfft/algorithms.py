@@ -16,8 +16,13 @@ output are enumerated in doubling order.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 from math import gcd
+from typing import Callable, Sequence
+
+import numpy as np
 
 from . import binmat
 from .field import FieldContext, OpCount
@@ -223,8 +228,8 @@ def _layouts_normal(
         rep = rep_override.get(coset.leader, coset.leader)
         elements = doubling_orbit(rep, n)
         nb = bases[d]
-        for j in range(d):  # first row must be a conjugate sequence
-            assert ctx.mul(nb.basis[j], nb.basis[j]) == nb.basis[(j + 1) % d]
+        if any(ctx.mul(b, b) != nb.basis[(j + 1) % d] for j, b in enumerate(nb.basis)):
+            raise ArithmeticError(f"normal basis of size {d} is not a conjugate sequence")
         out.append(
             CosetLayout(coset, rep, elements, nb.basis, False, CirculantBlock(nb.basis))
         )
@@ -615,152 +620,143 @@ def apply(plan, f: list[int], tally: TransformTally | None = None, **kw) -> list
 
 
 # ---------------------------------------------------------------------------
-# Batched application (testing-scale; exact, uncounted).
+# Batched application (numpy kernels; exact, uncounted).
 #
-# Elements of all vectors in a batch are packed into one big int per input
-# position, one lane of m bits per vector; XOR never crosses lanes, so the
-# binary stage runs once per matrix row for the whole batch.
+# apply_batch runs every plan as a pipeline of stages over one (width, batch)
+# uint16 array, a column per vector: gathers for the permutations, a block
+# stage for the multiplications (log/exp lookups; zero has a sentinel log
+# that exp maps back to 0) and a binary stage for the additions (Four
+# Russians on the bytes of each row).  Table lookups and XOR only, so both
+# are exact; they count nothing, and batch operation counts come from the
+# structural counters below.  Their tables are built per call, apart from
+# the oracle's, and the subset-XOR tables are chunked to _SCRATCH elements.
 # ---------------------------------------------------------------------------
 
-
-def _pack_lanes(columns: list[list[int]], lane: int) -> list[int]:
-    out = []
-    for col in columns:
-        word = 0
-        for b, v in enumerate(col):
-            word |= v << (b * lane)
-        out.append(word)
-    return out
+_SCRATCH = 1 << 18
+_Stage = Callable[[np.ndarray], np.ndarray]
 
 
-def _binary_fold_packed(rows: list[int], packed: list[int]) -> list[int]:
-    cols = len(packed)
-    if cols < 64 or len(rows) * cols < 1 << 14:
-        out = []
-        for row in rows:
-            acc = 0
-            r = row
-            while r:
-                j = (r & -r).bit_length() - 1
-                acc ^= packed[j]
-                r &= r - 1
-            out.append(acc)
+def validate_vectors(ctx: FieldContext, vectors) -> np.ndarray:
+    """The input boundary: a (batch, n) array of the vectors, or ValueError
+    for a wrong length, a non-int element or one outside [0, 2^m)."""
+    n, m = ctx.n, ctx.m
+    rows = []
+    for b, f in enumerate(vectors):
+        if len(f) != n:
+            raise ValueError(f"vector {b}: expected length {n}, got {len(f)}")
+        try:
+            rows.append(array("q", f))
+        except (TypeError, OverflowError):
+            raise ValueError(f"vector {b}: elements must be ints in [0, 2^{m})") from None
+    arr = np.frombuffer(b"".join(rows), dtype=np.int64).reshape(len(rows), n)
+    bad = np.argwhere((arr < 0) | (arr >= 1 << m))
+    if len(bad):
+        b, j = bad[0]
+        raise ValueError(f"vector {b}, index {j}: {arr[b, j]} is not in GF(2^{m})")
+    return arr
+
+
+def _gather(perm) -> _Stage:
+    idx = np.asarray(perm, dtype=np.intp)
+    return lambda x: x[idx]
+
+
+def _block_entries(blocks: tuple[Block, ...]) -> np.ndarray:
+    """(k, d, d) entries of k blocks of one size d."""
+    if all(isinstance(b, CirculantBlock) for b in blocks):
+        first = np.array([b.first_row for b in blocks])
+        d = first.shape[1]
+        return first[:, (np.arange(d)[:, None] + np.arange(d)) % d]
+    k, d = len(blocks), blocks[0].size
+    flat = chain.from_iterable(b.row(r) for b in blocks for r in range(d))
+    return np.fromiter(flat, dtype=np.int64, count=k * d * d).reshape(k, d, d)
+
+
+def _block_stage(ctx: FieldContext, blocks: Sequence[Block]) -> _Stage:
+    """Block k multiplies the d_k positions of a coset-ordered vector that
+    follow the blocks before it; same-size blocks run as one gather."""
+    n = ctx.n
+    log = np.array(ctx.log, dtype=np.int32)
+    log[0] = 2 * n  # any sum with the sentinel lands in exp's zero tail
+    exp = np.zeros(4 * n + 1, dtype=np.uint16)
+    exp[: 2 * n] = ctx.exp * 2
+    by_size: dict[int, list] = {}
+    for start, blk in zip(accumulate((b.size for b in blocks), initial=0), blocks):
+        by_size.setdefault(blk.size, []).append((start, blk))
+    groups = []  # (positions (k, d), logs of column j of each block (d, k, d, 1))
+    for d, members in by_size.items():
+        starts, group = zip(*members)
+        logs = log[_block_entries(group)]
+        groups.append((np.array(starts)[:, None] + np.arange(d), np.moveaxis(logs, 2, 0)[..., None]))
+
+    def run(x: np.ndarray) -> np.ndarray:
+        out = np.empty_like(x)
+        lx = log[x]
+        for idx, lb in groups:
+            xs = lx[idx]  # (k, d, batch)
+            acc = np.zeros(xs.shape, dtype=np.uint16)
+            total, term = np.empty_like(xs), np.empty_like(acc)
+            for j, col in enumerate(lb):
+                np.add(col, xs[:, None, j], out=total)
+                acc ^= np.take(exp, total, out=term, mode="clip")
+            out[idx] = acc
         return out
 
-    # Group-major subset-sum fold (same idea as the Four-Russians kernel):
-    # one 2^t table per column group, built incrementally, then one lookup
-    # per (row, group).  Large batches make each XOR wide, so cutting the
-    # XOR count from popcount(A) to ~cols/t per row is the dominant win.
-    t = max(4, min(10, len(rows).bit_length() - 3))
-    size = 1 << t
-    mask = size - 1
-    out = [0] * len(rows)
-    shifted = list(rows)
-    for base in range(0, cols, t):
-        table = [0] * size
-        width = min(t, cols - base)
-        for bit in range(width):
-            stride = 1 << bit
-            val = packed[base + bit]
-            for prev in range(stride):
-                table[stride + prev] = table[prev] ^ val
-        for i, row in enumerate(shifted):
-            sel = row & mask
-            if sel:
-                out[i] ^= table[sel]
-            shifted[i] = row >> t
-    return out
+    return run
 
 
-def _unpack_lanes(word: int, count: int, lane: int) -> list[int]:
-    mask = (1 << lane) - 1
-    return [(word >> (b * lane)) & mask for b in range(count)]
+def _binary_stage(matrix: BinaryMatrix) -> _Stage:
+    """Four Russians on bytes: byte g of a little-endian row selects among
+    columns 8g..8g+7, so out ^= table_g[byte g] over all groups g."""
+    width = -(-matrix.cols // 8)
+    raw = b"".join(map(int.to_bytes, matrix.rows, repeat(width), repeat("little")))
+    sel = np.frombuffer(raw, dtype=np.uint8).reshape(len(matrix.rows), width).T.copy()
+
+    def run(x: np.ndarray) -> np.ndarray:
+        batch = x.shape[1]
+        cols = np.zeros((width * 8, batch), dtype=np.uint16)
+        cols[: matrix.cols] = x
+        cols = cols.reshape(width, 8, batch)
+        out = np.zeros((sel.shape[1], batch), dtype=np.uint16)
+        b_step = max(1, min(batch, _SCRATCH // 256))
+        g_step = max(1, _SCRATCH // (256 * b_step))
+        for b0 in range(0, batch, b_step):
+            acc = out[:, b0 : b0 + b_step]
+            looked_up = np.empty_like(acc)
+            for g0 in range(0, width, g_step):
+                part = cols[g0 : g0 + g_step, :, b0 : b0 + b_step]
+                table = np.zeros((len(part), 256, part.shape[2]), dtype=np.uint16)
+                for bit in range(8):
+                    lo = 1 << bit
+                    np.bitwise_xor(table[:, :lo], part[:, bit, None], out=table[:, lo : 2 * lo])
+                for g, tab in enumerate(table, g0):
+                    acc ^= np.take(tab, sel[g], axis=0, out=looked_up, mode="clip")
+        return out
+
+    return run
 
 
-def apply_batch(plan, vectors: list[list[int]]) -> list[list[int]]:
-    """Apply one plan to many vectors, sharing the binary-stage row folds."""
+def _batch_stages(plan) -> list[_Stage]:
     if isinstance(plan, FactoredTransform):
-        return _apply_factored_batch(plan, vectors)
+        return [_gather(plan.in_perm), _block_stage(plan.ctx, plan.d_blocks),
+                _binary_stage(plan.a_matrix), _gather(np.argsort(plan.out_perm))]
     if isinstance(plan, GoertzelPlan):
-        return _apply_goertzel_batch(plan, vectors)
+        return [_binary_stage(plan.remainder_matrix),
+                _block_stage(plan.ctx, [DenseBlock(b) for b in plan.eval_blocks]),
+                _gather(np.argsort(plan.out_perm))]
     if isinstance(plan, BlahutPlan):
-        return _apply_blahut_batch(plan, vectors)
+        return [_gather(plan.in_perm), _block_stage(plan.ctx, [DenseBlock(b) for b in plan.v_blocks]),
+                _binary_stage(plan.combine_matrix)]
     raise TypeError(f"unsupported plan type {type(plan)!r}")
 
 
-def _apply_factored_batch(plan: FactoredTransform, vectors: list[list[int]]) -> list[list[int]]:
-    ctx, n = plan.ctx, plan.n
-    count = len(vectors)
-    mids = []
-    for f in vectors:
-        if len(f) != n:
-            raise ValueError(f"expected length {n}, got {len(f)}")
-        fe = [f[j] for j in plan.in_perm]
-        g: list[int] = []
-        pos = 0
-        for lay in plan.layouts:
-            d = lay.coset.size
-            g.extend(_block_matvec(lay.block, fe[pos : pos + d], ctx, None))
-            pos += d
-        mids.append(g)
-    packed = _pack_lanes([[mids[b][j] for b in range(count)] for j in range(n)], ctx.m)
-    folded = _binary_fold_packed(plan.a_matrix.rows, packed)
-    outs = [[0] * n for _ in range(count)]
-    for r, i in enumerate(plan.out_perm):
-        vals = _unpack_lanes(folded[r], count, ctx.m)
-        for b in range(count):
-            outs[b][i] = vals[b]
-    return outs
-
-
-def _apply_goertzel_batch(plan: GoertzelPlan, vectors: list[list[int]]) -> list[list[int]]:
-    ctx, n = plan.ctx, plan.ctx.n
-    count = len(vectors)
-    for f in vectors:
-        if len(f) != n:
-            raise ValueError(f"expected length {n}, got {len(f)}")
-    packed = _pack_lanes([[vectors[b][j] for b in range(count)] for j in range(n)], ctx.m)
-    folded = _binary_fold_packed(plan.remainder_matrix.rows, packed)
-    outs = [[0] * n for _ in range(count)]
-    pos = 0
-    for coset, block in zip(plan.partition.cosets, plan.eval_blocks):
-        d = coset.size
-        rems = [_unpack_lanes(folded[pos + t], count, ctx.m) for t in range(d)]
-        for r, e in enumerate(coset.elements):
-            row = block[r]
-            for b in range(count):
-                acc = ctx.mul(row[0], rems[0][b])
-                for t in range(1, d):
-                    acc ^= ctx.mul(row[t], rems[t][b])
-                outs[b][e] = acc
-        pos += d
-    return outs
-
-
-def _apply_blahut_batch(plan: BlahutPlan, vectors: list[list[int]]) -> list[list[int]]:
-    ctx, n = plan.ctx, plan.ctx.n
-    count = len(vectors)
-    mids = []
-    for f in vectors:
-        if len(f) != n:
-            raise ValueError(f"expected length {n}, got {len(f)}")
-        mid: list[int] = []
-        for coset, vblock in zip(plan.partition.cosets, plan.v_blocks):
-            if coset.size == 1 and coset.leader == 0:
-                mid.append(f[0])
-                continue
-            slice_vals = [f[e] for e in coset.elements]
-            for row in vblock:
-                acc = ctx.mul(row[0], slice_vals[0])
-                for t in range(1, len(row)):
-                    acc ^= ctx.mul(row[t], slice_vals[t])
-                mid.append(acc)
-        mids.append(mid)
-    width = len(mids[0])
-    packed = _pack_lanes([[mids[b][j] for b in range(count)] for j in range(width)], ctx.m)
-    folded = _binary_fold_packed(plan.combine_matrix.rows, packed)
-    unpacked = [_unpack_lanes(folded[i], count, ctx.m) for i in range(n)]
-    return [[unpacked[i][b] for i in range(n)] for b in range(count)]
+def apply_batch(plan, vectors: list[list[int]]) -> list[list[int]]:
+    """Apply one plan to many vectors with the numpy kernels; equals apply."""
+    stages = _batch_stages(plan)
+    x = np.ascontiguousarray(validate_vectors(plan.ctx, vectors).T, dtype=np.uint16)
+    for stage in stages:
+        x = stage(x)
+    return np.ascontiguousarray(x.T).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from gfft.algorithms import (
 )
 from gfft.field import OpCount, default_field
 from gfft.reference import naive_dft, poly_eval, transform_matrix
-from gfft.structure import rotate_right_bits
+from gfft.structure import NormalBasis, find_normal_basis, rotate_right_bits
 
 import m3_worked_example as wk
 
@@ -180,14 +180,64 @@ def test_apply_length_checks(ctx3):
             alg.apply(plan, [0] * 6)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 6])
+@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9])
 def test_batch_matches_single(m):
+    # m = 8 and 9 mix coset sizes {1,2,4,8} and {1,3,9} in one block stage
     ctx = default_field(m)
+    n = ctx.n
     rng = random.Random(m * 131)
-    vecs = [[rng.randrange(1 << m) for _ in range(ctx.n)] for _ in range(9)]
+    vecs = [[rng.randrange(1 << m) for _ in range(n)] for _ in range(9 if m <= 6 else 3)]
+    vecs += [[0] * n, [(1 << m) - 1] * n]
+    for j in sorted({0, 1, n // 2, n - 1}):
+        vecs.append([int(i == j) for i in range(n)])
     for tag in ALL_TAGS:
         plan = build(tag, ctx)
-        assert apply_batch(plan, vecs) == [alg.apply(plan, f) for f in vecs]
+        for fr in (False, True) if tag in FACTORED_TAGS else (False,):
+            expected = [alg.apply(plan, f, four_russians=fr) for f in vecs]
+            assert apply_batch(plan, vecs) == expected, (tag, fr)
+            assert apply_batch(plan, vecs[:1]) == expected[:1], (tag, fr)
+
+
+def test_batch_empty(ctx3):
+    for tag in ALL_TAGS:
+        assert apply_batch(build(tag, ctx3), []) == []
+
+
+def test_batch_wider_than_one_table_chunk(ctx3):
+    # more vectors than the binary stage's subset-XOR tables hold at once
+    rng = random.Random(5)
+    vecs = [[rng.randrange(8) for _ in range(7)] for _ in range(3000)]
+    expected = [naive_dft(f, ctx3) for f in vecs]
+    for tag in ALL_TAGS:
+        assert apply_batch(build(tag, ctx3), vecs) == expected, tag
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [9, 0, 0, 0, 0, 0, 0],  # beyond GF(8): must not reach the next vector's output
+        [-1, 0, 0, 0, 0, 0, 0],  # would wrap silently under numpy indexing
+        [1.0, 0, 0, 0, 0, 0, 0],
+        ["1", 0, 0, 0, 0, 0, 0],
+        [None, 0, 0, 0, 0, 0, 0],
+        [2**70, 0, 0, 0, 0, 0, 0],
+        [0] * 6,
+        [0] * 8,
+    ],
+)
+def test_batch_rejects_bad_input(ctx3, bad):
+    for tag in ALL_TAGS:
+        with pytest.raises(ValueError):
+            apply_batch(build(tag, ctx3), [bad, [0] * 7])
+
+
+def test_normal_basis_must_be_conjugate_sequence(ctx3, monkeypatch):
+    nb = find_normal_basis(ctx3, 3)
+    b0, b1, b2 = nb.basis
+    monkeypatch.setattr(alg, "find_normal_basis", lambda ctx, d: NormalBasis(b0, d, (b0, b2, b1)))
+    for tag in ("tf2003", "fed2006a"):
+        with pytest.raises(ArithmeticError, match="conjugate"):
+            build(tag, ctx3)
 
 
 # ---------------------------------------------------------------------------
