@@ -154,21 +154,93 @@ class CosetLayout:
     block: Block
 
 
-class _CoordCache:
-    """Memoized coordinate solves for one column basis."""
+# ---------------------------------------------------------------------------
+# Bulk coordinate solves.  Every binary matrix here (A, R, the B_k and the
+# combine matrix) holds, per coset, the coordinates of a^(i*rep) in a small
+# basis.  A basis of d elements spans GF(2^d), whose nonzero elements are the
+# powers a^e with e a multiple of step = n / (2^d - 1), so one solve over
+# those 2^d - 1 elements serves every layout that shares the basis.
+# ---------------------------------------------------------------------------
 
-    __slots__ = ("solver", "memo")
+_Column = tuple[int, tuple[int, ...]]  # (rep, basis)
 
-    def __init__(self, basis: tuple[int, ...]):
-        self.solver = LinearSolver(basis)
-        self.memo: dict[int, int] = {}
 
-    def coords(self, x: int) -> int:
-        c = self.memo.get(x)
-        if c is None:
-            c = self.solver.coords(x)
-            self.memo[x] = c
-        return c
+class _SubfieldCoords:
+    """Per basis: step and the coordinates of a^e, indexed by e // step."""
+
+    def __init__(self, ctx: FieldContext):
+        self.exp = np.array(ctx.exp, dtype=np.int64)
+        self.tables: dict[tuple[int, ...], tuple[int, np.ndarray]] = {}
+
+    def table(self, basis: tuple[int, ...]) -> tuple[int, np.ndarray]:
+        found = self.tables.get(basis)
+        if found is None:
+            step, rest = divmod(len(self.exp), (1 << len(basis)) - 1)
+            if rest:
+                raise ArithmeticError(f"no subfield GF(2^{len(basis)}) for basis {basis}")
+            found = step, LinearSolver(basis).coords_array(self.exp[::step])
+            self.tables[basis] = found
+        return found
+
+
+def _coords_matrix(ctx: FieldContext, points, columns: Sequence[_Column]) -> np.ndarray:
+    """(len(points), l) uint16: entry (r, k) is the coordinate vector of
+    a^(points[r] * rep_k) in basis_k."""
+    n = ctx.n
+    solves = _SubfieldCoords(ctx)
+    points = np.asarray(points, dtype=np.int64)
+    out = np.empty((len(points), len(columns)), dtype="<u2")
+    for k, (rep, basis) in enumerate(columns):
+        step, table = solves.table(basis)
+        e, off = np.divmod(points * rep % n, step)
+        if off.any():
+            x = rep * int(points[off.argmax()]) % n
+            raise ArithmeticError(f"a^{x} is outside the span of {basis}")
+        out[:, k] = table[e]
+    return out
+
+
+def _bit_rows(coords: np.ndarray, widths: Sequence[int], transpose: bool = False) -> list[int]:
+    """Binary matrix rows as ints: row r is the low widths[k] bits of each
+    coords[r, k] side by side, column 0 lowest; with transpose, the rows of
+    that matrix's transpose.  Built in chunks of about _SCRATCH bits."""
+    rows_in, l = coords.shape
+    starts = np.array(list(accumulate(widths, initial=0)))
+    # bit t of coords[r, k] is bit 16 k + t of the unpacked uint16s of row r
+    select = np.arange(starts[-1]) + np.repeat(16 * np.arange(l) - starts[:-1], widths)
+
+    def bits(k0: int, k1: int, r0: int = 0, r1: int = rows_in) -> np.ndarray:
+        block = np.ascontiguousarray(coords[r0:r1, k0:k1])
+        unpacked = np.unpackbits(block.view(np.uint8), axis=1, bitorder="little")
+        return unpacked[:, select[starts[k0] : starts[k1]] - 16 * k0]
+
+    out: list[int] = []
+    if transpose:
+        step = max(1, _SCRATCH // (16 * rows_in))
+        for k0 in range(0, l, step):
+            out += _int_rows(np.ascontiguousarray(bits(k0, min(l, k0 + step)).T))
+    else:
+        step = max(1, _SCRATCH // (16 * l))
+        for r0 in range(0, rows_in, step):
+            out += _int_rows(bits(0, l, r0, r0 + step))
+    return out
+
+
+def _int_rows(bits: np.ndarray) -> list[int]:
+    """Rows of a 0/1 array as ints, bit j = column j."""
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    raw, w = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
+
+
+def _power_basis_columns(ctx: FieldContext, partition: CosetPartition) -> list[_Column]:
+    """Per coset with leader s: basis (1, b, ..., b^(d-1)), b = a^s.  The
+    coordinates of b^i there are the coefficients of x^i mod M_s."""
+    n = ctx.n
+    return [
+        (c.leader, tuple(ctx.exp[(c.leader * t) % n] for t in range(c.size)))
+        for c in partition.cosets
+    ]
 
 
 def _normal_bases(ctx: FieldContext, partition: CosetPartition, shifted: bool) -> dict[int, NormalBasis]:
@@ -280,17 +352,8 @@ def _assemble_factored(ctx: FieldContext, tag: str, layouts: list[CosetLayout],
     in_perm = tuple(i for lay in layouts for i in lay.elements)
     out_perm = tuple(range(n)) if natural_out else in_perm
 
-    caches = [None if lay.std_coords else _CoordCache(lay.basis) for lay in layouts]
-    rows = []
-    for i in out_perm:
-        row = 0
-        offset = 0
-        for lay, cache in zip(layouts, caches):
-            arg = ctx.exp[(i * lay.rep) % n]
-            coords = arg if cache is None else cache.coords(arg)
-            row |= coords << offset
-            offset += lay.coset.size
-        rows.append(row)
+    coords = _coords_matrix(ctx, out_perm, [(lay.rep, lay.basis) for lay in layouts])
+    rows = _bit_rows(coords, [lay.coset.size for lay in layouts])
     return FactoredTransform(
         tag, ctx, partition, tuple(layouts), in_perm, out_perm, BinaryMatrix(rows, n)
     )
@@ -329,9 +392,8 @@ def apply_factored(
 ) -> list[int]:
     """Permute, multiply by the diagonal blocks, then by the binary matrix."""
     n = plan.n
-    if len(f) != n:
-        raise ValueError(f"expected length {n}, got {len(f)}")
     ctx = plan.ctx
+    validate_vector(ctx, f)
     oc1 = tally.stage1 if tally else None
     oc2 = tally.stage2 if tally else None
 
@@ -442,26 +504,19 @@ class GoertzelPlan:
 
 
 def build_goertzel(ctx: FieldContext) -> GoertzelPlan:
+    """Row t of block k in R holds bit t of x^j mod M_k over the columns j,
+    the coordinates of b^j in blahut2008's power basis: R is the transpose
+    of blahut2008's combine matrix."""
     n = ctx.n
     partition = cyclotomic_cosets(n)
-    rows: list[int] = []
+    coords = _coords_matrix(ctx, range(n), _power_basis_columns(ctx, partition))
+    rows = _bit_rows(coords, partition.sizes(), transpose=True)
     eval_blocks = []
     min_polys = []
     out_perm = []
     for coset in partition.cosets:
         d = coset.size
-        mpoly = minimal_polynomial(coset, ctx)
-        min_polys.append(mpoly)
-        block_rows = [0] * d
-        rem = 1  # x^j mod M_k, iterated over j
-        for j in range(n):
-            for t in range(d):
-                if (rem >> t) & 1:
-                    block_rows[t] |= 1 << j
-            rem <<= 1
-            if (rem >> d) & 1:
-                rem ^= mpoly
-        rows.extend(block_rows)
+        min_polys.append(minimal_polynomial(coset, ctx))
         eval_blocks.append(
             tuple(tuple(ctx.exp[(e * t) % n] for t in range(d)) for e in coset.elements)
         )
@@ -490,9 +545,8 @@ def apply_goertzel(
     plan: GoertzelPlan, f: list[int], tally: TransformTally | None = None
 ) -> list[int]:
     n = plan.ctx.n
-    if len(f) != n:
-        raise ValueError(f"expected length {n}, got {len(f)}")
     ctx = plan.ctx
+    validate_vector(ctx, f)
     oc1 = tally.stage1 if tally else None
     oc2 = tally.stage2 if tally else None
     rems = remainders(plan, f, oc2)
@@ -530,39 +584,23 @@ class BlahutPlan:
 def build_blahut2008(ctx: FieldContext) -> BlahutPlan:
     n = ctx.n
     partition = cyclotomic_cosets(n)
+    coords = _coords_matrix(ctx, range(n), _power_basis_columns(ctx, partition))
     v_blocks = []
     b_blocks = []
     in_perm: list[int] = []
-    combined = [0] * n
-    offset = 0
-    for coset in partition.cosets:
+    for k, coset in enumerate(partition.cosets):
         d = coset.size
-        s = coset.leader
         in_perm.extend(coset.elements)
-        if d == 1 and s == 0:
-            v_blocks.append(((1,),))
-            ones = BinaryMatrix([1] * n, 1)
-            b_blocks.append(ones)
-            for i in range(n):
-                combined[i] |= 1 << offset
-            offset += 1
-            continue
         v_blocks.append(
             tuple(tuple(ctx.exp[(t * e) % n] for e in coset.elements) for t in range(d))
         )
-        basis = tuple(ctx.exp[(s * t) % n] for t in range(d))
-        cache = _CoordCache(basis)
-        rows = [cache.coords(ctx.exp[(i * s) % n]) for i in range(n)]
-        b_blocks.append(BinaryMatrix(list(rows), d))
-        for i in range(n):
-            combined[i] |= rows[i] << offset
-        offset += d
+        b_blocks.append(BinaryMatrix(coords[:, k].tolist(), d))
     return BlahutPlan(
         ctx,
         partition,
         tuple(v_blocks),
         tuple(b_blocks),
-        BinaryMatrix(combined, n),
+        BinaryMatrix(_bit_rows(coords, partition.sizes()), n),
         tuple(in_perm),
     )
 
@@ -570,10 +608,8 @@ def build_blahut2008(ctx: FieldContext) -> BlahutPlan:
 def apply_blahut2008(
     plan: BlahutPlan, f: list[int], tally: TransformTally | None = None
 ) -> list[int]:
-    n = plan.ctx.n
-    if len(f) != n:
-        raise ValueError(f"expected length {n}, got {len(f)}")
     ctx = plan.ctx
+    validate_vector(ctx, f)
     oc1 = tally.stage1 if tally else None
     oc2 = tally.stage2 if tally else None
     mid: list[int] = []
@@ -612,6 +648,11 @@ def build(tag: str, ctx: FieldContext):
 
 
 def apply(plan, f: list[int], tally: TransformTally | None = None, **kw) -> list[int]:
+    """One vector through any plan; kw (four_russians, fr_plan) picks the
+    binary-stage kernel of a factored plan.  goertzel and blahut2008 have
+    only the naive kernel, so they reject four_russians=True."""
+    if isinstance(plan, (GoertzelPlan, BlahutPlan)) and kw.get("four_russians"):
+        raise ValueError("four_russians=True applies to the factored plans only")
     if isinstance(plan, GoertzelPlan):
         return apply_goertzel(plan, f, tally)
     if isinstance(plan, BlahutPlan):
@@ -636,23 +677,40 @@ _SCRATCH = 1 << 18
 _Stage = Callable[[np.ndarray], np.ndarray]
 
 
+def _as_row(ctx: FieldContext, f, b: int) -> array:
+    """Vector b as an array("H"), or ValueError for a wrong length or a
+    non-int element."""
+    n = ctx.n
+    if len(f) != n:
+        raise ValueError(f"vector {b}: expected length {n}, got {len(f)}")
+    try:
+        return array("H", f)  # rejects non-ints and ints outside [0, 2^16)
+    except (TypeError, OverflowError):
+        raise ValueError(f"vector {b}: elements must be ints in [0, 2^{ctx.m})") from None
+
+
+def _outside_field(ctx: FieldContext, b: int, row: array) -> ValueError:
+    j = next(j for j, x in enumerate(row) if x >> ctx.m)
+    return ValueError(f"vector {b}, index {j}: {row[j]} is not in GF(2^{ctx.m})")
+
+
+def validate_vector(ctx: FieldContext, f) -> None:
+    """The input boundary of apply: ValueError for a wrong length, a non-int
+    element or one outside [0, 2^m).  Pure Python, so a single apply
+    touches no numpy."""
+    row = _as_row(ctx, f, 0)
+    if max(row) >> ctx.m:
+        raise _outside_field(ctx, 0, row)
+
+
 def validate_vectors(ctx: FieldContext, vectors) -> np.ndarray:
-    """The input boundary: a (batch, n) array of the vectors, or ValueError
-    for a wrong length, a non-int element or one outside [0, 2^m)."""
-    n, m = ctx.n, ctx.m
-    rows = []
-    for b, f in enumerate(vectors):
-        if len(f) != n:
-            raise ValueError(f"vector {b}: expected length {n}, got {len(f)}")
-        try:
-            rows.append(array("q", f))
-        except (TypeError, OverflowError):
-            raise ValueError(f"vector {b}: elements must be ints in [0, 2^{m})") from None
-    arr = np.frombuffer(b"".join(rows), dtype=np.int64).reshape(len(rows), n)
-    bad = np.argwhere((arr < 0) | (arr >= 1 << m))
-    if len(bad):
-        b, j = bad[0]
-        raise ValueError(f"vector {b}, index {j}: {arr[b, j]} is not in GF(2^{m})")
+    """The same boundary for apply_batch: a (batch, n) uint16 array, range
+    tested in one numpy pass over the whole batch."""
+    rows = [_as_row(ctx, f, b) for b, f in enumerate(vectors)]
+    arr = np.frombuffer(b"".join(rows), dtype=np.uint16).reshape(len(rows), ctx.n)
+    if rows and arr.max() >> ctx.m:
+        b = int(np.argmax(arr.max(axis=1) >> ctx.m))
+        raise _outside_field(ctx, b, rows[b])
     return arr
 
 
@@ -753,7 +811,7 @@ def _batch_stages(plan) -> list[_Stage]:
 def apply_batch(plan, vectors: list[list[int]]) -> list[list[int]]:
     """Apply one plan to many vectors with the numpy kernels; equals apply."""
     stages = _batch_stages(plan)
-    x = np.ascontiguousarray(validate_vectors(plan.ctx, vectors).T, dtype=np.uint16)
+    x = np.ascontiguousarray(validate_vectors(plan.ctx, vectors).T)
     for stage in stages:
         x = stage(x)
     return np.ascontiguousarray(x.T).tolist()
@@ -771,8 +829,12 @@ def structural_stage1_counts(plan: FactoredTransform) -> tuple[int, int]:
     free, so a d x d circulant of non-unit conjugates costs d^2 and a dense
     linearized block costs its count of non-unit entries.
     """
+    return _stage1_counts(plan.layouts)
+
+
+def _stage1_counts(layouts: Sequence[CosetLayout]) -> tuple[int, int]:
     mults = adds = 0
-    for lay in plan.layouts:
+    for lay in layouts:
         d = lay.coset.size
         if d == 1:
             continue
@@ -818,17 +880,7 @@ def structural_counts_for_tag(ctx: FieldContext, tag: str) -> tuple[int, int, in
     """(stage1 mults, stage1 adds, stage2 naive adds) without building A."""
     n = ctx.n
     layouts = _layouts_for_tag(ctx, tag)
-    mults = adds = 0
-    for lay in layouts:
-        d = lay.coset.size
-        if d == 1:
-            continue
-        adds += d * (d - 1)
-        if isinstance(lay.block, CirculantBlock):
-            mults += sum(1 for e in lay.block.first_row if e > 1) * d
-        else:
-            mults += sum(1 for row in lay.block.rows for e in row if e > 1)
-
+    solves = _SubfieldCoords(ctx)
     subgroup_pc: dict[tuple, int] = {}
     total_ones = 0
     for lay in layouts:
@@ -836,11 +888,8 @@ def structural_counts_for_tag(ctx: FieldContext, tag: str) -> tuple[int, int, in
         key = (lay.basis, g)
         s = subgroup_pc.get(key)
         if s is None:
-            if lay.std_coords:
-                s = sum(ctx.exp[e].bit_count() for e in range(0, n, g))
-            else:
-                cache = _CoordCache(lay.basis)
-                s = sum(cache.coords(ctx.exp[e]).bit_count() for e in range(0, n, g))
+            step, table = solves.table(lay.basis)
+            s = int(np.unpackbits(table[:: g // step].astype("<u2").view(np.uint8)).sum())
             subgroup_pc[key] = s
         total_ones += g * s
-    return mults, adds, total_ones - n
+    return (*_stage1_counts(layouts), total_ones - n)

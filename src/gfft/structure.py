@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+import numpy as np
+
 from .field import FieldContext
 
 
@@ -94,6 +96,9 @@ class LinearSolver:
 
     Precomputes a Gauss-Jordan reduction once; each solve is O(d) word ops.
     Coordinates are returned as a d-bit int, bit j = coefficient of basis[j].
+    The reduction is kept in reduced row-echelon form: each reduced vector
+    holds its own pivot bit and no other pivot, so the pivots an element has
+    set name exactly the reduced vectors it is the XOR of.
     """
 
     __slots__ = ("basis", "_reduced")
@@ -124,6 +129,22 @@ class LinearSolver:
                 combo ^= rc
         if r != 0:
             raise ValueError(f"element {x} not in span of basis {self.basis}")
+        return combo
+
+    def coords_array(self, xs: np.ndarray) -> np.ndarray:
+        """coords of every element of an int array at once, as an int64 array:
+        the XOR of the combos over the pivots set in x.  Raises ValueError
+        unless the matching reduced vectors XOR back to x for every x."""
+        xs = np.asarray(xs, dtype=np.int64)
+        combo = np.zeros_like(xs)
+        back = np.zeros_like(xs)
+        for p, rv, rc in self._reduced:
+            hit = -((xs >> p) & 1)  # all ones where pivot p is set
+            combo ^= hit & rc
+            back ^= hit & rv
+        bad = np.flatnonzero(back != xs)
+        if len(bad):
+            raise ValueError(f"element {xs[bad[0]]} not in span of basis {self.basis}")
         return combo
 
 

@@ -27,9 +27,9 @@ from gfft.algorithms import (
     structural_counts_for_tag,
     structural_stage1_counts,
 )
-from gfft.field import OpCount, default_field
+from gfft.field import FieldSpec, OpCount, build_field, default_field
 from gfft.reference import naive_dft, poly_eval, transform_matrix
-from gfft.structure import NormalBasis, find_normal_basis, rotate_right_bits
+from gfft.structure import LinearSolver, NormalBasis, find_normal_basis, rotate_right_bits
 
 import m3_worked_example as wk
 
@@ -113,6 +113,117 @@ def test_fed2006_variant_validation(ctx3):
         build_fed2006(ctx3, "c")
 
 
+# ---------------------------------------------------------------------------
+# bulk coordinate solves against one solve per element
+# ---------------------------------------------------------------------------
+
+
+def _bases_in_use(ctx):
+    """Every column basis of every plan over ctx."""
+    part = alg.cyclotomic_cosets(ctx.n)
+    bases = {basis for _, basis in alg._power_basis_columns(ctx, part)}
+    for tag in FACTORED_TAGS:
+        bases |= {lay.basis for lay in alg._layouts_for_tag(ctx, tag)}
+    return sorted(bases)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_bulk_coords_match_per_element_solves(m):
+    ctx = default_field(m)
+    solves = alg._SubfieldCoords(ctx)
+    for basis in _bases_in_use(ctx):
+        step, table = solves.table(basis)
+        solver = LinearSolver(basis)
+        # every argument a^(i * rep) of a layout on this basis lies in the
+        # subfield it spans: the powers a^e with step | e
+        assert step == ctx.n // ((1 << len(basis)) - 1)
+        expected = [solver.coords(ctx.exp[e]) for e in range(0, ctx.n, step)]
+        assert table.tolist() == expected, (m, basis)
+
+
+def test_bulk_coords_reject_element_outside_span():
+    ctx = default_field(4)
+    # (1, a) has the length of a basis of GF(4) but does not span it: a^5 = a^2 + a
+    with pytest.raises(ValueError, match="not in span"):
+        alg._SubfieldCoords(ctx).table((1, ctx.exp[1]))
+
+
+def test_bulk_coords_reject_basis_without_subfield(ctx3):
+    # GF(8) has no subfield GF(4), so no 2-element basis has a bulk table
+    with pytest.raises(ArithmeticError, match="no subfield"):
+        alg._SubfieldCoords(ctx3).table((1, ctx3.exp[1]))
+
+
+def test_bulk_coords_reject_column_outside_subfield():
+    ctx = default_field(4)
+    gf4 = (1, ctx.exp[5])
+    assert alg._coords_matrix(ctx, range(ctx.n), [(5, gf4)]).shape == (ctx.n, 1)
+    # a^(i*1) leaves GF(4) for i not a multiple of 5
+    with pytest.raises(ArithmeticError, match="outside the span"):
+        alg._coords_matrix(ctx, range(ctx.n), [(1, gf4)])
+
+
+def _reference_rows(ctx, plan):
+    """The binary matrices of a plan, one coordinate solve per element (and
+    R by long division), as the builders made them before the bulk solves."""
+    n = ctx.n
+    if isinstance(plan, alg.GoertzelPlan):
+        rows = []
+        for coset, mpoly in zip(plan.partition.cosets, plan.min_polys):
+            d = coset.size
+            block, rem = [0] * d, 1  # x^j mod M_k, iterated over j
+            for j in range(n):
+                for t in range(d):
+                    if (rem >> t) & 1:
+                        block[t] |= 1 << j
+                rem <<= 1
+                if (rem >> d) & 1:
+                    rem ^= mpoly
+            rows += block
+        return {"R": rows}
+    if isinstance(plan, alg.BlahutPlan):
+        b_blocks, combined, offset = [], [0] * n, 0
+        for coset in plan.partition.cosets:
+            s, d = coset.leader, coset.size
+            solver = LinearSolver(tuple(ctx.exp[(s * t) % n] for t in range(d)))
+            rows = [solver.coords(ctx.exp[(i * s) % n]) for i in range(n)]
+            b_blocks.append(rows)
+            combined = [c | r << offset for c, r in zip(combined, rows)]
+            offset += d
+        return {"B": b_blocks, "combine": combined}
+    solvers = [LinearSolver(lay.basis) for lay in plan.layouts]
+    rows = []
+    for i in plan.out_perm:
+        row, offset = 0, 0
+        for lay, solver in zip(plan.layouts, solvers):
+            row |= solver.coords(ctx.exp[(i * lay.rep) % n]) << offset
+            offset += lay.coset.size
+        rows.append(row)
+    return {"A": rows}
+
+
+def _built_rows(plan):
+    if isinstance(plan, alg.GoertzelPlan):
+        return {"R": plan.remainder_matrix.rows}
+    if isinstance(plan, alg.BlahutPlan):
+        return {"B": [b.rows for b in plan.b_blocks], "combine": plan.combine_matrix.rows}
+    return {"A": plan.a_matrix.rows}
+
+
+@pytest.mark.parametrize(
+    "m, poly",
+    [(m, None) for m in range(2, 10)] + [(6, 0b1100111), (8, 0b101100011)],
+)
+def test_bulk_assembly_matches_per_element_assembly(m, poly):
+    ctx = build_field(FieldSpec(m, poly))
+    plans = {tag: build(tag, ctx) for tag in ALL_TAGS}
+    for tag, plan in plans.items():
+        assert _built_rows(plan) == _reference_rows(ctx, plan), (m, poly, tag)
+    # R is the transpose of the combine matrix: both hold x^i mod M_k
+    r_bits = plans["goertzel"].remainder_matrix.to_bits()
+    assert r_bits == [list(col) for col in zip(*plans["blahut2008"].combine_matrix.to_bits())]
+
+
 def test_tf2003_change_of_basis_identity(ctx3):
     # the standard-points block equals a binary matrix times the basis circulant
     binary = [[1, 1, 1], [0, 1, 1], [1, 0, 1]]
@@ -178,6 +289,31 @@ def test_apply_length_checks(ctx3):
         plan = build(tag, ctx3)
         with pytest.raises(ValueError):
             alg.apply(plan, [0] * 6)
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [9, 0, 0, 0, 0, 0, 0],  # beyond GF(8): was returned as [9] * 7 or an IndexError
+        [-1, 0, 0, 0, 0, 0, 0],
+        [1.0, 0, 0, 0, 0, 0, 0],
+        [None, 0, 0, 0, 0, 0, 0],
+    ],
+)
+def test_apply_rejects_elements_outside_field(ctx3, tag, bad):
+    with pytest.raises(ValueError):
+        alg.apply(build(tag, ctx3), bad)
+
+
+@pytest.mark.parametrize("tag", ["goertzel", "blahut2008"])
+def test_four_russians_flag_rejected_on_unfactored_plans(ctx3, tag):
+    # their binary stage has only the naive kernel; the flag must not be ignored
+    plan = build(tag, ctx3)
+    f = list(range(1, 8))
+    with pytest.raises(ValueError, match="factored plans only"):
+        alg.apply(plan, f, four_russians=True)
+    assert alg.apply(plan, f, four_russians=False) == naive_dft(f, ctx3)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9])

@@ -167,6 +167,20 @@ def test_coordinates_round_trip(m):
         assert acc == x
 
 
+def test_coords_array_matches_coords():
+    for basis in [(1, 2, 4), (3, 5, 7), (6, 3, 1)]:
+        solver = LinearSolver(basis)
+        got = solver.coords_array(range(8))
+        assert got.tolist() == [solver.coords(x) for x in range(8)], basis
+
+
+def test_coords_array_rejects_outside_span():
+    solver = LinearSolver((0b001, 0b010))
+    assert solver.coords_array([0, 1, 2, 3]).tolist() == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="element 4 not in span"):
+        solver.coords_array([3, 4, 1, 6])
+
+
 def test_frobenius_pair_examples():
     ctx = default_field(3)
     nb = find_normal_basis(ctx, 3)
