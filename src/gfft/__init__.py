@@ -7,10 +7,8 @@ from .structure import (
     CosetPartition,
     LinearSolver,
     NormalBasis,
-    coordinates_in_basis,
     cyclotomic_cosets,
     find_normal_basis,
-    frobenius_coords_pair,
     minimal_polynomial,
 )
 from .reference import dense_matvec, naive_dft, naive_dft_batch, poly_eval, transform_matrix, unit_response
@@ -24,17 +22,14 @@ from .binmat import (
 from .algorithms import (
     ALL_TAGS,
     FACTORED_TAGS,
-    BlahutPlan,
+    BinaryStage,
+    BlockStage,
     CirculantBlock,
     DenseBlock,
-    FactoredTransform,
-    GoertzelPlan,
+    Plan,
     TransformTally,
     apply,
     apply_batch,
-    apply_blahut2008,
-    apply_factored,
-    apply_goertzel,
     build,
     build_blahut2008,
     build_fed2006,

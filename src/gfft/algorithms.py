@@ -1,11 +1,19 @@
-"""The semifast transform family: remainder, split, and factored forms.
+"""The semifast transform family as one stage pipeline.
 
-Every algorithm here is a (build, apply) pair: build precomputes a plan from
-the field alone, apply transforms one coefficient vector and tallies exact
-operation counts.  The factored algorithms share one shape: permute the
-input into coset order, multiply by a block-diagonal stage of small dense or
-circulant blocks (the only stage with field multiplications), then multiply
-by a single binary matrix (additions only), and un-permute.
+Every algorithm here builds a Plan from the field alone: gather the input
+in in_perm order, run two stages, and scatter the result to out_perm.  A
+block stage multiplies consecutive slices by small dense or circulant
+blocks (the only field multiplications); a binary stage multiplies by a
+0/1 matrix (additions only).  The six algorithms differ only in the order
+of the stages and in what the blocks and the matrix hold:
+
+  goertzel    binary R (f mod each minimal polynomial), then evaluation
+              blocks; output in coset order
+  blahut2008  input in coset order, then V blocks (each coset slice at d
+              points), then the binary combine matrix
+  ft2002, tf2003, fed2006a, fed2006b
+              input in coset order, then the diagonal blocks D, then the
+              binary matrix A; output in natural or coset order
 
 Construction rests on two facts.  The coset-s slice of f is a linearized
 polynomial composed with x^s, so its values are GF(2)-linear in the point;
@@ -35,7 +43,7 @@ from .structure import (
     cyclotomic_cosets,
     doubling_orbit,
     find_normal_basis,
-    minimal_polynomial,
+    rotate_right_bits,
 )
 
 GOERTZEL = "goertzel"
@@ -58,11 +66,8 @@ class TransformTally:
     stage2: OpCount
 
     @classmethod
-    def fresh(cls, count_units: bool = False) -> "TransformTally":
-        return cls(
-            OpCount(stage="stage1", count_units=count_units),
-            OpCount(stage="stage2", count_units=count_units),
-        )
+    def fresh(cls) -> "TransformTally":
+        return cls(OpCount(stage="stage1"), OpCount(stage="stage2"))
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,47 @@ def _block_matvec(block: Block, v: list[int], ctx: FieldContext, oc: OpCount | N
 
 
 # ---------------------------------------------------------------------------
+# The plan: a permutation, two stages, a permutation.
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BlockStage:
+    """Block-diagonal stage: block k multiplies the d_k positions that follow
+    the blocks before it.  Carries every field multiplication."""
+
+    blocks: tuple[Block, ...]
+
+
+@dataclass(frozen=True)
+class BinaryStage:
+    """Multiplication by a 0/1 matrix: additions only."""
+
+    matrix: BinaryMatrix
+
+
+Stage = BlockStage | BinaryStage
+
+
+@dataclass(frozen=True)
+class Plan:
+    """output[out_perm[r]] = y[r], where y is the stages applied in order to
+    x[c] = input[in_perm[c]].  Blocks follow partition's coset order."""
+
+    tag: str
+    ctx: FieldContext
+    partition: CosetPartition
+    in_perm: tuple[int, ...]
+    stages: tuple[Stage, ...]
+    out_perm: tuple[int, ...]
+
+    def stage(self, kind: type[Stage]) -> Stage:
+        """The plan's one stage of the given kind."""
+        (found,) = (s for s in self.stages if isinstance(s, kind))
+        return found
+
+
+# ---------------------------------------------------------------------------
 # Coset layouts: representative, column basis, and diagonal block per coset.
 # ---------------------------------------------------------------------------
 
@@ -150,14 +196,13 @@ class CosetLayout:
     rep: int
     elements: tuple[int, ...]  # doubling order from rep
     basis: tuple[int, ...]  # column basis for the binary-stage expansion
-    std_coords: bool  # True when coords(x) are just the bits of x
     block: Block
 
 
 # ---------------------------------------------------------------------------
-# Bulk coordinate solves.  Every binary matrix here (A, R, the B_k and the
-# combine matrix) holds, per coset, the coordinates of a^(i*rep) in a small
-# basis.  A basis of d elements spans GF(2^d), whose nonzero elements are the
+# Bulk coordinate solves.  Every binary matrix here (A, R and the combine
+# matrix) holds, per coset, the coordinates of a^(i*rep) in a small basis.
+# A basis of d elements spans GF(2^d), whose nonzero elements are the
 # powers a^e with e a multiple of step = n / (2^d - 1), so one solve over
 # those 2^d - 1 elements serves every layout that shares the basis.
 # ---------------------------------------------------------------------------
@@ -263,18 +308,16 @@ def _layouts_ft2002(ctx: FieldContext, partition: CosetPartition) -> list[CosetL
         d = coset.size
         s = coset.leader
         if d == 1:
-            out.append(CosetLayout(coset, s, coset.elements, (1,), False, UNIT_BLOCK))
+            out.append(CosetLayout(coset, s, coset.elements, (1,), UNIT_BLOCK))
             continue
         if d == m:
             basis = tuple(1 << t for t in range(m))
-            std = True
         else:
             basis = tuple(ctx.exp[(s * t) % n] for t in range(d))
-            std = False
         rows = tuple(
             tuple(ctx.pow(basis[t], 1 << j) for j in range(d)) for t in range(d)
         )
-        out.append(CosetLayout(coset, s, coset.elements, basis, std, DenseBlock(rows)))
+        out.append(CosetLayout(coset, s, coset.elements, basis, DenseBlock(rows)))
     return out
 
 
@@ -295,343 +338,102 @@ def _layouts_normal(
     for coset in partition.cosets:
         d = coset.size
         if d == 1:
-            out.append(CosetLayout(coset, coset.leader, coset.elements, (1,), False, UNIT_BLOCK))
+            out.append(CosetLayout(coset, coset.leader, coset.elements, (1,), UNIT_BLOCK))
             continue
         rep = rep_override.get(coset.leader, coset.leader)
         elements = doubling_orbit(rep, n)
         nb = bases[d]
         if any(ctx.mul(b, b) != nb.basis[(j + 1) % d] for j, b in enumerate(nb.basis)):
             raise ArithmeticError(f"normal basis of size {d} is not a conjugate sequence")
-        out.append(
-            CosetLayout(coset, rep, elements, nb.basis, False, CirculantBlock(nb.basis))
-        )
+        out.append(CosetLayout(coset, rep, elements, nb.basis, CirculantBlock(nb.basis)))
     return out
 
 
+def _layouts_for_tag(ctx: FieldContext, tag: str) -> list[CosetLayout]:
+    partition = cyclotomic_cosets(ctx.n)
+    if tag == FT2002:
+        return _layouts_ft2002(ctx, partition)
+    if tag in (TF2003, FED2006A, FED2006B):
+        return _layouts_normal(ctx, partition, shifted=tag == FED2006B)
+    raise ValueError(f"not a factored algorithm tag: {tag!r}")
+
+
 # ---------------------------------------------------------------------------
-# Factored transforms (binary matrix times block diagonal).
+# Builders.
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FactoredTransform:
-    """Transform in the shape  output = unpermute(A . D . permute(input)).
-
-    in_perm / out_perm list natural indices in factored order; A is binary;
-    the diagonal blocks carry all field multiplications.
-    """
-
-    tag: str
-    ctx: FieldContext
-    partition: CosetPartition
-    layouts: tuple[CosetLayout, ...]
-    in_perm: tuple[int, ...]
-    out_perm: tuple[int, ...]
-    a_matrix: BinaryMatrix
-
-    @property
-    def n(self) -> int:
-        return self.ctx.n
-
-    @property
-    def d_blocks(self) -> tuple[Block, ...]:
-        return tuple(lay.block for lay in self.layouts)
-
-    def block_offsets(self) -> list[int]:
-        offs, acc = [], 0
-        for lay in self.layouts:
-            offs.append(acc)
-            acc += lay.coset.size
-        return offs
-
-
-def _assemble_factored(ctx: FieldContext, tag: str, layouts: list[CosetLayout],
-                       natural_out: bool) -> FactoredTransform:
+def _build_factored(ctx: FieldContext, tag: str) -> Plan:
+    """Input in coset order through the diagonal blocks D, then the binary
+    matrix A; row r of A holds the coordinates of a^(out_perm[r] * rep) in
+    each coset's basis.  fed2006 keeps the output in coset order too."""
     n = ctx.n
     partition = cyclotomic_cosets(n)
+    layouts = _layouts_for_tag(ctx, tag)
     in_perm = tuple(i for lay in layouts for i in lay.elements)
-    out_perm = tuple(range(n)) if natural_out else in_perm
-
+    out_perm = in_perm if tag in (FED2006A, FED2006B) else tuple(range(n))
     coords = _coords_matrix(ctx, out_perm, [(lay.rep, lay.basis) for lay in layouts])
-    rows = _bit_rows(coords, [lay.coset.size for lay in layouts])
-    return FactoredTransform(
-        tag, ctx, partition, tuple(layouts), in_perm, out_perm, BinaryMatrix(rows, n)
-    )
+    a_matrix = BinaryMatrix(_bit_rows(coords, partition.sizes()), n)
+    d_blocks = BlockStage(tuple(lay.block for lay in layouts))
+    return Plan(tag, ctx, partition, in_perm, (d_blocks, BinaryStage(a_matrix)), out_perm)
 
 
-def build_ft2002(ctx: FieldContext) -> FactoredTransform:
+def build_ft2002(ctx: FieldContext) -> Plan:
     """Standard-basis factorization: dense linearized-evaluation blocks."""
-    layouts = _layouts_ft2002(ctx, cyclotomic_cosets(ctx.n))
-    return _assemble_factored(ctx, FT2002, layouts, natural_out=True)
+    return _build_factored(ctx, FT2002)
 
 
-def build_tf2003(ctx: FieldContext) -> FactoredTransform:
+def build_tf2003(ctx: FieldContext) -> Plan:
     """Normal-basis factorization: circulant blocks, natural output order."""
-    layouts = _layouts_normal(ctx, cyclotomic_cosets(ctx.n), shifted=False)
-    return _assemble_factored(ctx, TF2003, layouts, natural_out=True)
+    return _build_factored(ctx, TF2003)
 
 
-def build_fed2006(ctx: FieldContext, variant: str = "a") -> FactoredTransform:
+def build_fed2006(ctx: FieldContext, variant: str = "a") -> Plan:
     """Coset-ordered output on both sides; variant 'b' shifts the normal basis
     (generator squared) and starts the generator's coset at its exponent."""
     variant = variant.lower()
     if variant not in ("a", "b"):
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
-    shifted = variant == "b"
-    layouts = _layouts_normal(ctx, cyclotomic_cosets(ctx.n), shifted=shifted)
-    tag = FED2006B if shifted else FED2006A
-    return _assemble_factored(ctx, tag, layouts, natural_out=False)
+    return _build_factored(ctx, FED2006B if variant == "b" else FED2006A)
 
 
-def apply_factored(
-    plan: FactoredTransform,
-    f: list[int],
-    four_russians: bool = False,
-    tally: TransformTally | None = None,
-    fr_plan: binmat.FourRussiansPlan | None = None,
-) -> list[int]:
-    """Permute, multiply by the diagonal blocks, then by the binary matrix."""
-    n = plan.n
-    ctx = plan.ctx
-    validate_vector(ctx, f)
-    oc1 = tally.stage1 if tally else None
-    oc2 = tally.stage2 if tally else None
-
-    fe = [f[j] for j in plan.in_perm]
-    g: list[int] = []
-    pos = 0
-    for lay in plan.layouts:
-        d = lay.coset.size
-        g.extend(_block_matvec(lay.block, fe[pos : pos + d], ctx, oc1))
-        pos += d
-    if four_russians:
-        y = binmat.binmatvec_four_russians(plan.a_matrix, g, fr_plan, oc2)
-    else:
-        y = binmat.binmatvec_naive(plan.a_matrix, g, oc2)
-
-    out = [0] * n
-    for r, i in enumerate(plan.out_perm):
-        out[i] = y[r]
-    return out
+def _power_block(ctx: FieldContext, rows: Sequence[int], cols: Sequence[int]) -> Block:
+    """The block of a^(i * j) over rows i and columns j."""
+    entries = tuple(tuple(ctx.exp[(i * j) % ctx.n] for j in cols) for i in rows)
+    return UNIT_BLOCK if entries == ((1,),) else DenseBlock(entries)
 
 
-def materialize(plan: FactoredTransform) -> list[list[int]]:
-    """Un-permuted dense n x n matrix of the factorization; equals the
-    Vandermonde matrix when the construction is sound."""
-    n = plan.n
-    dense = [[0] * n for _ in range(n)]
-    offsets = plan.block_offsets()
-    for r in range(n):
-        arow = plan.a_matrix.rows[r]
-        i = plan.out_perm[r]
-        for lay, c0 in zip(plan.layouts, offsets):
-            d = lay.coset.size
-            sel = (arow >> c0) & ((1 << d) - 1)
-            if not sel:
-                continue
-            for j in range(d):
-                acc = 0
-                s = sel
-                while s:
-                    t = (s & -s).bit_length() - 1
-                    acc ^= lay.block.entry(t, j)
-                    s &= s - 1
-                dense[i][plan.in_perm[c0 + j]] = acc
-    return dense
-
-
-def coset_block_report(plan: FactoredTransform) -> list[dict]:
-    """Read-only structure report for the coset-pair sub-blocks of A.
-
-    Flags, per (output coset, input coset) pair, whether consecutive rows are
-    right rotations and whether the block is a full circulant (square with
-    wrap-around).  No algorithm consumes this; it documents structure.
-    """
-    from .structure import rotate_right_bits
-
-    if plan.out_perm != plan.in_perm:
-        raise ValueError("block report requires coset-ordered output rows")
-    offsets = plan.block_offsets()
-    report = []
-    row_base = 0
-    for out_lay in plan.layouts:
-        d_out = out_lay.coset.size
-        for in_lay, c0 in zip(plan.layouts, offsets):
-            d_in = in_lay.coset.size
-            sub = plan.a_matrix.submatrix(row_base, row_base + d_out, c0, c0 + d_in)
-            chain = all(
-                sub.rows[r + 1] == rotate_right_bits(sub.rows[r], d_in)
-                for r in range(d_out - 1)
-            )
-            circulant = (
-                chain
-                and d_out == d_in
-                and sub.rows[0] == rotate_right_bits(sub.rows[-1], d_in)
-            )
-            report.append(
-                {
-                    "out_coset": out_lay.coset.leader,
-                    "in_coset": in_lay.coset.leader,
-                    "shape": (d_out, d_in),
-                    "rotation_chain": chain,
-                    "circulant": circulant,
-                }
-            )
-        row_base += d_out
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Remainder-evaluation transform (long division by minimal polynomials).
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class GoertzelPlan:
-    """Remainder map R (binary) plus per-coset evaluation blocks.
-
-    Row block k of R carries the coefficients of f mod M_k, M_k the coset's
-    minimal polynomial; evaluation block k holds the Vandermonde rows at the
-    coset's points, so the second stage is d small dot products per coset.
-    """
-
-    ctx: FieldContext
-    partition: CosetPartition
-    remainder_matrix: BinaryMatrix
-    eval_blocks: tuple[tuple[tuple[int, ...], ...], ...]
-    min_polys: tuple[int, ...]
-    out_perm: tuple[int, ...]
-
-
-def build_goertzel(ctx: FieldContext) -> GoertzelPlan:
-    """Row t of block k in R holds bit t of x^j mod M_k over the columns j,
-    the coordinates of b^j in blahut2008's power basis: R is the transpose
-    of blahut2008's combine matrix."""
+def build_goertzel(ctx: FieldContext) -> Plan:
+    """Binary R, then per-coset evaluation blocks.  Row t of R's block k
+    holds bit t of x^j mod M_k over the columns j, the coordinates of b^j in
+    blahut2008's power basis (R is the transpose of its combine matrix);
+    evaluation block k holds the Vandermonde rows a^(e*t) at the coset's
+    points e, so the result comes out in coset order."""
     n = ctx.n
     partition = cyclotomic_cosets(n)
     coords = _coords_matrix(ctx, range(n), _power_basis_columns(ctx, partition))
-    rows = _bit_rows(coords, partition.sizes(), transpose=True)
-    eval_blocks = []
-    min_polys = []
-    out_perm = []
-    for coset in partition.cosets:
-        d = coset.size
-        min_polys.append(minimal_polynomial(coset, ctx))
-        eval_blocks.append(
-            tuple(tuple(ctx.exp[(e * t) % n] for t in range(d)) for e in coset.elements)
-        )
-        out_perm.extend(coset.elements)
-    return GoertzelPlan(
-        ctx,
-        partition,
-        BinaryMatrix(rows, n),
-        tuple(eval_blocks),
-        tuple(min_polys),
-        tuple(out_perm),
-    )
+    r_matrix = BinaryMatrix(_bit_rows(coords, partition.sizes(), transpose=True), n)
+    evals = tuple(_power_block(ctx, c.elements, range(c.size)) for c in partition.cosets)
+    coset_order = tuple(chain.from_iterable(c.elements for c in partition.cosets))
+    stages = (BinaryStage(r_matrix), BlockStage(evals))
+    return Plan(GOERTZEL, ctx, partition, tuple(range(n)), stages, coset_order)
 
 
-def remainders(plan: GoertzelPlan, f: list[int], oc: OpCount | None = None) -> list[list[int]]:
-    """Per-coset remainder coefficient vectors r_k = f mod M_k."""
-    stacked = binmat.binmatvec_naive(plan.remainder_matrix, f, oc)
-    out, pos = [], 0
-    for coset in plan.partition.cosets:
-        out.append(stacked[pos : pos + coset.size])
-        pos += coset.size
-    return out
-
-
-def apply_goertzel(
-    plan: GoertzelPlan, f: list[int], tally: TransformTally | None = None
-) -> list[int]:
-    n = plan.ctx.n
-    ctx = plan.ctx
-    validate_vector(ctx, f)
-    oc1 = tally.stage1 if tally else None
-    oc2 = tally.stage2 if tally else None
-    rems = remainders(plan, f, oc2)
-    out = [0] * n
-    for k, (coset, block) in enumerate(zip(plan.partition.cosets, plan.eval_blocks)):
-        rk = rems[k]
-        for r, e in enumerate(coset.elements):
-            row = block[r]
-            acc = ctx.mul(row[0], rk[0], oc1)
-            for t in range(1, coset.size):
-                acc = ctx.add(acc, ctx.mul(row[t], rk[t], oc1), oc1)
-            out[e] = acc
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Coset-split transform (per-coset evaluation then binary recombination).
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class BlahutPlan:
-    """Per coset: V_k evaluates the coset slice at the first d points; B_k
-    (binary, n x d) spreads those values to all n outputs.  The {0} coset
-    contributes an all-ones column times f_0."""
-
-    ctx: FieldContext
-    partition: CosetPartition
-    v_blocks: tuple[tuple[tuple[int, ...], ...], ...]
-    b_blocks: tuple[BinaryMatrix, ...]
-    combine_matrix: BinaryMatrix  # [ones | B_1 | ... | B_l] stacked column-wise
-    in_perm: tuple[int, ...]
-
-
-def build_blahut2008(ctx: FieldContext) -> BlahutPlan:
+def build_blahut2008(ctx: FieldContext) -> Plan:
+    """Per coset, V_k evaluates the coset slice at the first d points; the
+    combine matrix [B_0 | ... | B_l] spreads those values to all n outputs,
+    B_k holding the coordinates of b^i in the power basis of b = a^s."""
     n = ctx.n
     partition = cyclotomic_cosets(n)
     coords = _coords_matrix(ctx, range(n), _power_basis_columns(ctx, partition))
-    v_blocks = []
-    b_blocks = []
-    in_perm: list[int] = []
-    for k, coset in enumerate(partition.cosets):
-        d = coset.size
-        in_perm.extend(coset.elements)
-        v_blocks.append(
-            tuple(tuple(ctx.exp[(t * e) % n] for e in coset.elements) for t in range(d))
-        )
-        b_blocks.append(BinaryMatrix(coords[:, k].tolist(), d))
-    return BlahutPlan(
-        ctx,
-        partition,
-        tuple(v_blocks),
-        tuple(b_blocks),
-        BinaryMatrix(_bit_rows(coords, partition.sizes()), n),
-        tuple(in_perm),
-    )
+    combine = BinaryMatrix(_bit_rows(coords, partition.sizes()), n)
+    v_blocks = tuple(_power_block(ctx, range(c.size), c.elements) for c in partition.cosets)
+    coset_order = tuple(chain.from_iterable(c.elements for c in partition.cosets))
+    stages = (BlockStage(v_blocks), BinaryStage(combine))
+    return Plan(BLAHUT2008, ctx, partition, coset_order, stages, tuple(range(n)))
 
 
-def apply_blahut2008(
-    plan: BlahutPlan, f: list[int], tally: TransformTally | None = None
-) -> list[int]:
-    ctx = plan.ctx
-    validate_vector(ctx, f)
-    oc1 = tally.stage1 if tally else None
-    oc2 = tally.stage2 if tally else None
-    mid: list[int] = []
-    for coset, vblock in zip(plan.partition.cosets, plan.v_blocks):
-        if coset.size == 1 and coset.leader == 0:
-            mid.append(f[0])
-            continue
-        slice_vals = [f[e] for e in coset.elements]
-        for row in vblock:
-            acc = ctx.mul(row[0], slice_vals[0], oc1)
-            for t in range(1, len(row)):
-                acc = ctx.add(acc, ctx.mul(row[t], slice_vals[t], oc1), oc1)
-            mid.append(acc)
-    return binmat.binmatvec_naive(plan.combine_matrix, mid, oc2)
-
-
-# ---------------------------------------------------------------------------
-# Shared entry points.
-# ---------------------------------------------------------------------------
-
-
-def build(tag: str, ctx: FieldContext):
+def build(tag: str, ctx: FieldContext) -> Plan:
     if tag == GOERTZEL:
         return build_goertzel(ctx)
     if tag == BLAHUT2008:
@@ -647,34 +449,38 @@ def build(tag: str, ctx: FieldContext):
     raise ValueError(f"unknown algorithm tag {tag!r}")
 
 
-def apply(plan, f: list[int], tally: TransformTally | None = None, **kw) -> list[int]:
-    """One vector through any plan; kw (four_russians, fr_plan) picks the
-    binary-stage kernel of a factored plan.  goertzel and blahut2008 have
-    only the naive kernel, so they reject four_russians=True."""
-    if isinstance(plan, (GoertzelPlan, BlahutPlan)) and kw.get("four_russians"):
-        raise ValueError("four_russians=True applies to the factored plans only")
-    if isinstance(plan, GoertzelPlan):
-        return apply_goertzel(plan, f, tally)
-    if isinstance(plan, BlahutPlan):
-        return apply_blahut2008(plan, f, tally)
-    return apply_factored(plan, f, tally=tally, **kw)
-
-
 # ---------------------------------------------------------------------------
-# Batched application (numpy kernels; exact, uncounted).
-#
-# apply_batch runs every plan as a pipeline of stages over one (width, batch)
-# uint16 array, a column per vector: gathers for the permutations, a block
-# stage for the multiplications (log/exp lookups; zero has a sentinel log
-# that exp maps back to 0) and a binary stage for the additions (Four
-# Russians on the bytes of each row).  Table lookups and XOR only, so both
-# are exact; they count nothing, and batch operation counts come from the
-# structural counters below.  Their tables are built per call, apart from
-# the oracle's, and the subset-XOR tables are chunked to _SCRATCH elements.
+# Single-vector application (Python ints; the counted reference).
 # ---------------------------------------------------------------------------
 
-_SCRATCH = 1 << 18
-_Stage = Callable[[np.ndarray], np.ndarray]
+
+def apply(
+    plan: Plan, f: list[int], tally: TransformTally | None = None, four_russians: bool = False
+) -> list[int]:
+    """One vector through a plan.  Block stages tally into tally.stage1 and
+    binary stages into tally.stage2; four_russians runs the binary stages
+    with binmat's Four-Russians kernel instead of the naive fold."""
+    ctx = plan.ctx
+    validate_vector(ctx, f)
+    x = [f[j] for j in plan.in_perm]
+    for stage in plan.stages:
+        if isinstance(stage, BinaryStage):
+            oc = tally.stage2 if tally else None
+            if four_russians:
+                x = binmat.binmatvec_four_russians(stage.matrix, x, oc=oc)
+            else:
+                x = binmat.binmatvec_naive(stage.matrix, x, oc)
+            continue
+        oc = tally.stage1 if tally else None
+        y, pos = [], 0
+        for block in stage.blocks:
+            y += _block_matvec(block, x[pos : pos + block.size], ctx, oc)
+            pos += block.size
+        x = y
+    out = [0] * ctx.n
+    for r, i in enumerate(plan.out_perm):
+        out[i] = x[r]
+    return out
 
 
 def _as_row(ctx: FieldContext, f, b: int) -> array:
@@ -714,7 +520,113 @@ def validate_vectors(ctx: FieldContext, vectors) -> np.ndarray:
     return arr
 
 
-def _gather(perm) -> _Stage:
+# ---------------------------------------------------------------------------
+# Reading the stages: the dense matrix and the coset-pair structure.
+# ---------------------------------------------------------------------------
+
+
+def materialize(plan: Plan) -> list[list[int]]:
+    """Un-permuted dense n x n matrix of the plan, composed from the stage
+    entries without applying the plan; equals the Vandermonde matrix when
+    the construction is sound.
+
+    Entry (i, c0 + j) of binary . blocks is the XOR of block k's entries
+    (t, j) over the bits t set in row i of the matrix's column group k;
+    entry (c0 + j, i) of blocks . binary is the XOR of (j, t) over the bits
+    set in column i of the matrix's row group k.
+    """
+    n = plan.ctx.n
+    blocks = plan.stage(BlockStage).blocks
+    rows = plan.stage(BinaryStage).matrix.rows
+    blocks_first = isinstance(plan.stages[0], BlockStage)
+    dense = [[0] * n for _ in range(n)]  # in stage order: output r, input c
+    c0 = 0
+    for block in blocks:
+        d = block.size
+        entries = [block.row(t) for t in range(d)]
+        if not blocks_first:
+            entries = list(zip(*entries))
+        for i in range(n):
+            if blocks_first:
+                sel = (rows[i] >> c0) & ((1 << d) - 1)
+            else:
+                sel = sum(((rows[c0 + t] >> i) & 1) << t for t in range(d))
+            for j in range(d):
+                acc, s = 0, sel
+                while s:
+                    acc ^= entries[(s & -s).bit_length() - 1][j]
+                    s &= s - 1
+                if blocks_first:
+                    dense[i][c0 + j] = acc
+                else:
+                    dense[c0 + j][i] = acc
+        c0 += d
+    out = [[0] * n for _ in range(n)]
+    for r, i in enumerate(plan.out_perm):
+        row, out_row = dense[r], out[i]
+        for c, j in enumerate(plan.in_perm):
+            out_row[j] = row[c]
+    return out
+
+
+def coset_block_report(plan: Plan) -> list[dict]:
+    """Read-only structure report for the coset-pair sub-blocks of the
+    binary stage.
+
+    Flags, per (output coset, input coset) pair, whether consecutive rows are
+    right rotations and whether the block is a full circulant (square with
+    wrap-around).  No algorithm consumes this; it documents structure.
+    """
+    if plan.out_perm != plan.in_perm:
+        raise ValueError("block report requires coset-ordered output rows")
+    matrix = plan.stage(BinaryStage).matrix
+    cosets = plan.partition.cosets
+    offsets = list(accumulate(plan.partition.sizes(), initial=0))
+    report = []
+    for out_coset, r0 in zip(cosets, offsets):
+        d_out = out_coset.size
+        for in_coset, c0 in zip(cosets, offsets):
+            d_in = in_coset.size
+            sub = matrix.submatrix(r0, r0 + d_out, c0, c0 + d_in)
+            chain = all(
+                sub.rows[r + 1] == rotate_right_bits(sub.rows[r], d_in)
+                for r in range(d_out - 1)
+            )
+            circulant = (
+                chain
+                and d_out == d_in
+                and sub.rows[0] == rotate_right_bits(sub.rows[-1], d_in)
+            )
+            report.append(
+                {
+                    "out_coset": out_coset.leader,
+                    "in_coset": in_coset.leader,
+                    "shape": (d_out, d_in),
+                    "rotation_chain": chain,
+                    "circulant": circulant,
+                }
+            )
+    return report
+
+
+# ---------------------------------------------------------------------------
+# Batched application (numpy kernels; exact, uncounted).
+#
+# apply_batch runs a plan's stages over one (width, batch) uint16 array, a
+# column per vector, between gathers for the two permutations: a block stage
+# for the multiplications (log/exp lookups; zero has a sentinel log that exp
+# maps back to 0) and a binary stage for the additions (Four Russians on the
+# bytes of each row).  Table lookups and XOR only, so both are exact; they
+# count nothing, and batch operation counts come from the structural
+# counters below.  Their tables are built per call, apart from the
+# oracle's, and the subset-XOR tables are chunked to _SCRATCH elements.
+# ---------------------------------------------------------------------------
+
+_SCRATCH = 1 << 18
+_Kernel = Callable[[np.ndarray], np.ndarray]
+
+
+def _gather(perm) -> _Kernel:
     idx = np.asarray(perm, dtype=np.intp)
     return lambda x: x[idx]
 
@@ -730,7 +642,7 @@ def _block_entries(blocks: tuple[Block, ...]) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int64, count=k * d * d).reshape(k, d, d)
 
 
-def _block_stage(ctx: FieldContext, blocks: Sequence[Block]) -> _Stage:
+def _block_kernel(ctx: FieldContext, blocks: Sequence[Block]) -> _Kernel:
     """Block k multiplies the d_k positions of a coset-ordered vector that
     follow the blocks before it; same-size blocks run as one gather."""
     n = ctx.n
@@ -763,7 +675,7 @@ def _block_stage(ctx: FieldContext, blocks: Sequence[Block]) -> _Stage:
     return run
 
 
-def _binary_stage(matrix: BinaryMatrix) -> _Stage:
+def _binary_kernel(matrix: BinaryMatrix) -> _Kernel:
     """Four Russians on bytes: byte g of a little-endian row selects among
     columns 8g..8g+7, so out ^= table_g[byte g] over all groups g."""
     width = -(-matrix.cols // 8)
@@ -794,21 +706,15 @@ def _binary_stage(matrix: BinaryMatrix) -> _Stage:
     return run
 
 
-def _batch_stages(plan) -> list[_Stage]:
-    if isinstance(plan, FactoredTransform):
-        return [_gather(plan.in_perm), _block_stage(plan.ctx, plan.d_blocks),
-                _binary_stage(plan.a_matrix), _gather(np.argsort(plan.out_perm))]
-    if isinstance(plan, GoertzelPlan):
-        return [_binary_stage(plan.remainder_matrix),
-                _block_stage(plan.ctx, [DenseBlock(b) for b in plan.eval_blocks]),
-                _gather(np.argsort(plan.out_perm))]
-    if isinstance(plan, BlahutPlan):
-        return [_gather(plan.in_perm), _block_stage(plan.ctx, [DenseBlock(b) for b in plan.v_blocks]),
-                _binary_stage(plan.combine_matrix)]
-    raise TypeError(f"unsupported plan type {type(plan)!r}")
+def _batch_stages(plan: Plan) -> list[_Kernel]:
+    kernels = [
+        _binary_kernel(s.matrix) if isinstance(s, BinaryStage) else _block_kernel(plan.ctx, s.blocks)
+        for s in plan.stages
+    ]
+    return [_gather(plan.in_perm), *kernels, _gather(np.argsort(plan.out_perm))]
 
 
-def apply_batch(plan, vectors: list[list[int]]) -> list[list[int]]:
+def apply_batch(plan: Plan, vectors: list[list[int]]) -> list[list[int]]:
     """Apply one plan to many vectors with the numpy kernels; equals apply."""
     stages = _batch_stages(plan)
     x = np.ascontiguousarray(validate_vectors(plan.ctx, vectors).T)
@@ -822,33 +728,33 @@ def apply_batch(plan, vectors: list[list[int]]) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 
-def structural_stage1_counts(plan: FactoredTransform) -> tuple[int, int]:
-    """Worst-case (mults, adds) for the block-diagonal stage.
+def structural_stage1_counts(plan: Plan) -> tuple[int, int]:
+    """Worst-case (mults, adds) for the block stages.
 
     Multiplications follow the skip-units policy: entries equal to 0 or 1 are
     free, so a d x d circulant of non-unit conjugates costs d^2 and a dense
-    linearized block costs its count of non-unit entries.
+    block costs its count of non-unit entries.
     """
-    return _stage1_counts(plan.layouts)
+    return _stage1_counts(b for s in plan.stages if isinstance(s, BlockStage) for b in s.blocks)
 
 
-def _stage1_counts(layouts: Sequence[CosetLayout]) -> tuple[int, int]:
+def _stage1_counts(blocks) -> tuple[int, int]:
     mults = adds = 0
-    for lay in layouts:
-        d = lay.coset.size
-        if d == 1:
-            continue
+    for block in blocks:
+        d = block.size
         adds += d * (d - 1)
-        if isinstance(lay.block, CirculantBlock):
-            mults += sum(1 for e in lay.block.first_row if e > 1) * d
+        if isinstance(block, CirculantBlock):
+            mults += sum(1 for e in block.first_row if e > 1) * d
         else:
-            mults += sum(1 for row in lay.block.rows for e in row if e > 1)
+            mults += sum(1 for row in block.rows for e in row if e > 1)
     return mults, adds
 
 
-def stage2_naive_adds(plan: FactoredTransform) -> int:
-    """Exact additions of the naive binary stage: sum of (popcount - 1)."""
-    return sum(r.bit_count() - 1 for r in plan.a_matrix.rows if r)
+def stage2_naive_adds(plan: Plan) -> int:
+    """Exact additions of the naive binary stages: sum of (popcount - 1)."""
+    return sum(
+        r.bit_count() - 1 for s in plan.stages if isinstance(s, BinaryStage) for r in s.matrix.rows if r
+    )
 
 
 def stage1_bound(ctx: FieldContext) -> int:
@@ -863,21 +769,9 @@ def stage1_bound(ctx: FieldContext) -> int:
 # per distinct (basis, subgroup) pair.
 
 
-def _layouts_for_tag(ctx: FieldContext, tag: str) -> list[CosetLayout]:
-    partition = cyclotomic_cosets(ctx.n)
-    if tag == FT2002:
-        return _layouts_ft2002(ctx, partition)
-    if tag == TF2003:
-        return _layouts_normal(ctx, partition, shifted=False)
-    if tag == FED2006A:
-        return _layouts_normal(ctx, partition, shifted=False)
-    if tag == FED2006B:
-        return _layouts_normal(ctx, partition, shifted=True)
-    raise ValueError(f"not a factored algorithm tag: {tag!r}")
-
-
 def structural_counts_for_tag(ctx: FieldContext, tag: str) -> tuple[int, int, int]:
-    """(stage1 mults, stage1 adds, stage2 naive adds) without building A."""
+    """(stage1 mults, stage1 adds, stage2 naive adds) of a factored plan
+    without building A."""
     n = ctx.n
     layouts = _layouts_for_tag(ctx, tag)
     solves = _SubfieldCoords(ctx)
@@ -892,4 +786,4 @@ def structural_counts_for_tag(ctx: FieldContext, tag: str) -> tuple[int, int, in
             s = int(np.unpackbits(table[:: g // step].astype("<u2").view(np.uint8)).sum())
             subgroup_pc[key] = s
         total_ones += g * s
-    return (*_stage1_counts(layouts), total_ones - n)
+    return (*_stage1_counts(lay.block for lay in layouts), total_ones - n)

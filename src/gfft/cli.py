@@ -6,7 +6,9 @@ bench   -- exact operation counts per algorithm against the n*log2(n+1)
 factor  -- print one field's factorization (permutations, binary matrix,
            diagonal blocks) in text or LaTeX
 
-Exit codes: 0 all pass, 1 verification failure, 2 usage error.
+Exit codes: 0 all pass, 1 verification failure, 2 usage error (bad flags, an
+m out of range, a bad or non-primitive --poly), 3 internal error (a fault in
+gfft itself; the traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import math
 import os
 import random
 import sys
+import traceback
+from itertools import accumulate
 
 from . import algorithms as alg
 from . import binmat
@@ -75,7 +79,10 @@ def resolve_seed(arg_seed: int | None) -> int:
 
 
 def field_for(m: int, poly: int | None):
-    return build_field(FieldSpec(m, poly))
+    try:
+        return build_field(FieldSpec(m, poly))
+    except ValueError as e:  # m out of range, or a bad or non-primitive --poly
+        raise UsageError(str(e)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +112,7 @@ def _verify_one_field(ctx, tags: list[str], trials: int, seed: int, out):
         unit_ok = alg.apply_batch(plan, unit_vecs) == unit_expect
 
         matrix_res = "-"
-        if tag in alg.FACTORED_TAGS and w is not None:
+        if w is not None:
             matrix_ok = alg.materialize(plan) == w
             if matrix_ok and tag in (alg.FED2006A, alg.FED2006B):
                 report = alg.coset_block_report(plan)
@@ -260,146 +267,121 @@ def _elem(ctx, x: int) -> str:
     return "." if x == 0 else f"a{ctx.log[x]}"
 
 
-def _order_line(perm, layouts, prefix: str) -> str:
-    groups = []
-    pos = 0
-    for lay in layouts:
-        d = lay.coset.size
-        groups.append(" ".join(f"{prefix}{perm[pos + r]}" for r in range(d)))
-        pos += d
-    return " | ".join(groups)
+def _elem_row(ctx, row) -> str:
+    return " ".join(_elem(ctx, e) for e in row)
 
 
-def _grid_lines(matrix, layouts, grouped_rows: bool) -> list[str]:
-    widths = [lay.coset.size for lay in layouts]
+def _coset_text(coset) -> str:
+    return "{" + ",".join(str(e) for e in coset.elements) + "}"
+
+
+def _order_line(perm, sizes, prefix: str) -> str:
+    starts = accumulate(sizes, initial=0)
+    return " | ".join(" ".join(f"{prefix}{i}" for i in perm[s : s + d]) for s, d in zip(starts, sizes))
+
+
+def _grid_lines(matrix, row_widths, col_widths) -> list[str]:
+    """Rows of a binary matrix, ' | ' between the column groups and, unless
+    row_widths is None, a rule between the row groups."""
+    col_starts = list(accumulate(col_widths, initial=0))
     lines = []
     for i in range(matrix.n_rows):
         bits = matrix.row_bits(i)
-        parts = []
-        pos = 0
-        for d in widths:
-            parts.append(" ".join(str(b) for b in bits[pos : pos + d]))
-            pos += d
+        parts = (" ".join(str(b) for b in bits[c : c + d]) for c, d in zip(col_starts, col_widths))
         lines.append(" | ".join(parts))
-    if grouped_rows and lines:
-        sep = "-" * len(lines[0])
-        out = []
-        pos = 0
-        for gi, d in enumerate(widths):
-            if gi:
-                out.append(sep)
-            out.extend(lines[pos : pos + d])
-            pos += d
-        return out
-    return lines
+    if row_widths is None or not lines:
+        return lines
+    sep = "-" * len(lines[0])
+    out = []
+    for gi, (r, d) in enumerate(zip(accumulate(row_widths, initial=0), row_widths)):
+        if gi:
+            out.append(sep)
+        out.extend(lines[r : r + d])
+    return out
 
 
 def _factor_text_factored(plan, out):
-    ctx = plan.ctx
-    print(f"input order : {_order_line(plan.in_perm, plan.layouts, 'f')}", file=out)
-    if plan.out_perm == tuple(range(plan.n)):
-        print(f"output order: {' '.join(f'F{i}' for i in plan.out_perm)}", file=out)
-        grouped = False
-    else:
-        print(f"output order: {_order_line(plan.out_perm, plan.layouts, 'F')}", file=out)
-        grouped = True
+    ctx, sizes = plan.ctx, plan.partition.sizes()
+    grouped = plan.out_perm != tuple(range(ctx.n))
+    print(f"input order : {_order_line(plan.in_perm, sizes, 'f')}", file=out)
+    print(f"output order: {_order_line(plan.out_perm, sizes if grouped else [ctx.n], 'F')}", file=out)
     print("A_e (binary):", file=out)
-    for line in _grid_lines(plan.a_matrix, plan.layouts, grouped):
+    for line in _grid_lines(plan.stage(alg.BinaryStage).matrix, sizes if grouped else None, sizes):
         print(f"  {line}", file=out)
     print("D_e blocks:", file=out)
-    for k, lay in enumerate(plan.layouts):
-        cs = ",".join(str(e) for e in lay.coset.elements)
-        if isinstance(lay.block, alg.CirculantBlock) and lay.block.size == 1:
-            print(f"  block {k} (coset {{{cs}}}): [{_elem(ctx, lay.block.first_row[0])}]", file=out)
+    for k, (coset, block) in enumerate(zip(plan.partition.cosets, plan.stage(alg.BlockStage).blocks)):
+        if block.size == 1:
+            print(f"  block {k} (coset {_coset_text(coset)}): [{_elem_row(ctx, block.row(0))}]", file=out)
             continue
-        kind = "circulant" if isinstance(lay.block, alg.CirculantBlock) else "dense"
-        print(f"  block {k} (coset {{{cs}}}): {kind}", file=out)
-        for r in range(lay.block.size):
-            print(f"    {' '.join(_elem(ctx, e) for e in lay.block.row(r))}", file=out)
+        kind = "circulant" if isinstance(block, alg.CirculantBlock) else "dense"
+        print(f"  block {k} (coset {_coset_text(coset)}): {kind}", file=out)
+        for r in range(block.size):
+            print(f"    {_elem_row(ctx, block.row(r))}", file=out)
 
 
 def _factor_text_goertzel(plan, out):
-    ctx = plan.ctx
-    groups = []
-    pos = 0
-    for coset in plan.partition.cosets:
-        groups.append(" ".join(f"F{plan.out_perm[pos + r]}" for r in range(coset.size)))
-        pos += coset.size
-    print(f"output order: {' | '.join(groups)}", file=out)
+    ctx, sizes = plan.ctx, plan.partition.sizes()
+    print(f"output order: {_order_line(plan.out_perm, sizes, 'F')}", file=out)
     print("R (binary, remainder coefficients by coset):", file=out)
-    pos = 0
-    first = True
-    for coset in plan.partition.cosets:
-        if not first:
-            print(f"  {'-' * (2 * ctx.n - 1)}", file=out)
-        first = False
-        for t in range(coset.size):
-            bits = plan.remainder_matrix.row_bits(pos + t)
-            print(f"  {' '.join(str(b) for b in bits)}", file=out)
-        pos += coset.size
+    for line in _grid_lines(plan.stage(alg.BinaryStage).matrix, sizes, [ctx.n]):
+        print(f"  {line}", file=out)
     print("evaluation blocks (rows = output points):", file=out)
-    for coset, block in zip(plan.partition.cosets, plan.eval_blocks):
-        cs = ",".join(str(e) for e in coset.elements)
-        print(f"  coset {{{cs}}}:", file=out)
+    for coset, block in zip(plan.partition.cosets, plan.stage(alg.BlockStage).blocks):
+        print(f"  coset {_coset_text(coset)}:", file=out)
         for r, e in enumerate(coset.elements):
-            print(f"    F{e}: {' '.join(_elem(ctx, v) for v in block[r])}", file=out)
+            print(f"    F{e}: {_elem_row(ctx, block.row(r))}", file=out)
 
 
 def _factor_text_blahut(plan, out):
-    ctx = plan.ctx
-    for coset, vblock, bblock in zip(plan.partition.cosets, plan.v_blocks, plan.b_blocks):
-        cs = ",".join(str(e) for e in coset.elements)
-        if coset.size == 1 and coset.leader == 0:
-            print(f"coset {{{cs}}}: all-ones column times f0", file=out)
+    ctx, sizes = plan.ctx, plan.partition.sizes()
+    combine = plan.stage(alg.BinaryStage).matrix
+    blocks = plan.stage(alg.BlockStage).blocks
+    for coset, block, c0 in zip(plan.partition.cosets, blocks, accumulate(sizes, initial=0)):
+        if coset.leader == 0:
+            print(f"coset {_coset_text(coset)}: all-ones column times f0", file=out)
             continue
-        print(f"coset {{{cs}}}:", file=out)
+        print(f"coset {_coset_text(coset)}:", file=out)
         print("  V (element rows):", file=out)
-        for row in vblock:
-            print(f"    {' '.join(_elem(ctx, v) for v in row)}", file=out)
-        print("  B (binary rows, outputs F0..F{}):".format(ctx.n - 1), file=out)
-        for i in range(ctx.n):
-            print(f"    {' '.join(str(b) for b in bblock.row_bits(i))}", file=out)
+        for r in range(block.size):
+            print(f"    {_elem_row(ctx, block.row(r))}", file=out)
+        print(f"  B (binary rows, outputs F0..F{ctx.n - 1}):", file=out)
+        for line in _grid_lines(combine.submatrix(0, ctx.n, c0, c0 + coset.size), None, [coset.size]):
+            print(f"    {line}", file=out)
+
+
+_FACTOR_TEXT = {alg.GOERTZEL: _factor_text_goertzel, alg.BLAHUT2008: _factor_text_blahut}
+
+# LaTeX comment above the binary stage and above the block stage.
+_LATEX_LABELS = {
+    alg.GOERTZEL: ("remainder matrix R", "evaluation blocks"),
+    alg.BLAHUT2008: ("combine matrix", "V blocks"),
+}
 
 
 def _latex_elem(ctx, x: int) -> str:
     return "0" if x == 0 else f"\\alpha^{{{ctx.log[x]}}}"
 
 
+def _bmatrix(rows, fmt, out):
+    print("\\begin{bmatrix}", file=out)
+    for row in rows:
+        print(" & ".join(fmt(e) for e in row) + r" \\", file=out)
+    print("\\end{bmatrix}", file=out)
+
+
 def _factor_latex(plan, out):
+    """Every stage's matrices in product order, the last stage first."""
     ctx = plan.ctx
-    if isinstance(plan, alg.FactoredTransform):
-        print("% A_e", file=out)
-        print("\\begin{bmatrix}", file=out)
-        for i in range(plan.a_matrix.n_rows):
-            print(" & ".join(str(b) for b in plan.a_matrix.row_bits(i)) + r" \\", file=out)
-        print("\\end{bmatrix}", file=out)
-        print("% D_e (block diagonal)", file=out)
-        for k, lay in enumerate(plan.layouts):
+    binary_label, block_label = _LATEX_LABELS.get(plan.tag, ("A_e", "D_e (block diagonal)"))
+    for stage in reversed(plan.stages):
+        if isinstance(stage, alg.BinaryStage):
+            print(f"% {binary_label}", file=out)
+            _bmatrix(map(stage.matrix.row_bits, range(stage.matrix.n_rows)), str, out)
+            continue
+        print(f"% {block_label}", file=out)
+        for k, block in enumerate(stage.blocks):
             print(f"% block {k}", file=out)
-            print("\\begin{bmatrix}", file=out)
-            for r in range(lay.block.size):
-                print(
-                    " & ".join(_latex_elem(ctx, e) for e in lay.block.row(r)) + r" \\",
-                    file=out,
-                )
-            print("\\end{bmatrix}", file=out)
-    elif isinstance(plan, alg.GoertzelPlan):
-        print("% remainder matrix R", file=out)
-        print("\\begin{bmatrix}", file=out)
-        for i in range(plan.remainder_matrix.n_rows):
-            print(" & ".join(str(b) for b in plan.remainder_matrix.row_bits(i)) + r" \\", file=out)
-        print("\\end{bmatrix}", file=out)
-    else:
-        for k, (vblock, bblock) in enumerate(zip(plan.v_blocks, plan.b_blocks)):
-            print(f"% coset block {k}: B then V", file=out)
-            print("\\begin{bmatrix}", file=out)
-            for i in range(bblock.n_rows):
-                print(" & ".join(str(b) for b in bblock.row_bits(i)) + r" \\", file=out)
-            print("\\end{bmatrix}", file=out)
-            print("\\begin{bmatrix}", file=out)
-            for row in vblock:
-                print(" & ".join(_latex_elem(ctx, e) for e in row) + r" \\", file=out)
-            print("\\end{bmatrix}", file=out)
+            _bmatrix(map(block.row, range(block.size)), lambda e: _latex_elem(ctx, e), out)
 
 
 def cmd_factor(args, out=sys.stdout) -> int:
@@ -418,12 +400,8 @@ def cmd_factor(args, out=sys.stdout) -> int:
     print(f"algo={tags[0]} m={m} n={ctx.n} poly={ctx.spec.resolved_poly():#x}", file=out)
     if args.format == "latex":
         _factor_latex(plan, out)
-    elif isinstance(plan, alg.GoertzelPlan):
-        _factor_text_goertzel(plan, out)
-    elif isinstance(plan, alg.BlahutPlan):
-        _factor_text_blahut(plan, out)
     else:
-        _factor_text_factored(plan, out)
+        _FACTOR_TEXT.get(plan.tag, _factor_text_factored)(plan, out)
     return 0
 
 
@@ -490,9 +468,10 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    except Exception as e:  # a fault in gfft, not in the arguments
+        traceback.print_exc()
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

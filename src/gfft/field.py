@@ -75,9 +75,6 @@ class OpCount:
         if self.count_units or (a > 1 and b > 1):
             self.mults += 1
 
-    def count_adds(self, k: int = 1) -> None:
-        self.adds += k
-
     def merge(self, other: "OpCount") -> None:
         """Fold another counter into this one (counts sum; stage tag kept)."""
         self.mults += other.mults
@@ -96,10 +93,6 @@ class FieldContext:
         self.exp = exp
         self.log = log
         self._exp2 = exp + exp  # avoids % n on log-sum lookups
-
-    @property
-    def alpha(self) -> int:
-        return self.exp[1]
 
     def add(self, a: int, b: int, oc: OpCount | None = None) -> int:
         if oc is not None:

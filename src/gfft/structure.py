@@ -9,7 +9,6 @@ matrices, circulant blocks) is assembled from these pieces.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -148,15 +147,6 @@ class LinearSolver:
         return combo
 
 
-def coordinates_in_basis(x: int, basis: tuple[int, ...] | list[int]) -> int:
-    """Bits b with x = XOR of b_j * basis[j]; raises if x is outside the span."""
-    return LinearSolver(basis).coords(x)
-
-
-def coords_to_bits(coords: int, d: int) -> tuple[int, ...]:
-    return tuple((coords >> j) & 1 for j in range(d))
-
-
 def rotate_right_bits(coords: int, d: int) -> int:
     """One right rotation of a d-bit coordinate vector (bit j -> bit j+1)."""
     mask = (1 << d) - 1
@@ -219,21 +209,6 @@ def find_normal_basis(ctx: FieldContext, d: int, preferred: int | None = None) -
             continue
         return NormalBasis(beta, d, conj)
     raise RuntimeError(f"no normal basis found for d={d} (field tables are broken)")
-
-
-def frobenius_coords_pair(x: int, nb: NormalBasis, ctx: FieldContext) -> tuple[int, int]:
-    """Coordinates of x and of x^2 in a normal basis.
-
-    Squaring acts on normal-basis coordinates as a right rotation; the pair
-    is returned so callers can check that fact directly.
-    """
-    solver = LinearSolver(nb.basis)
-    return solver.coords(x), solver.coords(ctx.mul(x, x))
-
-
-@lru_cache(maxsize=None)
-def _std_basis(m: int) -> tuple[int, ...]:
-    return tuple(1 << t for t in range(m))
 
 
 class BinaryMatrix:

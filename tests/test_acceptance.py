@@ -12,6 +12,7 @@ binary kernels of criterion 6, not plan builds or the batched appliers.
 
 import math
 import random
+from itertools import accumulate
 from pathlib import Path
 
 import pytest
@@ -21,12 +22,20 @@ from gfft import binmat, cli
 from gfft.algorithms import (
     ALL_TAGS,
     FACTORED_TAGS,
+    BinaryStage,
+    BlockStage,
     CirculantBlock,
     TransformTally,
 )
 from gfft.field import OpCount, default_field
 from gfft.reference import naive_dft_batch, transform_matrix, unit_response
-from gfft.structure import BinaryMatrix, LinearSolver, find_normal_basis, rotate_right_bits
+from gfft.structure import (
+    BinaryMatrix,
+    LinearSolver,
+    find_normal_basis,
+    minimal_polynomial,
+    rotate_right_bits,
+)
 
 import m3_worked_example as wk
 
@@ -52,6 +61,19 @@ def plan(m, tag):
 
 def report(line):
     print(f"\nACCEPTANCE {line}")
+
+
+def matrix_of(p):
+    return p.stage(BinaryStage).matrix
+
+
+def blocks_of(p):
+    return p.stage(BlockStage).blocks
+
+
+def coset_slices(p):
+    sizes = p.partition.sizes()
+    return list(zip(accumulate(sizes, initial=0), sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -89,50 +111,51 @@ def test_criterion_1_oracle_equivalence(m):
 
 def test_criterion_2a_goertzel_rows():
     p = plan(3, "goertzel")
-    assert p.remainder_matrix.to_bits() == wk.GOERTZEL_R
+    assert matrix_of(p).to_bits() == wk.GOERTZEL_R
     ctx = field(3)
     expected = tuple(tuple(tuple(ctx.exp[v] for v in row) for row in b) for b in wk.GOERTZEL_EVAL_LOGS)
-    assert p.eval_blocks == expected
+    assert tuple(tuple(map(b.row, range(b.size))) for b in blocks_of(p)) == expected
     report("2a remainder matrix and evaluation blocks: PASS")
 
 
 def test_criterion_2b_blahut_matrices():
     p = plan(3, "blahut2008")
-    assert p.b_blocks[1].to_bits() == wk.BLAHUT_B[1]
-    assert p.b_blocks[2].to_bits() == wk.BLAHUT_B[3]
+    b_blocks = [matrix_of(p).submatrix(0, 7, c0, c0 + d) for c0, d in coset_slices(p)]
+    assert b_blocks[1].to_bits() == wk.BLAHUT_B[1]
+    assert b_blocks[2].to_bits() == wk.BLAHUT_B[3]
     report("2b coset-split binary matrices: PASS")
 
 
 def test_criterion_2c_ft2002_matrix():
     p = plan(3, "ft2002")
-    assert p.a_matrix.to_bits() == wk.FT2002_A
+    assert matrix_of(p).to_bits() == wk.FT2002_A
     report("2c standard-basis binary matrix: PASS")
 
 
 def test_criterion_2d_tf2003_matrix_and_circulants():
     ctx = field(3)
     p = plan(3, "tf2003")
-    assert p.a_matrix.to_bits() == wk.TF2003_A
+    assert matrix_of(p).to_bits() == wk.TF2003_A
     first = tuple(ctx.exp[v] for v in wk.TF2003_FIRST_ROW_LOGS)
-    for lay in p.layouts[1:]:
-        assert isinstance(lay.block, CirculantBlock)
-        assert lay.block.first_row == first
-        assert lay.block.row(1) == (first[1], first[2], first[0])
-        assert lay.block.row(2) == (first[2], first[0], first[1])
+    for block in blocks_of(p)[1:]:
+        assert isinstance(block, CirculantBlock)
+        assert block.first_row == first
+        assert block.row(1) == (first[1], first[2], first[0])
+        assert block.row(2) == (first[2], first[0], first[1])
     report("2d normal-basis matrix and circulant rotations: PASS")
 
 
 def test_criterion_2e_fed2006_matrices_and_orders():
     ctx = field(3)
     pa = plan(3, "fed2006a")
-    assert pa.a_matrix.to_bits() == wk.FED2006A_A
+    assert matrix_of(pa).to_bits() == wk.FED2006A_A
     assert pa.in_perm == pa.out_perm == wk.FED2006A_ORDER
     pb = plan(3, "fed2006b")
-    assert pb.a_matrix.to_bits() == wk.FED2006B_A
+    assert matrix_of(pb).to_bits() == wk.FED2006B_A
     assert pb.in_perm == pb.out_perm == wk.FED2006B_ORDER
     first = tuple(ctx.exp[v] for v in wk.FED2006B_FIRST_ROW_LOGS)
-    for lay in pb.layouts[1:]:
-        assert lay.block.first_row == first
+    for block in blocks_of(pb)[1:]:
+        assert block.first_row == first
     report("2e coset-ordered variants, orderings and shifted basis: PASS")
 
 
@@ -156,9 +179,9 @@ def test_criterion_2_golden_files():
 @pytest.mark.parametrize("m", range(2, 9))
 def test_criterion_3_materialize_identity(m):
     w = transform_matrix(field(m))
-    for tag in FACTORED_TAGS:
+    for tag in ALL_TAGS:
         assert alg.materialize(plan(m, tag)) == w, (m, tag)
-    report(f"3 factorization identity m={m} (4 algorithms): PASS")
+    report(f"3 factorization identity m={m} (6 algorithms): PASS")
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +241,9 @@ def test_criterion_6_addition_budget(m):
     fr = binmat.make_plan(n, t)
 
     oc = OpCount()
-    got = binmat.binmatvec_four_russians(p.a_matrix, v, fr, oc)
+    got = binmat.binmatvec_four_russians(matrix_of(p), v, fr, oc)
     naive_oc = OpCount()
-    assert got == binmat.binmatvec_naive(p.a_matrix, v, naive_oc)
+    assert got == binmat.binmatvec_naive(matrix_of(p), v, naive_oc)
 
     budget = 2 * n * n / math.log2(n)
     assert oc.adds == fr.predicted_adds(n)
@@ -285,8 +308,10 @@ def test_criterion_8_remainder_property(m):
 
     for _ in range(10):
         f = [rng.randrange(1 << m) for _ in range(ctx.n)]
-        rems = alg.remainders(p, f)
-        for coset, mpoly, rk in zip(p.partition.cosets, p.min_polys, rems):
+        stacked = binmat.binmatvec_naive(matrix_of(p), f)  # goertzel's binary stage
+        rems = [stacked[r0 : r0 + d] for r0, d in coset_slices(p)]
+        for coset, rk in zip(p.partition.cosets, rems):
+            mpoly = minimal_polynomial(coset, ctx)
             assert len(rk) == coset.size
             assert rk == _poly_mod_binary(f, mpoly, ctx)  # true long division
             for e in coset.elements:

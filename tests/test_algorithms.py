@@ -1,18 +1,21 @@
 import random
+from itertools import accumulate
 
 import pytest
 
 from gfft import algorithms as alg
+from gfft import binmat
 from gfft.algorithms import (
     ALL_TAGS,
     FACTORED_TAGS,
+    UNIT_BLOCK,
+    BinaryStage,
+    BlockStage,
     CirculantBlock,
     DenseBlock,
     TransformTally,
+    apply,
     apply_batch,
-    apply_blahut2008,
-    apply_factored,
-    apply_goertzel,
     build,
     build_blahut2008,
     build_fed2006,
@@ -22,14 +25,19 @@ from gfft.algorithms import (
     circulant_matvec,
     coset_block_report,
     materialize,
-    remainders,
     stage2_naive_adds,
     structural_counts_for_tag,
     structural_stage1_counts,
 )
 from gfft.field import FieldSpec, OpCount, build_field, default_field
 from gfft.reference import naive_dft, poly_eval, transform_matrix
-from gfft.structure import LinearSolver, NormalBasis, find_normal_basis, rotate_right_bits
+from gfft.structure import (
+    LinearSolver,
+    NormalBasis,
+    find_normal_basis,
+    minimal_polynomial,
+    rotate_right_bits,
+)
 
 import m3_worked_example as wk
 
@@ -43,6 +51,31 @@ def logs_to_elems(ctx, rows):
     return tuple(tuple(ctx.exp[v] for v in row) for row in rows)
 
 
+def matrix_of(plan):
+    return plan.stage(BinaryStage).matrix
+
+
+def blocks_of(plan):
+    return plan.stage(BlockStage).blocks
+
+
+def entries(block):
+    return tuple(block.row(r) for r in range(block.size))
+
+
+def column_blocks(plan):
+    """The binary matrix cut into one column slice per coset (blahut2008's B_k)."""
+    matrix, sizes = matrix_of(plan), plan.partition.sizes()
+    return [matrix.submatrix(0, matrix.n_rows, c0, c0 + d) for c0, d in zip(accumulate(sizes, initial=0), sizes)]
+
+
+def remainders(plan, f):
+    """goertzel's binary stage on f, cut into the per-coset remainders f mod M_k."""
+    stacked = binmat.binmatvec_naive(matrix_of(plan), f)
+    sizes = plan.partition.sizes()
+    return [stacked[p : p + d] for p, d in zip(accumulate(sizes, initial=0), sizes)]
+
+
 # ---------------------------------------------------------------------------
 # worked-example reproduction
 # ---------------------------------------------------------------------------
@@ -50,62 +83,69 @@ def logs_to_elems(ctx, rows):
 
 def test_goertzel_matrices_m3(ctx3):
     plan = build_goertzel(ctx3)
-    assert plan.remainder_matrix.to_bits() == wk.GOERTZEL_R
-    assert plan.min_polys == tuple(wk.MIN_POLYS)
+    assert isinstance(plan.stages[0], BinaryStage)
+    assert matrix_of(plan).to_bits() == wk.GOERTZEL_R
+    assert [minimal_polynomial(c, ctx3) for c in plan.partition.cosets] == wk.MIN_POLYS
     expected_blocks = tuple(logs_to_elems(ctx3, b) for b in wk.GOERTZEL_EVAL_LOGS)
-    assert plan.eval_blocks == expected_blocks
+    assert tuple(map(entries, blocks_of(plan))) == expected_blocks
+    assert plan.in_perm == tuple(range(7))
     assert plan.out_perm == (0, 1, 2, 4, 3, 6, 5)
 
 
 def test_blahut_matrices_m3(ctx3):
     plan = build_blahut2008(ctx3)
-    assert plan.b_blocks[1].to_bits() == wk.BLAHUT_B[1]
-    assert plan.b_blocks[2].to_bits() == wk.BLAHUT_B[3]
-    assert plan.v_blocks[1] == logs_to_elems(ctx3, wk.BLAHUT_V_LOGS[1])
-    assert plan.v_blocks[2] == logs_to_elems(ctx3, wk.BLAHUT_V_LOGS[3])
+    b_blocks, v_blocks = column_blocks(plan), blocks_of(plan)
+    assert isinstance(plan.stages[0], BlockStage)
+    assert b_blocks[1].to_bits() == wk.BLAHUT_B[1]
+    assert b_blocks[2].to_bits() == wk.BLAHUT_B[3]
+    assert v_blocks[0] == UNIT_BLOCK
+    assert entries(v_blocks[1]) == logs_to_elems(ctx3, wk.BLAHUT_V_LOGS[1])
+    assert entries(v_blocks[2]) == logs_to_elems(ctx3, wk.BLAHUT_V_LOGS[3])
+    assert plan.in_perm == (0, 1, 2, 4, 3, 6, 5)
+    assert plan.out_perm == tuple(range(7))
     # first d rows of each spread matrix are the identity
     for k, coset in enumerate(plan.partition.cosets):
         if coset.leader == 0:
             continue
         for i in range(coset.size):
-            assert plan.b_blocks[k].rows[i] == 1 << i
+            assert b_blocks[k].rows[i] == 1 << i
 
 
 def test_ft2002_matrices_m3(ctx3):
     plan = build_ft2002(ctx3)
-    assert plan.a_matrix.to_bits() == wk.FT2002_A
+    assert matrix_of(plan).to_bits() == wk.FT2002_A
     assert plan.in_perm == wk.FT2002_IN_ORDER
     assert plan.out_perm == tuple(range(7))
     expected = logs_to_elems(ctx3, wk.FT2002_D_BLOCK_LOGS)
-    for lay in plan.layouts[1:]:
-        assert isinstance(lay.block, DenseBlock)
-        assert lay.block.rows == expected
+    for block in blocks_of(plan)[1:]:
+        assert isinstance(block, DenseBlock)
+        assert block.rows == expected
 
 
 def test_tf2003_matrices_m3(ctx3):
     plan = build_tf2003(ctx3)
-    assert plan.a_matrix.to_bits() == wk.TF2003_A
+    assert matrix_of(plan).to_bits() == wk.TF2003_A
     first = tuple(ctx3.exp[v] for v in wk.TF2003_FIRST_ROW_LOGS)
-    for lay in plan.layouts[1:]:
-        assert isinstance(lay.block, CirculantBlock)
-        assert lay.block.first_row == first
+    for block in blocks_of(plan)[1:]:
+        assert isinstance(block, CirculantBlock)
+        assert block.first_row == first
 
 
 def test_fed2006a_matrices_m3(ctx3):
     plan = build_fed2006(ctx3, "a")
-    assert plan.a_matrix.to_bits() == wk.FED2006A_A
+    assert matrix_of(plan).to_bits() == wk.FED2006A_A
     assert plan.in_perm == wk.FED2006A_ORDER
     assert plan.out_perm == wk.FED2006A_ORDER
 
 
 def test_fed2006b_matrices_m3(ctx3):
     plan = build_fed2006(ctx3, "b")
-    assert plan.a_matrix.to_bits() == wk.FED2006B_A
+    assert matrix_of(plan).to_bits() == wk.FED2006B_A
     assert plan.in_perm == wk.FED2006B_ORDER
     assert plan.out_perm == wk.FED2006B_ORDER
     first = tuple(ctx3.exp[v] for v in wk.FED2006B_FIRST_ROW_LOGS)
-    for lay in plan.layouts[1:]:
-        assert lay.block.first_row == first
+    for block in blocks_of(plan)[1:]:
+        assert block.first_row == first
 
 
 def test_fed2006_variant_validation(ctx3):
@@ -167,10 +207,10 @@ def _reference_rows(ctx, plan):
     """The binary matrices of a plan, one coordinate solve per element (and
     R by long division), as the builders made them before the bulk solves."""
     n = ctx.n
-    if isinstance(plan, alg.GoertzelPlan):
+    if plan.tag == "goertzel":
         rows = []
-        for coset, mpoly in zip(plan.partition.cosets, plan.min_polys):
-            d = coset.size
+        for coset in plan.partition.cosets:
+            d, mpoly = coset.size, minimal_polynomial(coset, ctx)
             block, rem = [0] * d, 1  # x^j mod M_k, iterated over j
             for j in range(n):
                 for t in range(d):
@@ -181,7 +221,7 @@ def _reference_rows(ctx, plan):
                     rem ^= mpoly
             rows += block
         return {"R": rows}
-    if isinstance(plan, alg.BlahutPlan):
+    if plan.tag == "blahut2008":
         b_blocks, combined, offset = [], [0] * n, 0
         for coset in plan.partition.cosets:
             s, d = coset.leader, coset.size
@@ -191,11 +231,12 @@ def _reference_rows(ctx, plan):
             combined = [c | r << offset for c, r in zip(combined, rows)]
             offset += d
         return {"B": b_blocks, "combine": combined}
-    solvers = [LinearSolver(lay.basis) for lay in plan.layouts]
+    layouts = alg._layouts_for_tag(ctx, plan.tag)
+    solvers = [LinearSolver(lay.basis) for lay in layouts]
     rows = []
     for i in plan.out_perm:
         row, offset = 0, 0
-        for lay, solver in zip(plan.layouts, solvers):
+        for lay, solver in zip(layouts, solvers):
             row |= solver.coords(ctx.exp[(i * lay.rep) % n]) << offset
             offset += lay.coset.size
         rows.append(row)
@@ -203,11 +244,11 @@ def _reference_rows(ctx, plan):
 
 
 def _built_rows(plan):
-    if isinstance(plan, alg.GoertzelPlan):
-        return {"R": plan.remainder_matrix.rows}
-    if isinstance(plan, alg.BlahutPlan):
-        return {"B": [b.rows for b in plan.b_blocks], "combine": plan.combine_matrix.rows}
-    return {"A": plan.a_matrix.rows}
+    if plan.tag == "goertzel":
+        return {"R": matrix_of(plan).rows}
+    if plan.tag == "blahut2008":
+        return {"B": [b.rows for b in column_blocks(plan)], "combine": matrix_of(plan).rows}
+    return {"A": matrix_of(plan).rows}
 
 
 @pytest.mark.parametrize(
@@ -220,8 +261,8 @@ def test_bulk_assembly_matches_per_element_assembly(m, poly):
     for tag, plan in plans.items():
         assert _built_rows(plan) == _reference_rows(ctx, plan), (m, poly, tag)
     # R is the transpose of the combine matrix: both hold x^i mod M_k
-    r_bits = plans["goertzel"].remainder_matrix.to_bits()
-    assert r_bits == [list(col) for col in zip(*plans["blahut2008"].combine_matrix.to_bits())]
+    r_bits = matrix_of(plans["goertzel"]).to_bits()
+    assert r_bits == [list(col) for col in zip(*matrix_of(plans["blahut2008"]).to_bits())]
 
 
 def test_tf2003_change_of_basis_identity(ctx3):
@@ -253,7 +294,7 @@ def test_delta0_gives_all_ones(ctx3):
         plan = build(tag, ctx3)
         assert alg.apply(plan, delta0) == [1] * 7, tag
     tally = TransformTally.fresh()
-    apply_factored(build_tf2003(ctx3), delta0, tally=tally)
+    apply(build_tf2003(ctx3), delta0, tally=tally)
     assert tally.stage1.mults == 0  # unit block and zero inputs only
 
 
@@ -281,7 +322,7 @@ def test_four_russians_path_matches(ctx3, tag):
     rng = random.Random(tag)
     for _ in range(10):
         f = [rng.randrange(8) for _ in range(7)]
-        assert apply_factored(plan, f, four_russians=True) == apply_factored(plan, f)
+        assert apply(plan, f, four_russians=True) == apply(plan, f)
 
 
 def test_apply_length_checks(ctx3):
@@ -306,14 +347,18 @@ def test_apply_rejects_elements_outside_field(ctx3, tag, bad):
         alg.apply(build(tag, ctx3), bad)
 
 
+@pytest.mark.parametrize("m", [3, 5, 8])
 @pytest.mark.parametrize("tag", ["goertzel", "blahut2008"])
-def test_four_russians_flag_rejected_on_unfactored_plans(ctx3, tag):
-    # their binary stage has only the naive kernel; the flag must not be ignored
-    plan = build(tag, ctx3)
-    f = list(range(1, 8))
-    with pytest.raises(ValueError, match="factored plans only"):
-        alg.apply(plan, f, four_russians=True)
-    assert alg.apply(plan, f, four_russians=False) == naive_dft(f, ctx3)
+def test_four_russians_kernel_on_unfactored_plans(m, tag):
+    # R and the combine matrix run through either binary-stage kernel
+    ctx = default_field(m)
+    n = ctx.n
+    plan = build(tag, ctx)
+    f = [random.Random(f"4r:{m}:{tag}").randrange(1 << m) for _ in range(n)]
+    tally = TransformTally.fresh()
+    got = apply(plan, f, tally, four_russians=True)
+    assert got == apply(plan, f, four_russians=False) == naive_dft(f, ctx)
+    assert tally.stage2.adds == binmat.make_plan(n).predicted_adds(n)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9])
@@ -328,7 +373,7 @@ def test_batch_matches_single(m):
         vecs.append([int(i == j) for i in range(n)])
     for tag in ALL_TAGS:
         plan = build(tag, ctx)
-        for fr in (False, True) if tag in FACTORED_TAGS else (False,):
+        for fr in (False, True):
             expected = [alg.apply(plan, f, four_russians=fr) for f in vecs]
             assert apply_batch(plan, vecs) == expected, (tag, fr)
             assert apply_batch(plan, vecs[:1]) == expected[:1], (tag, fr)
@@ -382,7 +427,7 @@ def test_normal_basis_must_be_conjugate_sequence(ctx3, monkeypatch):
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
-@pytest.mark.parametrize("tag", FACTORED_TAGS)
+@pytest.mark.parametrize("tag", ALL_TAGS)
 def test_materialize_equals_vandermonde(m, tag):
     ctx = default_field(m)
     assert materialize(build(tag, ctx)) == transform_matrix(ctx)
@@ -414,10 +459,10 @@ def test_block_report_requires_grouped_rows(ctx3):
 def test_circulant_first_rows_are_conjugate_sequences(m, tag):
     ctx = default_field(m)
     plan = build(tag, ctx)
-    for lay in plan.layouts:
-        if lay.coset.size == 1:
+    for block in blocks_of(plan):
+        if block.size == 1:
             continue
-        row = lay.block.first_row
+        row = block.first_row
         for j in range(len(row)):
             assert ctx.mul(row[j], row[j]) == row[(j + 1) % len(row)]
 
@@ -502,17 +547,24 @@ def test_structural_counts_match_built_plans(m, tag):
 
 
 @pytest.mark.parametrize("m", [3, 5, 8])
-@pytest.mark.parametrize("tag", FACTORED_TAGS)
+@pytest.mark.parametrize("tag", ALL_TAGS)
 def test_measured_counts_hit_structural_worst_case(m, tag):
-    # a vector with no 0/1 entries exercises every counted multiplication
+    # a vector with no 0/1 entries exercises every counted multiplication;
+    # goertzel's block stage sees remainders instead, which can be 0 or 1
     ctx = default_field(m)
     plan = build(tag, ctx)
     rng = random.Random(f"counts:{m}:{tag}")
     f = [rng.randrange(2, 1 << m) for _ in range(ctx.n)]
     tally = TransformTally.fresh()
-    apply_factored(plan, f, tally=tally)
-    s1m, s1a, s2n = structural_counts_for_tag(ctx, tag)
-    assert tally.stage1.mults == s1m
+    apply(plan, f, tally=tally)
+    s1m, s1a = structural_stage1_counts(plan)
+    s2n = stage2_naive_adds(plan)
+    if tag in FACTORED_TAGS:
+        assert (s1m, s1a, s2n) == structural_counts_for_tag(ctx, tag)
+    if tag == "goertzel":
+        assert tally.stage1.mults <= s1m
+    else:
+        assert tally.stage1.mults == s1m
     assert tally.stage1.adds == s1a
     assert tally.stage2.adds == s2n
 
@@ -523,7 +575,7 @@ def test_measured_mults_never_exceed_structural(ctx3):
     for _ in range(20):
         f = [rng.randrange(8) for _ in range(7)]
         tally = TransformTally.fresh()
-        apply_factored(plan, f, tally=tally)
+        apply(plan, f, tally=tally)
         assert tally.stage1.mults <= 18
 
 
@@ -531,7 +583,7 @@ def test_goertzel_tally(ctx3):
     plan = build_goertzel(ctx3)
     f = [2, 3, 4, 5, 6, 7, 2]
     tally = TransformTally.fresh()
-    apply_goertzel(plan, f, tally)
+    apply(plan, f, tally)
     # remainder fold: sum of (popcount - 1) over the seven rows = 31 - 7
     assert tally.stage2.adds == 24
     assert tally.stage2.mults == 0
@@ -543,10 +595,10 @@ def test_blahut_tally(ctx3):
     plan = build_blahut2008(ctx3)
     f = [2, 3, 4, 5, 6, 7, 2]
     tally = TransformTally.fresh()
-    apply_blahut2008(plan, f, tally)
+    apply(plan, f, tally)
     assert tally.stage1.adds == 12
     assert tally.stage2.mults == 0
-    assert tally.stage2.adds == plan.combine_matrix.total_ones() - 7
+    assert tally.stage2.adds == matrix_of(plan).total_ones() - 7
 
 
 def test_unknown_tag(ctx3):

@@ -4,7 +4,9 @@ from pathlib import Path
 
 import pytest
 
+from gfft import algorithms as alg
 from gfft import cli
+from gfft.field import default_field
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ALGOS = ("goertzel", "blahut2008", "ft2002", "tf2003", "fed2006a", "fed2006b")
@@ -24,6 +26,7 @@ def test_verify_m3_all_pass():
     body = [ln for ln in lines if ln.lstrip().startswith("3")]
     assert len(body) == len(ALGOS)
     assert all("PASS" in ln and "FAIL" not in ln for ln in body)
+    assert [ln.split()[4] for ln in body] == ["PASS"] * len(ALGOS)  # matrix column
     assert lines[-1] == "overall PASS"
 
 
@@ -165,6 +168,15 @@ def test_factor_latex_structure():
     assert "\\alpha^{3}" in out
 
 
+@pytest.mark.parametrize("algo", ALGOS)
+def test_factor_latex_prints_every_stage_matrix(algo):
+    # one bmatrix for the binary stage plus one per block, in product order
+    code, out = run(["factor", "--m", "3", "--algo", algo, "--format", "latex"])
+    assert code == 0
+    blocks = alg.build(algo, default_field(3)).stage(alg.BlockStage).blocks
+    assert out.count("\\begin{bmatrix}") == out.count("\\end{bmatrix}") == 1 + len(blocks)
+
+
 def test_factor_latex_goertzel_and_blahut():
     for algo in ("goertzel", "blahut2008"):
         code, out = run(["factor", "--m", "3", "--algo", algo, "--format", "latex"])
@@ -198,6 +210,23 @@ def test_poly_rejects_nonhex():
 def test_poly_rejects_nonprimitive():
     code, _ = run(["factor", "--m", "3", "--algo", "tf2003", "--poly", "f"])
     assert code == 2
+
+
+def test_poly_rejects_wrong_degree(capsys):
+    code, _ = run(["factor", "--m", "5", "--algo", "tf2003", "--poly", "b"])
+    assert code == 2
+    assert "does not have degree 5" in capsys.readouterr().err
+
+
+def test_internal_error_exits_three(monkeypatch, capsys):
+    # a ValueError from inside gfft is a fault, not a usage error
+    def broken(tag, ctx):
+        raise ValueError("corrupt plan")
+
+    monkeypatch.setattr(alg, "build", broken)
+    code, _ = run(["factor", "--m", "3", "--algo", "tf2003"])
+    assert code == 3
+    assert "internal error: ValueError: corrupt plan" in capsys.readouterr().err
 
 
 def test_seed_env_fallback(monkeypatch):

@@ -5,17 +5,29 @@ from gfft.reference import poly_eval
 from gfft.structure import (
     BinaryMatrix,
     LinearSolver,
-    coordinates_in_basis,
-    coords_to_bits,
     cyclotomic_cosets,
     doubling_orbit,
     find_normal_basis,
-    frobenius_coords_pair,
     minimal_polynomial,
     rotate_right_bits,
 )
 
 from m3_worked_example import COSETS, MIN_POLYS
+
+
+def coordinates_in_basis(x, basis):
+    """Bits b with x = XOR of b_j * basis[j]; raises if x is outside the span."""
+    return LinearSolver(basis).coords(x)
+
+
+def coords_to_bits(coords, d):
+    return tuple((coords >> j) & 1 for j in range(d))
+
+
+def frobenius_coords_pair(x, nb, ctx):
+    """Coordinates of x and of x^2 in a normal basis."""
+    solver = LinearSolver(nb.basis)
+    return solver.coords(x), solver.coords(ctx.mul(x, x))
 
 
 def test_cosets_n7():
