@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate, chain, repeat
 from math import gcd
 from typing import Callable, Sequence
@@ -183,6 +184,17 @@ class Plan:
         """The plan's one stage of the given kind."""
         (found,) = (s for s in self.stages if isinstance(s, kind))
         return found
+
+    @cached_property
+    def _kernels(self) -> tuple[_Kernel, ...]:
+        """The exact numpy kernels of uncounted apply and apply_batch, built
+        on first use and kept with the plan.  Not a field, so equality and
+        repr do not see it."""
+        return tuple(_batch_stages(self))
+
+    def __getstate__(self) -> dict:
+        """Pickle and copy the fields only; a copy builds its own kernels."""
+        return {k: v for k, v in vars(self).items() if k != "_kernels"}
 
 
 # ---------------------------------------------------------------------------
@@ -450,31 +462,38 @@ def build(tag: str, ctx: FieldContext) -> Plan:
 
 
 # ---------------------------------------------------------------------------
-# Single-vector application (Python ints; the counted reference).
+# Single-vector application.
 # ---------------------------------------------------------------------------
 
 
 def apply(
     plan: Plan, f: list[int], tally: TransformTally | None = None, four_russians: bool = False
 ) -> list[int]:
-    """One vector through a plan.  Block stages tally into tally.stage1 and
-    binary stages into tally.stage2; four_russians runs the binary stages
-    with binmat's Four-Russians kernel instead of the naive fold."""
+    """One vector through a plan.
+
+    Without a tally, f runs as one column through the plan's exact numpy
+    kernels, the ones apply_batch uses.  With a tally, the stages run in
+    Python ints, the counted reference: block stages tally into
+    tally.stage1 and binary stages into tally.stage2, and four_russians
+    runs the binary stages with binmat's Four-Russians kernel instead of the
+    naive fold.  Without a tally four_russians changes nothing, since both
+    kernels give the same output.
+    """
     ctx = plan.ctx
-    validate_vector(ctx, f)
+    rows = validate_vectors(ctx, [f])
+    if tally is None:
+        return _run_kernels(plan, rows)[:, 0].tolist()
     x = [f[j] for j in plan.in_perm]
     for stage in plan.stages:
         if isinstance(stage, BinaryStage):
-            oc = tally.stage2 if tally else None
             if four_russians:
-                x = binmat.binmatvec_four_russians(stage.matrix, x, oc=oc)
+                x = binmat.binmatvec_four_russians(stage.matrix, x, oc=tally.stage2)
             else:
-                x = binmat.binmatvec_naive(stage.matrix, x, oc)
+                x = binmat.binmatvec_naive(stage.matrix, x, tally.stage2)
             continue
-        oc = tally.stage1 if tally else None
         y, pos = [], 0
         for block in stage.blocks:
-            y += _block_matvec(block, x[pos : pos + block.size], ctx, oc)
+            y += _block_matvec(block, x[pos : pos + block.size], ctx, tally.stage1)
             pos += block.size
         x = y
     out = [0] * ctx.n
@@ -500,18 +519,10 @@ def _outside_field(ctx: FieldContext, b: int, row: array) -> ValueError:
     return ValueError(f"vector {b}, index {j}: {row[j]} is not in GF(2^{ctx.m})")
 
 
-def validate_vector(ctx: FieldContext, f) -> None:
-    """The input boundary of apply: ValueError for a wrong length, a non-int
-    element or one outside [0, 2^m).  Pure Python, so a single apply
-    touches no numpy."""
-    row = _as_row(ctx, f, 0)
-    if max(row) >> ctx.m:
-        raise _outside_field(ctx, 0, row)
-
-
 def validate_vectors(ctx: FieldContext, vectors) -> np.ndarray:
-    """The same boundary for apply_batch: a (batch, n) uint16 array, range
-    tested in one numpy pass over the whole batch."""
+    """The input boundary of apply and apply_batch: ValueError for a wrong
+    length, a non-int element or one outside [0, 2^m); else a (batch, n)
+    uint16 array, range tested in one numpy pass over the whole batch."""
     rows = [_as_row(ctx, f, b) for b, f in enumerate(vectors)]
     arr = np.frombuffer(b"".join(rows), dtype=np.uint16).reshape(len(rows), ctx.n)
     if rows and arr.max() >> ctx.m:
@@ -610,16 +621,18 @@ def coset_block_report(plan: Plan) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# Batched application (numpy kernels; exact, uncounted).
+# The numpy kernels (exact, uncounted) of apply_batch and uncounted apply.
 #
-# apply_batch runs a plan's stages over one (width, batch) uint16 array, a
-# column per vector, between gathers for the two permutations: a block stage
-# for the multiplications (log/exp lookups; zero has a sentinel log that exp
+# They run a plan's stages over one (width, batch) uint16 array, a column
+# per vector, between gathers for the two permutations: a block stage for
+# the multiplications (log/exp lookups; zero has a sentinel log that exp
 # maps back to 0) and a binary stage for the additions (Four Russians on the
 # bytes of each row).  Table lookups and XOR only, so both are exact; they
-# count nothing, and batch operation counts come from the structural
-# counters below.  Their tables are built per call, apart from the
-# oracle's, and the subset-XOR tables are chunked to _SCRATCH elements.
+# count nothing, and their operation counts come from the structural
+# counters below.  Each plan builds its kernels once, on first use
+# (Plan._kernels); the per-call subset-XOR tables are chunked to _SCRATCH
+# elements.  A kernel writes only arrays it allocates per call, so a plan
+# stays safe to share across threads.
 # ---------------------------------------------------------------------------
 
 _SCRATCH = 1 << 18
@@ -714,12 +727,18 @@ def _batch_stages(plan: Plan) -> list[_Kernel]:
     return [_gather(plan.in_perm), *kernels, _gather(np.argsort(plan.out_perm))]
 
 
+def _run_kernels(plan: Plan, rows: np.ndarray) -> np.ndarray:
+    """Validated (batch, n) input rows through the plan's kernels; the
+    outputs come back as the columns of an (n, batch) array."""
+    x = np.ascontiguousarray(rows.T)
+    for kernel in plan._kernels:
+        x = kernel(x)
+    return x
+
+
 def apply_batch(plan: Plan, vectors: list[list[int]]) -> list[list[int]]:
     """Apply one plan to many vectors with the numpy kernels; equals apply."""
-    stages = _batch_stages(plan)
-    x = np.ascontiguousarray(validate_vectors(plan.ctx, vectors).T)
-    for stage in stages:
-        x = stage(x)
+    x = _run_kernels(plan, validate_vectors(plan.ctx, vectors))
     return np.ascontiguousarray(x.T).tolist()
 
 

@@ -1,6 +1,7 @@
 """Command-line front door: verify, bench, and factor subcommands.
 
-verify  -- oracle-equivalence and factorization-identity suites, PASS/FAIL table
+verify  -- oracle-equivalence and factorization-identity suites, PASS/FAIL table;
+           each failing random or unit suite names its first mismatch on stderr
 bench   -- exact operation counts per algorithm against the n*log2(n+1)
            multiplication budget and the 2n^2/log2(n) addition budget
 factor  -- print one field's factorization (permutations, binary matrix,
@@ -19,7 +20,7 @@ import os
 import random
 import sys
 import traceback
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 
 from . import algorithms as alg
 from . import binmat
@@ -90,6 +91,22 @@ def field_for(m: int, poly: int | None):
 # ---------------------------------------------------------------------------
 
 
+def _suite_ok(m: int, tag: str, suite: str, seed: int, actual, expected) -> bool:
+    """Whether a suite's outputs equal the expected ones; if not, its first
+    mismatch goes to stderr as one line (a missing value reads None)."""
+    for k, (got, want) in enumerate(zip_longest(actual, expected, fillvalue=())):
+        if got == want:
+            continue
+        i, a, e = next((i, a, e) for i, (a, e) in enumerate(zip_longest(got, want)) if a != e)
+        print(
+            f"first mismatch: m={m} tag={tag} suite={suite} vector={k} seed={seed} "
+            f"output={i} expected={e} actual={a}",
+            file=sys.stderr,
+        )
+        return False
+    return True
+
+
 def _verify_one_field(ctx, tags: list[str], trials: int, seed: int, out):
     n, m = ctx.n, ctx.m
     rng = random.Random(f"{seed}:{m}")
@@ -108,8 +125,8 @@ def _verify_one_field(ctx, tags: list[str], trials: int, seed: int, out):
     rows = []
     for tag in tags:
         plan = alg.build(tag, ctx)
-        rand_ok = alg.apply_batch(plan, vecs) == oracle
-        unit_ok = alg.apply_batch(plan, unit_vecs) == unit_expect
+        rand_ok = _suite_ok(m, tag, "random", seed, alg.apply_batch(plan, vecs), oracle)
+        unit_ok = _suite_ok(m, tag, "unit", seed, alg.apply_batch(plan, unit_vecs), unit_expect)
 
         matrix_res = "-"
         if w is not None:

@@ -1,4 +1,8 @@
+import dataclasses
+import pickle
 import random
+import sys
+import threading
 from itertools import accumulate
 
 import pytest
@@ -322,14 +326,16 @@ def test_four_russians_path_matches(ctx3, tag):
     rng = random.Random(tag)
     for _ in range(10):
         f = [rng.randrange(8) for _ in range(7)]
-        assert apply(plan, f, four_russians=True) == apply(plan, f)
+        fr = apply(plan, f, TransformTally.fresh(), four_russians=True)
+        assert fr == apply(plan, f, TransformTally.fresh()) == naive_dft(f, ctx3)
 
 
 def test_apply_length_checks(ctx3):
     for tag in ALL_TAGS:
         plan = build(tag, ctx3)
-        with pytest.raises(ValueError):
-            alg.apply(plan, [0] * 6)
+        for tally in (None, TransformTally.fresh()):
+            with pytest.raises(ValueError, match="expected length 7, got 6"):
+                alg.apply(plan, [0] * 6, tally)
 
 
 @pytest.mark.parametrize("tag", ALL_TAGS)
@@ -343,8 +349,10 @@ def test_apply_length_checks(ctx3):
     ],
 )
 def test_apply_rejects_elements_outside_field(ctx3, tag, bad):
-    with pytest.raises(ValueError):
-        alg.apply(build(tag, ctx3), bad)
+    plan = build(tag, ctx3)
+    for tally in (None, TransformTally.fresh()):  # uncounted and counted
+        with pytest.raises(ValueError, match="vector 0"):
+            alg.apply(plan, bad, tally)
 
 
 @pytest.mark.parametrize("m", [3, 5, 8])
@@ -357,26 +365,101 @@ def test_four_russians_kernel_on_unfactored_plans(m, tag):
     f = [random.Random(f"4r:{m}:{tag}").randrange(1 << m) for _ in range(n)]
     tally = TransformTally.fresh()
     got = apply(plan, f, tally, four_russians=True)
-    assert got == apply(plan, f, four_russians=False) == naive_dft(f, ctx)
+    assert got == apply(plan, f, TransformTally.fresh(), four_russians=False) == naive_dft(f, ctx)
     assert tally.stage2.adds == binmat.make_plan(n).predicted_adds(n)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 9])
-def test_batch_matches_single(m):
-    # m = 8 and 9 mix coset sizes {1,2,4,8} and {1,3,9} in one block stage
-    ctx = default_field(m)
-    n = ctx.n
+def _path_vectors(m, randoms):
+    """Random vectors, zero, all-(2^m - 1) and the unit vectors at 0, 1,
+    n // 2 and n - 1."""
+    n = (1 << m) - 1
     rng = random.Random(m * 131)
-    vecs = [[rng.randrange(1 << m) for _ in range(n)] for _ in range(9 if m <= 6 else 3)]
+    vecs = [[rng.randrange(1 << m) for _ in range(n)] for _ in range(randoms)]
     vecs += [[0] * n, [(1 << m) - 1] * n]
     for j in sorted({0, 1, n // 2, n - 1}):
         vecs.append([int(i == j) for i in range(n)])
+    return vecs
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_batch_matches_single(m):
+    # every execution path against naive_dft on every tag: uncounted apply
+    # and apply_batch (the numpy kernels) and counted apply with either
+    # stage-2 kernel (Python ints); m = 8 and 9 mix coset sizes {1,2,4,8}
+    # and {1,3,9} in one block stage
+    ctx = default_field(m)
+    vecs = _path_vectors(m, 9 if m <= 6 else 3)
+    oracle = [naive_dft(f, ctx) for f in vecs]
     for tag in ALL_TAGS:
         plan = build(tag, ctx)
         for fr in (False, True):
-            expected = [alg.apply(plan, f, four_russians=fr) for f in vecs]
-            assert apply_batch(plan, vecs) == expected, (tag, fr)
-            assert apply_batch(plan, vecs[:1]) == expected[:1], (tag, fr)
+            counted = [apply(plan, f, TransformTally.fresh(), four_russians=fr) for f in vecs]
+            assert counted == oracle, (tag, fr)
+        assert [apply(plan, f) for f in vecs] == oracle, tag
+        assert apply_batch(plan, vecs) == oracle, tag
+        assert apply_batch(plan, vecs[:1]) == oracle[:1], tag
+
+
+def test_kernels_built_once_per_plan(monkeypatch):
+    ctx = default_field(5)
+    vecs = _path_vectors(5, 2)
+    calls = []
+    real = alg._batch_stages
+    monkeypatch.setattr(alg, "_batch_stages", lambda plan: calls.append(plan.tag) or real(plan))
+    for tag in ALL_TAGS:
+        plan = build(tag, ctx)
+        apply(plan, vecs[0], TransformTally.fresh())
+        assert "_kernels" not in vars(plan), tag  # counted apply builds none
+        for f in vecs:
+            apply(plan, f)
+        apply_batch(plan, vecs)
+        apply_batch(plan, vecs[:2])
+    assert calls == list(ALL_TAGS)
+
+
+def test_cached_kernels_leave_plan_fields_and_equality(ctx3):
+    fields = tuple(f.name for f in dataclasses.fields(alg.Plan))
+    assert fields == ("tag", "ctx", "partition", "in_perm", "stages", "out_perm")
+    for tag in ALL_TAGS:
+        used = build(tag, ctx3)
+        apply(used, [1] * 7)
+        assert "_kernels" in vars(used), tag
+        assert used == build(tag, ctx3), tag
+        # the kernels are closures: a copy leaves them out and builds its own
+        copied = pickle.loads(pickle.dumps(used))
+        assert "_kernels" not in vars(copied), tag
+        # a field context equals only itself, so compare the rest
+        assert dataclasses.replace(copied, ctx=ctx3) == used, tag
+        assert apply(copied, [1] * 7) == apply(used, [1] * 7), tag
+
+
+def test_fresh_plan_shared_across_threads():
+    # several threads switching often, all on plans whose kernels are not
+    # built yet: each must get the oracle's output
+    ctx = default_field(8)
+    vecs = _path_vectors(8, 3)
+    oracle = [naive_dft(f, ctx) for f in vecs]
+    plans = [build(tag, ctx) for tag in ALL_TAGS]
+    workers = 4
+    barrier = threading.Barrier(workers)
+    results = {}
+
+    def work(k):
+        barrier.wait(timeout=30)
+        results[k] = [[apply(plan, f) for f in vecs] for plan in plans]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {k: [oracle] * len(plans) for k in range(workers)}
 
 
 def test_batch_empty(ctx3):

@@ -1,5 +1,6 @@
 import io
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from gfft import algorithms as alg
 from gfft import cli
 from gfft.field import default_field
+from gfft.reference import naive_dft, unit_response
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 ALGOS = ("goertzel", "blahut2008", "ft2002", "tf2003", "fed2006a", "fed2006b")
@@ -67,6 +69,40 @@ def test_verify_failure_exits_one(monkeypatch):
     code, out = run(["verify", "--m", "3", "--algo", "tf2003", "--trials", "2", "--seed", "1"])
     assert code == 1
     assert "FAIL" in out
+
+
+@pytest.mark.parametrize("suite, size", [("random", 2), ("unit", 7)])
+def test_verify_names_first_mismatch(monkeypatch, capsys, suite, size):
+    # one wrong output of one tag: exit 1, the same table with one FAIL, and
+    # one stderr line naming where the output went wrong
+    real = alg.apply_batch
+
+    def corrupt(plan, vectors):
+        out = real(plan, vectors)
+        if plan.tag == "tf2003" and len(vectors) == size:
+            out[1][3] ^= 1
+        return out
+
+    monkeypatch.setattr(alg, "apply_batch", corrupt)
+    argv = ["verify", "--m", "3", "--algo", "tf2003,fed2006a", "--trials", "2", "--seed", "1"]
+    code, out = run(argv)
+    assert code == 1
+    rng = random.Random("1:3")
+    vecs = [[rng.randrange(8) for _ in range(7)] for _ in range(2)]
+    ctx = default_field(3)
+    expected = (naive_dft(vecs[1], ctx) if suite == "random" else unit_response(1, ctx))[3]
+    err = capsys.readouterr().err.splitlines()
+    assert err == [
+        f"first mismatch: m=3 tag=tf2003 suite={suite} vector=1 seed=1 "
+        f"output=3 expected={expected} actual={expected ^ 1}"
+    ]
+    random_cell, unit_cell = ("FAIL", "PASS") if suite == "random" else ("PASS", "FAIL")
+    assert out.splitlines()[1:] == [
+        " m  algo        random  units   matrix",
+        f" 3  tf2003      {random_cell:<6}  {unit_cell:<6}  PASS  ",
+        " 3  fed2006a    PASS    PASS    PASS  ",
+        "overall FAIL",
+    ]
 
 
 def test_unknown_flag_exits_two(capsys):

@@ -1,18 +1,68 @@
-"""Property tests: apply_batch equals per-vector apply on drawn batches."""
+"""Property tests: the transform's algebra through uncounted apply on every
+primitive polynomial of degree 2..6, and apply_batch against counted apply."""
 
 from functools import lru_cache
+from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfft import algorithms as alg
-from gfft.field import default_field
+from gfft.field import FieldSpec, build_field
 
 
 @lru_cache(maxsize=None)
-def _plans(m: int) -> dict:
-    ctx = default_field(m)
-    return {tag: alg.build(tag, ctx) for tag in alg.ALL_TAGS}
+def _plans(m: int, poly: int | None = None) -> tuple:
+    ctx = build_field(FieldSpec(m, poly))
+    return ctx, {tag: alg.build(tag, ctx) for tag in alg.ALL_TAGS}
+
+
+def _primitive_polys(m: int) -> list[int]:
+    """Every primitive polynomial of degree m (bit i = coefficient of x^i):
+    each candidate with a constant term that build_field accepts."""
+    found = []
+    for poly in range(1 << m | 1, 1 << (m + 1), 2):
+        try:
+            build_field(FieldSpec(m, poly))
+        except ValueError:
+            continue
+        found.append(poly)
+    return found
+
+
+FIELDS = [(m, poly) for m in range(2, 7) for poly in _primitive_polys(m)]
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_enumeration_finds_every_primitive_polynomial(m):
+    # there are phi(2^m - 1) / m primitive polynomials of degree m
+    n = (1 << m) - 1
+    phi = sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+    assert len([p for mm, p in FIELDS if mm == m]) == phi // m
+
+
+@pytest.mark.parametrize("m, poly", FIELDS, ids=[f"m{m}-{p:#x}" for m, p in FIELDS])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_transform_algebra(m, poly, data):
+    ctx, plans = _plans(m, poly)
+    n = ctx.n
+    vector = st.lists(st.integers(0, n), min_size=n, max_size=n)
+    a, b = data.draw(vector), data.draw(vector)
+    c = data.draw(st.integers(0, n))
+    delta0 = [1] + [0] * (n - 1)
+    for tag, plan in plans.items():
+        fa, fb = alg.apply(plan, a), alg.apply(plan, b)
+        # additivity: F(a + b) = F(a) + F(b)
+        total = alg.apply(plan, [x ^ y for x, y in zip(a, b)])
+        assert total == [x ^ y for x, y in zip(fa, fb)], tag
+        # scaling: F(c a) = c F(a)
+        assert alg.apply(plan, [ctx.mul(c, x) for x in a]) == [ctx.mul(c, y) for y in fa], tag
+        # Frobenius: with a squared coefficient-wise, F(a^2)_(2i) = F(a)_i^2
+        sq = alg.apply(plan, [ctx.mul(x, x) for x in a])
+        assert [sq[2 * i % n] for i in range(n)] == [ctx.mul(y, y) for y in fa], tag
+        assert alg.apply(plan, delta0) == [1] * n, tag
 
 
 @st.composite
@@ -26,6 +76,8 @@ def batches(draw):
 @settings(max_examples=15, deadline=None)
 @given(batches())
 def test_apply_batch_equals_apply(case):
+    # counted apply, which walks the stages in Python ints, is the reference
     m, vectors = case
-    for tag, plan in _plans(m).items():
-        assert alg.apply_batch(plan, vectors) == [alg.apply(plan, f) for f in vectors], tag
+    for tag, plan in _plans(m)[1].items():
+        expected = [alg.apply(plan, f, alg.TransformTally.fresh()) for f in vectors]
+        assert alg.apply_batch(plan, vectors) == expected, tag
