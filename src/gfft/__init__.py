@@ -11,7 +11,15 @@ from .structure import (
     find_normal_basis,
     minimal_polynomial,
 )
-from .reference import dense_matvec, naive_dft, naive_dft_batch, poly_eval, transform_matrix, unit_response
+from .reference import (
+    counted_apply,
+    dense_matvec,
+    naive_dft,
+    naive_dft_batch,
+    poly_eval,
+    transform_matrix,
+    unit_response,
+)
 from .binmat import (
     FourRussiansPlan,
     binmatvec_four_russians,

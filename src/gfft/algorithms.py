@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from math import gcd
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -130,21 +130,6 @@ def circulant_matvec(
     return out
 
 
-def _block_matvec(block: Block, v: list[int], ctx: FieldContext, oc: OpCount | None) -> list[int]:
-    if isinstance(block, CirculantBlock):
-        if block.size == 1 and block.first_row[0] == 1:
-            return list(v)  # pass-through; no operations issued
-        return circulant_matvec(block.first_row, v, ctx, oc)
-    out = []
-    for r in range(block.size):
-        row = block.rows[r]
-        acc = ctx.mul(row[0], v[0], oc)
-        for j in range(1, len(row)):
-            acc = ctx.add(acc, ctx.mul(row[j], v[j], oc), oc)
-        out.append(acc)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # The plan: a permutation, two stages, a permutation.
 # ---------------------------------------------------------------------------
@@ -187,14 +172,21 @@ class Plan:
 
     @cached_property
     def _kernels(self) -> tuple[_Kernel, ...]:
-        """The exact numpy kernels of uncounted apply and apply_batch, built
-        on first use and kept with the plan.  Not a field, so equality and
-        repr do not see it."""
+        """The exact numpy kernels of apply and apply_batch, built on first
+        use and kept with the plan.  Not a field, so equality and repr do
+        not see it."""
         return tuple(_batch_stages(self))
 
+    @cached_property
+    def _counts(self) -> _Counts:
+        """The operation counts of one counted apply that do not depend on
+        the data, built on first use and kept like _kernels."""
+        return _plan_counts(self)
+
     def __getstate__(self) -> dict:
-        """Pickle and copy the fields only; a copy builds its own kernels."""
-        return {k: v for k, v in vars(self).items() if k != "_kernels"}
+        """Pickle and copy the fields only; a copy builds its own caches."""
+        cached = {k for k, v in vars(type(self)).items() if isinstance(v, cached_property)}
+        return {k: v for k, v in vars(self).items() if k not in cached}
 
 
 # ---------------------------------------------------------------------------
@@ -471,35 +463,33 @@ def apply(
 ) -> list[int]:
     """One vector through a plan.
 
-    Without a tally, f runs as one column through the plan's exact numpy
-    kernels, the ones apply_batch uses.  With a tally, the stages run in
-    Python ints, the counted reference: block stages tally into
-    tally.stage1 and binary stages into tally.stage2, and four_russians
-    runs the binary stages with binmat's Four-Russians kernel instead of the
-    naive fold.  Without a tally four_russians changes nothing, since both
-    kernels give the same output.
+    f runs as one column through the plan's exact numpy kernels, the ones
+    apply_batch uses, counted or not.  A tally receives the operation counts
+    of the stage-by-stage Python-int walk (reference.counted_apply) without
+    running it: block stages tally into tally.stage1 and binary stages into
+    tally.stage2.  Every count but one is structural and cached on the plan:
+    d(d - 1) stage-1 additions per block and, per binary stage, the naive
+    fold's popcount - 1 additions per row, or with four_russians the
+    closed form of binmat's Four-Russians kernel.  Stage-1 multiplications
+    by 0 or 1 are free by default, so they depend on the data and are
+    counted on each block stage's input x as w . [x > 1], w_j being the
+    entries > 1 in column j of the block covering position j; under
+    OpCount(count_units=True) every block but a pass-through costs d^2.
+    Without a tally four_russians changes nothing, since both kernels give
+    the same output.
     """
-    ctx = plan.ctx
-    rows = validate_vectors(ctx, [f])
+    rows = validate_vectors(plan.ctx, [f])
     if tally is None:
         return _run_kernels(plan, rows)[:, 0].tolist()
-    x = [f[j] for j in plan.in_perm]
-    for stage in plan.stages:
-        if isinstance(stage, BinaryStage):
-            if four_russians:
-                x = binmat.binmatvec_four_russians(stage.matrix, x, oc=tally.stage2)
-            else:
-                x = binmat.binmatvec_naive(stage.matrix, x, tally.stage2)
-            continue
-        y, pos = [], 0
-        for block in stage.blocks:
-            y += _block_matvec(block, x[pos : pos + block.size], ctx, tally.stage1)
-            pos += block.size
-        x = y
-    out = [0] * ctx.n
-    for r, i in enumerate(plan.out_perm):
-        out[i] = x[r]
-    return out
+    counts, s1 = plan._counts, tally.stage1
+    if s1.count_units:  # every multiplication issued counts, whatever the data
+        x = _run_kernels(plan, rows)
+        s1.mults += counts.unit_mults
+    else:
+        x = _run_kernels(plan, rows, s1)
+    s1.adds += counts.stage1_adds
+    tally.stage2.adds += counts.four_russians_adds if four_russians else counts.naive_adds
+    return x[:, 0].tolist()
 
 
 def _as_row(ctx: FieldContext, f, b: int) -> array:
@@ -621,18 +611,19 @@ def coset_block_report(plan: Plan) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# The numpy kernels (exact, uncounted) of apply_batch and uncounted apply.
+# The numpy kernels (exact) of apply and apply_batch.
 #
 # They run a plan's stages over one (width, batch) uint16 array, a column
 # per vector, between gathers for the two permutations: a block stage for
 # the multiplications (log/exp lookups; zero has a sentinel log that exp
 # maps back to 0) and a binary stage for the additions (Four Russians on the
-# bytes of each row).  Table lookups and XOR only, so both are exact; they
-# count nothing, and their operation counts come from the structural
-# counters below.  Each plan builds its kernels once, on first use
-# (Plan._kernels); the per-call subset-XOR tables are chunked to _SCRATCH
-# elements.  A kernel writes only arrays it allocates per call, so a plan
-# stays safe to share across threads.
+# bytes of each row).  Table lookups and XOR only, so both are exact.  The
+# kernels count nothing themselves: a counted apply takes its counts from
+# the plan's cached structural counts (Plan._counts) plus one dot product
+# per block stage for the data-dependent multiplications.  Each plan builds
+# its kernels once, on first use (Plan._kernels); the per-call subset-XOR
+# tables are chunked to _SCRATCH elements.  A kernel writes only arrays it
+# allocates per call, so a plan stays safe to share across threads.
 # ---------------------------------------------------------------------------
 
 _SCRATCH = 1 << 18
@@ -727,11 +718,15 @@ def _batch_stages(plan: Plan) -> list[_Kernel]:
     return [_gather(plan.in_perm), *kernels, _gather(np.argsort(plan.out_perm))]
 
 
-def _run_kernels(plan: Plan, rows: np.ndarray) -> np.ndarray:
+def _run_kernels(plan: Plan, rows: np.ndarray, stage1: OpCount | None = None) -> np.ndarray:
     """Validated (batch, n) input rows through the plan's kernels; the
-    outputs come back as the columns of an (n, batch) array."""
+    outputs come back as the columns of an (n, batch) array.  With stage1,
+    each block stage adds w . [x > 1] over its input x to stage1.mults."""
     x = np.ascontiguousarray(rows.T)
-    for kernel in plan._kernels:
+    weights = plan._counts.mult_weights if stage1 is not None else repeat(None)
+    for kernel, w in zip(plan._kernels, weights):
+        if w is not None:
+            stage1.mults += int((w @ (x > 1)).sum())
         x = kernel(x)
     return x
 
@@ -774,6 +769,44 @@ def stage2_naive_adds(plan: Plan) -> int:
     return sum(
         r.bit_count() - 1 for s in plan.stages if isinstance(s, BinaryStage) for r in s.matrix.rows if r
     )
+
+
+class _Counts(NamedTuple):
+    """Per plan, what a counted apply adds to its tally beyond the
+    data-dependent stage-1 multiplications: those come from mult_weights,
+    one entry per kernel of Plan._kernels (None but at a block stage)."""
+
+    mult_weights: tuple[np.ndarray | None, ...]
+    unit_mults: int  # stage-1 multiplications under count_units=True
+    stage1_adds: int
+    naive_adds: int
+    four_russians_adds: int
+
+
+def _plan_counts(plan: Plan) -> _Counts:
+    """Counted from the stages as the reference walk issues the operations,
+    not through structural_stage1_counts or stage2_naive_adds, so that a
+    check of a tally against those compares two separate codings."""
+    blocks = [b for s in plan.stages if isinstance(s, BlockStage) for b in s.blocks if b != UNIT_BLOCK]
+    matrices = [s.matrix for s in plan.stages if isinstance(s, BinaryStage)]
+    stage_weights = (_mult_weights(s.blocks) if isinstance(s, BlockStage) else None for s in plan.stages)
+    return _Counts(
+        (None, *stage_weights, None),  # the two gathers count nothing
+        sum(b.size**2 for b in blocks),
+        sum(b.size * (b.size - 1) for b in blocks),
+        sum(max(r.bit_count() - 1, 0) for a in matrices for r in a.rows),
+        sum(binmat.make_plan(a.cols).predicted_adds(len(a.rows)) for a in matrices),
+    )
+
+
+def _mult_weights(blocks: Sequence[Block]) -> np.ndarray:
+    """w_j: the entries > 1 in column j of the block covering position j;
+    0 under a pass-through block, which issues no multiplications."""
+    w = np.zeros(sum(b.size for b in blocks), dtype=np.int64)
+    for start, blk in zip(accumulate((b.size for b in blocks), initial=0), blocks):
+        if blk != UNIT_BLOCK:
+            w[start : start + blk.size] = (_block_entries((blk,))[0] > 1).sum(axis=0)
+    return w
 
 
 def stage1_bound(ctx: FieldContext) -> int:

@@ -3,7 +3,9 @@
 Two kernels: the naive row fold (popcount-1 additions per row) and the Method
 of Four Russians, which precomputes subset sums over column groups of width t
 and cuts the per-row cost to one XOR per group.  Both return identical
-vectors; only the addition tally differs.
+vectors; only the addition tally differs.  They are the reference binary
+kernels: reference.counted_apply runs them, while algorithms.apply runs a
+numpy kernel and takes the same counts from popcounts and predicted_adds.
 
 The Four-Russians tally is deliberately data-independent: every group is
 costed at its nominal width t (the last group is padded with zero columns),

@@ -1,7 +1,8 @@
 """Command-line front door: verify, bench, and factor subcommands.
 
-verify  -- oracle-equivalence and factorization-identity suites, PASS/FAIL table;
-           each failing random or unit suite names its first mismatch on stderr
+verify  -- oracle-equivalence and factorization-identity suites, PASS/FAIL table
+           (or one JSON object); each failing random or unit suite names its
+           first mismatch on stderr
 bench   -- exact operation counts per algorithm against the n*log2(n+1)
            multiplication budget and the 2n^2/log2(n) addition budget
 factor  -- print one field's factorization (permutations, binary matrix,
@@ -15,6 +16,7 @@ gfft itself; the traceback goes to stderr).
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import random
@@ -91,23 +93,20 @@ def field_for(m: int, poly: int | None):
 # ---------------------------------------------------------------------------
 
 
-def _suite_ok(m: int, tag: str, suite: str, seed: int, actual, expected) -> bool:
-    """Whether a suite's outputs equal the expected ones; if not, its first
-    mismatch goes to stderr as one line (a missing value reads None)."""
+def _first_mismatch(m: int, tag: str, suite: str, seed: int, actual, expected) -> dict | None:
+    """Where a suite's outputs first differ from the expected ones (a missing
+    value reads None), or None when they are equal."""
     for k, (got, want) in enumerate(zip_longest(actual, expected, fillvalue=())):
-        if got == want:
-            continue
-        i, a, e = next((i, a, e) for i, (a, e) in enumerate(zip_longest(got, want)) if a != e)
-        print(
-            f"first mismatch: m={m} tag={tag} suite={suite} vector={k} seed={seed} "
-            f"output={i} expected={e} actual={a}",
-            file=sys.stderr,
-        )
-        return False
-    return True
+        if got != want:
+            i, a, e = next((i, a, e) for i, (a, e) in enumerate(zip_longest(got, want)) if a != e)
+            return {"m": m, "tag": tag, "suite": suite, "vector": k, "seed": seed,
+                    "output": i, "expected": e, "actual": a}
+    return None
 
 
-def _verify_one_field(ctx, tags: list[str], trials: int, seed: int, out):
+def _verify_one_field(ctx, tags: list[str], trials: int, seed: int, mismatches: list) -> list[dict]:
+    """One record per tag; each failing suite's first mismatch goes to
+    stderr as one line and onto mismatches."""
     n, m = ctx.n, ctx.m
     rng = random.Random(f"{seed}:{m}")
     vecs = [[rng.randrange(1 << m) for _ in range(n)] for _ in range(trials)]
@@ -122,13 +121,18 @@ def _verify_one_field(ctx, tags: list[str], trials: int, seed: int, out):
     unit_expect = [unit_response(j, ctx) for j in unit_idx]
     w = transform_matrix(ctx) if m <= 8 else None
 
-    rows = []
+    records = []
     for tag in tags:
         plan = alg.build(tag, ctx)
-        rand_ok = _suite_ok(m, tag, "random", seed, alg.apply_batch(plan, vecs), oracle)
-        unit_ok = _suite_ok(m, tag, "unit", seed, alg.apply_batch(plan, unit_vecs), unit_expect)
+        record = {"m": m, "algo": tag}
+        for suite, vectors, expected in (("random", vecs, oracle), ("unit", unit_vecs, unit_expect)):
+            found = _first_mismatch(m, tag, suite, seed, alg.apply_batch(plan, vectors), expected)
+            if found:
+                print("first mismatch: " + " ".join(f"{k}={v}" for k, v in found.items()), file=sys.stderr)
+                mismatches.append(found)
+            record[suite] = "FAIL" if found else "PASS"
 
-        matrix_res = "-"
+        record["matrix"] = None
         if w is not None:
             matrix_ok = alg.materialize(plan) == w
             if matrix_ok and tag in (alg.FED2006A, alg.FED2006B):
@@ -136,19 +140,10 @@ def _verify_one_field(ctx, tags: list[str], trials: int, seed: int, out):
                 matrix_ok = all(r["rotation_chain"] for r in report) and all(
                     r["circulant"] for r in report if r["shape"][0] == r["shape"][1]
                 )
-            matrix_res = "PASS" if matrix_ok else "FAIL"
-        ok = rand_ok and unit_ok and matrix_res != "FAIL"
-        rows.append(
-            (
-                m,
-                tag,
-                "PASS" if rand_ok else "FAIL",
-                "PASS" if unit_ok else "FAIL",
-                matrix_res,
-                ok,
-            )
-        )
-    return rows
+            record["matrix"] = "PASS" if matrix_ok else "FAIL"
+        record["ok"] = "FAIL" not in (record["random"], record["unit"], record["matrix"])
+        records.append(record)
+    return records
 
 
 def cmd_verify(args, out=sys.stdout) -> int:
@@ -161,16 +156,27 @@ def cmd_verify(args, out=sys.stdout) -> int:
     poly = _parse_poly(args.poly, ms)
     seed = resolve_seed(args.seed)
 
-    print(f"gfft verify: seed={seed} trials={args.trials} m={args.m} algo={','.join(tags)}", file=out)
-    print(f"{'m':>2}  {'algo':<10}  {'random':<6}  {'units':<6}  {'matrix':<6}", file=out)
-    all_ok = True
+    text = args.format == "text"
+    if text:
+        print(f"gfft verify: seed={seed} trials={args.trials} m={args.m} algo={','.join(tags)}", file=out)
+        print(f"{'m':>2}  {'algo':<10}  {'random':<6}  {'units':<6}  {'matrix':<6}", file=out)
+    records, mismatches = [], []
     for m in ms:
         ctx = field_for(m, poly)
-        for row in _verify_one_field(ctx, tags, args.trials, seed, out):
-            m_, tag, r, u, x, ok = row
-            all_ok &= ok
-            print(f"{m_:>2}  {tag:<10}  {r:<6}  {u:<6}  {x:<6}", file=out)
-    print(f"overall {'PASS' if all_ok else 'FAIL'}", file=out)
+        for r in _verify_one_field(ctx, tags, args.trials, seed, mismatches):
+            records.append(r)
+            if text:
+                cells = f"{r['random']:<6}  {r['unit']:<6}  {r['matrix'] or '-':<6}"
+                print(f"{m:>2}  {r['algo']:<10}  {cells}", file=out)
+    all_ok = all(r["ok"] for r in records)
+    overall = "PASS" if all_ok else "FAIL"
+    if text:
+        print(f"overall {overall}", file=out)
+    else:
+        first = mismatches[0] if mismatches else None
+        report = {"seed": seed, "trials": args.trials, "records": records,
+                  "first_mismatch": first, "overall": overall}
+        print(json.dumps(report), file=out)
     return 0 if all_ok else 1
 
 
@@ -455,6 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--trials", type=int, default=100, help="random vectors per (m, algo)")
     p_verify.add_argument("--seed", type=int, default=None, help="PRNG seed (default: $GFFT_SEED or 1)")
     p_verify.add_argument("--poly", default=None, help="primitive polynomial override (hex)")
+    p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 
     p_bench = sub.add_parser("bench", help="exact operation counts vs complexity budgets")

@@ -124,6 +124,15 @@ class FieldContext:
             raise ValueError("zero has no logarithm")
         return self.log[a]
 
+    def __eq__(self, other: object) -> bool:
+        """Fields built from the same m and polynomial are the same field."""
+        if not isinstance(other, FieldContext):
+            return NotImplemented
+        return self is other or (self.m, self.spec.resolved_poly()) == (other.m, other.spec.resolved_poly())
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.spec.resolved_poly()))
+
     def __repr__(self) -> str:
         return f"FieldContext(m={self.m}, poly={self.spec.resolved_poly():#x})"
 

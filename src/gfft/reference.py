@@ -1,16 +1,29 @@
-"""Ground-truth transforms: Horner evaluation at every point of the group.
+"""Ground-truth transforms: Horner evaluation at every point of the group,
+and the counted stage walk that the operation counts are checked against.
 
 naive_dft is the oracle every fast path is checked against.  It is coded as
 Horner evaluation, deliberately not as a stored-matrix product, so that
 dense_matvec against the Vandermonde matrix is an independent second coding.
 naive_dft_batch is a numpy-vectorized third coding of the same definition,
 used where the pure-Python oracle would dominate the test budget.
+counted_apply walks a plan's stages in Python ints, counting every field
+operation as it issues it; algorithms.apply must report the same counts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import binmat
+from .algorithms import (
+    Block,
+    BinaryStage,
+    CirculantBlock,
+    Plan,
+    TransformTally,
+    circulant_matvec,
+    validate_vectors,
+)
 from .field import FieldContext, OpCount
 
 
@@ -114,3 +127,47 @@ def naive_dft_batch(vectors: list[list[int]], ctx: FieldContext) -> list[list[in
         for b in range(count):
             res[b, lo:hi] = np.bitwise_xor.reduce(tab.exp3[block + lfs[b]], axis=1)
     return [[int(v) for v in row] for row in res]
+
+
+def _block_matvec(block: Block, v: list[int], ctx: FieldContext, oc: OpCount | None) -> list[int]:
+    if isinstance(block, CirculantBlock):
+        if block.size == 1 and block.first_row[0] == 1:
+            return list(v)  # pass-through; no operations issued
+        return circulant_matvec(block.first_row, v, ctx, oc)
+    out = []
+    for r in range(block.size):
+        row = block.rows[r]
+        acc = ctx.mul(row[0], v[0], oc)
+        for j in range(1, len(row)):
+            acc = ctx.add(acc, ctx.mul(row[j], v[j], oc), oc)
+        out.append(acc)
+    return out
+
+
+def counted_apply(
+    plan: Plan, f: list[int], tally: TransformTally, four_russians: bool = False
+) -> list[int]:
+    """One vector through a plan, stage by stage in Python ints: block
+    stages tally into tally.stage1 through the field arithmetic, binary
+    stages into tally.stage2 through binmat's naive fold or, with
+    four_russians, its Four-Russians kernel.  Same output and counts as
+    algorithms.apply with a tally."""
+    ctx = plan.ctx
+    validate_vectors(ctx, [f])
+    x = [f[j] for j in plan.in_perm]
+    for stage in plan.stages:
+        if isinstance(stage, BinaryStage):
+            if four_russians:
+                x = binmat.binmatvec_four_russians(stage.matrix, x, oc=tally.stage2)
+            else:
+                x = binmat.binmatvec_naive(stage.matrix, x, tally.stage2)
+            continue
+        y, pos = [], 0
+        for block in stage.blocks:
+            y += _block_matvec(block, x[pos : pos + block.size], ctx, tally.stage1)
+            pos += block.size
+        x = y
+    out = [0] * ctx.n
+    for r, i in enumerate(plan.out_perm):
+        out[i] = x[r]
+    return out

@@ -3,7 +3,7 @@ import pickle
 import random
 import sys
 import threading
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 
@@ -34,7 +34,7 @@ from gfft.algorithms import (
     structural_stage1_counts,
 )
 from gfft.field import FieldSpec, OpCount, build_field, default_field
-from gfft.reference import naive_dft, poly_eval, transform_matrix
+from gfft.reference import counted_apply, naive_dft, poly_eval, transform_matrix
 from gfft.structure import (
     LinearSolver,
     NormalBasis,
@@ -383,10 +383,9 @@ def _path_vectors(m, randoms):
 
 @pytest.mark.parametrize("m", range(2, 10))
 def test_batch_matches_single(m):
-    # every execution path against naive_dft on every tag: uncounted apply
-    # and apply_batch (the numpy kernels) and counted apply with either
-    # stage-2 kernel (Python ints); m = 8 and 9 mix coset sizes {1,2,4,8}
-    # and {1,3,9} in one block stage
+    # every execution path against naive_dft on every tag: uncounted apply,
+    # counted apply with either stage-2 count and apply_batch; m = 8 and 9
+    # mix coset sizes {1,2,4,8} and {1,3,9} in one block stage
     ctx = default_field(m)
     vecs = _path_vectors(m, 9 if m <= 6 else 3)
     oracle = [naive_dft(f, ctx) for f in vecs]
@@ -400,36 +399,72 @@ def test_batch_matches_single(m):
         assert apply_batch(plan, vecs[:1]) == oracle[:1], tag
 
 
-def test_kernels_built_once_per_plan(monkeypatch):
-    ctx = default_field(5)
-    vecs = _path_vectors(5, 2)
-    calls = []
-    real = alg._batch_stages
-    monkeypatch.setattr(alg, "_batch_stages", lambda plan: calls.append(plan.tag) or real(plan))
+def _tally(count_units):
+    return TransformTally(OpCount("stage1", count_units=count_units), OpCount("stage2", count_units=count_units))
+
+
+def _counters(stage1, stage2):
+    return stage1.mults, stage1.adds, stage2.mults, stage2.adds
+
+
+@pytest.mark.parametrize("m", range(2, 10))
+def test_counted_apply_matches_reference(m):
+    # counted apply runs the numpy kernels and adds cached structural counts
+    # plus w . [x > 1] per block stage; the reference walk issues and counts
+    # every operation.  Outputs and all four counters must agree for both
+    # stage-2 kernels under both counting policies.  Stage 1 counts only
+    # under the policy and stage 2 only under the kernel, so two reference
+    # walks per vector give the expected tally of all four combinations.
+    ctx = default_field(m)
+    vecs = _path_vectors(m, 9 if m <= 6 else 3)
     for tag in ALL_TAGS:
         plan = build(tag, ctx)
-        apply(plan, vecs[0], TransformTally.fresh())
-        assert "_kernels" not in vars(plan), tag  # counted apply builds none
         for f in vecs:
+            ref = {False: _tally(False), True: _tally(True)}  # four_russians and count_units alike
+            outs = [counted_apply(plan, f, tally, four_russians=k) for k, tally in ref.items()]
+            for fr, units in product((False, True), repeat=2):
+                got = _tally(units)
+                assert apply(plan, f, got, fr) == outs[0] == outs[1], (tag, fr, units)
+                want = _counters(ref[units].stage1, ref[fr].stage2)
+                assert _counters(got.stage1, got.stage2) == want, (tag, fr, units)
+
+
+def test_kernels_built_once_per_plan(monkeypatch):
+    # counted and uncounted calls share one kernel build per plan; the count
+    # data is built once too, and only for a counted call
+    ctx = default_field(5)
+    vecs = _path_vectors(5, 2)
+    builds = {"_batch_stages": [], "_plan_counts": []}
+    for name, calls in builds.items():
+        real = getattr(alg, name)
+        monkeypatch.setattr(alg, name, lambda plan, calls=calls, real=real: calls.append(plan.tag) or real(plan))
+    for tag in ALL_TAGS:
+        plan = build(tag, ctx)
+        apply(plan, vecs[0])
+        assert "_counts" not in vars(plan), tag  # uncounted apply builds no count data
+        for f in vecs:
+            apply(plan, f, TransformTally.fresh())
+            apply(plan, f, _tally(True), four_russians=True)
             apply(plan, f)
         apply_batch(plan, vecs)
         apply_batch(plan, vecs[:2])
-    assert calls == list(ALL_TAGS)
+    assert builds == {"_batch_stages": list(ALL_TAGS), "_plan_counts": list(ALL_TAGS)}
 
 
 def test_cached_kernels_leave_plan_fields_and_equality(ctx3):
     fields = tuple(f.name for f in dataclasses.fields(alg.Plan))
     assert fields == ("tag", "ctx", "partition", "in_perm", "stages", "out_perm")
+    cached = {"_kernels", "_counts"}
     for tag in ALL_TAGS:
         used = build(tag, ctx3)
         apply(used, [1] * 7)
-        assert "_kernels" in vars(used), tag
+        apply(used, [2] * 7, TransformTally.fresh())
+        assert cached <= vars(used).keys(), tag
         assert used == build(tag, ctx3), tag
-        # the kernels are closures: a copy leaves them out and builds its own
+        # the kernels are closures: a copy leaves the caches out and builds its own
         copied = pickle.loads(pickle.dumps(used))
-        assert "_kernels" not in vars(copied), tag
-        # a field context equals only itself, so compare the rest
-        assert dataclasses.replace(copied, ctx=ctx3) == used, tag
+        assert not cached & vars(copied).keys(), tag
+        assert copied.ctx is not ctx3 and copied == used, tag
         assert apply(copied, [1] * 7) == apply(used, [1] * 7), tag
 
 

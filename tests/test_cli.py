@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import random
 from pathlib import Path
@@ -103,6 +104,53 @@ def test_verify_names_first_mismatch(monkeypatch, capsys, suite, size):
         " 3  fed2006a    PASS    PASS    PASS  ",
         "overall FAIL",
     ]
+
+
+def test_verify_json_report(monkeypatch, capsys):
+    argv = ["verify", "--m", "2..3", "--algo", "tf2003,fed2006a", "--trials", "2", "--seed", "5",
+            "--format", "json"]
+    code, out = run(argv)
+    assert code == 0
+    report = json.loads(out)  # the whole of stdout is one JSON object
+    assert (report["seed"], report["trials"], report["overall"]) == (5, 2, "PASS")
+    assert report["first_mismatch"] is None
+    records = report["records"]
+    assert [(r["m"], r["algo"]) for r in records] == [
+        (2, "tf2003"), (2, "fed2006a"), (3, "tf2003"), (3, "fed2006a")
+    ]
+    assert all(r["random"] == r["unit"] == r["matrix"] == "PASS" and r["ok"] for r in records)
+
+    # one wrong output of fed2006a's m = 3 unit suite: exit 1, its record
+    # fails, and first_mismatch holds what the stderr line names
+    real = alg.apply_batch
+
+    def corrupt(plan, vectors):
+        out = real(plan, vectors)
+        if plan.tag == "fed2006a" and plan.ctx.m == 3 and len(vectors) == 7:
+            out[2][4] ^= 1
+        return out
+
+    monkeypatch.setattr(alg, "apply_batch", corrupt)
+    code, out = run(argv)
+    assert code == 1
+    report = json.loads(out)
+    assert report["overall"] == "FAIL"
+    assert [r["ok"] for r in report["records"]] == [True, True, True, False]
+    assert (report["records"][3]["random"], report["records"][3]["unit"]) == ("PASS", "FAIL")
+    expected = unit_response(2, default_field(3))[4]
+    mismatch = {"m": 3, "tag": "fed2006a", "suite": "unit", "vector": 2, "seed": 5, "output": 4,
+                "expected": expected, "actual": expected ^ 1}
+    assert report["first_mismatch"] == mismatch
+    assert capsys.readouterr().err.splitlines() == [
+        "first mismatch: " + " ".join(f"{k}={v}" for k, v in mismatch.items())
+    ]
+
+
+def test_verify_json_matrix_unchecked_above_m8():
+    code, out = run(["verify", "--m", "9", "--algo", "ft2002", "--trials", "1", "--format", "json"])
+    assert code == 0
+    (record,) = json.loads(out)["records"]
+    assert record == {"m": 9, "algo": "ft2002", "random": "PASS", "unit": "PASS", "matrix": None, "ok": True}
 
 
 def test_unknown_flag_exits_two(capsys):

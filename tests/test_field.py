@@ -147,3 +147,13 @@ def test_pow():
     assert ctx.pow(2, 8) == 2
     assert ctx.pow(0, 5) == 0
     assert ctx.pow(3, 2) == ctx.mul(3, 3)
+
+
+def test_field_context_equality_by_value():
+    # the same m and polynomial make the same field, however often built;
+    # an explicit default polynomial equals the implicit one
+    a, b = default_field(5), build_field(FieldSpec(5, PRIMITIVE_POLYS[5]))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != build_field(FieldSpec(5, 0b101001))  # x^5 + x^3 + 1
+    assert a != default_field(6)
+    assert a != (5, PRIMITIVE_POLYS[5])

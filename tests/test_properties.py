@@ -1,7 +1,9 @@
-"""Property tests: the transform's algebra through uncounted apply on every
-primitive polynomial of degree 2..6, and apply_batch against counted apply."""
+"""Property tests: the transform's algebra through uncounted apply and
+counted apply against the counted reference walk, on every primitive
+polynomial of degree 2..6, and apply_batch against the reference walk."""
 
 from functools import lru_cache
+from itertools import product
 from math import gcd
 
 import pytest
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfft import algorithms as alg
-from gfft.field import FieldSpec, build_field
+from gfft.field import FieldSpec, OpCount, build_field
+from gfft.reference import counted_apply
 
 
 @lru_cache(maxsize=None)
@@ -65,6 +68,23 @@ def test_transform_algebra(m, poly, data):
         assert alg.apply(plan, delta0) == [1] * n, tag
 
 
+@pytest.mark.parametrize("m, poly", FIELDS, ids=[f"m{m}-{p:#x}" for m, p in FIELDS])
+@settings(max_examples=4, deadline=None)
+@given(data=st.data())
+def test_counted_apply_matches_reference(m, poly, data):
+    # the kernels' counts against the Python-int walk's: output and all four
+    # counters, both stage-2 kernels, both counting policies
+    ctx, plans = _plans(m, poly)
+    f = data.draw(st.lists(st.integers(0, ctx.n), min_size=ctx.n, max_size=ctx.n))
+    for (tag, plan), fr, units in product(plans.items(), (False, True), (False, True)):
+        got, want = (
+            alg.TransformTally(OpCount("stage1", count_units=units), OpCount("stage2", count_units=units))
+            for _ in range(2)
+        )
+        assert alg.apply(plan, f, got, fr) == counted_apply(plan, f, want, fr), (tag, fr, units)
+        assert got == want, (tag, fr, units)
+
+
 @st.composite
 def batches(draw):
     m = draw(st.integers(2, 7))
@@ -76,8 +96,8 @@ def batches(draw):
 @settings(max_examples=15, deadline=None)
 @given(batches())
 def test_apply_batch_equals_apply(case):
-    # counted apply, which walks the stages in Python ints, is the reference
+    # the counted walk in Python ints is the reference
     m, vectors = case
     for tag, plan in _plans(m)[1].items():
-        expected = [alg.apply(plan, f, alg.TransformTally.fresh()) for f in vectors]
+        expected = [counted_apply(plan, f, alg.TransformTally.fresh()) for f in vectors]
         assert alg.apply_batch(plan, vectors) == expected, tag
