@@ -1,0 +1,76 @@
+"""Plan contents and bench output, pinned byte for byte.
+
+plan_digests.json holds one sha256 per (field, algorithm) over everything a
+plan is made of; bench_m2_16.csv holds `gfft bench --m 2..16 --format csv`.
+Both were written by the code before binary matrices were stored packed, so
+they pin a change of storage to the plans and counts it replaced.  A change
+that sets out to move a plan or a count rewrites them with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import hashlib
+import io
+import json
+from pathlib import Path
+
+from gfft import cli
+from gfft.algorithms import ALL_TAGS, BinaryStage, CirculantBlock, build
+from gfft.field import FieldSpec, build_field
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+DIGESTS = GOLDEN_DIR / "plan_digests.json"
+BENCH_CSV = GOLDEN_DIR / "bench_m2_16.csv"
+BENCH_ARGV = ["bench", "--m", "2..16", "--format", "csv"]
+
+# m = 2..12 over the default polynomials, plus one non-default polynomial
+# each at m = 5, 6 and 8.
+FIELDS = [(m, None) for m in range(2, 13)] + [(5, 0b111101), (6, 0b1100111), (8, 0b101100011)]
+
+
+def plan_digest(plan) -> str:
+    """sha256 over the tag, both permutations, the partition, every block's
+    kind and entries, and every binary matrix's cols and rows."""
+    h = hashlib.sha256()
+
+    def put(*items):
+        h.update(repr(items).encode() + b"\n")
+
+    put(plan.tag, plan.in_perm, plan.out_perm)
+    put([(c.leader, c.elements) for c in plan.partition.cosets])
+    for stage in plan.stages:
+        if isinstance(stage, BinaryStage):
+            put("binary", stage.matrix.cols, [format(r, "x") for r in stage.matrix.rows])
+            continue
+        for b in stage.blocks:
+            put(type(b).__name__, b.first_row if isinstance(b, CirculantBlock) else b.rows)
+    return h.hexdigest()
+
+
+def plan_digests() -> dict[str, str]:
+    out = {}
+    for m, poly in FIELDS:
+        ctx = build_field(FieldSpec(m, poly))
+        for tag in ALL_TAGS:
+            out[f"m={m} poly={poly if poly is None else hex(poly)} {tag}"] = plan_digest(build(tag, ctx))
+    return out
+
+
+def bench_csv() -> str:
+    buf = io.StringIO()
+    if cli.main(BENCH_ARGV, out=buf) != 0:
+        raise RuntimeError(f"gfft {' '.join(BENCH_ARGV)} failed")
+    return buf.getvalue()
+
+
+def test_plans_and_bench_match_goldens():
+    golden = json.loads(DIGESTS.read_text())
+    digests = plan_digests()
+    assert len(digests) == len(golden) == 84
+    assert [k for k in golden if digests.get(k) != golden[k]] == []
+    assert bench_csv() == BENCH_CSV.read_text()
+
+
+if __name__ == "__main__":
+    DIGESTS.write_text(json.dumps(plan_digests(), indent=1) + "\n")
+    BENCH_CSV.write_text(bench_csv())
