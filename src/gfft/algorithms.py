@@ -85,9 +85,6 @@ class CirculantBlock:
         d = self.size
         return tuple(self.first_row[(j + r) % d] for j in range(d))
 
-    def entry(self, r: int, j: int) -> int:
-        return self.first_row[(j + r) % self.size]
-
 
 @dataclass(frozen=True)
 class DenseBlock:
@@ -101,9 +98,6 @@ class DenseBlock:
 
     def row(self, r: int) -> tuple[int, ...]:
         return self.rows[r]
-
-    def entry(self, r: int, j: int) -> int:
-        return self.rows[r][j]
 
 
 Block = CirculantBlock | DenseBlock
@@ -233,12 +227,12 @@ class _SubfieldCoords:
 
 
 def _coords_matrix(ctx: FieldContext, points, columns: Sequence[_Column]) -> np.ndarray:
-    """(len(points), l) uint16: entry (r, k) is the coordinate vector of
-    a^(points[r] * rep_k) in basis_k."""
+    """(len(points), l) uint16 in Fortran order, a column per basis: entry
+    (r, k) is the coordinate vector of a^(points[r] * rep_k) in basis_k."""
     n = ctx.n
     solves = _SubfieldCoords(ctx)
     points = np.asarray(points, dtype=np.int64)
-    out = np.empty((len(points), len(columns)), dtype="<u2")
+    out = np.empty((len(points), len(columns)), dtype="<u2", order="F")
     for k, (rep, basis) in enumerate(columns):
         step, table = solves.table(basis)
         e, off = np.divmod(points * rep % n, step)
@@ -247,39 +241,6 @@ def _coords_matrix(ctx: FieldContext, points, columns: Sequence[_Column]) -> np.
             raise ArithmeticError(f"a^{x} is outside the span of {basis}")
         out[:, k] = table[e]
     return out
-
-
-def _bit_rows(coords: np.ndarray, widths: Sequence[int], transpose: bool = False) -> list[int]:
-    """Binary matrix rows as ints: row r is the low widths[k] bits of each
-    coords[r, k] side by side, column 0 lowest; with transpose, the rows of
-    that matrix's transpose.  Built in chunks of about _SCRATCH bits."""
-    rows_in, l = coords.shape
-    starts = np.array(list(accumulate(widths, initial=0)))
-    # bit t of coords[r, k] is bit 16 k + t of the unpacked uint16s of row r
-    select = np.arange(starts[-1]) + np.repeat(16 * np.arange(l) - starts[:-1], widths)
-
-    def bits(k0: int, k1: int, r0: int = 0, r1: int = rows_in) -> np.ndarray:
-        block = np.ascontiguousarray(coords[r0:r1, k0:k1])
-        unpacked = np.unpackbits(block.view(np.uint8), axis=1, bitorder="little")
-        return unpacked[:, select[starts[k0] : starts[k1]] - 16 * k0]
-
-    out: list[int] = []
-    if transpose:
-        step = max(1, _SCRATCH // (16 * rows_in))
-        for k0 in range(0, l, step):
-            out += _int_rows(np.ascontiguousarray(bits(k0, min(l, k0 + step)).T))
-    else:
-        step = max(1, _SCRATCH // (16 * l))
-        for r0 in range(0, rows_in, step):
-            out += _int_rows(bits(0, l, r0, r0 + step))
-    return out
-
-
-def _int_rows(bits: np.ndarray) -> list[int]:
-    """Rows of a 0/1 array as ints, bit j = column j."""
-    packed = np.packbits(bits, axis=1, bitorder="little")
-    raw, w = packed.tobytes(), packed.shape[1]
-    return [int.from_bytes(raw[i : i + w], "little") for i in range(0, len(raw), w)]
 
 
 def _power_basis_columns(ctx: FieldContext, partition: CosetPartition) -> list[_Column]:
@@ -377,7 +338,7 @@ def _build_factored(ctx: FieldContext, tag: str) -> Plan:
     in_perm = tuple(i for lay in layouts for i in lay.elements)
     out_perm = in_perm if tag in (FED2006A, FED2006B) else tuple(range(n))
     coords = _coords_matrix(ctx, out_perm, [(lay.rep, lay.basis) for lay in layouts])
-    a_matrix = BinaryMatrix(_bit_rows(coords, partition.sizes()), n)
+    a_matrix = BinaryMatrix.from_coords(coords, partition.sizes())
     d_blocks = BlockStage(tuple(lay.block for lay in layouts))
     return Plan(tag, ctx, partition, in_perm, (d_blocks, BinaryStage(a_matrix)), out_perm)
 
@@ -416,7 +377,7 @@ def build_goertzel(ctx: FieldContext) -> Plan:
     n = ctx.n
     partition = cyclotomic_cosets(n)
     coords = _coords_matrix(ctx, range(n), _power_basis_columns(ctx, partition))
-    r_matrix = BinaryMatrix(_bit_rows(coords, partition.sizes(), transpose=True), n)
+    r_matrix = BinaryMatrix.from_coords(coords, partition.sizes(), transpose=True)
     evals = tuple(_power_block(ctx, c.elements, range(c.size)) for c in partition.cosets)
     coset_order = tuple(chain.from_iterable(c.elements for c in partition.cosets))
     stages = (BinaryStage(r_matrix), BlockStage(evals))
@@ -430,7 +391,7 @@ def build_blahut2008(ctx: FieldContext) -> Plan:
     n = ctx.n
     partition = cyclotomic_cosets(n)
     coords = _coords_matrix(ctx, range(n), _power_basis_columns(ctx, partition))
-    combine = BinaryMatrix(_bit_rows(coords, partition.sizes()), n)
+    combine = BinaryMatrix.from_coords(coords, partition.sizes())
     v_blocks = tuple(_power_block(ctx, range(c.size), c.elements) for c in partition.cosets)
     coset_order = tuple(chain.from_iterable(c.elements for c in partition.cosets))
     stages = (BlockStage(v_blocks), BinaryStage(combine))
@@ -588,16 +549,9 @@ def coset_block_report(plan: Plan) -> list[dict]:
         d_out = out_coset.size
         for in_coset, c0 in zip(cosets, offsets):
             d_in = in_coset.size
-            sub = matrix.submatrix(r0, r0 + d_out, c0, c0 + d_in)
-            chain = all(
-                sub.rows[r + 1] == rotate_right_bits(sub.rows[r], d_in)
-                for r in range(d_out - 1)
-            )
-            circulant = (
-                chain
-                and d_out == d_in
-                and sub.rows[0] == rotate_right_bits(sub.rows[-1], d_in)
-            )
+            sub = matrix.submatrix(r0, r0 + d_out, c0, c0 + d_in).rows
+            chain = all(sub[r + 1] == rotate_right_bits(sub[r], d_in) for r in range(d_out - 1))
+            circulant = chain and d_out == d_in and sub[0] == rotate_right_bits(sub[-1], d_in)
             report.append(
                 {
                     "out_coset": out_coset.leader,
@@ -617,11 +571,12 @@ def coset_block_report(plan: Plan) -> list[dict]:
 # per vector, between gathers for the two permutations: a block stage for
 # the multiplications (log/exp lookups; zero has a sentinel log that exp
 # maps back to 0) and a binary stage for the additions (Four Russians on the
-# bytes of each row).  Table lookups and XOR only, so both are exact.  The
-# kernels count nothing themselves: a counted apply takes its counts from
-# the plan's cached structural counts (Plan._counts) plus one dot product
-# per block stage for the data-dependent multiplications.  Each plan builds
-# its kernels once, on first use (Plan._kernels); the per-call subset-XOR
+# bytes of each row, read in place from the matrix's packed array).  Table
+# lookups and XOR only, so both are exact.  The kernels count nothing
+# themselves: a counted apply takes its counts from the plan's cached
+# structural counts (Plan._counts) plus one dot product per block stage for
+# the data-dependent multiplications.  Each plan builds its kernels once, on
+# first use (Plan._kernels), copying no matrix; the per-call subset-XOR
 # tables are chunked to _SCRATCH elements.  A kernel writes only arrays it
 # allocates per call, so a plan stays safe to share across threads.
 # ---------------------------------------------------------------------------
@@ -680,18 +635,18 @@ def _block_kernel(ctx: FieldContext, blocks: Sequence[Block]) -> _Kernel:
 
 
 def _binary_kernel(matrix: BinaryMatrix) -> _Kernel:
-    """Four Russians on bytes: byte g of a little-endian row selects among
-    columns 8g..8g+7, so out ^= table_g[byte g] over all groups g."""
-    width = -(-matrix.cols // 8)
-    raw = b"".join(map(int.to_bytes, matrix.rows, repeat(width), repeat("little")))
-    sel = np.frombuffer(raw, dtype=np.uint8).reshape(len(matrix.rows), width).T.copy()
+    """Four Russians on bytes: byte g of a row selects among columns
+    8g..8g+7, so out ^= table_g[byte g] over all groups g.  The selectors
+    are matrix.packed itself, whose packed[g] holds byte g of every row."""
+    sel = matrix.packed
+    width = len(sel)
 
     def run(x: np.ndarray) -> np.ndarray:
         batch = x.shape[1]
         cols = np.zeros((width * 8, batch), dtype=np.uint16)
         cols[: matrix.cols] = x
         cols = cols.reshape(width, 8, batch)
-        out = np.zeros((sel.shape[1], batch), dtype=np.uint16)
+        out = np.zeros((matrix.n_rows, batch), dtype=np.uint16)
         b_step = max(1, min(batch, _SCRATCH // 256))
         g_step = max(1, _SCRATCH // (256 * b_step))
         for b0 in range(0, batch, b_step):
@@ -766,9 +721,8 @@ def _stage1_counts(blocks) -> tuple[int, int]:
 
 def stage2_naive_adds(plan: Plan) -> int:
     """Exact additions of the naive binary stages: sum of (popcount - 1)."""
-    return sum(
-        r.bit_count() - 1 for s in plan.stages if isinstance(s, BinaryStage) for r in s.matrix.rows if r
-    )
+    popcounts = [s.matrix.row_popcounts() for s in plan.stages if isinstance(s, BinaryStage)]
+    return sum(int(pc.sum()) - np.count_nonzero(pc) for pc in popcounts)
 
 
 class _Counts(NamedTuple):
@@ -794,8 +748,8 @@ def _plan_counts(plan: Plan) -> _Counts:
         (None, *stage_weights, None),  # the two gathers count nothing
         sum(b.size**2 for b in blocks),
         sum(b.size * (b.size - 1) for b in blocks),
-        sum(max(r.bit_count() - 1, 0) for a in matrices for r in a.rows),
-        sum(binmat.make_plan(a.cols).predicted_adds(len(a.rows)) for a in matrices),
+        sum(int(np.maximum(a.row_popcounts() - 1, 0).sum()) for a in matrices),
+        sum(binmat.make_plan(a.cols).predicted_adds(a.n_rows) for a in matrices),
     )
 
 
@@ -835,7 +789,7 @@ def structural_counts_for_tag(ctx: FieldContext, tag: str) -> tuple[int, int, in
         s = subgroup_pc.get(key)
         if s is None:
             step, table = solves.table(lay.basis)
-            s = int(np.unpackbits(table[:: g // step].astype("<u2").view(np.uint8)).sum())
+            s = int(BinaryMatrix.from_coords(table[:: g // step, None], [len(lay.basis)]).row_popcounts().sum())
             subgroup_pc[key] = s
         total_ones += g * s
     return (*_stage1_counts(lay.block for lay in layouts), total_ones - n)

@@ -5,7 +5,9 @@ of Four Russians, which precomputes subset sums over column groups of width t
 and cuts the per-row cost to one XOR per group.  Both return identical
 vectors; only the addition tally differs.  They are the reference binary
 kernels: reference.counted_apply runs them, while algorithms.apply runs a
-numpy kernel and takes the same counts from popcounts and predicted_adds.
+numpy kernel on the packed matrix and takes the same counts from its row
+popcounts and predicted_adds.  Both walk the matrix's int rows, which
+BinaryMatrix derives from its packed bytes once per call.
 
 The Four-Russians tally is deliberately data-independent: every group is
 costed at its nominal width t (the last group is padded with zero columns),

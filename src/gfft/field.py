@@ -7,7 +7,7 @@ discrete-log tables so the cost model is independent of the reduction
 strategy.
 
 Counting is opt-in: arithmetic methods accept an optional OpCount that the
-caller owns.  One counter per unit of work; merge counters by summation.
+caller owns.  One counter per unit of work.
 """
 
 from __future__ import annotations
@@ -75,11 +75,6 @@ class OpCount:
         if self.count_units or (a > 1 and b > 1):
             self.mults += 1
 
-    def merge(self, other: "OpCount") -> None:
-        """Fold another counter into this one (counts sum; stage tag kept)."""
-        self.mults += other.mults
-        self.adds += other.adds
-
 
 class FieldContext:
     """Immutable GF(2^m) arithmetic context: tables, length n = 2^m - 1."""
@@ -115,14 +110,6 @@ class FieldContext:
                 raise ZeroDivisionError("zero has no negative powers")
             return 0
         return self.exp[(self.log[a] * e) % self.n]
-
-    def element_of_log(self, i: int) -> int:
-        return self.exp[i % self.n]
-
-    def discrete_log(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("zero has no logarithm")
-        return self.log[a]
 
     def __eq__(self, other: object) -> bool:
         """Fields built from the same m and polynomial are the same field."""

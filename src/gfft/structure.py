@@ -3,12 +3,15 @@
 Cosets index the conjugacy classes of GF(2^m); minimal polynomials collapse a
 class to one binary polynomial; normal bases make squaring a coordinate
 rotation.  Everything downstream (remainder matrices, binary expansion
-matrices, circulant blocks) is assembled from these pieces.
+matrices, circulant blocks) is assembled from these pieces, and every
+binary matrix is packed and unpacked by BinaryMatrix alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 
@@ -211,55 +214,99 @@ def find_normal_basis(ctx: FieldContext, d: int, preferred: int | None = None) -
     raise RuntimeError(f"no normal basis found for d={d} (field tables are broken)")
 
 
+_POPCOUNT = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
+
+
 class BinaryMatrix:
-    """Bit-packed 0/1 matrix; row i is an int with bit j = entry (i, j)."""
+    """0/1 matrix packed into one uint8 array, the only place that knows the
+    layout: entry (r, j) is bit j % 8 of packed[j // 8, r].  So column r of
+    packed is row r in little-endian bytes, and packed[g] holds byte g of
+    every row, which is how the binary kernel reads it, in place."""
 
-    __slots__ = ("rows", "cols")
+    __slots__ = ("packed", "cols")
 
-    def __init__(self, rows: list[int], cols: int):
-        self.rows = rows
+    def __init__(self, packed: np.ndarray, cols: int):
+        """ValueError unless packed is a (ceil(cols / 8), rows) uint8 array
+        with every bit past column cols clear."""
+        if not isinstance(packed, np.ndarray) or packed.dtype != np.uint8:
+            raise ValueError("packed rows must be a uint8 numpy array")
+        if cols < 0 or packed.ndim != 2 or len(packed) != -(-cols // 8):
+            raise ValueError(f"packed shape {packed.shape} does not hold {cols} columns")
+        if cols % 8 and (packed[-1] >> (cols % 8)).any():
+            raise ValueError(f"bits set past column {cols}")
+        self.packed = packed
         self.cols = cols
+
+    @classmethod
+    def from_coords(cls, coords: np.ndarray, widths: Sequence[int], transpose: bool = False) -> "BinaryMatrix":
+        """Row r holds the low widths[k] bits of coords[r, k] side by side,
+        column 0 lowest; with transpose, the transpose of that matrix.  Reads
+        coords a column at a time, so Fortran order is the fast one."""
+        points = len(coords)
+        starts = list(accumulate(widths, initial=0))
+        if transpose:
+            packed = np.empty((-(-points // 8), starts[-1]), dtype=np.uint8)
+            for k, (c0, w) in enumerate(zip(starts, widths)):
+                bits = (coords[:, k] >> np.arange(w, dtype=np.uint16)[:, None]) & 1
+                packed[:, c0 : c0 + w] = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little").T
+            return cls(packed, points)
+        packed = np.zeros((-(-starts[-1] // 8), points), dtype=np.uint8)
+        for k, (c0, w) in enumerate(zip(starts, widths)):
+            shifted = (coords[:, k].astype(np.uint32) & ((1 << w) - 1)) << (c0 % 8)
+            for g in range(c0 // 8, (c0 + w + 7) // 8):
+                packed[g] |= (shifted >> (8 * (g - c0 // 8))).astype(np.uint8)  # low byte
+        return cls(packed, starts[-1])
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[int], cols: int) -> "BinaryMatrix":
+        """Row i from an int with bit j = entry (i, j)."""
+        width = -(-cols // 8)
+        try:
+            raw = b"".join(r.to_bytes(width, "little") for r in rows)
+        except OverflowError:
+            raise ValueError(f"a row does not fit in {cols} columns") from None
+        return cls(np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), width).T.copy(), cols)
 
     @classmethod
     def from_bits(cls, bits: list[list[int]] | tuple) -> "BinaryMatrix":
         cols = len(bits[0]) if bits else 0
-        rows = []
-        for r in bits:
-            if len(r) != cols:
-                raise ValueError("ragged rows")
-            acc = 0
-            for j, v in enumerate(r):
-                if v:
-                    acc |= 1 << j
-            rows.append(acc)
-        return cls(rows, cols)
+        if any(len(r) != cols for r in bits):
+            raise ValueError("ragged rows")
+        dense = np.array(bits, dtype=bool).reshape(len(bits), cols)
+        return cls(np.packbits(dense.T, axis=0, bitorder="little"), cols)
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return self.packed.shape[1]
 
-    def get(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
+    @property
+    def rows(self) -> list[int]:
+        """Row i as an int with bit j = entry (i, j), derived on each access."""
+        raw, w = np.ascontiguousarray(self.packed.T).tobytes(), len(self.packed)
+        return [int.from_bytes(raw[i * w : (i + 1) * w], "little") for i in range(self.n_rows)]
 
     def row_bits(self, i: int) -> tuple[int, ...]:
-        return tuple((self.rows[i] >> j) & 1 for j in range(self.cols))
+        return tuple(np.unpackbits(self.packed[:, i], count=self.cols, bitorder="little").tolist())
 
     def to_bits(self) -> list[list[int]]:
-        return [list(self.row_bits(i)) for i in range(self.n_rows)]
+        return np.unpackbits(self.packed, axis=0, count=self.cols, bitorder="little").T.tolist()
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "BinaryMatrix":
-        width = c1 - c0
-        mask = (1 << width) - 1
-        return BinaryMatrix([(r >> c0) & mask for r in self.rows[r0:r1]], width)
+        bits = np.unpackbits(self.packed[:, r0:r1], axis=0, count=self.cols, bitorder="little")
+        return BinaryMatrix(np.packbits(bits[c0:c1], axis=0, bitorder="little"), c1 - c0)
 
-    def total_ones(self) -> int:
-        return sum(r.bit_count() for r in self.rows)
+    def row_popcounts(self) -> np.ndarray:
+        """The ones in each row, as an int64 array."""
+        out = np.zeros(self.n_rows, dtype=np.int64)
+        for group in self.packed:
+            out += _POPCOUNT[group]
+        return out
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BinaryMatrix)
             and self.cols == other.cols
-            and self.rows == other.rows
+            and np.array_equal(self.packed, other.packed)
         )
 
     def __repr__(self) -> str:

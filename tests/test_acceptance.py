@@ -267,7 +267,7 @@ def test_criterion_7_four_russians_exactness(n):
     fr = binmat.make_plan(n)
     lane = 16
     for _ in range(200):
-        mat = BinaryMatrix([rng.getrandbits(n) for _ in range(n)], n)
+        mat = BinaryMatrix.from_rows([rng.getrandbits(n) for _ in range(n)], n)
         v = [rng.randrange(1 << lane) for _ in range(n)]
         oc = OpCount()
         assert binmatvec_equal(mat, v, fr, oc)

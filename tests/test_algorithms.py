@@ -280,7 +280,7 @@ def test_tf2003_change_of_basis_identity(ctx3):
             acc = 0
             for t in range(3):
                 if binary[r][t]:
-                    acc ^= circ.entry(t, j)
+                    acc ^= circ.row(t)[j]
             row.append(acc)
         product.append(row)
     expected = [[ctx3.exp[(t * (1 << j)) % 7] for j in range(3)] for t in range(3)]
@@ -716,7 +716,7 @@ def test_blahut_tally(ctx3):
     apply(plan, f, tally)
     assert tally.stage1.adds == 12
     assert tally.stage2.mults == 0
-    assert tally.stage2.adds == matrix_of(plan).total_ones() - 7
+    assert tally.stage2.adds == matrix_of(plan).row_popcounts().sum() - 7
 
 
 def test_unknown_tag(ctx3):

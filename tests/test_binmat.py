@@ -15,7 +15,7 @@ from gfft.structure import BinaryMatrix
 
 
 def test_naive_identity():
-    ident = BinaryMatrix([1 << i for i in range(5)], 5)
+    ident = BinaryMatrix.from_rows([1 << i for i in range(5)], 5)
     v = [9, 3, 0, 7, 1]
     oc = OpCount()
     assert binmatvec_naive(ident, v, oc) == v
@@ -23,7 +23,7 @@ def test_naive_identity():
 
 
 def test_naive_all_ones_row():
-    mat = BinaryMatrix([0b1111111], 7)
+    mat = BinaryMatrix.from_rows([0b1111111], 7)
     v = [1, 2, 4, 3, 6, 7, 5]
     oc = OpCount()
     assert binmatvec_naive(mat, v, oc) == [0]  # the whole field XORs to zero
@@ -31,14 +31,14 @@ def test_naive_all_ones_row():
 
 
 def test_naive_zero_row():
-    mat = BinaryMatrix([0], 4)
+    mat = BinaryMatrix.from_rows([0], 4)
     oc = OpCount()
     assert binmatvec_naive(mat, [5, 6, 7, 8], oc) == [0]
     assert oc.adds == 0
 
 
 def test_shape_mismatch():
-    mat = BinaryMatrix([0b11], 2)
+    mat = BinaryMatrix.from_rows([0b11], 2)
     with pytest.raises(ValueError):
         binmatvec_naive(mat, [1, 2, 3])
     with pytest.raises(ValueError):
@@ -68,7 +68,7 @@ def test_plan_validation():
 
 
 def test_plan_matrix_mismatch():
-    mat = BinaryMatrix([0b11], 2)
+    mat = BinaryMatrix.from_rows([0b11], 2)
     with pytest.raises(ValueError):
         binmatvec_four_russians(mat, [1, 2], plan=FourRussiansPlan(3, 1))
 
@@ -79,7 +79,7 @@ def test_four_russians_equals_naive(n):
     lane = 16
     for trial in range(50):
         rows = rng.randrange(1, 2 * n)
-        mat = BinaryMatrix([rng.getrandbits(n) for _ in range(rows)], n)
+        mat = BinaryMatrix.from_rows([rng.getrandbits(n) for _ in range(rows)], n)
         v = [rng.randrange(1 << lane) for _ in range(n)]
         oc = OpCount()
         got = binmatvec_four_russians(mat, v, oc=oc)
@@ -91,7 +91,7 @@ def test_single_group_degenerate():
     # t = cols collapses to one table; still exact
     rng = random.Random(1)
     n = 10
-    mat = BinaryMatrix([rng.getrandbits(n) for _ in range(12)], n)
+    mat = BinaryMatrix.from_rows([rng.getrandbits(n) for _ in range(12)], n)
     v = [rng.randrange(256) for _ in range(n)]
     plan = FourRussiansPlan(n, n)
     oc = OpCount()
@@ -119,7 +119,7 @@ def test_naive_cost_envelope_random_density():
     rng = random.Random(42)
     for m in (4, 6, 8):
         n = (1 << m) - 1
-        mat = BinaryMatrix([rng.getrandbits(n) for _ in range(n)], n)
+        mat = BinaryMatrix.from_rows([rng.getrandbits(n) for _ in range(n)], n)
         oc = OpCount()
         binmatvec_naive(mat, [1] * n, oc)
         assert 0.25 * n * n <= oc.adds <= n * n

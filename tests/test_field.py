@@ -66,16 +66,6 @@ def test_mul_examples():
         assert ctx.mul(1, x) == x
 
 
-def test_log_exp_examples():
-    ctx = default_field(3)
-    assert ctx.element_of_log(3) == 3
-    assert ctx.discrete_log(1) == 0
-    assert ctx.element_of_log(10) == ctx.element_of_log(3)
-    assert ctx.element_of_log(-4) == ctx.element_of_log(3)
-    with pytest.raises(ValueError, match="logarithm"):
-        ctx.discrete_log(0)
-
-
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
 def test_log_is_homomorphism_exhaustive(m):
     ctx = default_field(m)
@@ -131,13 +121,6 @@ def test_opcount_skip_units_policy():
     ctx.add(3, 5, oc)
     ctx.add(0, 0, oc)
     assert oc.adds == 2
-
-
-def test_opcount_merge():
-    a = OpCount(stage="stage1", mults=3, adds=5)
-    b = OpCount(stage="stage1", mults=2, adds=1)
-    a.merge(b)
-    assert (a.mults, a.adds) == (5, 6)
 
 
 def test_pow():

@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 
 from gfft.field import default_field
@@ -238,9 +241,50 @@ def test_binary_matrix_roundtrip():
     bits = [[1, 0, 1], [0, 1, 1]]
     mat = BinaryMatrix.from_bits(bits)
     assert mat.to_bits() == bits
-    assert mat.get(0, 2) == 1
-    assert mat.total_ones() == 4
+    assert mat.rows == [0b101, 0b110]
+    assert mat.row_bits(0)[2] == 1
+    assert mat.row_popcounts().tolist() == [2, 2]
     assert mat.submatrix(0, 2, 1, 3).to_bits() == [[0, 1], [1, 1]]
     assert mat == BinaryMatrix.from_bits(bits)
     with pytest.raises(ValueError):
         BinaryMatrix.from_bits([[1, 0], [1]])
+
+
+@pytest.mark.parametrize("cols", [1, 7, 8, 9, 20])
+def test_packed_matrix_equals_int_rows(cols):
+    rng = random.Random(f"packed:{cols}")
+    rows = [rng.getrandbits(cols) for _ in range(6)]
+    width = -(-cols // 8)
+    packed = np.array([[(r >> 8 * g) & 0xFF for r in rows] for g in range(width)], dtype=np.uint8)
+    mat = BinaryMatrix(packed, cols)
+    assert mat == BinaryMatrix.from_rows(rows, cols)
+    assert mat.rows == rows
+    assert mat.to_bits() == [[(r >> j) & 1 for j in range(cols)] for r in rows]
+    assert mat.row_popcounts().tolist() == [r.bit_count() for r in rows]
+
+
+@pytest.mark.parametrize(
+    "packed, cols, match",
+    [
+        (np.zeros((2, 3), dtype=np.uint16), 9, "uint8"),
+        ([[0, 0, 0]], 3, "uint8"),
+        (np.zeros((1, 3), dtype=np.uint8), 9, "shape"),
+        (np.zeros((3, 3), dtype=np.uint8), 9, "shape"),
+        (np.zeros(3, dtype=np.uint8), 3, "shape"),
+        (np.zeros((0, 3), dtype=np.uint8), -1, "shape"),
+        (np.array([[0, 0], [0, 0b10]], dtype=np.uint8), 9, "past column 9"),
+        (np.array([[0x80]], dtype=np.uint8), 7, "past column 7"),
+    ],
+)
+def test_packed_matrix_rejects_malformed(packed, cols, match):
+    with pytest.raises(ValueError, match=match):
+        BinaryMatrix(packed, cols)
+
+
+def test_int_rows_must_fit_the_columns():
+    with pytest.raises(ValueError, match="past column 3"):
+        BinaryMatrix.from_rows([1, 1 << 3], 3)
+    with pytest.raises(ValueError, match="does not fit"):
+        BinaryMatrix.from_rows([1 << 8], 3)
+    with pytest.raises(ValueError, match="does not fit"):
+        BinaryMatrix.from_rows([-1], 3)
