@@ -44,7 +44,6 @@ from .algorithms import (
     build_ft2002,
     build_goertzel,
     build_tf2003,
-    circulant_matvec,
     coset_block_report,
     materialize,
     stage1_bound,

@@ -4,16 +4,22 @@ Every algorithm here builds a Plan from the field alone: gather the input
 in in_perm order, run two stages, and scatter the result to out_perm.  A
 block stage multiplies consecutive slices by small dense or circulant
 blocks (the only field multiplications); a binary stage multiplies by a
-0/1 matrix (additions only).  The six algorithms differ only in the order
-of the stages and in what the blocks and the matrix hold:
+0/1 matrix (additions only).
 
-  goertzel    binary R (f mod each minimal polynomial), then evaluation
-              blocks; output in coset order
-  blahut2008  input in coset order, then V blocks (each coset slice at d
-              points), then the binary combine matrix
-  ft2002, tf2003, fed2006a, fed2006b
-              input in coset order, then the diagonal blocks D, then the
-              binary matrix A; output in natural or coset order
+One builder makes all six plans.  The input goes in coset order through
+the diagonal blocks D, then through the binary matrix A.  Per coset the
+algorithm picks a basis; D's block is basis[t]^(2^j) at (t, j), and A holds
+the coordinates of a^(i*rep) in that basis.  The six differ only in the
+bases, the output order and whether the plan is transposed:
+
+  blahut2008  power basis (1, b, ..., b^(d-1)) of b = a^s on every coset
+              (V blocks, then the combine matrix)
+  ft2002      the same, but the standard basis on the cosets of size m
+  tf2003      normal bases: D's blocks are circulant
+  fed2006a/b  normal (b: shifted) bases, output in coset order too
+  goertzel    blahut2008 transposed, which computes the same transform
+              since W is symmetric: binary R (f mod each minimal
+              polynomial), then evaluation blocks; output in coset order
 
 Construction rests on two facts.  The coset-s slice of f is a linearized
 polynomial composed with x^s, so its values are GF(2)-linear in the point;
@@ -37,10 +43,10 @@ from . import binmat
 from .field import FieldContext, OpCount
 from .structure import (
     BinaryMatrix,
-    Coset,
     CosetPartition,
     LinearSolver,
     NormalBasis,
+    conjugates,
     cyclotomic_cosets,
     doubling_orbit,
     find_normal_basis,
@@ -82,8 +88,8 @@ class CirculantBlock:
         return len(self.first_row)
 
     def row(self, r: int) -> tuple[int, ...]:
-        d = self.size
-        return tuple(self.first_row[(j + r) % d] for j in range(d))
+        r %= self.size
+        return self.first_row[r:] + self.first_row[:r]
 
 
 @dataclass(frozen=True)
@@ -103,25 +109,6 @@ class DenseBlock:
 Block = CirculantBlock | DenseBlock
 
 UNIT_BLOCK = CirculantBlock((1,))
-
-
-def circulant_matvec(
-    first_row: list[int] | tuple[int, ...],
-    v: list[int] | tuple[int, ...],
-    ctx: FieldContext,
-    oc: OpCount | None = None,
-) -> list[int]:
-    """y_r = sum_j first_row[(j + r) mod d] * v_j  (row r = left rotation by r)."""
-    d = len(first_row)
-    if len(v) != d:
-        raise ValueError(f"length mismatch: {d} vs {len(v)}")
-    out = []
-    for r in range(d):
-        acc = ctx.mul(first_row[r % d], v[0], oc)
-        for j in range(1, d):
-            acc = ctx.add(acc, ctx.mul(first_row[(j + r) % d], v[j], oc), oc)
-        out.append(acc)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -184,17 +171,84 @@ class Plan:
 
 
 # ---------------------------------------------------------------------------
-# Coset layouts: representative, column basis, and diagonal block per coset.
+# Coset layouts: representative, doubling order and column basis per coset.
+# A layout's basis fixes both of its stages: the D block and the binary
+# matrix's column group of the coset.
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class CosetLayout:
-    coset: Coset
     rep: int
     elements: tuple[int, ...]  # doubling order from rep
     basis: tuple[int, ...]  # column basis for the binary-stage expansion
-    block: Block
+
+
+def _normal_bases(ctx: FieldContext, partition: CosetPartition, shifted: bool) -> dict[int, NormalBasis]:
+    """One normal basis per occurring coset size; shifted squares the generator."""
+    bases: dict[int, NormalBasis] = {}
+    for size in sorted(set(partition.sizes())):
+        nb = find_normal_basis(ctx, size)
+        if shifted and size > 1:
+            gen = ctx.mul(nb.generator, nb.generator)
+            conj = tuple(nb.basis[(j + 1) % size] for j in range(size))
+            nb = NormalBasis(gen, size, conj)
+        if any(ctx.mul(b, b) != nb.basis[(j + 1) % size] for j, b in enumerate(nb.basis)):
+            raise ArithmeticError(f"normal basis of size {size} is not a conjugate sequence")
+        bases[size] = nb
+    return bases
+
+
+def _layouts_for_tag(ctx: FieldContext, partition: CosetPartition, tag: str) -> list[CosetLayout]:
+    """The basis of the coset with leader s and size d, per tag:
+
+      goertzel, blahut2008  the power basis (1, b, ..., b^(d-1)), b = a^s
+      ft2002                the same, but the standard basis when d = m
+      tf2003, fed2006a      the normal basis of GF(2^d)
+      fed2006b              the shifted normal basis; the coset holding its
+                            generator's exponent starts at that exponent
+    """
+    if tag not in ALL_TAGS:
+        raise ValueError(f"unknown algorithm tag {tag!r}")
+    n, m = ctx.n, ctx.m
+    normal: dict[int, NormalBasis] = {}
+    rep_override: dict[int, int] = {}
+    if tag in (TF2003, FED2006A, FED2006B):
+        normal = _normal_bases(ctx, partition, shifted=tag == FED2006B)
+    if tag == FED2006B:
+        # keeps the identity sub-block aligned with the shifted basis
+        logs = (ctx.log[nb.generator] for nb in normal.values() if nb.degree > 1)
+        rep_override = {min(doubling_orbit(lg, n)): lg for lg in logs}
+    out = []
+    for coset in partition.cosets:
+        d, rep = coset.size, rep_override.get(coset.leader, coset.leader)
+        if normal:
+            basis = normal[d].basis
+        elif tag == FT2002 and d == m:
+            basis = tuple(1 << t for t in range(m))
+        else:
+            basis = tuple(ctx.exp[(rep * t) % n] for t in range(d))
+        elements = coset.elements if rep == coset.leader else doubling_orbit(rep, n)
+        out.append(CosetLayout(rep, elements, basis))
+    return out
+
+
+def _d_block(ctx: FieldContext, basis: tuple[int, ...]) -> Block:
+    """Entry (t, j) = basis[t]^(2^j): row t lists the conjugates of basis[t].
+    Circulant exactly when the basis is a conjugate sequence (its first row
+    is the basis; it spans GF(2^d), so basis[0]^(2^d) wraps round to
+    basis[0]), which holds for the normal bases and for (1,)."""
+    d = len(basis)
+    first = conjugates(basis[0], d, ctx)
+    if first == basis:
+        return CirculantBlock(basis)
+    return DenseBlock((first, *(conjugates(b, d, ctx) for b in basis[1:])))
+
+
+def _transposed(block: Block) -> Block:
+    """The transpose; a circulant's entry (t, j) depends on t + j only, so
+    it is its own transpose."""
+    return block if isinstance(block, CirculantBlock) else DenseBlock(tuple(zip(*block.rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -243,114 +297,50 @@ def _coords_matrix(ctx: FieldContext, points, columns: Sequence[_Column]) -> np.
     return out
 
 
-def _power_basis_columns(ctx: FieldContext, partition: CosetPartition) -> list[_Column]:
-    """Per coset with leader s: basis (1, b, ..., b^(d-1)), b = a^s.  The
-    coordinates of b^i there are the coefficients of x^i mod M_s."""
-    n = ctx.n
-    return [
-        (c.leader, tuple(ctx.exp[(c.leader * t) % n] for t in range(c.size)))
-        for c in partition.cosets
-    ]
-
-
-def _normal_bases(ctx: FieldContext, partition: CosetPartition, shifted: bool) -> dict[int, NormalBasis]:
-    """One normal basis per occurring coset size; shifted squares the generator."""
-    bases: dict[int, NormalBasis] = {}
-    for size in sorted(set(partition.sizes())):
-        nb = find_normal_basis(ctx, size)
-        if shifted and size > 1:
-            gen = ctx.mul(nb.generator, nb.generator)
-            conj = tuple(nb.basis[(j + 1) % size] for j in range(size))
-            nb = NormalBasis(gen, size, conj)
-        bases[size] = nb
-    return bases
-
-
-def _layouts_ft2002(ctx: FieldContext, partition: CosetPartition) -> list[CosetLayout]:
-    n, m = ctx.n, ctx.m
-    out = []
-    for coset in partition.cosets:
-        d = coset.size
-        s = coset.leader
-        if d == 1:
-            out.append(CosetLayout(coset, s, coset.elements, (1,), UNIT_BLOCK))
-            continue
-        if d == m:
-            basis = tuple(1 << t for t in range(m))
-        else:
-            basis = tuple(ctx.exp[(s * t) % n] for t in range(d))
-        rows = tuple(
-            tuple(ctx.pow(basis[t], 1 << j) for j in range(d)) for t in range(d)
-        )
-        out.append(CosetLayout(coset, s, coset.elements, basis, DenseBlock(rows)))
-    return out
-
-
-def _layouts_normal(
-    ctx: FieldContext, partition: CosetPartition, shifted: bool
-) -> list[CosetLayout]:
-    n = ctx.n
-    bases = _normal_bases(ctx, partition, shifted)
-    rep_override: dict[int, int] = {}
-    if shifted:
-        # The coset holding the generator's exponent starts at that exponent,
-        # which keeps the identity sub-block aligned with the shifted basis.
-        for size, nb in bases.items():
-            if size > 1:
-                lg = ctx.log[nb.generator]
-                rep_override[min(doubling_orbit(lg, n))] = lg
-    out = []
-    for coset in partition.cosets:
-        d = coset.size
-        if d == 1:
-            out.append(CosetLayout(coset, coset.leader, coset.elements, (1,), UNIT_BLOCK))
-            continue
-        rep = rep_override.get(coset.leader, coset.leader)
-        elements = doubling_orbit(rep, n)
-        nb = bases[d]
-        if any(ctx.mul(b, b) != nb.basis[(j + 1) % d] for j, b in enumerate(nb.basis)):
-            raise ArithmeticError(f"normal basis of size {d} is not a conjugate sequence")
-        out.append(CosetLayout(coset, rep, elements, nb.basis, CirculantBlock(nb.basis)))
-    return out
-
-
-def _layouts_for_tag(ctx: FieldContext, tag: str) -> list[CosetLayout]:
-    partition = cyclotomic_cosets(ctx.n)
-    if tag == FT2002:
-        return _layouts_ft2002(ctx, partition)
-    if tag in (TF2003, FED2006A, FED2006B):
-        return _layouts_normal(ctx, partition, shifted=tag == FED2006B)
-    raise ValueError(f"not a factored algorithm tag: {tag!r}")
-
-
 # ---------------------------------------------------------------------------
-# Builders.
+# Builders: one for all six plans.
 # ---------------------------------------------------------------------------
 
 
-def _build_factored(ctx: FieldContext, tag: str) -> Plan:
-    """Input in coset order through the diagonal blocks D, then the binary
-    matrix A; row r of A holds the coordinates of a^(out_perm[r] * rep) in
-    each coset's basis.  fed2006 keeps the output in coset order too."""
+def _build(ctx: FieldContext, tag: str) -> Plan:
+    """Input in coset order through the blocks D, then the binary matrix A;
+    row r of A holds the coordinates of a^(out_perm[r] * rep) in each coset's
+    basis.  fed2006a/b keep the output in coset order too.  goertzel is
+    blahut2008 transposed: W is symmetric, so it equals D^T A^T as well,
+    with the two permutations swapped; A^T is the remainder matrix R."""
     n = ctx.n
     partition = cyclotomic_cosets(n)
-    layouts = _layouts_for_tag(ctx, tag)
-    in_perm = tuple(i for lay in layouts for i in lay.elements)
-    out_perm = in_perm if tag in (FED2006A, FED2006B) else tuple(range(n))
+    layouts = _layouts_for_tag(ctx, partition, tag)
+    coset_order = tuple(i for lay in layouts for i in lay.elements)
+    out_perm = coset_order if tag in (FED2006A, FED2006B) else tuple(range(n))
     coords = _coords_matrix(ctx, out_perm, [(lay.rep, lay.basis) for lay in layouts])
+    blocks = tuple(_d_block(ctx, lay.basis) for lay in layouts)
+    if tag == GOERTZEL:
+        r_matrix = BinaryMatrix.from_coords(coords, partition.sizes(), transpose=True)
+        stages = (BinaryStage(r_matrix), BlockStage(tuple(map(_transposed, blocks))))
+        return Plan(tag, ctx, partition, out_perm, stages, coset_order)
     a_matrix = BinaryMatrix.from_coords(coords, partition.sizes())
-    d_blocks = BlockStage(tuple(lay.block for lay in layouts))
-    return Plan(tag, ctx, partition, in_perm, (d_blocks, BinaryStage(a_matrix)), out_perm)
+    return Plan(tag, ctx, partition, coset_order, (BlockStage(blocks), BinaryStage(a_matrix)), out_perm)
+
+
+def build_goertzel(ctx: FieldContext) -> Plan:
+    """Binary R (f mod each minimal polynomial), then evaluation blocks."""
+    return _build(ctx, GOERTZEL)
+
+
+def build_blahut2008(ctx: FieldContext) -> Plan:
+    """Power-basis V blocks, then the binary combine matrix."""
+    return _build(ctx, BLAHUT2008)
 
 
 def build_ft2002(ctx: FieldContext) -> Plan:
     """Standard-basis factorization: dense linearized-evaluation blocks."""
-    return _build_factored(ctx, FT2002)
+    return _build(ctx, FT2002)
 
 
 def build_tf2003(ctx: FieldContext) -> Plan:
     """Normal-basis factorization: circulant blocks, natural output order."""
-    return _build_factored(ctx, TF2003)
+    return _build(ctx, TF2003)
 
 
 def build_fed2006(ctx: FieldContext, variant: str = "a") -> Plan:
@@ -359,43 +349,7 @@ def build_fed2006(ctx: FieldContext, variant: str = "a") -> Plan:
     variant = variant.lower()
     if variant not in ("a", "b"):
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
-    return _build_factored(ctx, FED2006B if variant == "b" else FED2006A)
-
-
-def _power_block(ctx: FieldContext, rows: Sequence[int], cols: Sequence[int]) -> Block:
-    """The block of a^(i * j) over rows i and columns j."""
-    entries = tuple(tuple(ctx.exp[(i * j) % ctx.n] for j in cols) for i in rows)
-    return UNIT_BLOCK if entries == ((1,),) else DenseBlock(entries)
-
-
-def build_goertzel(ctx: FieldContext) -> Plan:
-    """Binary R, then per-coset evaluation blocks.  Row t of R's block k
-    holds bit t of x^j mod M_k over the columns j, the coordinates of b^j in
-    blahut2008's power basis (R is the transpose of its combine matrix);
-    evaluation block k holds the Vandermonde rows a^(e*t) at the coset's
-    points e, so the result comes out in coset order."""
-    n = ctx.n
-    partition = cyclotomic_cosets(n)
-    coords = _coords_matrix(ctx, range(n), _power_basis_columns(ctx, partition))
-    r_matrix = BinaryMatrix.from_coords(coords, partition.sizes(), transpose=True)
-    evals = tuple(_power_block(ctx, c.elements, range(c.size)) for c in partition.cosets)
-    coset_order = tuple(chain.from_iterable(c.elements for c in partition.cosets))
-    stages = (BinaryStage(r_matrix), BlockStage(evals))
-    return Plan(GOERTZEL, ctx, partition, tuple(range(n)), stages, coset_order)
-
-
-def build_blahut2008(ctx: FieldContext) -> Plan:
-    """Per coset, V_k evaluates the coset slice at the first d points; the
-    combine matrix [B_0 | ... | B_l] spreads those values to all n outputs,
-    B_k holding the coordinates of b^i in the power basis of b = a^s."""
-    n = ctx.n
-    partition = cyclotomic_cosets(n)
-    coords = _coords_matrix(ctx, range(n), _power_basis_columns(ctx, partition))
-    combine = BinaryMatrix.from_coords(coords, partition.sizes())
-    v_blocks = tuple(_power_block(ctx, range(c.size), c.elements) for c in partition.cosets)
-    coset_order = tuple(chain.from_iterable(c.elements for c in partition.cosets))
-    stages = (BlockStage(v_blocks), BinaryStage(combine))
-    return Plan(BLAHUT2008, ctx, partition, coset_order, stages, tuple(range(n)))
+    return _build(ctx, FED2006B if variant == "b" else FED2006A)
 
 
 def build(tag: str, ctx: FieldContext) -> Plan:
@@ -712,10 +666,8 @@ def _stage1_counts(blocks) -> tuple[int, int]:
     for block in blocks:
         d = block.size
         adds += d * (d - 1)
-        if isinstance(block, CirculantBlock):
-            mults += sum(1 for e in block.first_row if e > 1) * d
-        else:
-            mults += sum(1 for row in block.rows for e in row if e > 1)
+        # the entries > 1
+        mults += sum(d - row.count(0) - row.count(1) for row in map(block.row, range(d)))
     return mults, adds
 
 
@@ -776,10 +728,11 @@ def stage1_bound(ctx: FieldContext) -> int:
 
 
 def structural_counts_for_tag(ctx: FieldContext, tag: str) -> tuple[int, int, int]:
-    """(stage1 mults, stage1 adds, stage2 naive adds) of a factored plan
-    without building A."""
+    """(stage1 mults, stage1 adds, stage2 naive adds) of a plan without
+    building it.  Transposing goertzel's blocks and matrix keeps both counts,
+    and every row of a binary matrix here holds a one, hence the - n."""
     n = ctx.n
-    layouts = _layouts_for_tag(ctx, tag)
+    layouts = _layouts_for_tag(ctx, cyclotomic_cosets(n), tag)
     solves = _SubfieldCoords(ctx)
     subgroup_pc: dict[tuple, int] = {}
     total_ones = 0
@@ -792,4 +745,4 @@ def structural_counts_for_tag(ctx: FieldContext, tag: str) -> tuple[int, int, in
             s = int(BinaryMatrix.from_coords(table[:: g // step, None], [len(lay.basis)]).row_popcounts().sum())
             subgroup_pc[key] = s
         total_ones += g * s
-    return (*_stage1_counts(lay.block for lay in layouts), total_ones - n)
+    return (*_stage1_counts(_d_block(ctx, lay.basis) for lay in layouts), total_ones - n)

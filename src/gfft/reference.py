@@ -15,15 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import binmat
-from .algorithms import (
-    Block,
-    BinaryStage,
-    CirculantBlock,
-    Plan,
-    TransformTally,
-    circulant_matvec,
-    validate_vectors,
-)
+from .algorithms import UNIT_BLOCK, Block, BinaryStage, Plan, TransformTally, validate_vectors
 from .field import FieldContext, OpCount
 
 
@@ -130,18 +122,9 @@ def naive_dft_batch(vectors: list[list[int]], ctx: FieldContext) -> list[list[in
 
 
 def _block_matvec(block: Block, v: list[int], ctx: FieldContext, oc: OpCount | None) -> list[int]:
-    if isinstance(block, CirculantBlock):
-        if block.size == 1 and block.first_row[0] == 1:
-            return list(v)  # pass-through; no operations issued
-        return circulant_matvec(block.first_row, v, ctx, oc)
-    out = []
-    for r in range(block.size):
-        row = block.rows[r]
-        acc = ctx.mul(row[0], v[0], oc)
-        for j in range(1, len(row)):
-            acc = ctx.add(acc, ctx.mul(row[j], v[j], oc), oc)
-        out.append(acc)
-    return out
+    if block == UNIT_BLOCK:
+        return list(v)  # pass-through; no operations issued
+    return dense_matvec([block.row(r) for r in range(block.size)], v, ctx, oc)
 
 
 def counted_apply(

@@ -165,7 +165,8 @@ class NormalBasis:
     basis: tuple[int, ...]
 
 
-def _conjugates(beta: int, d: int, ctx: FieldContext) -> tuple[int, ...]:
+def conjugates(beta: int, d: int, ctx: FieldContext) -> tuple[int, ...]:
+    """beta, beta^2, beta^4, ..., beta^(2^(d-1)) for a nonzero beta."""
     out = [beta]
     lg = ctx.log[beta]
     for _ in range(d - 1):
@@ -174,38 +175,20 @@ def _conjugates(beta: int, d: int, ctx: FieldContext) -> tuple[int, ...]:
     return tuple(out)
 
 
-def find_normal_basis(ctx: FieldContext, d: int, preferred: int | None = None) -> NormalBasis:
-    """Normal basis of the subfield GF(2^d) of GF(2^m).
-
-    With no preference, scans subfield elements in increasing discrete-log
-    order and returns the first whose conjugates are GF(2)-independent.
-    A preferred generator is validated and used as-is.
-    """
+def find_normal_basis(ctx: FieldContext, d: int) -> NormalBasis:
+    """Normal basis of the subfield GF(2^d) of GF(2^m): the first subfield
+    element, in increasing discrete-log order, whose conjugates are
+    GF(2)-independent."""
     if d < 1 or ctx.m % d != 0:
         raise ValueError(f"d={d} does not divide m={ctx.m}")
     if d == 1:
-        if preferred is not None and preferred != 1:
-            raise ValueError(f"element {preferred} does not generate a normal basis of GF(2)")
         return NormalBasis(1, 1, (1,))
 
     subfield_order = (1 << d) - 1
     step = ctx.n // subfield_order
-
-    if preferred is not None:
-        if preferred in (0, 1):
-            raise ValueError(f"element {preferred} does not generate a normal basis")
-        if ctx.log[preferred] % step != 0:
-            raise ValueError(f"element {preferred} lies outside GF(2^{d})")
-        conj = _conjugates(preferred, d, ctx)
-        try:
-            LinearSolver(conj)
-        except ValueError:
-            raise ValueError(f"element {preferred} does not generate a normal basis") from None
-        return NormalBasis(preferred, d, conj)
-
     for j in range(1, subfield_order):
         beta = ctx.exp[j * step]
-        conj = _conjugates(beta, d, ctx)
+        conj = conjugates(beta, d, ctx)
         try:
             LinearSolver(conj)
         except ValueError:

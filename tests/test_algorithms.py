@@ -26,7 +26,6 @@ from gfft.algorithms import (
     build_ft2002,
     build_goertzel,
     build_tf2003,
-    circulant_matvec,
     coset_block_report,
     materialize,
     stage2_naive_adds,
@@ -34,7 +33,7 @@ from gfft.algorithms import (
     structural_stage1_counts,
 )
 from gfft.field import FieldSpec, OpCount, build_field, default_field
-from gfft.reference import counted_apply, naive_dft, poly_eval, transform_matrix
+from gfft.reference import counted_apply, naive_dft, poly_eval, transform_matrix, unit_response
 from gfft.structure import (
     LinearSolver,
     NormalBasis,
@@ -165,10 +164,7 @@ def test_fed2006_variant_validation(ctx3):
 def _bases_in_use(ctx):
     """Every column basis of every plan over ctx."""
     part = alg.cyclotomic_cosets(ctx.n)
-    bases = {basis for _, basis in alg._power_basis_columns(ctx, part)}
-    for tag in FACTORED_TAGS:
-        bases |= {lay.basis for lay in alg._layouts_for_tag(ctx, tag)}
-    return sorted(bases)
+    return sorted({lay.basis for tag in ALL_TAGS for lay in alg._layouts_for_tag(ctx, part, tag)})
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -235,14 +231,14 @@ def _reference_rows(ctx, plan):
             combined = [c | r << offset for c, r in zip(combined, rows)]
             offset += d
         return {"B": b_blocks, "combine": combined}
-    layouts = alg._layouts_for_tag(ctx, plan.tag)
+    layouts = alg._layouts_for_tag(ctx, plan.partition, plan.tag)
     solvers = [LinearSolver(lay.basis) for lay in layouts]
     rows = []
     for i in plan.out_perm:
         row, offset = 0, 0
         for lay, solver in zip(layouts, solvers):
             row |= solver.coords(ctx.exp[(i * lay.rep) % n]) << offset
-            offset += lay.coset.size
+            offset += len(lay.basis)
         rows.append(row)
     return {"A": rows}
 
@@ -367,6 +363,25 @@ def test_four_russians_kernel_on_unfactored_plans(m, tag):
     got = apply(plan, f, tally, four_russians=True)
     assert got == apply(plan, f, TransformTally.fresh(), four_russians=False) == naive_dft(f, ctx)
     assert tally.stage2.adds == binmat.make_plan(n).predicted_adds(n)
+
+
+def test_all_six_at_m13():
+    # above the O(n^2) oracle's range: unit vectors against their columns of
+    # W, the six plans against each other on random vectors, and the rows
+    # i = 0, 512, ... against Horner
+    ctx = default_field(13)
+    n = ctx.n
+    units = [0, 1, n - 1]
+    rng = random.Random(13)
+    vecs = [[int(i == j) for i in range(n)] for j in units]
+    vecs += [[rng.randrange(1 << 13) for _ in range(n)] for _ in range(4)]
+    outs = {tag: apply_batch(build(tag, ctx), vecs) for tag in ALL_TAGS}
+    randoms = outs[ALL_TAGS[0]][len(units) :]
+    for tag, out in outs.items():
+        assert out[: len(units)] == [unit_response(j, ctx) for j in units], tag
+        assert out[len(units) :] == randoms, tag
+    for f, F in zip(vecs[len(units) :], randoms):
+        assert [F[i] for i in range(0, n, 512)] == [poly_eval(f, ctx.exp[i], ctx) for i in range(0, n, 512)]
 
 
 def _path_vectors(m, randoms):
@@ -551,6 +566,22 @@ def test_materialize_equals_vandermonde(m, tag):
     assert materialize(build(tag, ctx)) == transform_matrix(ctx)
 
 
+@pytest.mark.parametrize("m", [3, 4, 6, 8])
+def test_blahut2008_is_ft2002_with_power_bases_and_goertzel_its_transpose(m):
+    ctx = default_field(m)
+    goertzel, blahut, ft = (build(tag, ctx) for tag in ("goertzel", "blahut2008", "ft2002"))
+    # the two differ only on the cosets of size m, where ft2002 takes the standard basis
+    below_m = [d < m for d in blahut.partition.sizes()]
+    for parts in (blocks_of, column_blocks):
+        pairs = zip(parts(blahut), parts(ft), below_m)
+        assert [(b, f) for b, f, below in pairs if below and b != f] == [], parts.__name__
+    assert (blahut.in_perm, blahut.out_perm) == (ft.in_perm, ft.out_perm)
+    # W is symmetric: goertzel transposes every stage and swaps the permutations
+    assert (goertzel.in_perm, goertzel.out_perm) == (blahut.out_perm, blahut.in_perm)
+    assert list(map(entries, blocks_of(goertzel))) == [tuple(zip(*entries(b))) for b in blocks_of(blahut)]
+    assert matrix_of(goertzel).to_bits() == [list(col) for col in zip(*matrix_of(blahut).to_bits())]
+
+
 def test_materialize_m2_direct():
     ctx = default_field(2)
     w = [[ctx.exp[(i * j) % 3] for j in range(3)] for i in range(3)]
@@ -606,31 +637,8 @@ def test_goertzel_remainder_property(m):
 
 
 # ---------------------------------------------------------------------------
-# circulant kernel
+# circulant blocks
 # ---------------------------------------------------------------------------
-
-
-def test_circulant_unit_vector(ctx3):
-    first = (3, 5, 7)
-    got = circulant_matvec(first, [1, 0, 0], ctx3)
-    # v = delta_0 picks the first column: rows rotated left means column 0
-    # reads the first row downward
-    assert got == [3, 5, 7]
-
-
-def test_circulant_all_ones_trace(ctx3):
-    first = (3, 5, 7)  # a^3, a^6, a^5
-    assert 3 ^ 5 ^ 7 == 1
-    assert circulant_matvec(first, [1, 1, 1], ctx3) == [1, 1, 1]
-
-
-def test_circulant_scalar(ctx3):
-    assert circulant_matvec((6,), [7], ctx3) == [ctx3.mul(6, 7)]
-
-
-def test_circulant_length_check(ctx3):
-    with pytest.raises(ValueError):
-        circulant_matvec((1, 2), [1], ctx3)
 
 
 def test_circulant_rotation_convention(ctx3):
@@ -655,7 +663,7 @@ def test_stage1_counts_m3(ctx3):
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 9, 10])
-@pytest.mark.parametrize("tag", FACTORED_TAGS)
+@pytest.mark.parametrize("tag", ALL_TAGS)
 def test_structural_counts_match_built_plans(m, tag):
     ctx = default_field(m)
     plan = build(tag, ctx)
@@ -677,8 +685,7 @@ def test_measured_counts_hit_structural_worst_case(m, tag):
     apply(plan, f, tally=tally)
     s1m, s1a = structural_stage1_counts(plan)
     s2n = stage2_naive_adds(plan)
-    if tag in FACTORED_TAGS:
-        assert (s1m, s1a, s2n) == structural_counts_for_tag(ctx, tag)
+    assert (s1m, s1a, s2n) == structural_counts_for_tag(ctx, tag)
     if tag == "goertzel":
         assert tally.stage1.mults <= s1m
     else:

@@ -102,34 +102,6 @@ def test_normal_basis_scan_m3():
     assert nb.basis == (3, 5, 7)  # a^3, a^6, a^5
 
 
-def test_normal_basis_preferred_m3():
-    ctx = default_field(3)
-    gamma = ctx.exp[6]
-    nb = find_normal_basis(ctx, 3, preferred=gamma)
-    assert nb.generator == gamma
-    assert nb.basis == (5, 7, 3)  # a^6, a^5, a^3
-
-
-def test_normal_basis_rejects_one():
-    ctx = default_field(3)
-    with pytest.raises(ValueError):
-        find_normal_basis(ctx, 3, preferred=1)
-
-
-def test_normal_basis_rejects_non_normal():
-    ctx = default_field(3)
-    # conjugates of a are {a, a^2, a^4} with a^4 = a^2 + a: dependent
-    with pytest.raises(ValueError):
-        find_normal_basis(ctx, 3, preferred=2)
-
-
-def test_normal_basis_rejects_outsider():
-    ctx = default_field(4)
-    # a lies outside GF(4) inside GF(16)
-    with pytest.raises(ValueError, match="outside"):
-        find_normal_basis(ctx, 2, preferred=2)
-
-
 def test_normal_basis_bad_degree():
     ctx = default_field(4)
     with pytest.raises(ValueError):
