@@ -33,7 +33,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from math import gcd
 from typing import Callable, NamedTuple, Sequence
 
@@ -544,46 +544,43 @@ def _gather(perm) -> _Kernel:
     return lambda x: x[idx]
 
 
-def _block_entries(blocks: tuple[Block, ...]) -> np.ndarray:
-    """(k, d, d) entries of k blocks of one size d."""
-    if all(isinstance(b, CirculantBlock) for b in blocks):
-        first = np.array([b.first_row for b in blocks])
-        d = first.shape[1]
-        return first[:, (np.arange(d)[:, None] + np.arange(d)) % d]
-    k, d = len(blocks), blocks[0].size
-    flat = chain.from_iterable(b.row(r) for b in blocks for r in range(d))
-    return np.fromiter(flat, dtype=np.int64, count=k * d * d).reshape(k, d, d)
+def _padded(blocks: Sequence[Block]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every block zero-padded to the widest size w: the entries (l, w, w)
+    from block.row(t), the positions of each block's rows (l, w), and keep,
+    the flat indices of the real rows, which come out in position order.  A
+    pad row or column points at position 0: its entries are all 0."""
+    sizes = np.array([b.size for b in blocks])
+    w = int(sizes.max())
+    entries = np.zeros((len(blocks), w, w), dtype=np.int64)
+    for k, b in enumerate(blocks):
+        entries[k, : b.size, : b.size] = [b.row(t) for t in range(b.size)]
+    real = np.arange(w) < sizes[:, None]
+    pos = np.where(real, (np.cumsum(sizes) - sizes)[:, None] + np.arange(w), 0)
+    return entries, pos, np.flatnonzero(real)
 
 
 def _block_kernel(ctx: FieldContext, blocks: Sequence[Block]) -> _Kernel:
     """Block k multiplies the d_k positions of a coset-ordered vector that
-    follow the blocks before it; same-size blocks run as one gather."""
+    follow the blocks before it.  The blocks, zero-padded to the widest size
+    w, run as one gather and w rounds of add, take and XOR over the padded
+    (l, w, batch) grid; a padded entry's sentinel log sends its products to
+    exp's zero tail, and keep drops the pad rows."""
     n = ctx.n
     log = np.array(ctx.log, dtype=np.int32)
     log[0] = 2 * n  # any sum with the sentinel lands in exp's zero tail
     exp = np.zeros(4 * n + 1, dtype=np.uint16)
     exp[: 2 * n] = ctx.exp * 2
-    by_size: dict[int, list] = {}
-    for start, blk in zip(accumulate((b.size for b in blocks), initial=0), blocks):
-        by_size.setdefault(blk.size, []).append((start, blk))
-    groups = []  # (positions (k, d), logs of column j of each block (d, k, d, 1))
-    for d, members in by_size.items():
-        starts, group = zip(*members)
-        logs = log[_block_entries(group)]
-        groups.append((np.array(starts)[:, None] + np.arange(d), np.moveaxis(logs, 2, 0)[..., None]))
+    entries, pos, keep = _padded(blocks)
+    col_logs = np.moveaxis(log[entries], 2, 0)[..., None]  # column j of every block: (w, l, w, 1)
 
     def run(x: np.ndarray) -> np.ndarray:
-        out = np.empty_like(x)
-        lx = log[x]
-        for idx, lb in groups:
-            xs = lx[idx]  # (k, d, batch)
-            acc = np.zeros(xs.shape, dtype=np.uint16)
-            total, term = np.empty_like(xs), np.empty_like(acc)
-            for j, col in enumerate(lb):
-                np.add(col, xs[:, None, j], out=total)
-                acc ^= np.take(exp, total, out=term, mode="clip")
-            out[idx] = acc
-        return out
+        xs = log[x][pos]  # (l, w, batch)
+        acc = np.zeros(xs.shape, dtype=np.uint16)
+        total, term = np.empty_like(xs), np.empty_like(acc)
+        for j, col in enumerate(col_logs):
+            np.add(col, xs[:, None, j], out=total)
+            acc ^= np.take(exp, total, out=term, mode="clip")
+        return acc.reshape(pos.size, x.shape[1])[keep]
 
     return run
 
@@ -601,19 +598,16 @@ def _binary_kernel(matrix: BinaryMatrix) -> _Kernel:
         cols[: matrix.cols] = x
         cols = cols.reshape(width, 8, batch)
         out = np.zeros((matrix.n_rows, batch), dtype=np.uint16)
-        b_step = max(1, min(batch, _SCRATCH // 256))
-        g_step = max(1, _SCRATCH // (256 * b_step))
-        for b0 in range(0, batch, b_step):
-            acc = out[:, b0 : b0 + b_step]
-            looked_up = np.empty_like(acc)
-            for g0 in range(0, width, g_step):
-                part = cols[g0 : g0 + g_step, :, b0 : b0 + b_step]
-                table = np.zeros((len(part), 256, part.shape[2]), dtype=np.uint16)
-                for bit in range(8):
-                    lo = 1 << bit
-                    np.bitwise_xor(table[:, :lo], part[:, bit, None], out=table[:, lo : 2 * lo])
-                for g, tab in enumerate(table, g0):
-                    acc ^= np.take(tab, sel[g], axis=0, out=looked_up, mode="clip")
+        looked_up = np.empty_like(out)
+        step = max(1, _SCRATCH // (256 * max(batch, 1)))
+        for g0 in range(0, width, step):
+            part = cols[g0 : g0 + step]
+            table = np.zeros((len(part), 256, batch), dtype=np.uint16)
+            for bit in range(8):
+                lo = 1 << bit
+                np.bitwise_xor(table[:, :lo], part[:, bit, None], out=table[:, lo : 2 * lo])
+            for g, tab in enumerate(table, g0):
+                out ^= np.take(tab, sel[g], axis=0, out=looked_up, mode="clip")
         return out
 
     return run
@@ -707,12 +701,9 @@ def _plan_counts(plan: Plan) -> _Counts:
 
 def _mult_weights(blocks: Sequence[Block]) -> np.ndarray:
     """w_j: the entries > 1 in column j of the block covering position j;
-    0 under a pass-through block, which issues no multiplications."""
-    w = np.zeros(sum(b.size for b in blocks), dtype=np.int64)
-    for start, blk in zip(accumulate((b.size for b in blocks), initial=0), blocks):
-        if blk != UNIT_BLOCK:
-            w[start : start + blk.size] = (_block_entries((blk,))[0] > 1).sum(axis=0)
-    return w
+    0 under a pass-through block, which has no entry > 1."""
+    entries, _, keep = _padded(blocks)
+    return (entries > 1).sum(axis=1).ravel()[keep]
 
 
 def stage1_bound(ctx: FieldContext) -> int:

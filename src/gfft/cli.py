@@ -226,33 +226,6 @@ def emit_bench_csv(records, out):
         )
 
 
-def parse_bench_csv(text: str):
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ValueError("missing or malformed bench CSV header")
-    records = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 11:
-            raise ValueError(f"bad bench CSV record: {ln!r}")
-        records.append(
-            {
-                "algo": parts[0],
-                "m": int(parts[1]),
-                "n": int(parts[2]),
-                "stage1_mults": int(parts[3]),
-                "stage1_adds": int(parts[4]),
-                "stage2_adds_naive": int(parts[5]),
-                "stage2_adds_4r": int(parts[6]),
-                "bound_nlogn": int(parts[7]),
-                "bound_2n2logn": int(parts[8]),
-                "ok_mults": {"true": True, "false": False}[parts[9]],
-                "ok_adds": {"true": True, "false": False}[parts[10]],
-            }
-        )
-    return records
-
-
 def cmd_bench(args, out=sys.stdout) -> int:
     ms = parse_m_range(args.m)
     if ms[0] < BENCH_M_RANGE[0] or ms[-1] > BENCH_M_RANGE[1]:

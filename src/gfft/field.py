@@ -134,6 +134,8 @@ def build_field(spec: FieldSpec) -> FieldContext:
     if not (M_MIN <= m <= M_MAX):
         raise ValueError(f"m={m} out of range [{M_MIN},{M_MAX}]")
     poly = spec.resolved_poly()
+    if poly < 0:
+        raise ValueError(f"polynomial {poly:#x} is negative")
     if poly.bit_length() != m + 1:
         raise ValueError(f"polynomial {poly:#x} does not have degree {m}")
     if not poly & 1:

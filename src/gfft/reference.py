@@ -12,6 +12,8 @@ operation as it issues it; algorithms.apply must report the same counts.
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 from . import binmat
@@ -62,36 +64,16 @@ def dense_matvec(
     return out
 
 
-class _BatchTables:
-    """Per-context numpy scratch for the vectorized oracle."""
-
-    __slots__ = ("idx", "exp3", "logpad", "sentinel")
-
-    def __init__(self, ctx: FieldContext):
-        n = ctx.n
-        self.idx = np.arange(n, dtype=np.int64)
-        # exp repeated twice, then a zero pad that the 0-element sentinel maps into
-        self.exp3 = np.concatenate(
-            [np.array(ctx.exp, dtype=np.int32)] * 2 + [np.zeros(n, dtype=np.int32)]
-        )
-        self.sentinel = 2 * n
-        logpad = np.zeros(1 << ctx.m, dtype=np.int32)
-        for v in range(1, 1 << ctx.m):
-            logpad[v] = ctx.log[v]
-        logpad[0] = self.sentinel
-        self.logpad = logpad
-
-
-_BATCH_CACHE: dict[tuple[int, int], _BatchTables] = {}
-
-
-def _batch_tables(ctx: FieldContext) -> _BatchTables:
-    key = (ctx.m, ctx.spec.resolved_poly())
-    tab = _BATCH_CACHE.get(key)
-    if tab is None:
-        tab = _BatchTables(ctx)
-        _BATCH_CACHE[key] = tab
-    return tab
+@cache
+def _batch_tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-field numpy tables of the vectorized oracle: the indices 0..n-1,
+    exp repeated twice then a zero pad, and log with the 0-element sentinel
+    2n, which maps every sum it takes part in into that pad."""
+    n = ctx.n
+    exp3 = np.concatenate([np.array(ctx.exp, dtype=np.int32)] * 2 + [np.zeros(n, dtype=np.int32)])
+    logpad = np.array(ctx.log, dtype=np.int32)
+    logpad[0] = 2 * n
+    return np.arange(n, dtype=np.int64), exp3, logpad
 
 
 def naive_dft_batch(vectors: list[list[int]], ctx: FieldContext) -> list[list[int]]:
@@ -102,22 +84,22 @@ def naive_dft_batch(vectors: list[list[int]], ctx: FieldContext) -> list[list[in
     exponent-product matrix are reused across the whole batch.
     """
     n = ctx.n
-    tab = _batch_tables(ctx)
+    idx, exp3, logpad = _batch_tables(ctx)
     for vec in vectors:
         if len(vec) != n:
             raise ValueError(f"expected length {n}, got {len(vec)}")
     if not vectors:
         return []
-    lfs = tab.logpad[np.asarray(vectors, dtype=np.int64)]
+    lfs = logpad[np.asarray(vectors, dtype=np.int64)]
     count = len(vectors)
     res = np.empty((count, n), dtype=np.int32)
     chunk = max(1, (1 << 21) // max(n, 1))  # keep the (rows x n) block in cache
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
         # exponent products for this row block, shared by the whole batch
-        block = ((tab.idx[lo:hi, None] * tab.idx[None, :]) % n).astype(np.int32)
+        block = ((idx[lo:hi, None] * idx[None, :]) % n).astype(np.int32)
         for b in range(count):
-            res[b, lo:hi] = np.bitwise_xor.reduce(tab.exp3[block + lfs[b]], axis=1)
+            res[b, lo:hi] = np.bitwise_xor.reduce(exp3[block + lfs[b]], axis=1)
     return [[int(v) for v in row] for row in res]
 
 

@@ -33,7 +33,14 @@ from gfft.algorithms import (
     structural_stage1_counts,
 )
 from gfft.field import FieldSpec, OpCount, build_field, default_field
-from gfft.reference import counted_apply, naive_dft, poly_eval, transform_matrix, unit_response
+from gfft.reference import (
+    counted_apply,
+    naive_dft,
+    naive_dft_batch,
+    poly_eval,
+    transform_matrix,
+    unit_response,
+)
 from gfft.structure import (
     LinearSolver,
     NormalBasis,
@@ -524,6 +531,18 @@ def test_batch_wider_than_one_table_chunk(ctx3):
     expected = [naive_dft(f, ctx3) for f in vecs]
     for tag in ALL_TAGS:
         assert apply_batch(build(tag, ctx3), vecs) == expected, tag
+
+
+@pytest.mark.parametrize("m", [4, 6])
+def test_batch_above_1024_with_padded_blocks(m):
+    # blocks of sizes 1, 2, 4 (m = 4) or 1, 2, 3, 6 (m = 6) padded to one
+    # width, and past 1024 vectors one group per subset-XOR table
+    ctx = default_field(m)
+    rng = random.Random(m)
+    vecs = [[rng.randrange(ctx.n + 1) for _ in range(ctx.n)] for _ in range(1100)]
+    expected = naive_dft_batch(vecs, ctx)
+    for tag in ALL_TAGS:
+        assert apply_batch(build(tag, ctx), vecs) == expected, tag
 
 
 @pytest.mark.parametrize(

@@ -42,6 +42,12 @@ def test_malformed_poly_rejected():
         build_field(FieldSpec(3, 0b1010))
 
 
+@pytest.mark.parametrize("m, poly", [(3, -0xB), (8, -0x11D)])
+def test_negative_poly_rejected(m, poly):
+    with pytest.raises(ValueError, match="negative"):
+        build_field(FieldSpec(m, poly))
+
+
 def test_default_table_all_primitive():
     for m in PRIMITIVE_POLYS:
         ctx = default_field(m)
