@@ -32,8 +32,6 @@ from .algorithms import (
     FACTORED_TAGS,
     BinaryStage,
     BlockStage,
-    CirculantBlock,
-    DenseBlock,
     Plan,
     TransformTally,
     apply,

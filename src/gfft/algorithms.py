@@ -2,15 +2,17 @@
 
 Every algorithm here builds a Plan from the field alone: gather the input
 in in_perm order, run two stages, and scatter the result to out_perm.  A
-block stage multiplies consecutive slices by small dense or circulant
-blocks (the only field multiplications); a binary stage multiplies by a
-0/1 matrix (additions only).
+block stage multiplies consecutive slices by small square blocks, held
+zero-padded in one array (the only field multiplications); a binary stage
+multiplies by a 0/1 matrix (additions only).
 
 One builder makes all six plans.  The input goes in coset order through
 the diagonal blocks D, then through the binary matrix A.  Per coset the
 algorithm picks a basis; D's block is basis[t]^(2^j) at (t, j), and A holds
-the coordinates of a^(i*rep) in that basis.  The six differ only in the
-bases, the output order and whether the plan is transposed:
+the coordinates of a^(i*rep) in that basis; the block is circulant, as
+BlockStage.circulant reads off its entries, exactly when the basis is a
+conjugate sequence.  The six differ only in the bases, the output order
+and whether the plan is transposed:
 
   blahut2008  power basis (1, b, ..., b^(d-1)) of b = a^s on every coset
               (V blocks, then the combine matrix)
@@ -46,7 +48,6 @@ from .structure import (
     CosetPartition,
     LinearSolver,
     NormalBasis,
-    conjugates,
     cyclotomic_cosets,
     doubling_orbit,
     find_normal_basis,
@@ -74,41 +75,7 @@ class TransformTally:
 
     @classmethod
     def fresh(cls) -> "TransformTally":
-        return cls(OpCount(stage="stage1"), OpCount(stage="stage2"))
-
-
-@dataclass(frozen=True)
-class CirculantBlock:
-    """Square block whose row r is the first row rotated left by r."""
-
-    first_row: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.first_row)
-
-    def row(self, r: int) -> tuple[int, ...]:
-        r %= self.size
-        return self.first_row[r:] + self.first_row[:r]
-
-
-@dataclass(frozen=True)
-class DenseBlock:
-    """General square block of field elements (row-major)."""
-
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def row(self, r: int) -> tuple[int, ...]:
-        return self.rows[r]
-
-
-Block = CirculantBlock | DenseBlock
-
-UNIT_BLOCK = CirculantBlock((1,))
+        return cls(OpCount(), OpCount())
 
 
 # ---------------------------------------------------------------------------
@@ -116,12 +83,60 @@ UNIT_BLOCK = CirculantBlock((1,))
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BlockStage:
-    """Block-diagonal stage: block k multiplies the d_k positions that follow
-    the blocks before it.  Carries every field multiplication."""
+def _within(sizes, w: int) -> np.ndarray:
+    """(l, w) bool: entry [k, t] is t < sizes[k]."""
+    return np.arange(w) < np.asarray(sizes)[:, None]
 
-    blocks: tuple[Block, ...]
+
+class BlockStage:
+    """Block-diagonal stage: block k multiplies the sizes[k] positions that
+    follow the blocks before it.  Carries every field multiplication.
+
+    The blocks sit zero-padded in one uint16 array, the only place that
+    knows the layout: entry (t, j) of block k is entries[k, t, j], shape
+    (l, w, w) with w the largest size, and every entry past a block's size
+    is 0.  A pass-through block has size 1 and entry 1."""
+
+    __slots__ = ("entries", "sizes")
+
+    def __init__(self, entries: np.ndarray, sizes: Sequence[int]):
+        """ValueError unless entries is a (len(sizes), w, w) uint16 array, w
+        the largest size, that is 0 past each block's size."""
+        sizes = tuple(map(int, sizes))
+        w = max(sizes, default=0)
+        if getattr(entries, "dtype", None) != np.uint16 or np.shape(entries) != (len(sizes), w, w):
+            raise ValueError(f"block entries must be a ({len(sizes)}, {w}, {w}) uint16 numpy array")
+        real = _within(sizes, w)
+        if entries[~(real[:, :, None] & real[:, None, :])].any():
+            raise ValueError("entries set past a block's size")
+        self.entries = entries
+        self.sizes = sizes
+
+    def rows(self, k: int) -> tuple[tuple[int, ...], ...]:
+        """Block k as Python ints, row-major."""
+        d = self.sizes[k]
+        return tuple(map(tuple, self.entries[k, :d, :d].tolist()))
+
+    def circulant(self, k: int) -> bool:
+        """Whether row t of block k is row 0 rotated left by t."""
+        d = self.sizes[k]
+        block = self.entries[k, :d, :d]
+        return bool((block == block[0, (np.arange(d)[:, None] + np.arange(d)) % d]).all())
+
+    def grid(self) -> tuple[np.ndarray, np.ndarray]:
+        """pos (l, w), the vector position of row t of block k (0 past its
+        size, where the entries are 0), and keep, the flat indices of the
+        real rows, which come out in position order."""
+        sizes, w = np.array(self.sizes), self.entries.shape[1]
+        real = _within(sizes, w)
+        return np.where(real, (np.cumsum(sizes) - sizes)[:, None] + np.arange(w), 0), np.flatnonzero(real)
+
+    def __eq__(self, other) -> bool:
+        same_sizes = isinstance(other, BlockStage) and self.sizes == other.sizes
+        return same_sizes and np.array_equal(self.entries, other.entries)
+
+    def __repr__(self) -> str:
+        return f"BlockStage(sizes={self.sizes})"
 
 
 @dataclass(frozen=True)
@@ -233,22 +248,19 @@ def _layouts_for_tag(ctx: FieldContext, partition: CosetPartition, tag: str) -> 
     return out
 
 
-def _d_block(ctx: FieldContext, basis: tuple[int, ...]) -> Block:
-    """Entry (t, j) = basis[t]^(2^j): row t lists the conjugates of basis[t].
+def _d_blocks(ctx: FieldContext, bases: Sequence[tuple[int, ...]]) -> BlockStage:
+    """Block k has entry (t, j) = bases[k][t]^(2^j), i.e. exp[(log
+    bases[k][t] * 2^j) mod n]: row t lists the conjugates of bases[k][t].
     Circulant exactly when the basis is a conjugate sequence (its first row
     is the basis; it spans GF(2^d), so basis[0]^(2^d) wraps round to
     basis[0]), which holds for the normal bases and for (1,)."""
-    d = len(basis)
-    first = conjugates(basis[0], d, ctx)
-    if first == basis:
-        return CirculantBlock(basis)
-    return DenseBlock((first, *(conjugates(b, d, ctx) for b in basis[1:])))
-
-
-def _transposed(block: Block) -> Block:
-    """The transpose; a circulant's entry (t, j) depends on t + j only, so
-    it is its own transpose."""
-    return block if isinstance(block, CirculantBlock) else DenseBlock(tuple(zip(*block.rows)))
+    sizes = [len(b) for b in bases]
+    real = _within(sizes, max(sizes))
+    logs = np.zeros(real.shape, dtype=np.int64)
+    logs[real] = np.asarray(ctx.log)[[x for b in bases for x in b]]
+    entries = np.asarray(ctx.exp, dtype=np.uint16)[(logs[:, :, None] << np.arange(real.shape[1])) % ctx.n]
+    entries[~(real[:, :, None] & real[:, None, :])] = 0
+    return BlockStage(entries, sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -314,13 +326,13 @@ def _build(ctx: FieldContext, tag: str) -> Plan:
     coset_order = tuple(i for lay in layouts for i in lay.elements)
     out_perm = coset_order if tag in (FED2006A, FED2006B) else tuple(range(n))
     coords = _coords_matrix(ctx, out_perm, [(lay.rep, lay.basis) for lay in layouts])
-    blocks = tuple(_d_block(ctx, lay.basis) for lay in layouts)
+    d = _d_blocks(ctx, [lay.basis for lay in layouts])
     if tag == GOERTZEL:
         r_matrix = BinaryMatrix.from_coords(coords, partition.sizes(), transpose=True)
-        stages = (BinaryStage(r_matrix), BlockStage(tuple(map(_transposed, blocks))))
+        stages = (BinaryStage(r_matrix), BlockStage(d.entries.swapaxes(1, 2), d.sizes))
         return Plan(tag, ctx, partition, out_perm, stages, coset_order)
     a_matrix = BinaryMatrix.from_coords(coords, partition.sizes())
-    return Plan(tag, ctx, partition, coset_order, (BlockStage(blocks), BinaryStage(a_matrix)), out_perm)
+    return Plan(tag, ctx, partition, coset_order, (d, BinaryStage(a_matrix)), out_perm)
 
 
 def build_goertzel(ctx: FieldContext) -> Plan:
@@ -452,14 +464,13 @@ def materialize(plan: Plan) -> list[list[int]]:
     set in column i of the matrix's row group k.
     """
     n = plan.ctx.n
-    blocks = plan.stage(BlockStage).blocks
+    stage = plan.stage(BlockStage)
     rows = plan.stage(BinaryStage).matrix.rows
     blocks_first = isinstance(plan.stages[0], BlockStage)
     dense = [[0] * n for _ in range(n)]  # in stage order: output r, input c
     c0 = 0
-    for block in blocks:
-        d = block.size
-        entries = [block.row(t) for t in range(d)]
+    for k, d in enumerate(stage.sizes):
+        entries = stage.rows(k)
         if not blocks_first:
             entries = list(zip(*entries))
         for i in range(n):
@@ -525,12 +536,13 @@ def coset_block_report(plan: Plan) -> list[dict]:
 # per vector, between gathers for the two permutations: a block stage for
 # the multiplications (log/exp lookups; zero has a sentinel log that exp
 # maps back to 0) and a binary stage for the additions (Four Russians on the
-# bytes of each row, read in place from the matrix's packed array).  Table
-# lookups and XOR only, so both are exact.  The kernels count nothing
-# themselves: a counted apply takes its counts from the plan's cached
-# structural counts (Plan._counts) plus one dot product per block stage for
-# the data-dependent multiplications.  Each plan builds its kernels once, on
-# first use (Plan._kernels), copying no matrix; the per-call subset-XOR
+# bytes of each row).  Each reads its stage's one array as stored: the
+# padded block entries, the packed matrix bytes.  Table lookups and XOR
+# only, so both are exact.  The kernels count nothing themselves: a counted
+# apply takes its counts from the plan's cached structural counts
+# (Plan._counts) plus one dot product per block stage for the
+# data-dependent multiplications.  Each plan builds its kernels once, on
+# first use (Plan._kernels), copying no stage; the per-call subset-XOR
 # tables are chunked to _SCRATCH elements.  A kernel writes only arrays it
 # allocates per call, so a plan stays safe to share across threads.
 # ---------------------------------------------------------------------------
@@ -544,34 +556,19 @@ def _gather(perm) -> _Kernel:
     return lambda x: x[idx]
 
 
-def _padded(blocks: Sequence[Block]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every block zero-padded to the widest size w: the entries (l, w, w)
-    from block.row(t), the positions of each block's rows (l, w), and keep,
-    the flat indices of the real rows, which come out in position order.  A
-    pad row or column points at position 0: its entries are all 0."""
-    sizes = np.array([b.size for b in blocks])
-    w = int(sizes.max())
-    entries = np.zeros((len(blocks), w, w), dtype=np.int64)
-    for k, b in enumerate(blocks):
-        entries[k, : b.size, : b.size] = [b.row(t) for t in range(b.size)]
-    real = np.arange(w) < sizes[:, None]
-    pos = np.where(real, (np.cumsum(sizes) - sizes)[:, None] + np.arange(w), 0)
-    return entries, pos, np.flatnonzero(real)
-
-
-def _block_kernel(ctx: FieldContext, blocks: Sequence[Block]) -> _Kernel:
+def _block_kernel(ctx: FieldContext, stage: BlockStage) -> _Kernel:
     """Block k multiplies the d_k positions of a coset-ordered vector that
-    follow the blocks before it.  The blocks, zero-padded to the widest size
-    w, run as one gather and w rounds of add, take and XOR over the padded
-    (l, w, batch) grid; a padded entry's sentinel log sends its products to
+    follow the blocks before it.  The stage's padded (l, w, w) entries run
+    as one gather and w rounds of add, take and XOR over the padded
+    (l, w, batch) grid; a pad entry's sentinel log sends its products to
     exp's zero tail, and keep drops the pad rows."""
     n = ctx.n
     log = np.array(ctx.log, dtype=np.int32)
     log[0] = 2 * n  # any sum with the sentinel lands in exp's zero tail
     exp = np.zeros(4 * n + 1, dtype=np.uint16)
     exp[: 2 * n] = ctx.exp * 2
-    entries, pos, keep = _padded(blocks)
-    col_logs = np.moveaxis(log[entries], 2, 0)[..., None]  # column j of every block: (w, l, w, 1)
+    pos, keep = stage.grid()
+    col_logs = np.moveaxis(log[stage.entries], 2, 0)[..., None]  # column j of every block: (w, l, w, 1)
 
     def run(x: np.ndarray) -> np.ndarray:
         xs = log[x][pos]  # (l, w, batch)
@@ -615,7 +612,7 @@ def _binary_kernel(matrix: BinaryMatrix) -> _Kernel:
 
 def _batch_stages(plan: Plan) -> list[_Kernel]:
     kernels = [
-        _binary_kernel(s.matrix) if isinstance(s, BinaryStage) else _block_kernel(plan.ctx, s.blocks)
+        _binary_kernel(s.matrix) if isinstance(s, BinaryStage) else _block_kernel(plan.ctx, s)
         for s in plan.stages
     ]
     return [_gather(plan.in_perm), *kernels, _gather(np.argsort(plan.out_perm))]
@@ -652,17 +649,12 @@ def structural_stage1_counts(plan: Plan) -> tuple[int, int]:
     free, so a d x d circulant of non-unit conjugates costs d^2 and a dense
     block costs its count of non-unit entries.
     """
-    return _stage1_counts(b for s in plan.stages if isinstance(s, BlockStage) for b in s.blocks)
+    return _stage1_counts(plan.stage(BlockStage))
 
 
-def _stage1_counts(blocks) -> tuple[int, int]:
-    mults = adds = 0
-    for block in blocks:
-        d = block.size
-        adds += d * (d - 1)
-        # the entries > 1
-        mults += sum(d - row.count(0) - row.count(1) for row in map(block.row, range(d)))
-    return mults, adds
+def _stage1_counts(stage: BlockStage) -> tuple[int, int]:
+    """The entries > 1, and d(d - 1) per block."""
+    return int((stage.entries > 1).sum()), sum(d * (d - 1) for d in stage.sizes)
 
 
 def stage2_naive_adds(plan: Plan) -> int:
@@ -687,23 +679,25 @@ def _plan_counts(plan: Plan) -> _Counts:
     """Counted from the stages as the reference walk issues the operations,
     not through structural_stage1_counts or stage2_naive_adds, so that a
     check of a tally against those compares two separate codings."""
-    blocks = [b for s in plan.stages if isinstance(s, BlockStage) for b in s.blocks if b != UNIT_BLOCK]
+    stage = plan.stage(BlockStage)
+    sizes = np.array(stage.sizes)
+    issued = (sizes > 1) | (stage.entries[:, 0, 0] != 1)  # all blocks but the pass-throughs
     matrices = [s.matrix for s in plan.stages if isinstance(s, BinaryStage)]
-    stage_weights = (_mult_weights(s.blocks) if isinstance(s, BlockStage) else None for s in plan.stages)
+    stage_weights = (_mult_weights(s) if isinstance(s, BlockStage) else None for s in plan.stages)
     return _Counts(
         (None, *stage_weights, None),  # the two gathers count nothing
-        sum(b.size**2 for b in blocks),
-        sum(b.size * (b.size - 1) for b in blocks),
+        int((sizes[issued] ** 2).sum()),
+        int((sizes * (sizes - 1)).sum()),
         sum(int(np.maximum(a.row_popcounts() - 1, 0).sum()) for a in matrices),
         sum(binmat.make_plan(a.cols).predicted_adds(a.n_rows) for a in matrices),
     )
 
 
-def _mult_weights(blocks: Sequence[Block]) -> np.ndarray:
+def _mult_weights(stage: BlockStage) -> np.ndarray:
     """w_j: the entries > 1 in column j of the block covering position j;
     0 under a pass-through block, which has no entry > 1."""
-    entries, _, keep = _padded(blocks)
-    return (entries > 1).sum(axis=1).ravel()[keep]
+    _, keep = stage.grid()
+    return (stage.entries > 1).sum(axis=1).ravel()[keep]
 
 
 def stage1_bound(ctx: FieldContext) -> int:
@@ -736,4 +730,4 @@ def structural_counts_for_tag(ctx: FieldContext, tag: str) -> tuple[int, int, in
             s = int(BinaryMatrix.from_coords(table[:: g // step, None], [len(lay.basis)]).row_popcounts().sum())
             subgroup_pc[key] = s
         total_ones += g * s
-    return (*_stage1_counts(_d_block(ctx, lay.basis) for lay in layouts), total_ones - n)
+    return (*_stage1_counts(_d_blocks(ctx, [lay.basis for lay in layouts])), total_ones - n)

@@ -155,14 +155,14 @@ def cmd_verify(args, out=sys.stdout) -> int:
     tags = parse_algos(args.algo, alg.ALL_TAGS)
     poly = _parse_poly(args.poly, ms)
     seed = resolve_seed(args.seed)
+    ctxs = [field_for(m, poly) for m in ms]  # every usage error before the first line
 
     text = args.format == "text"
     if text:
         print(f"gfft verify: seed={seed} trials={args.trials} m={args.m} algo={','.join(tags)}", file=out)
         print(f"{'m':>2}  {'algo':<10}  {'random':<6}  {'units':<6}  {'matrix':<6}", file=out)
     records, mismatches = [], []
-    for m in ms:
-        ctx = field_for(m, poly)
+    for m, ctx in zip(ms, ctxs):
         for r in _verify_one_field(ctx, tags, args.trials, seed, mismatches):
             records.append(r)
             if text:
@@ -305,14 +305,16 @@ def _factor_text_factored(plan, out):
     for line in _grid_lines(plan.stage(alg.BinaryStage).matrix, sizes if grouped else None, sizes):
         print(f"  {line}", file=out)
     print("D_e blocks:", file=out)
-    for k, (coset, block) in enumerate(zip(plan.partition.cosets, plan.stage(alg.BlockStage).blocks)):
-        if block.size == 1:
-            print(f"  block {k} (coset {_coset_text(coset)}): [{_elem_row(ctx, block.row(0))}]", file=out)
+    blocks = plan.stage(alg.BlockStage)
+    for k, coset in enumerate(plan.partition.cosets):
+        rows = blocks.rows(k)
+        if len(rows) == 1:
+            print(f"  block {k} (coset {_coset_text(coset)}): [{_elem_row(ctx, rows[0])}]", file=out)
             continue
-        kind = "circulant" if isinstance(block, alg.CirculantBlock) else "dense"
+        kind = "circulant" if blocks.circulant(k) else "dense"
         print(f"  block {k} (coset {_coset_text(coset)}): {kind}", file=out)
-        for r in range(block.size):
-            print(f"    {_elem_row(ctx, block.row(r))}", file=out)
+        for row in rows:
+            print(f"    {_elem_row(ctx, row)}", file=out)
 
 
 def _factor_text_goertzel(plan, out):
@@ -322,24 +324,25 @@ def _factor_text_goertzel(plan, out):
     for line in _grid_lines(plan.stage(alg.BinaryStage).matrix, sizes, [ctx.n]):
         print(f"  {line}", file=out)
     print("evaluation blocks (rows = output points):", file=out)
-    for coset, block in zip(plan.partition.cosets, plan.stage(alg.BlockStage).blocks):
+    blocks = plan.stage(alg.BlockStage)
+    for k, coset in enumerate(plan.partition.cosets):
         print(f"  coset {_coset_text(coset)}:", file=out)
-        for r, e in enumerate(coset.elements):
-            print(f"    F{e}: {_elem_row(ctx, block.row(r))}", file=out)
+        for e, row in zip(coset.elements, blocks.rows(k)):
+            print(f"    F{e}: {_elem_row(ctx, row)}", file=out)
 
 
 def _factor_text_blahut(plan, out):
     ctx, sizes = plan.ctx, plan.partition.sizes()
     combine = plan.stage(alg.BinaryStage).matrix
-    blocks = plan.stage(alg.BlockStage).blocks
-    for coset, block, c0 in zip(plan.partition.cosets, blocks, accumulate(sizes, initial=0)):
+    blocks = plan.stage(alg.BlockStage)
+    for k, (coset, c0) in enumerate(zip(plan.partition.cosets, accumulate(sizes, initial=0))):
         if coset.leader == 0:
             print(f"coset {_coset_text(coset)}: all-ones column times f0", file=out)
             continue
         print(f"coset {_coset_text(coset)}:", file=out)
         print("  V (element rows):", file=out)
-        for r in range(block.size):
-            print(f"    {_elem_row(ctx, block.row(r))}", file=out)
+        for row in blocks.rows(k):
+            print(f"    {_elem_row(ctx, row)}", file=out)
         print(f"  B (binary rows, outputs F0..F{ctx.n - 1}):", file=out)
         for line in _grid_lines(combine.submatrix(0, ctx.n, c0, c0 + coset.size), None, [coset.size]):
             print(f"    {line}", file=out)
@@ -375,9 +378,9 @@ def _factor_latex(plan, out):
             _bmatrix(map(stage.matrix.row_bits, range(stage.matrix.n_rows)), str, out)
             continue
         print(f"% {block_label}", file=out)
-        for k, block in enumerate(stage.blocks):
+        for k in range(len(stage.sizes)):
             print(f"% block {k}", file=out)
-            _bmatrix(map(block.row, range(block.size)), lambda e: _latex_elem(ctx, e), out)
+            _bmatrix(stage.rows(k), lambda e: _latex_elem(ctx, e), out)
 
 
 def cmd_factor(args, out=sys.stdout) -> int:

@@ -66,7 +66,6 @@ class OpCount:
     count_units=True to count every invocation.
     """
 
-    stage: str = ""
     mults: int = 0
     adds: int = 0
     count_units: bool = False

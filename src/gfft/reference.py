@@ -17,7 +17,7 @@ from functools import cache
 import numpy as np
 
 from . import binmat
-from .algorithms import UNIT_BLOCK, Block, BinaryStage, Plan, TransformTally, validate_vectors
+from .algorithms import BinaryStage, Plan, TransformTally, validate_vectors
 from .field import FieldContext, OpCount
 
 
@@ -103,12 +103,6 @@ def naive_dft_batch(vectors: list[list[int]], ctx: FieldContext) -> list[list[in
     return [[int(v) for v in row] for row in res]
 
 
-def _block_matvec(block: Block, v: list[int], ctx: FieldContext, oc: OpCount | None) -> list[int]:
-    if block == UNIT_BLOCK:
-        return list(v)  # pass-through; no operations issued
-    return dense_matvec([block.row(r) for r in range(block.size)], v, ctx, oc)
-
-
 def counted_apply(
     plan: Plan, f: list[int], tally: TransformTally, four_russians: bool = False
 ) -> list[int]:
@@ -128,9 +122,10 @@ def counted_apply(
                 x = binmat.binmatvec_naive(stage.matrix, x, tally.stage2)
             continue
         y, pos = [], 0
-        for block in stage.blocks:
-            y += _block_matvec(block, x[pos : pos + block.size], ctx, tally.stage1)
-            pos += block.size
+        for k, d in enumerate(stage.sizes):
+            rows, v = stage.rows(k), x[pos : pos + d]  # a pass-through block issues no operation
+            y += v if rows == ((1,),) else dense_matvec(rows, v, ctx, tally.stage1)
+            pos += d
         x = y
     out = [0] * ctx.n
     for r, i in enumerate(plan.out_perm):

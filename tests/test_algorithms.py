@@ -5,6 +5,7 @@ import sys
 import threading
 from itertools import accumulate, product
 
+import numpy as np
 import pytest
 
 from gfft import algorithms as alg
@@ -12,11 +13,8 @@ from gfft import binmat
 from gfft.algorithms import (
     ALL_TAGS,
     FACTORED_TAGS,
-    UNIT_BLOCK,
     BinaryStage,
     BlockStage,
-    CirculantBlock,
-    DenseBlock,
     TransformTally,
     apply,
     apply_batch,
@@ -66,11 +64,15 @@ def matrix_of(plan):
 
 
 def blocks_of(plan):
-    return plan.stage(BlockStage).blocks
+    """Each block's rows as Python ints."""
+    stage = plan.stage(BlockStage)
+    return [stage.rows(k) for k in range(len(stage.sizes))]
 
 
-def entries(block):
-    return tuple(block.row(r) for r in range(block.size))
+def circulants_of(plan):
+    """Whether each block is circulant."""
+    stage = plan.stage(BlockStage)
+    return [stage.circulant(k) for k in range(len(stage.sizes))]
 
 
 def column_blocks(plan):
@@ -97,7 +99,7 @@ def test_goertzel_matrices_m3(ctx3):
     assert matrix_of(plan).to_bits() == wk.GOERTZEL_R
     assert [minimal_polynomial(c, ctx3) for c in plan.partition.cosets] == wk.MIN_POLYS
     expected_blocks = tuple(logs_to_elems(ctx3, b) for b in wk.GOERTZEL_EVAL_LOGS)
-    assert tuple(map(entries, blocks_of(plan))) == expected_blocks
+    assert tuple(blocks_of(plan)) == expected_blocks
     assert plan.in_perm == tuple(range(7))
     assert plan.out_perm == (0, 1, 2, 4, 3, 6, 5)
 
@@ -108,9 +110,9 @@ def test_blahut_matrices_m3(ctx3):
     assert isinstance(plan.stages[0], BlockStage)
     assert b_blocks[1].to_bits() == wk.BLAHUT_B[1]
     assert b_blocks[2].to_bits() == wk.BLAHUT_B[3]
-    assert v_blocks[0] == UNIT_BLOCK
-    assert entries(v_blocks[1]) == logs_to_elems(ctx3, wk.BLAHUT_V_LOGS[1])
-    assert entries(v_blocks[2]) == logs_to_elems(ctx3, wk.BLAHUT_V_LOGS[3])
+    assert v_blocks[0] == ((1,),) and circulants_of(plan)[0]  # the pass-through
+    assert v_blocks[1] == logs_to_elems(ctx3, wk.BLAHUT_V_LOGS[1])
+    assert v_blocks[2] == logs_to_elems(ctx3, wk.BLAHUT_V_LOGS[3])
     assert plan.in_perm == (0, 1, 2, 4, 3, 6, 5)
     assert plan.out_perm == tuple(range(7))
     # first d rows of each spread matrix are the identity
@@ -127,18 +129,18 @@ def test_ft2002_matrices_m3(ctx3):
     assert plan.in_perm == wk.FT2002_IN_ORDER
     assert plan.out_perm == tuple(range(7))
     expected = logs_to_elems(ctx3, wk.FT2002_D_BLOCK_LOGS)
-    for block in blocks_of(plan)[1:]:
-        assert isinstance(block, DenseBlock)
-        assert block.rows == expected
+    for rows, circulant in zip(blocks_of(plan)[1:], circulants_of(plan)[1:]):
+        assert not circulant
+        assert rows == expected
 
 
 def test_tf2003_matrices_m3(ctx3):
     plan = build_tf2003(ctx3)
     assert matrix_of(plan).to_bits() == wk.TF2003_A
     first = tuple(ctx3.exp[v] for v in wk.TF2003_FIRST_ROW_LOGS)
-    for block in blocks_of(plan)[1:]:
-        assert isinstance(block, CirculantBlock)
-        assert block.first_row == first
+    for rows, circulant in zip(blocks_of(plan)[1:], circulants_of(plan)[1:]):
+        assert circulant
+        assert rows[0] == first
 
 
 def test_fed2006a_matrices_m3(ctx3):
@@ -154,8 +156,9 @@ def test_fed2006b_matrices_m3(ctx3):
     assert plan.in_perm == wk.FED2006B_ORDER
     assert plan.out_perm == wk.FED2006B_ORDER
     first = tuple(ctx3.exp[v] for v in wk.FED2006B_FIRST_ROW_LOGS)
-    for block in blocks_of(plan)[1:]:
-        assert block.first_row == first
+    for rows, circulant in zip(blocks_of(plan)[1:], circulants_of(plan)[1:]):
+        assert circulant
+        assert rows[0] == first
 
 
 def test_fed2006_variant_validation(ctx3):
@@ -275,7 +278,8 @@ def test_bulk_assembly_matches_per_element_assembly(m, poly):
 def test_tf2003_change_of_basis_identity(ctx3):
     # the standard-points block equals a binary matrix times the basis circulant
     binary = [[1, 1, 1], [0, 1, 1], [1, 0, 1]]
-    circ = CirculantBlock(tuple(ctx3.exp[v] for v in (3, 6, 5)))
+    first = tuple(ctx3.exp[v] for v in (3, 6, 5))
+    circ = [first[t:] + first[:t] for t in range(3)]  # row t: the first rotated left by t
     product = []
     for r in range(3):
         row = []
@@ -283,7 +287,7 @@ def test_tf2003_change_of_basis_identity(ctx3):
             acc = 0
             for t in range(3):
                 if binary[r][t]:
-                    acc ^= circ.row(t)[j]
+                    acc ^= circ[t][j]
             row.append(acc)
         product.append(row)
     expected = [[ctx3.exp[(t * (1 << j)) % 7] for j in range(3)] for t in range(3)]
@@ -422,7 +426,7 @@ def test_batch_matches_single(m):
 
 
 def _tally(count_units):
-    return TransformTally(OpCount("stage1", count_units=count_units), OpCount("stage2", count_units=count_units))
+    return TransformTally(OpCount(count_units=count_units), OpCount(count_units=count_units))
 
 
 def _counters(stage1, stage2):
@@ -591,13 +595,14 @@ def test_blahut2008_is_ft2002_with_power_bases_and_goertzel_its_transpose(m):
     goertzel, blahut, ft = (build(tag, ctx) for tag in ("goertzel", "blahut2008", "ft2002"))
     # the two differ only on the cosets of size m, where ft2002 takes the standard basis
     below_m = [d < m for d in blahut.partition.sizes()]
-    for parts in (blocks_of, column_blocks):
+    for parts in (blocks_of, circulants_of, column_blocks):
         pairs = zip(parts(blahut), parts(ft), below_m)
         assert [(b, f) for b, f, below in pairs if below and b != f] == [], parts.__name__
     assert (blahut.in_perm, blahut.out_perm) == (ft.in_perm, ft.out_perm)
     # W is symmetric: goertzel transposes every stage and swaps the permutations
     assert (goertzel.in_perm, goertzel.out_perm) == (blahut.out_perm, blahut.in_perm)
-    assert list(map(entries, blocks_of(goertzel))) == [tuple(zip(*entries(b))) for b in blocks_of(blahut)]
+    assert blocks_of(goertzel) == [tuple(zip(*b)) for b in blocks_of(blahut)]
+    assert circulants_of(goertzel) == circulants_of(blahut)
     assert matrix_of(goertzel).to_bits() == [list(col) for col in zip(*matrix_of(blahut).to_bits())]
 
 
@@ -627,10 +632,11 @@ def test_block_report_requires_grouped_rows(ctx3):
 def test_circulant_first_rows_are_conjugate_sequences(m, tag):
     ctx = default_field(m)
     plan = build(tag, ctx)
-    for block in blocks_of(plan):
-        if block.size == 1:
+    for rows, circulant in zip(blocks_of(plan), circulants_of(plan)):
+        assert circulant
+        if len(rows) == 1:
             continue
-        row = block.first_row
+        row = rows[0]
         for j in range(len(row)):
             assert ctx.mul(row[j], row[j]) == row[(j + 1) % len(row)]
 
@@ -660,12 +666,45 @@ def test_goertzel_remainder_property(m):
 # ---------------------------------------------------------------------------
 
 
-def test_circulant_rotation_convention(ctx3):
-    # row r is the first row rotated left by r
-    block = CirculantBlock((3, 5, 7))
-    assert block.row(0) == (3, 5, 7)
-    assert block.row(1) == (5, 7, 3)
-    assert block.row(2) == (7, 3, 5)
+def test_block_stage_rows_and_circulant():
+    # a 3x3 circulant (row r is the first row rotated left by r), the same
+    # block with one entry changed, and a pass-through
+    entries = np.zeros((3, 3, 3), dtype=np.uint16)
+    entries[0] = [(3, 5, 7), (5, 7, 3), (7, 3, 5)]
+    entries[1] = [(3, 5, 7), (5, 7, 3), (7, 3, 6)]
+    entries[2, 0, 0] = 1
+    stage = BlockStage(entries, [3, 3, 1])
+    assert stage.rows(0) == ((3, 5, 7), (5, 7, 3), (7, 3, 5))
+    assert stage.rows(1) == ((3, 5, 7), (5, 7, 3), (7, 3, 6))
+    assert stage.rows(2) == ((1,),)
+    assert [stage.circulant(k) for k in range(3)] == [True, False, True]
+    assert all(type(x) is int for row in stage.rows(0) for x in row)
+    assert stage == BlockStage(entries.copy(), (3, 3, 1))
+    assert stage != BlockStage(entries[:2], [3, 3])
+
+
+def test_block_stage_rejects_bad_layouts():
+    entries = np.zeros((2, 3, 3), dtype=np.uint16)
+    with pytest.raises(ValueError):
+        BlockStage(entries.astype(np.int64), [3, 1])
+    with pytest.raises(ValueError):
+        BlockStage(entries, [2, 1])  # w is not the largest size
+    entries[1, 0, 1] = 1  # past the size-1 block
+    with pytest.raises(ValueError):
+        BlockStage(entries, [3, 1])
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_block_kinds_follow_the_bases(m):
+    # conjugate-sequence (normal) bases give circulant blocks; power and
+    # standard bases start with 1, so only the pass-through is circulant
+    ctx = default_field(m)
+    for tag in ALL_TAGS:
+        plan = build(tag, ctx)
+        normal = tag in ("tf2003", "fed2006a", "fed2006b")
+        assert circulants_of(plan) == [normal or len(rows) == 1 for rows in blocks_of(plan)], tag
+        if not normal:
+            assert [rows for rows in blocks_of(plan) if len(rows) == 1] == [((1,),)], tag
 
 
 # ---------------------------------------------------------------------------

@@ -259,8 +259,8 @@ def test_factor_latex_prints_every_stage_matrix(algo):
     # one bmatrix for the binary stage plus one per block, in product order
     code, out = run(["factor", "--m", "3", "--algo", algo, "--format", "latex"])
     assert code == 0
-    blocks = alg.build(algo, default_field(3)).stage(alg.BlockStage).blocks
-    assert out.count("\\begin{bmatrix}") == out.count("\\end{bmatrix}") == 1 + len(blocks)
+    sizes = alg.build(algo, default_field(3)).stage(alg.BlockStage).sizes
+    assert out.count("\\begin{bmatrix}") == out.count("\\end{bmatrix}") == 1 + len(sizes)
 
 
 def test_factor_latex_goertzel_and_blahut():
@@ -310,6 +310,16 @@ def test_poly_rejects_negative(argv, capsys):
     code, _ = run(argv)
     assert code == 2
     assert "error: polynomial -0x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("poly", ["-11d", "11b", "100"])
+def test_verify_bad_poly_prints_nothing(poly, fmt, capsys):
+    # the field is built before the first line, so the error comes alone
+    code, out = run(["verify", "--m", "8", f"--poly={poly}", "--format", fmt])
+    assert code == 2
+    assert out == ""
+    assert "error:" in capsys.readouterr().err
 
 
 def test_poly_rejects_wrong_degree(capsys):

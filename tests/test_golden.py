@@ -15,7 +15,7 @@ import json
 from pathlib import Path
 
 from gfft import cli
-from gfft.algorithms import ALL_TAGS, BinaryStage, CirculantBlock, build
+from gfft.algorithms import ALL_TAGS, BinaryStage, build
 from gfft.field import FieldSpec, build_field
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -42,8 +42,14 @@ def plan_digest(plan) -> str:
         if isinstance(stage, BinaryStage):
             put("binary", stage.matrix.cols, [format(r, "x") for r in stage.matrix.rows])
             continue
-        for b in stage.blocks:
-            put(type(b).__name__, b.first_row if isinstance(b, CirculantBlock) else b.rows)
+        # each block as its kind and first row, or as all of its rows, named
+        # after the two block classes the digests were written with
+        for k in range(len(stage.sizes)):
+            rows = stage.rows(k)
+            if stage.circulant(k):
+                put("CirculantBlock", rows[0])
+            else:
+                put("DenseBlock", rows)
     return h.hexdigest()
 
 

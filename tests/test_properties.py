@@ -78,7 +78,7 @@ def test_counted_apply_matches_reference(m, poly, data):
     f = data.draw(st.lists(st.integers(0, ctx.n), min_size=ctx.n, max_size=ctx.n))
     for (tag, plan), fr, units in product(plans.items(), (False, True), (False, True)):
         got, want = (
-            alg.TransformTally(OpCount("stage1", count_units=units), OpCount("stage2", count_units=units))
+            alg.TransformTally(OpCount(count_units=units), OpCount(count_units=units))
             for _ in range(2)
         )
         assert alg.apply(plan, f, got, fr) == counted_apply(plan, f, want, fr), (tag, fr, units)
