@@ -33,11 +33,12 @@ output are enumerated in doubling order.
 from __future__ import annotations
 
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, repeat
 from math import gcd
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -264,49 +265,32 @@ def _d_blocks(ctx: FieldContext, bases: Sequence[tuple[int, ...]]) -> BlockStage
 
 
 # ---------------------------------------------------------------------------
-# Bulk coordinate solves.  Every binary matrix here (A, R and the combine
-# matrix) holds, per coset, the coordinates of a^(i*rep) in a small basis.
-# A basis of d elements spans GF(2^d), whose nonzero elements are the
-# powers a^e with e a multiple of step = n / (2^d - 1), so one solve over
-# those 2^d - 1 elements serves every layout that shares the basis.
+# Coordinate columns.  Every binary matrix here (A, R and the combine matrix)
+# holds, per coset, the coordinates of a^(i*rep) in a small basis: a
+# GF(2)-linear map of the element's bits (LinearSolver.linear_map, with a
+# residual that is 0 exactly on the span).  Each distinct basis maps the exp
+# table once, and each coset on it gathers its column from that map.
 # ---------------------------------------------------------------------------
 
-_Column = tuple[int, tuple[int, ...]]  # (rep, basis)
 
-
-class _SubfieldCoords:
-    """Per basis: step and the coordinates of a^e, indexed by e // step."""
-
-    def __init__(self, ctx: FieldContext):
-        self.exp = np.array(ctx.exp, dtype=np.int64)
-        self.tables: dict[tuple[int, ...], tuple[int, np.ndarray]] = {}
-
-    def table(self, basis: tuple[int, ...]) -> tuple[int, np.ndarray]:
-        found = self.tables.get(basis)
-        if found is None:
-            step, rest = divmod(len(self.exp), (1 << len(basis)) - 1)
-            if rest:
-                raise ArithmeticError(f"no subfield GF(2^{len(basis)}) for basis {basis}")
-            found = step, LinearSolver(basis).coords_array(self.exp[::step])
-            self.tables[basis] = found
-        return found
-
-
-def _coords_matrix(ctx: FieldContext, points, columns: Sequence[_Column]) -> np.ndarray:
-    """(len(points), l) uint16 in Fortran order, a column per basis: entry
-    (r, k) is the coordinate vector of a^(points[r] * rep_k) in basis_k."""
+def _columns(ctx: FieldContext, points, layouts: Sequence[CosetLayout]) -> Iterator[tuple[int, np.ndarray]]:
+    """(k, column) per layout, grouped by basis: entry r of column k is the
+    coordinate vector of a^(points[r] * rep_k) in basis_k, as uint32.
+    ArithmeticError if an argument lies outside its basis's span."""
     n = ctx.n
-    solves = _SubfieldCoords(ctx)
-    points = np.asarray(points, dtype=np.int64)
-    out = np.empty((len(points), len(columns)), dtype="<u2", order="F")
-    for k, (rep, basis) in enumerate(columns):
-        step, table = solves.table(basis)
-        e, off = np.divmod(points * rep % n, step)
-        if off.any():
-            x = rep * int(points[off.argmax()]) % n
-            raise ArithmeticError(f"a^{x} is outside the span of {basis}")
-        out[:, k] = table[e]
-    return out
+    exp = np.asarray(ctx.exp, dtype=np.int64)
+    points = np.asarray(points, dtype=np.uint32)  # points * rep < n^2 < 2^32
+    by_basis: dict[tuple[int, ...], list[int]] = {}
+    for k, lay in enumerate(layouts):
+        by_basis.setdefault(lay.basis, []).append(k)
+    for basis, ks in by_basis.items():
+        mapped = LinearSolver(basis).linear_map(exp)
+        for k in ks:
+            e = points * layouts[k].rep % n
+            column = mapped[e]
+            if column.max(initial=0) >> 16:  # a residual is set
+                raise ArithmeticError(f"a^{e[np.argmax(column >> 16)]} is outside the span of {basis}")
+            yield k, column
 
 
 # ---------------------------------------------------------------------------
@@ -325,13 +309,13 @@ def _build(ctx: FieldContext, tag: str) -> Plan:
     layouts = _layouts_for_tag(ctx, partition, tag)
     coset_order = tuple(i for lay in layouts for i in lay.elements)
     out_perm = coset_order if tag in (FED2006A, FED2006B) else tuple(range(n))
-    coords = _coords_matrix(ctx, out_perm, [(lay.rep, lay.basis) for lay in layouts])
+    columns = _columns(ctx, out_perm, layouts)
     d = _d_blocks(ctx, [lay.basis for lay in layouts])
     if tag == GOERTZEL:
-        r_matrix = BinaryMatrix.from_coords(coords, partition.sizes(), transpose=True)
+        r_matrix = BinaryMatrix.from_coords(columns, partition.sizes(), n, transpose=True)
         stages = (BinaryStage(r_matrix), BlockStage(d.entries.swapaxes(1, 2), d.sizes))
         return Plan(tag, ctx, partition, out_perm, stages, coset_order)
-    a_matrix = BinaryMatrix.from_coords(coords, partition.sizes())
+    a_matrix = BinaryMatrix.from_coords(columns, partition.sizes(), n)
     return Plan(tag, ctx, partition, coset_order, (d, BinaryStage(a_matrix)), out_perm)
 
 
@@ -706,10 +690,10 @@ def stage1_bound(ctx: FieldContext) -> int:
 
 
 # The bench path must cover fields whose full binary matrix would not fit in
-# memory, so the naive-stage addition count is aggregated per coset: the
-# arguments a^(i*s) sweep the cyclic subgroup generated by a^gcd(s, n), each
-# value hit gcd(s, n) times, and popcounts are summed over that subgroup once
-# per distinct (basis, subgroup) pair.
+# memory, so the naive-stage addition count is aggregated per coset: as i
+# runs over Z_n, a^(i*rep) sweeps the subgroup generated by a^g, g = gcd(rep,
+# n), hitting each value g times, as a^(i*g) does.  So layouts that agree in
+# basis and g have columns with the same ones, and one column serves them.
 
 
 def structural_counts_for_tag(ctx: FieldContext, tag: str) -> tuple[int, int, int]:
@@ -718,16 +702,10 @@ def structural_counts_for_tag(ctx: FieldContext, tag: str) -> tuple[int, int, in
     and every row of a binary matrix here holds a one, hence the - n."""
     n = ctx.n
     layouts = _layouts_for_tag(ctx, cyclotomic_cosets(n), tag)
-    solves = _SubfieldCoords(ctx)
-    subgroup_pc: dict[tuple, int] = {}
+    shared = Counter(CosetLayout(gcd(lay.rep, n), (), lay.basis) for lay in layouts)
+    keys = list(shared)
     total_ones = 0
-    for lay in layouts:
-        g = gcd(lay.rep, n)
-        key = (lay.basis, g)
-        s = subgroup_pc.get(key)
-        if s is None:
-            step, table = solves.table(lay.basis)
-            s = int(BinaryMatrix.from_coords(table[:: g // step, None], [len(lay.basis)]).row_popcounts().sum())
-            subgroup_pc[key] = s
-        total_ones += g * s
+    for k, column in _columns(ctx, range(n), keys):
+        ones = BinaryMatrix.from_coords([(0, column)], [len(keys[k].basis)], n).row_popcounts().sum()
+        total_ones += shared[keys[k]] * int(ones)
     return (*_stage1_counts(_d_blocks(ctx, [lay.basis for lay in layouts])), total_ones - n)

@@ -230,7 +230,7 @@ def cmd_bench(args, out=sys.stdout) -> int:
     ms = parse_m_range(args.m)
     if ms[0] < BENCH_M_RANGE[0] or ms[-1] > BENCH_M_RANGE[1]:
         raise UsageError(f"m out of bench range [{BENCH_M_RANGE[0]},{BENCH_M_RANGE[1]}]")
-    tags = parse_algos(args.algo, alg.FACTORED_TAGS)
+    tags = parse_algos(args.algo, alg.ALL_TAGS)
     poly = _parse_poly(args.poly, ms)
     if args.block_size is not None and not (1 <= args.block_size <= 16):
         raise UsageError("--block-size must be in [1,16]")
@@ -442,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="exact operation counts vs complexity budgets")
     p_bench.add_argument("--m", default="2..12", help="degree or range, e.g. 8 or 2..16")
-    p_bench.add_argument("--algo", default="all", help=f"comma list or 'all' ({', '.join(alg.FACTORED_TAGS)})")
+    p_bench.add_argument("--algo", default="all", help=f"comma list or 'all' ({', '.join(alg.ALL_TAGS)})")
     p_bench.add_argument("--block-size", type=int, default=None, help="Four-Russians group width t")
     p_bench.add_argument("--format", choices=("text", "csv"), default="text")
     p_bench.add_argument("--poly", default=None, help="primitive polynomial override (hex)")

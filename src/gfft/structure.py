@@ -93,6 +93,9 @@ def minimal_polynomial(coset: Coset, ctx: FieldContext) -> int:
     return mask
 
 
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(np.uint32)  # bit j of byte b at [b, j]
+
+
 class LinearSolver:
     """Coordinate solver for a fixed GF(2)-independent basis of field elements.
 
@@ -101,12 +104,18 @@ class LinearSolver:
     The reduction is kept in reduced row-echelon form: each reduced vector
     holds its own pivot bit and no other pivot, so the pivots an element has
     set name exactly the reduced vectors it is the XOR of.
+
+    It also gives the GF(2)-linear map x -> coords | residual << 16 on [0,
+    2^16) as two byte tables: bit q maps to (combo, e_q ^ vector) when q is
+    a pivot, else to (0, e_q).  The residual is 0 exactly on the span.
     """
 
-    __slots__ = ("basis", "_reduced")
+    __slots__ = ("basis", "_reduced", "_bytes")
 
     def __init__(self, basis: tuple[int, ...] | list[int]):
         self.basis = tuple(basis)
+        if any(not 0 <= b < 1 << 16 for b in self.basis):
+            raise ValueError(f"basis {self.basis} has an element outside [0, 2^16)")
         reduced: list[tuple[int, int, int]] = []  # (pivot bit, vector, combo)
         for j, b in enumerate(self.basis):
             v, combo = b, 1 << j
@@ -122,6 +131,11 @@ class LinearSolver:
                     reduced[idx] = (p2, rv2 ^ v, rc2 ^ combo)
             reduced.append((p, v, combo))
         self._reduced = reduced
+        images = np.array([1 << q << 16 for q in range(16)], dtype=np.uint32)
+        for p, rv, rc in reduced:
+            images[p] = rc | ((rv ^ (1 << p)) << 16)
+        # row 0 maps the low byte, row 1 the high byte
+        self._bytes = np.bitwise_xor.reduce(images.reshape(2, 1, 8) * _BYTE_BITS, axis=2)
 
     def coords(self, x: int) -> int:
         r, combo = x, 0
@@ -133,21 +147,23 @@ class LinearSolver:
             raise ValueError(f"element {x} not in span of basis {self.basis}")
         return combo
 
-    def coords_array(self, xs: np.ndarray) -> np.ndarray:
-        """coords of every element of an int array at once, as an int64 array:
-        the XOR of the combos over the pivots set in x.  Raises ValueError
-        unless the matching reduced vectors XOR back to x for every x."""
+    def linear_map(self, xs: np.ndarray) -> np.ndarray:
+        """coords | residual << 16 of each element of an int array, as uint32:
+        two byte-table lookups XORed.  ValueError outside [0, 2^16)."""
         xs = np.asarray(xs, dtype=np.int64)
-        combo = np.zeros_like(xs)
-        back = np.zeros_like(xs)
-        for p, rv, rc in self._reduced:
-            hit = -((xs >> p) & 1)  # all ones where pivot p is set
-            combo ^= hit & rc
-            back ^= hit & rv
-        bad = np.flatnonzero(back != xs)
+        wide = (xs >> 16) != 0
+        if wide.any():
+            raise ValueError(f"element {xs[wide][0]} is outside [0, 2^16)")
+        return self._bytes[0, xs & 255] ^ self._bytes[1, xs >> 8]
+
+    def coords_array(self, xs: np.ndarray) -> np.ndarray:
+        """coords of every element of an int array at once, as uint32.
+        ValueError outside [0, 2^16) or outside the span."""
+        mapped = self.linear_map(xs)
+        bad = np.flatnonzero(mapped >> 16)
         if len(bad):
-            raise ValueError(f"element {xs[bad[0]]} not in span of basis {self.basis}")
-        return combo
+            raise ValueError(f"element {np.ravel(xs)[bad[0]]} not in span of basis {self.basis}")
+        return mapped
 
 
 def rotate_right_bits(coords: int, d: int) -> int:
@@ -221,21 +237,25 @@ class BinaryMatrix:
         self.cols = cols
 
     @classmethod
-    def from_coords(cls, coords: np.ndarray, widths: Sequence[int], transpose: bool = False) -> "BinaryMatrix":
-        """Row r holds the low widths[k] bits of coords[r, k] side by side,
-        column 0 lowest; with transpose, the transpose of that matrix.  Reads
-        coords a column at a time, so Fortran order is the fast one."""
-        points = len(coords)
+    def from_coords(cls, columns, widths: Sequence[int], points: int, transpose: bool = False) -> "BinaryMatrix":
+        """points rows, row r holding the low widths[k] bits of entry r of
+        column k side by side, column group 0 lowest; with transpose, the
+        transpose of that matrix.  columns yields (k, column) pairs, each a
+        length-points int array, in any order, and each is ORed into its
+        place as it comes, so only one column is held at a time."""
         starts = list(accumulate(widths, initial=0))
         if transpose:
-            packed = np.empty((-(-points // 8), starts[-1]), dtype=np.uint8)
-            for k, (c0, w) in enumerate(zip(starts, widths)):
-                bits = (coords[:, k] >> np.arange(w, dtype=np.uint16)[:, None]) & 1
-                packed[:, c0 : c0 + w] = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little").T
+            packed = np.zeros((-(-points // 8), starts[-1]), dtype=np.uint8)
+            for k, column in columns:
+                c0, w = starts[k], widths[k]
+                as_bytes = np.asarray(column, dtype="<u4").view(np.uint8).reshape(points, 4)
+                bits = np.unpackbits(as_bytes, axis=1, count=w, bitorder="little").T  # (w, points)
+                packed[:, c0 : c0 + w] = np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little").T
             return cls(packed, points)
         packed = np.zeros((-(-starts[-1] // 8), points), dtype=np.uint8)
-        for k, (c0, w) in enumerate(zip(starts, widths)):
-            shifted = (coords[:, k].astype(np.uint32) & ((1 << w) - 1)) << (c0 % 8)
+        for k, column in columns:
+            c0, w = starts[k], widths[k]
+            shifted = (np.asarray(column, dtype=np.uint32) & ((1 << w) - 1)) << (c0 % 8)
             for g in range(c0 // 8, (c0 + w + 7) // 8):
                 packed[g] |= (shifted >> (8 * (g - c0 // 8))).astype(np.uint8)  # low byte
         return cls(packed, starts[-1])

@@ -167,50 +167,75 @@ def test_fed2006_variant_validation(ctx3):
 
 
 # ---------------------------------------------------------------------------
-# bulk coordinate solves against one solve per element
+# coordinate columns from the byte-table map against one solve per element
 # ---------------------------------------------------------------------------
 
 
-def _bases_in_use(ctx):
-    """Every column basis of every plan over ctx."""
+def _layouts_in_use(ctx):
+    """Every distinct (rep, basis) layout of every plan over ctx."""
     part = alg.cyclotomic_cosets(ctx.n)
-    return sorted({lay.basis for tag in ALL_TAGS for lay in alg._layouts_for_tag(ctx, part, tag)})
+    found = {(lay.rep, lay.basis): lay for tag in ALL_TAGS for lay in alg._layouts_for_tag(ctx, part, tag)}
+    return [found[key] for key in sorted(found)]
+
+
+def _columns_by_layout(ctx, points, layouts):
+    return {k: column.tolist() for k, column in alg._columns(ctx, points, layouts)}
 
 
 @pytest.mark.parametrize("m", range(2, 9))
 def test_bulk_coords_match_per_element_solves(m):
     ctx = default_field(m)
-    solves = alg._SubfieldCoords(ctx)
-    for basis in _bases_in_use(ctx):
-        step, table = solves.table(basis)
-        solver = LinearSolver(basis)
-        # every argument a^(i * rep) of a layout on this basis lies in the
-        # subfield it spans: the powers a^e with step | e
-        assert step == ctx.n // ((1 << len(basis)) - 1)
-        expected = [solver.coords(ctx.exp[e]) for e in range(0, ctx.n, step)]
-        assert table.tolist() == expected, (m, basis)
+    layouts = _layouts_in_use(ctx)
+    columns = _columns_by_layout(ctx, range(ctx.n), layouts)
+    assert sorted(columns) == list(range(len(layouts)))
+    for k, lay in enumerate(layouts):
+        solver = LinearSolver(lay.basis)
+        # every argument a^(i * rep) of a layout lies in its basis's span
+        expected = [solver.coords(ctx.exp[i * lay.rep % ctx.n]) for i in range(ctx.n)]
+        assert columns[k] == expected, (m, lay.rep, lay.basis)
+
+
+@pytest.mark.parametrize("m", range(9, 17))
+def test_bulk_coords_match_sampled_solves_above_one_byte(m):
+    # m > 8: coordinates depend on the high-byte table too
+    ctx = default_field(m)
+    rng = random.Random(f"coords:{m}")
+    part = alg.cyclotomic_cosets(ctx.n)
+    layouts = [lay for tag in ALL_TAGS for lay in rng.sample(alg._layouts_for_tag(ctx, part, tag), 3)]
+    points = [rng.randrange(ctx.n) for _ in range(64)]
+    columns = _columns_by_layout(ctx, points, layouts)
+    for k, lay in enumerate(layouts):
+        solver = LinearSolver(lay.basis)
+        assert columns[k] == [solver.coords(ctx.exp[i * lay.rep % ctx.n]) for i in points], (m, lay)
+    solver = LinearSolver(find_normal_basis(ctx, m).basis)
+    xs = [rng.randrange(1 << m) for _ in range(256)]
+    assert solver.coords_array(xs).tolist() == [solver.coords(x) for x in xs]
 
 
 def test_bulk_coords_reject_element_outside_span():
     ctx = default_field(4)
     # (1, a) has the length of a basis of GF(4) but does not span it: a^5 = a^2 + a
+    not_gf4 = (1, ctx.exp[1])
     with pytest.raises(ValueError, match="not in span"):
-        alg._SubfieldCoords(ctx).table((1, ctx.exp[1]))
+        LinearSolver(not_gf4).coords_array(ctx.exp[: ctx.n : 5])
+    with pytest.raises(ArithmeticError, match="a\\^5 is outside the span"):
+        _columns_by_layout(ctx, range(ctx.n), [alg.CosetLayout(5, (), not_gf4)])
 
 
 def test_bulk_coords_reject_basis_without_subfield(ctx3):
-    # GF(8) has no subfield GF(4), so no 2-element basis has a bulk table
-    with pytest.raises(ArithmeticError, match="no subfield"):
-        alg._SubfieldCoords(ctx3).table((1, ctx3.exp[1]))
+    # GF(8) has no subfield GF(4), so the span of no 2-element basis holds
+    # the powers of a coset's representative
+    with pytest.raises(ArithmeticError, match="outside the span"):
+        _columns_by_layout(ctx3, range(ctx3.n), [alg.CosetLayout(1, (), (1, ctx3.exp[1]))])
 
 
 def test_bulk_coords_reject_column_outside_subfield():
     ctx = default_field(4)
     gf4 = (1, ctx.exp[5])
-    assert alg._coords_matrix(ctx, range(ctx.n), [(5, gf4)]).shape == (ctx.n, 1)
+    assert len(_columns_by_layout(ctx, range(ctx.n), [alg.CosetLayout(5, (), gf4)])[0]) == ctx.n
     # a^(i*1) leaves GF(4) for i not a multiple of 5
     with pytest.raises(ArithmeticError, match="outside the span"):
-        alg._coords_matrix(ctx, range(ctx.n), [(1, gf4)])
+        _columns_by_layout(ctx, range(ctx.n), [alg.CosetLayout(1, (), gf4)])
 
 
 def _reference_rows(ctx, plan):

@@ -169,7 +169,7 @@ def test_bench_csv_schema_and_roundtrip():
     assert code == 0
     lines = out.strip().splitlines()
     assert lines[0] == cli.CSV_HEADER
-    assert len(lines) == 1 + 7 * 4
+    assert len(lines) == 1 + 7 * len(ALGOS)
     assert all(len(ln.split(",")) == 11 for ln in lines[1:])
 
 
@@ -220,9 +220,16 @@ def test_bench_rejects_bad_block_size():
     assert code == 2
 
 
-def test_bench_rejects_unfactored_algo():
-    code, _ = run(["bench", "--m", "3", "--algo", "goertzel"])
-    assert code == 2
+def test_bench_unfactored_rows_match_plans():
+    code, out = run(["bench", "--m", "3", "--algo", "goertzel,blahut2008", "--format", "csv"])
+    assert code == 0
+    ctx = default_field(3)
+    for rec, tag in zip(bench_rows(out), ("goertzel", "blahut2008"), strict=True):
+        plan = alg.build(tag, ctx)
+        mults, adds = alg.structural_stage1_counts(plan)
+        assert rec["algo"] == tag
+        assert (int(rec["stage1_mults"]), int(rec["stage1_adds"])) == (mults, adds)
+        assert int(rec["stage2_adds_naive"]) == alg.stage2_naive_adds(plan)
 
 
 def test_bench_rejects_m17():

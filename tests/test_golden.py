@@ -1,10 +1,12 @@
 """Plan contents and bench output, pinned byte for byte.
 
 plan_digests.json holds one sha256 per (field, algorithm) over everything a
-plan is made of; bench_m2_16.csv holds `gfft bench --m 2..16 --format csv`.
-Both were written by the code before binary matrices were stored packed, so
-they pin a change of storage to the plans and counts it replaced.  A change
-that sets out to move a plan or a count rewrites them with
+plan is made of; bench_m2_16.csv holds `gfft bench --m 2..16 --format csv`
+over the four factored algorithms.  Both were written by the code before
+binary matrices were stored packed, so they pin a change of storage to the
+plans and counts it replaced.  bench_m2_14_unfactored.csv holds the goertzel
+and blahut2008 rows, which bench gained later.  A change that sets out to
+move a plan or a count rewrites them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -21,7 +23,9 @@ from gfft.field import FieldSpec, build_field
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DIGESTS = GOLDEN_DIR / "plan_digests.json"
 BENCH_CSV = GOLDEN_DIR / "bench_m2_16.csv"
-BENCH_ARGV = ["bench", "--m", "2..16", "--format", "csv"]
+BENCH_ARGV = ["bench", "--m", "2..16", "--algo", "ft2002,tf2003,fed2006a,fed2006b", "--format", "csv"]
+UNFACTORED_CSV = GOLDEN_DIR / "bench_m2_14_unfactored.csv"
+UNFACTORED_ARGV = ["bench", "--m", "2..14", "--algo", "goertzel,blahut2008", "--format", "csv"]
 
 # m = 2..12 over the default polynomials, plus one non-default polynomial
 # each at m = 5, 6 and 8.
@@ -62,10 +66,10 @@ def plan_digests() -> dict[str, str]:
     return out
 
 
-def bench_csv() -> str:
+def bench_csv(argv=BENCH_ARGV) -> str:
     buf = io.StringIO()
-    if cli.main(BENCH_ARGV, out=buf) != 0:
-        raise RuntimeError(f"gfft {' '.join(BENCH_ARGV)} failed")
+    if cli.main(argv, out=buf) != 0:
+        raise RuntimeError(f"gfft {' '.join(argv)} failed")
     return buf.getvalue()
 
 
@@ -77,6 +81,11 @@ def test_plans_and_bench_match_goldens():
     assert bench_csv() == BENCH_CSV.read_text()
 
 
+def test_unfactored_bench_matches_golden():
+    assert bench_csv(UNFACTORED_ARGV) == UNFACTORED_CSV.read_text()
+
+
 if __name__ == "__main__":
     DIGESTS.write_text(json.dumps(plan_digests(), indent=1) + "\n")
     BENCH_CSV.write_text(bench_csv())
+    UNFACTORED_CSV.write_text(bench_csv(UNFACTORED_ARGV))

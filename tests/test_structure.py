@@ -168,6 +168,15 @@ def test_coords_array_rejects_outside_span():
         solver.coords_array([3, 4, 1, 6])
 
 
+def test_coords_array_rejects_elements_outside_16_bits():
+    solver = LinearSolver((0b001, 0b010))
+    for xs in ([1, 1 << 16], [-1, 2]):
+        with pytest.raises(ValueError, match="outside \\[0, 2\\^16\\)"):
+            solver.coords_array(xs)
+    with pytest.raises(ValueError, match="outside \\[0, 2\\^16\\)"):
+        LinearSolver((1, 1 << 16))
+
+
 def test_frobenius_pair_examples():
     ctx = default_field(3)
     nb = find_normal_basis(ctx, 3)
