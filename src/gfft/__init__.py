@@ -30,7 +30,6 @@ from .binmat import (
 from .algorithms import (
     ALL_TAGS,
     FACTORED_TAGS,
-    BinaryStage,
     BlockStage,
     Plan,
     TransformTally,

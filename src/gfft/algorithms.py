@@ -52,7 +52,6 @@ from .structure import (
     cyclotomic_cosets,
     doubling_orbit,
     find_normal_basis,
-    rotate_right_bits,
 )
 
 GOERTZEL = "goertzel"
@@ -140,14 +139,7 @@ class BlockStage:
         return f"BlockStage(sizes={self.sizes})"
 
 
-@dataclass(frozen=True)
-class BinaryStage:
-    """Multiplication by a 0/1 matrix: additions only."""
-
-    matrix: BinaryMatrix
-
-
-Stage = BlockStage | BinaryStage
+Stage = BlockStage | BinaryMatrix  # a binary stage is its 0/1 matrix: additions only
 
 
 @dataclass(frozen=True)
@@ -313,10 +305,10 @@ def _build(ctx: FieldContext, tag: str) -> Plan:
     d = _d_blocks(ctx, [lay.basis for lay in layouts])
     if tag == GOERTZEL:
         r_matrix = BinaryMatrix.from_coords(columns, partition.sizes(), n, transpose=True)
-        stages = (BinaryStage(r_matrix), BlockStage(d.entries.swapaxes(1, 2), d.sizes))
+        stages = (r_matrix, BlockStage(d.entries.swapaxes(1, 2), d.sizes))
         return Plan(tag, ctx, partition, out_perm, stages, coset_order)
     a_matrix = BinaryMatrix.from_coords(columns, partition.sizes(), n)
-    return Plan(tag, ctx, partition, coset_order, (d, BinaryStage(a_matrix)), out_perm)
+    return Plan(tag, ctx, partition, coset_order, (d, a_matrix), out_perm)
 
 
 def build_goertzel(ctx: FieldContext) -> Plan:
@@ -437,46 +429,27 @@ def validate_vectors(ctx: FieldContext, vectors) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def materialize(plan: Plan) -> list[list[int]]:
-    """Un-permuted dense n x n matrix of the plan, composed from the stage
-    entries without applying the plan; equals the Vandermonde matrix when
-    the construction is sound.
+def materialize(plan: Plan) -> np.ndarray:
+    """Un-permuted dense n x n matrix of the plan as a uint16 array, composed
+    from the stage entries without applying the plan; equals the
+    Vandermonde matrix when the construction is sound.
 
-    Entry (i, c0 + j) of binary . blocks is the XOR of block k's entries
-    (t, j) over the bits t set in row i of the matrix's column group k;
-    entry (c0 + j, i) of blocks . binary is the XOR of (j, t) over the bits
-    set in column i of the matrix's row group k.
+    Column c0 + j of binary . blocks is the XOR over t < d of block k's
+    entry (t, j) times column c0 + t of the matrix (d the block's size, c0
+    its offset); row c0 + j of blocks . binary is the XOR of entry (j, t)
+    times row c0 + t.  XOR of stored entries only: neither the kernels nor
+    the field tables take part.
     """
-    n = plan.ctx.n
-    stage = plan.stage(BlockStage)
-    rows = plan.stage(BinaryStage).matrix.rows
+    stage, bits = plan.stage(BlockStage), plan.stage(BinaryMatrix).bits()
     blocks_first = isinstance(plan.stages[0], BlockStage)
-    dense = [[0] * n for _ in range(n)]  # in stage order: output r, input c
-    c0 = 0
-    for k, d in enumerate(stage.sizes):
-        entries = stage.rows(k)
-        if not blocks_first:
-            entries = list(zip(*entries))
-        for i in range(n):
-            if blocks_first:
-                sel = (rows[i] >> c0) & ((1 << d) - 1)
-            else:
-                sel = sum(((rows[c0 + t] >> i) & 1) << t for t in range(d))
-            for j in range(d):
-                acc, s = 0, sel
-                while s:
-                    acc ^= entries[(s & -s).bit_length() - 1][j]
-                    s &= s - 1
-                if blocks_first:
-                    dense[i][c0 + j] = acc
-                else:
-                    dense[c0 + j][i] = acc
-        c0 += d
-    out = [[0] * n for _ in range(n)]
-    for r, i in enumerate(plan.out_perm):
-        row, out_row = dense[r], out[i]
-        for c, j in enumerate(plan.in_perm):
-            out_row[j] = row[c]
+    x = np.ascontiguousarray(bits.T) if blocks_first else bits
+    coef = stage.entries if blocks_first else stage.entries.swapaxes(1, 2)
+    y = np.empty(x.shape, dtype=np.uint16)  # the columns (blocks first) or rows of the product
+    for k, (c0, d) in enumerate(zip(accumulate(stage.sizes, initial=0), stage.sizes)):
+        picked = np.where(x[c0 : c0 + d, None], coef[k, :d, :d, None], np.uint16(0))
+        y[c0 : c0 + d] = np.bitwise_xor.reduce(picked, axis=0)
+    out = np.empty_like(y)
+    out[np.ix_(plan.out_perm, plan.in_perm)] = y.T if blocks_first else y
     return out
 
 
@@ -490,27 +463,30 @@ def coset_block_report(plan: Plan) -> list[dict]:
     """
     if plan.out_perm != plan.in_perm:
         raise ValueError("block report requires coset-ordered output rows")
-    matrix = plan.stage(BinaryStage).matrix
+    bits = plan.stage(BinaryMatrix).bits()
+    sizes = np.array(plan.partition.sizes())
+    starts = np.cumsum(sizes) - sizes
+    # prev[c]: the position before c in its coset group, cyclically, so that
+    # row prev[r] rotated right is what row r holds in a rotation chain
+    group_start = np.repeat(starts, sizes)
+    prev = group_start + (np.arange(len(bits)) - group_start - 1) % np.repeat(sizes, sizes)
+    same = bits == bits[np.ix_(prev, prev)]
+    wrap = np.logical_and.reduceat(same[starts], starts, axis=1)  # first row against the last
+    same[starts] = True
+    chain = np.logical_and.reduceat(np.logical_and.reduceat(same, starts, axis=0), starts, axis=1)
+    circulant = chain & wrap & (sizes[:, None] == sizes)
     cosets = plan.partition.cosets
-    offsets = list(accumulate(plan.partition.sizes(), initial=0))
-    report = []
-    for out_coset, r0 in zip(cosets, offsets):
-        d_out = out_coset.size
-        for in_coset, c0 in zip(cosets, offsets):
-            d_in = in_coset.size
-            sub = matrix.submatrix(r0, r0 + d_out, c0, c0 + d_in).rows
-            chain = all(sub[r + 1] == rotate_right_bits(sub[r], d_in) for r in range(d_out - 1))
-            circulant = chain and d_out == d_in and sub[0] == rotate_right_bits(sub[-1], d_in)
-            report.append(
-                {
-                    "out_coset": out_coset.leader,
-                    "in_coset": in_coset.leader,
-                    "shape": (d_out, d_in),
-                    "rotation_chain": chain,
-                    "circulant": circulant,
-                }
-            )
-    return report
+    return [
+        {
+            "out_coset": out.leader,
+            "in_coset": inc.leader,
+            "shape": (out.size, inc.size),
+            "rotation_chain": is_chain,
+            "circulant": is_circulant,
+        }
+        for out, chain_row, circulant_row in zip(cosets, chain.tolist(), circulant.tolist())
+        for inc, is_chain, is_circulant in zip(cosets, chain_row, circulant_row)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +572,7 @@ def _binary_kernel(matrix: BinaryMatrix) -> _Kernel:
 
 def _batch_stages(plan: Plan) -> list[_Kernel]:
     kernels = [
-        _binary_kernel(s.matrix) if isinstance(s, BinaryStage) else _block_kernel(plan.ctx, s)
+        _binary_kernel(s) if isinstance(s, BinaryMatrix) else _block_kernel(plan.ctx, s)
         for s in plan.stages
     ]
     return [_gather(plan.in_perm), *kernels, _gather(np.argsort(plan.out_perm))]
@@ -643,8 +619,8 @@ def _stage1_counts(stage: BlockStage) -> tuple[int, int]:
 
 def stage2_naive_adds(plan: Plan) -> int:
     """Exact additions of the naive binary stages: sum of (popcount - 1)."""
-    popcounts = [s.matrix.row_popcounts() for s in plan.stages if isinstance(s, BinaryStage)]
-    return sum(int(pc.sum()) - np.count_nonzero(pc) for pc in popcounts)
+    popcounts = [s.row_popcounts() for s in plan.stages if isinstance(s, BinaryMatrix)]
+    return sum(int(pc.sum() - np.count_nonzero(pc)) for pc in popcounts)
 
 
 class _Counts(NamedTuple):
@@ -666,7 +642,7 @@ def _plan_counts(plan: Plan) -> _Counts:
     stage = plan.stage(BlockStage)
     sizes = np.array(stage.sizes)
     issued = (sizes > 1) | (stage.entries[:, 0, 0] != 1)  # all blocks but the pass-throughs
-    matrices = [s.matrix for s in plan.stages if isinstance(s, BinaryStage)]
+    matrices = [s for s in plan.stages if isinstance(s, BinaryMatrix)]
     stage_weights = (_mult_weights(s) if isinstance(s, BlockStage) else None for s in plan.stages)
     return _Counts(
         (None, *stage_weights, None),  # the two gathers count nothing

@@ -17,8 +17,9 @@ from functools import cache
 import numpy as np
 
 from . import binmat
-from .algorithms import BinaryStage, Plan, TransformTally, validate_vectors
+from .algorithms import Plan, TransformTally, validate_vectors
 from .field import FieldContext, OpCount
+from .structure import BinaryMatrix
 
 
 def poly_eval(f: list[int], x: int, ctx: FieldContext, oc: OpCount | None = None) -> int:
@@ -115,11 +116,11 @@ def counted_apply(
     validate_vectors(ctx, [f])
     x = [f[j] for j in plan.in_perm]
     for stage in plan.stages:
-        if isinstance(stage, BinaryStage):
+        if isinstance(stage, BinaryMatrix):
             if four_russians:
-                x = binmat.binmatvec_four_russians(stage.matrix, x, oc=tally.stage2)
+                x = binmat.binmatvec_four_russians(stage, x, oc=tally.stage2)
             else:
-                x = binmat.binmatvec_naive(stage.matrix, x, tally.stage2)
+                x = binmat.binmatvec_naive(stage, x, tally.stage2)
             continue
         y, pos = [], 0
         for k, d in enumerate(stage.sizes):

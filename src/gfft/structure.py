@@ -288,15 +288,16 @@ class BinaryMatrix:
         raw, w = np.ascontiguousarray(self.packed.T).tobytes(), len(self.packed)
         return [int.from_bytes(raw[i * w : (i + 1) * w], "little") for i in range(self.n_rows)]
 
-    def row_bits(self, i: int) -> tuple[int, ...]:
-        return tuple(np.unpackbits(self.packed[:, i], count=self.cols, bitorder="little").tolist())
+    def bits(self) -> np.ndarray:
+        """The (rows, cols) uint8 0/1 array of the entries, unpacked anew on
+        each call: the one place that unpacks the matrix."""
+        return np.unpackbits(np.ascontiguousarray(self.packed.T), axis=1, count=self.cols, bitorder="little")
 
     def to_bits(self) -> list[list[int]]:
-        return np.unpackbits(self.packed, axis=0, count=self.cols, bitorder="little").T.tolist()
+        return self.bits().tolist()
 
     def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "BinaryMatrix":
-        bits = np.unpackbits(self.packed[:, r0:r1], axis=0, count=self.cols, bitorder="little")
-        return BinaryMatrix(np.packbits(bits[c0:c1], axis=0, bitorder="little"), c1 - c0)
+        return BinaryMatrix(np.packbits(self.bits()[r0:r1, c0:c1].T, axis=0, bitorder="little"), c1 - c0)
 
     def row_popcounts(self) -> np.ndarray:
         """The ones in each row, as an int64 array."""

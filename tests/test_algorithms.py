@@ -13,7 +13,6 @@ from gfft import binmat
 from gfft.algorithms import (
     ALL_TAGS,
     FACTORED_TAGS,
-    BinaryStage,
     BlockStage,
     TransformTally,
     apply,
@@ -40,11 +39,11 @@ from gfft.reference import (
     unit_response,
 )
 from gfft.structure import (
+    BinaryMatrix,
     LinearSolver,
     NormalBasis,
     find_normal_basis,
     minimal_polynomial,
-    rotate_right_bits,
 )
 
 import m3_worked_example as wk
@@ -60,7 +59,7 @@ def logs_to_elems(ctx, rows):
 
 
 def matrix_of(plan):
-    return plan.stage(BinaryStage).matrix
+    return plan.stage(BinaryMatrix)
 
 
 def blocks_of(plan):
@@ -95,7 +94,7 @@ def remainders(plan, f):
 
 def test_goertzel_matrices_m3(ctx3):
     plan = build_goertzel(ctx3)
-    assert isinstance(plan.stages[0], BinaryStage)
+    assert isinstance(plan.stages[0], BinaryMatrix)
     assert matrix_of(plan).to_bits() == wk.GOERTZEL_R
     assert [minimal_polynomial(c, ctx3) for c in plan.partition.cosets] == wk.MIN_POLYS
     expected_blocks = tuple(logs_to_elems(ctx3, b) for b in wk.GOERTZEL_EVAL_LOGS)
@@ -611,7 +610,8 @@ def test_normal_basis_must_be_conjugate_sequence(ctx3, monkeypatch):
 @pytest.mark.parametrize("tag", ALL_TAGS)
 def test_materialize_equals_vandermonde(m, tag):
     ctx = default_field(m)
-    assert materialize(build(tag, ctx)) == transform_matrix(ctx)
+    dense = materialize(build(tag, ctx))
+    assert dense.dtype == np.uint16 and np.array_equal(dense, transform_matrix(ctx))
 
 
 @pytest.mark.parametrize("m", [3, 4, 6, 8])
@@ -634,7 +634,7 @@ def test_blahut2008_is_ft2002_with_power_bases_and_goertzel_its_transpose(m):
 def test_materialize_m2_direct():
     ctx = default_field(2)
     w = [[ctx.exp[(i * j) % 3] for j in range(3)] for i in range(3)]
-    assert materialize(build_tf2003(ctx)) == w
+    assert np.array_equal(materialize(build_tf2003(ctx)), w)
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 6, 8])
@@ -645,6 +645,24 @@ def test_fed2006_blocks_are_circulants(m, variant):
         assert entry["rotation_chain"], entry
         if entry["shape"][0] == entry["shape"][1]:
             assert entry["circulant"], entry
+
+
+def test_block_report_flags_one_flipped_bit():
+    # one bit of A flipped inside a 4 x 4 circulant: its pair alone loses
+    # both flags, every other pair reads as before
+    plan = build_fed2006(default_field(4), "a")
+    a = matrix_of(plan)
+    r, c = 6, 2  # second row of coset {3, 6, 12, 9}, a column of coset {1, 2, 4, 8}
+    packed = a.packed.copy()
+    packed[c // 8, r] ^= 1 << (c % 8)
+    broken = dataclasses.replace(plan, stages=(plan.stages[0], BinaryMatrix(packed, a.cols)))
+    before, after = coset_block_report(plan), coset_block_report(broken)
+    changed = [(x, y) for x, y in zip(before, after) if x != y]
+    assert len(before) == len(after) == 25
+    assert [(x["out_coset"], x["in_coset"]) for x, _ in changed] == [(3, 1)]
+    [(x, y)] = changed
+    assert x["rotation_chain"] and x["circulant"]
+    assert y == x | {"rotation_chain": False, "circulant": False}
 
 
 def test_block_report_requires_grouped_rows(ctx3):
@@ -753,6 +771,8 @@ def test_structural_counts_match_built_plans(m, tag):
     s1m, s1a, s2n = structural_counts_for_tag(ctx, tag)
     assert (s1m, s1a) == structural_stage1_counts(plan)
     assert s2n == stage2_naive_adds(plan)
+    counts = (s1m, s1a, s2n, *structural_stage1_counts(plan), stage2_naive_adds(plan))
+    assert all(type(x) is int for x in counts)
 
 
 @pytest.mark.parametrize("m", [3, 5, 8])
@@ -820,7 +840,7 @@ def test_fed2006a_permuted_matrix_display(ctx3):
     plan = build_fed2006(ctx3, "a")
     w = transform_matrix(ctx3)
     dense = materialize(plan)
-    assert dense == w
+    assert np.array_equal(dense, w)
     we = [[w[i][j] for j in plan.in_perm] for i in plan.out_perm]
     # spot-check the second row of the coset-ordered display:
     # exponents (0 | 1 2 4 | 3 6 5)

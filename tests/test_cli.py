@@ -151,11 +151,59 @@ def test_verify_json_report(monkeypatch, capsys):
     ]
 
 
-def test_verify_json_matrix_unchecked_above_m8():
+def test_verify_json_matrix_checked_above_m8():
     code, out = run(["verify", "--m", "9", "--algo", "ft2002", "--trials", "1", "--format", "json"])
     assert code == 0
     (record,) = json.loads(out)["records"]
-    assert record == {"m": 9, "algo": "ft2002", "random": "PASS", "unit": "PASS", "matrix": None, "ok": True}
+    assert record == {"m": 9, "algo": "ft2002", "random": "PASS", "unit": "PASS", "matrix": "PASS", "ok": True}
+
+
+def test_verify_names_first_matrix_mismatch(monkeypatch, capsys):
+    # one wrong entry of tf2003's dense matrix: exit 1, only its matrix
+    # suite fails, and first_mismatch names the entry the stderr line names
+    real = alg.materialize
+
+    def corrupt(plan):
+        out = real(plan)
+        if plan.tag == "tf2003":
+            out[2, 5] ^= 1
+        return out
+
+    monkeypatch.setattr(alg, "materialize", corrupt)
+    argv = ["verify", "--m", "3", "--algo", "tf2003,fed2006a", "--trials", "2", "--format", "json"]
+    code, out = run(argv)
+    assert code == 1
+    report = json.loads(out)
+    assert [(r["random"], r["unit"], r["matrix"], r["ok"]) for r in report["records"]] == [
+        ("PASS", "PASS", "FAIL", False), ("PASS", "PASS", "PASS", True)
+    ]
+    expected = default_field(3).exp[2 * 5 % 7]
+    mismatch = {"m": 3, "tag": "tf2003", "suite": "matrix", "row": 2, "column": 5,
+                "expected": expected, "actual": expected ^ 1}
+    assert report["first_mismatch"] == mismatch
+    assert capsys.readouterr().err.splitlines() == [
+        "first mismatch: " + " ".join(f"{k}={v}" for k, v in mismatch.items())
+    ]
+
+
+def test_verify_names_first_broken_coset_pair(monkeypatch, capsys):
+    # a square coset pair of fed2006a reported not circulant fails the
+    # matrix suite and is named by its cosets
+    real = alg.coset_block_report
+
+    def broken(plan):
+        out = real(plan)
+        out[-1]["circulant"] = False
+        return out
+
+    monkeypatch.setattr(alg, "coset_block_report", broken)
+    code, out = run(["verify", "--m", "3", "--algo", "fed2006a", "--trials", "1"])
+    assert code == 1
+    assert out.splitlines()[2:] == [" 3  fed2006a    PASS    PASS    FAIL  ", "overall FAIL"]
+    assert capsys.readouterr().err.splitlines() == [
+        "first mismatch: m=3 tag=fed2006a suite=matrix out_coset=3 in_coset=3 "
+        "rotation_chain=True circulant=False"
+    ]
 
 
 def test_unknown_flag_exits_two(capsys):

@@ -17,8 +17,9 @@ import json
 from pathlib import Path
 
 from gfft import cli
-from gfft.algorithms import ALL_TAGS, BinaryStage, build
+from gfft.algorithms import ALL_TAGS, build
 from gfft.field import FieldSpec, build_field
+from gfft.structure import BinaryMatrix
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 DIGESTS = GOLDEN_DIR / "plan_digests.json"
@@ -43,8 +44,8 @@ def plan_digest(plan) -> str:
     put(plan.tag, plan.in_perm, plan.out_perm)
     put([(c.leader, c.elements) for c in plan.partition.cosets])
     for stage in plan.stages:
-        if isinstance(stage, BinaryStage):
-            put("binary", stage.matrix.cols, [format(r, "x") for r in stage.matrix.rows])
+        if isinstance(stage, BinaryMatrix):
+            put("binary", stage.cols, [format(r, "x") for r in stage.rows])
             continue
         # each block as its kind and first row, or as all of its rows, named
         # after the two block classes the digests were written with

@@ -223,7 +223,7 @@ def test_binary_matrix_roundtrip():
     mat = BinaryMatrix.from_bits(bits)
     assert mat.to_bits() == bits
     assert mat.rows == [0b101, 0b110]
-    assert mat.row_bits(0)[2] == 1
+    assert mat.bits().dtype == np.uint8 and mat.bits().tolist() == bits
     assert mat.row_popcounts().tolist() == [2, 2]
     assert mat.submatrix(0, 2, 1, 3).to_bits() == [[0, 1], [1, 1]]
     assert mat == BinaryMatrix.from_bits(bits)
