@@ -502,12 +502,42 @@ def coset_block_report(plan: Plan) -> list[dict]:
 # apply takes its counts from the plan's cached structural counts
 # (Plan._counts) plus one dot product per block stage for the
 # data-dependent multiplications.  Each plan builds its kernels once, on
-# first use (Plan._kernels), copying no stage; the per-call subset-XOR
-# tables are chunked to _SCRATCH elements.  A kernel writes only arrays it
-# allocates per call, so a plan stays safe to share across threads.
+# first use (Plan._kernels), copying no stage.  A kernel writes only arrays
+# it allocates per call, so a plan stays safe to share across threads.
+#
+# One chunk rule serves both kernels.  A small call is bound by the number
+# of numpy calls it makes, a large one by memory traffic, so each kernel
+# runs one loop whose chunk holds as many byte groups (binary stage) or
+# block columns (block stage) as give _GATHER looked-up elements, and at
+# least one.  One chunk is one take and one XOR across its groups or
+# columns.  So a single vector at m = 8 runs each stage as one take and
+# the binary stage at m = 10 as 4.  Once the elements one group or column
+# looks up pass _GATHER / 2 (rows x batch, or l x w x batch for the padded
+# blocks), a chunk is one group or column, the narrowest width: a
+# 32-vector batch at m >= 10 runs there.  The binary stage's subset-XOR
+# tables are built once per call, _SCRATCH elements at a time.
+#
+# Per kernel, in µs: the mean over the six tags of the min of 5 timings, on
+# a 2-CPU x86-64 host with numpy 2.4.  Left of each arrow is one group or
+# column per chunk, right is this rule.
+#
+#              binary stage              block stage
+#   m     batch 1     batch 32       batch 1    batch 32
+#   8     71 -> 34    208 -> 198     28 -> 13   126 -> 119
+#  10    317 -> 204  1559 -> 1689    51 -> 31   487 -> 492
+#  11    809 -> 728  4053 -> 3890    76 -> 55  1238 -> 1241
+#
+# The batch-32 cells at m = 10 and 11 run at the narrowest width on both
+# sides; they move by up to 7% from run to run, and the binary stage pays
+# about 1 µs of Python per group for the chunk bookkeeping, seen at m = 10.
+# Budgets of 2^13, 2^14, 2^15, 2^16 and 2^17 elements gave about 1940,
+# 2230, 2360, 2350 and 2180 vectors/s on perfbench's counted_m10 (single
+# vectors at m = 10), so the budget is 2^15; rs255_stream (m = 8) read
+# about 9750 at all five.
 # ---------------------------------------------------------------------------
 
 _SCRATCH = 1 << 18
+_GATHER = 1 << 15
 _Kernel = Callable[[np.ndarray], np.ndarray]
 
 
@@ -516,28 +546,43 @@ def _gather(perm) -> _Kernel:
     return lambda x: x[idx]
 
 
+def _xor_fold(acc: np.ndarray, terms: np.ndarray) -> None:
+    """acc ^= the XOR of terms over its first axis.  A single term goes in
+    directly: a reduce over one would first copy it."""
+    acc ^= terms[0] if len(terms) == 1 else np.bitwise_xor.reduce(terms, axis=0)
+
+
 def _block_kernel(ctx: FieldContext, stage: BlockStage) -> _Kernel:
     """Block k multiplies the d_k positions of a coset-ordered vector that
     follow the blocks before it.  The stage's padded (l, w, w) entries run
-    as one gather and w rounds of add, take and XOR over the padded
-    (l, w, batch) grid; a pad entry's sentinel log sends its products to
-    exp's zero tail, and keep drops the pad rows."""
+    over the padded (l, w, batch) grid in rounds of c columns j, c =
+    _GATHER // (l w batch) held to 1..w.  A round is one add of column j's
+    logs to input j's logs for its c columns, into a (c, l, w, batch)
+    buffer, one take from exp and one XOR across the c products.  A pad
+    entry's sentinel log sends its products to exp's zero tail, and keep
+    drops the pad rows."""
     n = ctx.n
     log = np.array(ctx.log, dtype=np.int32)
     log[0] = 2 * n  # any sum with the sentinel lands in exp's zero tail
     exp = np.zeros(4 * n + 1, dtype=np.uint16)
     exp[: 2 * n] = ctx.exp * 2
     pos, keep = stage.grid()
+    l, w = pos.shape
     col_logs = np.moveaxis(log[stage.entries], 2, 0)[..., None]  # column j of every block: (w, l, w, 1)
+    pos_by_col = np.ascontiguousarray(pos.T)
 
     def run(x: np.ndarray) -> np.ndarray:
-        xs = log[x][pos]  # (l, w, batch)
-        acc = np.zeros(xs.shape, dtype=np.uint16)
-        total, term = np.empty_like(xs), np.empty_like(acc)
-        for j, col in enumerate(col_logs):
-            np.add(col, xs[:, None, j], out=total)
-            acc ^= np.take(exp, total, out=term, mode="clip")
-        return acc.reshape(pos.size, x.shape[1])[keep]
+        batch = x.shape[1]
+        xs = log[x][pos_by_col][:, :, None]  # input j of every block: (w, l, 1, batch)
+        c = max(1, min(w, _GATHER // max(l * w * batch, 1)))
+        acc = np.zeros((l, w, batch), dtype=np.uint16)
+        total = np.empty((c, l, w, batch), dtype=np.int32)
+        term = np.empty(total.shape, dtype=np.uint16)
+        for j0 in range(0, w, c):
+            n_cols = min(c, w - j0)
+            np.add(col_logs[j0 : j0 + c], xs[j0 : j0 + c], out=total[:n_cols])
+            _xor_fold(acc, np.take(exp, total[:n_cols], out=term[:n_cols], mode="clip"))
+        return acc.reshape(pos.size, batch)[keep]
 
     return run
 
@@ -545,26 +590,38 @@ def _block_kernel(ctx: FieldContext, stage: BlockStage) -> _Kernel:
 def _binary_kernel(matrix: BinaryMatrix) -> _Kernel:
     """Four Russians on bytes: byte g of a row selects among columns
     8g..8g+7, so out ^= table_g[byte g] over all groups g.  The selectors
-    are matrix.packed itself, whose packed[g] holds byte g of every row."""
+    are matrix.packed itself, whose packed[g] holds byte g of every row.
+    The groups go k at a time, k = _GATHER // (rows batch) held to
+    1..width: one take from their k tables laid end to end, at byte g +
+    256 i for the i-th of them, and one XOR across the k lookups."""
     sel = matrix.packed
-    width = len(sel)
+    width, rows = sel.shape
 
     def run(x: np.ndarray) -> np.ndarray:
         batch = x.shape[1]
         cols = np.zeros((width * 8, batch), dtype=np.uint16)
         cols[: matrix.cols] = x
         cols = cols.reshape(width, 8, batch)
-        out = np.zeros((matrix.n_rows, batch), dtype=np.uint16)
-        looked_up = np.empty_like(out)
+        out = np.zeros((rows, batch), dtype=np.uint16)
         step = max(1, _SCRATCH // (256 * max(batch, 1)))
+        k = max(1, min(width, _GATHER // max(rows * batch, 1)))
+        offsets = 256 * np.arange(k, dtype=np.intp)[:, None]
+        idx = np.empty((k, rows), dtype=np.intp)
+        looked_up = np.empty((k, rows, batch), dtype=np.uint16)
         for g0 in range(0, width, step):
             part = cols[g0 : g0 + step]
             table = np.zeros((len(part), 256, batch), dtype=np.uint16)
             for bit in range(8):
                 lo = 1 << bit
                 np.bitwise_xor(table[:, :lo], part[:, bit, None], out=table[:, lo : 2 * lo])
-            for g, tab in enumerate(table, g0):
-                out ^= np.take(tab, sel[g], axis=0, out=looked_up, mode="clip")
+            for h in range(0, len(part), k):
+                tabs = table[h : h + k]
+                n_tabs = len(tabs)
+                at = sel[g0 + h : g0 + h + n_tabs]
+                if n_tabs > 1:  # a lone table needs no offsets
+                    at = np.add(at, offsets[:n_tabs], out=idx[:n_tabs])
+                flat = tabs.reshape(n_tabs * 256, batch)
+                _xor_fold(out, np.take(flat, at, axis=0, out=looked_up[:n_tabs], mode="clip"))
         return out
 
     return run

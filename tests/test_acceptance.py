@@ -24,7 +24,6 @@ from gfft.algorithms import (
     ALL_TAGS,
     FACTORED_TAGS,
     BlockStage,
-    TransformTally,
 )
 from gfft.field import OpCount, default_field
 from gfft.reference import naive_dft_batch, transform_matrix, unit_response

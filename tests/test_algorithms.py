@@ -479,6 +479,46 @@ def test_counted_apply_matches_reference(m):
                 assert _counters(got.stage1, got.stage2) == want, (tag, fr, units)
 
 
+# The kernels' element budget at its edges: 1 runs one byte group or block
+# column per chunk, 900 leaves a ragged last chunk in both kernels at m = 8
+# for one vector (3 of 32 groups, 3 of 8 columns), and 2^30 runs each stage
+# as one gather.
+_BUDGETS = (1, 900, 1 << 30)
+
+
+@pytest.mark.parametrize("m", [3, 8, 10])
+def test_chunk_rule_edges(m, monkeypatch):
+    # every budget gives the reference walk's outputs, on batches 0, 1, 3
+    # and 32 and on single vectors, and its tallies for both stage-2 kernels
+    # under both counting policies; the naive walk is slow at m = 10, so
+    # there the tallies are checked on one vector
+    ctx = default_field(m)
+    vecs = _path_vectors(m, 26)
+    assert len(vecs) == 32
+    tallied = 1 if m == 10 else 3
+    for tag in ALL_TAGS:
+        plan = build(tag, ctx)
+        if m == 8:
+            width, rows = plan.stage(BinaryMatrix).packed.shape
+            l, w = plan.stage(BlockStage).entries.shape[:2]
+            assert width % (900 // rows) and w % (900 // (l * w)), tag
+        walks = [counted_apply(plan, f, TransformTally.fresh(), four_russians=True) for f in vecs]
+        refs = [(_tally(False), _tally(True)) for _ in range(tallied)]  # as in the test above
+        for f, want_out, (naive, fast) in zip(vecs, walks, refs):
+            assert counted_apply(plan, f, naive) == counted_apply(plan, f, fast, True) == want_out, tag
+        for budget in _BUDGETS:
+            monkeypatch.setattr(alg, "_GATHER", budget)
+            for size in (0, 1, 3, 32):
+                assert apply_batch(plan, vecs[:size]) == walks[:size], (tag, budget, size)
+            assert [apply(plan, f) for f in vecs] == walks, (tag, budget)
+            for f, want_out, ref in zip(vecs, walks, refs):
+                for fr, units in product((False, True), repeat=2):
+                    got = _tally(units)
+                    assert apply(plan, f, got, fr) == want_out, (tag, budget, fr, units)
+                    want = _counters(ref[units].stage1, ref[fr].stage2)
+                    assert _counters(got.stage1, got.stage2) == want, (tag, budget, fr, units)
+
+
 def test_kernels_built_once_per_plan(monkeypatch):
     # counted and uncounted calls share one kernel build per plan; the count
     # data is built once too, and only for a counted call

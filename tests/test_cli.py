@@ -1,7 +1,6 @@
 import csv
 import io
 import json
-import os
 import random
 from pathlib import Path
 
