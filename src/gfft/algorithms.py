@@ -453,13 +453,13 @@ def materialize(plan: Plan) -> np.ndarray:
     return out
 
 
-def coset_block_report(plan: Plan) -> list[dict]:
+def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
     """Read-only structure report for the coset-pair sub-blocks of the
-    binary stage.
-
-    Flags, per (output coset, input coset) pair, whether consecutive rows are
-    right rotations and whether the block is a full circulant (square with
-    wrap-around).  No algorithm consumes this; it documents structure.
+    binary stage: two (l, l) bool arrays indexed [output coset, input coset]
+    in partition order.  chain flags the pairs whose consecutive rows are
+    right rotations, circulant those that are also square and wrap around
+    (last row rotated right gives the first).  No algorithm consumes this;
+    it documents structure.
     """
     if plan.out_perm != plan.in_perm:
         raise ValueError("block report requires coset-ordered output rows")
@@ -474,19 +474,7 @@ def coset_block_report(plan: Plan) -> list[dict]:
     wrap = np.logical_and.reduceat(same[starts], starts, axis=1)  # first row against the last
     same[starts] = True
     chain = np.logical_and.reduceat(np.logical_and.reduceat(same, starts, axis=0), starts, axis=1)
-    circulant = chain & wrap & (sizes[:, None] == sizes)
-    cosets = plan.partition.cosets
-    return [
-        {
-            "out_coset": out.leader,
-            "in_coset": inc.leader,
-            "shape": (out.size, inc.size),
-            "rotation_chain": is_chain,
-            "circulant": is_circulant,
-        }
-        for out, chain_row, circulant_row in zip(cosets, chain.tolist(), circulant.tolist())
-        for inc, is_chain, is_circulant in zip(cosets, chain_row, circulant_row)
-    ]
+    return chain, chain & wrap & (sizes[:, None] == sizes)
 
 
 # ---------------------------------------------------------------------------
@@ -739,6 +727,5 @@ def structural_counts_for_tag(ctx: FieldContext, tag: str) -> tuple[int, int, in
     keys = list(shared)
     total_ones = 0
     for k, column in _columns(ctx, range(n), keys):
-        ones = BinaryMatrix.from_coords([(0, column)], [len(keys[k].basis)], n).row_popcounts().sum()
-        total_ones += shared[keys[k]] * int(ones)
+        total_ones += shared[keys[k]] * int(np.count_nonzero(np.unpackbits(column.view(np.uint8))))
     return (*_stage1_counts(_d_blocks(ctx, [lay.basis for lay in layouts])), total_ones - n)

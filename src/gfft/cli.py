@@ -29,7 +29,7 @@ import numpy as np
 from . import algorithms as alg
 from . import binmat
 from .field import PRIMITIVE_POLYS, FieldSpec, build_field
-from .reference import naive_dft_batch, unit_response
+from .reference import naive_dft_batch, transform_matrix, unit_response
 from .structure import BinaryMatrix
 
 VERIFY_M_RANGE = (2, 12)
@@ -117,16 +117,21 @@ def _matrix_mismatch(m: int, plan, w: np.ndarray) -> dict | None:
         i, j = np.argwhere(dense != w)[0].tolist()
         return head | {"row": i, "column": j, "expected": int(w[i, j]), "actual": int(dense[i, j])}
     if plan.tag in (alg.FED2006A, alg.FED2006B):
-        for r in alg.coset_block_report(plan):
-            if not r["rotation_chain"] or (r["shape"][0] == r["shape"][1] and not r["circulant"]):
-                return head | {k: r[k] for k in ("out_coset", "in_coset", "rotation_chain", "circulant")}
+        chain, circulant = alg.coset_block_report(plan)
+        sizes = np.array(plan.partition.sizes())
+        broken = np.argwhere(~chain | ((sizes[:, None] == sizes) & ~circulant))
+        if len(broken):
+            o, i = broken[0].tolist()
+            cosets = plan.partition.cosets
+            return head | {"out_coset": cosets[o].leader, "in_coset": cosets[i].leader,
+                           "rotation_chain": bool(chain[o, i]), "circulant": bool(circulant[o, i])}
     return None
 
 
 def _verify_one_field(ctx, tags: list[str], trials: int, seed: int, mismatches: list) -> list[dict]:
     """One record per tag; each failing suite's first mismatch goes to
     stderr as one line and onto mismatches.  The matrix suite compares
-    materialize with W, built as exp[(i * j) mod n]."""
+    materialize with W from transform_matrix."""
     n, m = ctx.n, ctx.m
     rng = random.Random(f"{seed}:{m}")
     vecs = [[rng.randrange(1 << m) for _ in range(n)] for _ in range(trials)]
@@ -139,8 +144,7 @@ def _verify_one_field(ctx, tags: list[str], trials: int, seed: int, mismatches: 
         v[j] = 1
         unit_vecs.append(v)
     unit_expect = [unit_response(j, ctx) for j in unit_idx]
-    idx = np.arange(n, dtype=np.uint32)  # i * j < n^2 < 2^32
-    w = np.asarray(ctx.exp, dtype=np.uint16)[np.multiply.outer(idx, idx) % n]
+    w = transform_matrix(ctx)
 
     records = []
     for tag in tags:
@@ -291,13 +295,13 @@ def _order_line(perm, sizes, prefix: str) -> str:
     return " | ".join(" ".join(f"{prefix}{i}" for i in perm[s : s + d]) for s, d in zip(starts, sizes))
 
 
-def _grid_lines(matrix, row_widths, col_widths) -> list[str]:
-    """Rows of a binary matrix, ' | ' between the column groups and, unless
-    row_widths is None, a rule between the row groups."""
+def _grid_lines(bits: np.ndarray, row_widths, col_widths) -> list[str]:
+    """Rows of a (rows, cols) 0/1 array, ' | ' between the column groups
+    and, unless row_widths is None, a rule between the row groups."""
     col_starts = list(accumulate(col_widths, initial=0))
     lines = []
-    for bits in matrix.bits().tolist():
-        parts = (" ".join(str(b) for b in bits[c : c + d]) for c, d in zip(col_starts, col_widths))
+    for row in bits.tolist():
+        parts = (" ".join(str(b) for b in row[c : c + d]) for c, d in zip(col_starts, col_widths))
         lines.append(" | ".join(parts))
     if row_widths is None or not lines:
         return lines
@@ -316,7 +320,7 @@ def _factor_text_factored(plan, out):
     print(f"input order : {_order_line(plan.in_perm, sizes, 'f')}", file=out)
     print(f"output order: {_order_line(plan.out_perm, sizes if grouped else [ctx.n], 'F')}", file=out)
     print("A_e (binary):", file=out)
-    for line in _grid_lines(plan.stage(BinaryMatrix), sizes if grouped else None, sizes):
+    for line in _grid_lines(plan.stage(BinaryMatrix).bits(), sizes if grouped else None, sizes):
         print(f"  {line}", file=out)
     print("D_e blocks:", file=out)
     blocks = plan.stage(alg.BlockStage)
@@ -335,7 +339,7 @@ def _factor_text_goertzel(plan, out):
     ctx, sizes = plan.ctx, plan.partition.sizes()
     print(f"output order: {_order_line(plan.out_perm, sizes, 'F')}", file=out)
     print("R (binary, remainder coefficients by coset):", file=out)
-    for line in _grid_lines(plan.stage(BinaryMatrix), sizes, [ctx.n]):
+    for line in _grid_lines(plan.stage(BinaryMatrix).bits(), sizes, [ctx.n]):
         print(f"  {line}", file=out)
     print("evaluation blocks (rows = output points):", file=out)
     blocks = plan.stage(alg.BlockStage)
@@ -347,7 +351,7 @@ def _factor_text_goertzel(plan, out):
 
 def _factor_text_blahut(plan, out):
     ctx, sizes = plan.ctx, plan.partition.sizes()
-    combine = plan.stage(BinaryMatrix)
+    combine = plan.stage(BinaryMatrix).bits()
     blocks = plan.stage(alg.BlockStage)
     for k, (coset, c0) in enumerate(zip(plan.partition.cosets, accumulate(sizes, initial=0))):
         if coset.leader == 0:
@@ -358,7 +362,7 @@ def _factor_text_blahut(plan, out):
         for row in blocks.rows(k):
             print(f"    {_elem_row(ctx, row)}", file=out)
         print(f"  B (binary rows, outputs F0..F{ctx.n - 1}):", file=out)
-        for line in _grid_lines(combine.submatrix(0, ctx.n, c0, c0 + coset.size), None, [coset.size]):
+        for line in _grid_lines(combine[:, c0 : c0 + coset.size], None, [coset.size]):
             print(f"    {line}", file=out)
 
 

@@ -44,10 +44,10 @@ def unit_response(j: int, ctx: FieldContext) -> list[int]:
     return [ctx.exp[(i * j) % ctx.n] for i in range(ctx.n)]
 
 
-def transform_matrix(ctx: FieldContext) -> list[list[int]]:
-    """The n x n Vandermonde matrix W with W[i][j] = a^(ij)."""
-    n = ctx.n
-    return [[ctx.exp[(i * j) % n] for j in range(n)] for i in range(n)]
+def transform_matrix(ctx: FieldContext) -> np.ndarray:
+    """The n x n Vandermonde matrix W with W[i, j] = a^(ij), as uint16."""
+    idx = np.arange(ctx.n, dtype=np.uint32)  # i * j < n^2 < 2^32
+    return np.asarray(ctx.exp, dtype=np.uint16)[np.multiply.outer(idx, idx) % ctx.n]
 
 
 def dense_matvec(

@@ -156,15 +156,6 @@ class LinearSolver:
             raise ValueError(f"element {xs[wide][0]} is outside [0, 2^16)")
         return self._bytes[0, xs & 255] ^ self._bytes[1, xs >> 8]
 
-    def coords_array(self, xs: np.ndarray) -> np.ndarray:
-        """coords of every element of an int array at once, as uint32.
-        ValueError outside [0, 2^16) or outside the span."""
-        mapped = self.linear_map(xs)
-        bad = np.flatnonzero(mapped >> 16)
-        if len(bad):
-            raise ValueError(f"element {np.ravel(xs)[bad[0]]} not in span of basis {self.basis}")
-        return mapped
-
 
 def rotate_right_bits(coords: int, d: int) -> int:
     """One right rotation of a d-bit coordinate vector (bit j -> bit j+1)."""
@@ -292,12 +283,6 @@ class BinaryMatrix:
         """The (rows, cols) uint8 0/1 array of the entries, unpacked anew on
         each call: the one place that unpacks the matrix."""
         return np.unpackbits(np.ascontiguousarray(self.packed.T), axis=1, count=self.cols, bitorder="little")
-
-    def to_bits(self) -> list[list[int]]:
-        return self.bits().tolist()
-
-    def submatrix(self, r0: int, r1: int, c0: int, c1: int) -> "BinaryMatrix":
-        return BinaryMatrix(np.packbits(self.bits()[r0:r1, c0:c1].T, axis=0, bitorder="little"), c1 - c0)
 
     def row_popcounts(self) -> np.ndarray:
         """The ones in each row, as an int64 array."""

@@ -59,6 +59,18 @@ def test_verify_bad_range_syntax():
     assert code == 2
 
 
+def test_verify_rejects_empty_algo_list(capsys):
+    code, out = run(["verify", "--m", "3", "--algo", ","])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: empty algorithm list\n"
+
+
+def test_verify_rejects_negative_trials(capsys):
+    code, out = run(["verify", "--m", "3", "--trials", "-1"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: --trials must be non-negative\n"
+
+
 def test_verify_failure_exits_one(monkeypatch):
     # corrupt the unit oracle; the suite must notice and report failure
     import gfft.reference as reference
@@ -191,9 +203,9 @@ def test_verify_names_first_broken_coset_pair(monkeypatch, capsys):
     real = alg.coset_block_report
 
     def broken(plan):
-        out = real(plan)
-        out[-1]["circulant"] = False
-        return out
+        chain, circulant = real(plan)
+        circulant[-1, -1] = False
+        return chain, circulant
 
     monkeypatch.setattr(alg, "coset_block_report", broken)
     code, out = run(["verify", "--m", "3", "--algo", "fed2006a", "--trials", "1"])
@@ -329,6 +341,12 @@ def test_factor_rejects_out_of_range():
     assert code == 2
     code, _ = run(["factor", "--m", "2..4", "--algo", "tf2003"])
     assert code == 2
+
+
+def test_factor_rejects_two_algorithms(capsys):
+    code, out = run(["factor", "--m", "3", "--algo", "goertzel,tf2003"])
+    assert (code, out) == (2, "")
+    assert capsys.readouterr().err == "error: factor takes a single algorithm\n"
 
 
 def test_factor_poly_override():

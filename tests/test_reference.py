@@ -51,7 +51,7 @@ def test_dense_matvec_examples():
     ident = [[1 if i == j else 0 for j in range(7)] for i in range(7)]
     v = [5, 3, 0, 1, 7, 2, 6]
     assert dense_matvec(ident, v, ctx) == v
-    w = transform_matrix(ctx)
+    w = transform_matrix(ctx).tolist()
     delta1 = [0, 1, 0, 0, 0, 0, 0]
     assert dense_matvec(w, delta1, ctx) == [1, 2, 4, 3, 6, 7, 5]
     zero = [[0] * 7 for _ in range(7)]
@@ -63,7 +63,7 @@ def test_dense_matvec_examples():
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 8])
 def test_dft_agrees_with_matrix_form(m):
     ctx = default_field(m)
-    w = transform_matrix(ctx)
+    w = transform_matrix(ctx).tolist()
     rng = random.Random(m * 31)
     for _ in range(10):
         f = [rng.randrange(1 << m) for _ in range(ctx.n)]

@@ -154,25 +154,26 @@ def test_coordinates_round_trip(m):
         assert acc == x
 
 
-def test_coords_array_matches_coords():
+def test_linear_map_matches_coords():
     for basis in [(1, 2, 4), (3, 5, 7), (6, 3, 1)]:
         solver = LinearSolver(basis)
-        got = solver.coords_array(range(8))
+        got = solver.linear_map(range(8))
         assert got.tolist() == [solver.coords(x) for x in range(8)], basis
 
 
-def test_coords_array_rejects_outside_span():
+def test_linear_map_flags_outside_span():
     solver = LinearSolver((0b001, 0b010))
-    assert solver.coords_array([0, 1, 2, 3]).tolist() == [0, 1, 2, 3]
-    with pytest.raises(ValueError, match="element 4 not in span"):
-        solver.coords_array([3, 4, 1, 6])
+    assert solver.linear_map([0, 1, 2, 3]).tolist() == [0, 1, 2, 3]
+    # 4 and 6 = 4 ^ 2 leave the span: a nonzero residual from bit 16 up
+    residual = solver.linear_map([3, 4, 1, 6]) >> 16
+    assert (residual != 0).tolist() == [False, True, False, True]
 
 
-def test_coords_array_rejects_elements_outside_16_bits():
+def test_linear_map_rejects_elements_outside_16_bits():
     solver = LinearSolver((0b001, 0b010))
     for xs in ([1, 1 << 16], [-1, 2]):
         with pytest.raises(ValueError, match="outside \\[0, 2\\^16\\)"):
-            solver.coords_array(xs)
+            solver.linear_map(xs)
     with pytest.raises(ValueError, match="outside \\[0, 2\\^16\\)"):
         LinearSolver((1, 1 << 16))
 
@@ -221,11 +222,10 @@ def test_doubling_orbit():
 def test_binary_matrix_roundtrip():
     bits = [[1, 0, 1], [0, 1, 1]]
     mat = BinaryMatrix.from_bits(bits)
-    assert mat.to_bits() == bits
     assert mat.rows == [0b101, 0b110]
     assert mat.bits().dtype == np.uint8 and mat.bits().tolist() == bits
     assert mat.row_popcounts().tolist() == [2, 2]
-    assert mat.submatrix(0, 2, 1, 3).to_bits() == [[0, 1], [1, 1]]
+    assert mat.bits()[0:2, 1:3].tolist() == [[0, 1], [1, 1]]
     assert mat == BinaryMatrix.from_bits(bits)
     with pytest.raises(ValueError):
         BinaryMatrix.from_bits([[1, 0], [1]])
@@ -240,7 +240,7 @@ def test_packed_matrix_equals_int_rows(cols):
     mat = BinaryMatrix(packed, cols)
     assert mat == BinaryMatrix.from_rows(rows, cols)
     assert mat.rows == rows
-    assert mat.to_bits() == [[(r >> j) & 1 for j in range(cols)] for r in rows]
+    assert mat.bits().tolist() == [[(r >> j) & 1 for j in range(cols)] for r in rows]
     assert mat.row_popcounts().tolist() == [r.bit_count() for r in rows]
 
 
