@@ -160,11 +160,12 @@ class Plan:
         return found
 
     @cached_property
-    def _kernels(self) -> tuple[_Kernel, ...]:
-        """The exact numpy kernels of apply and apply_batch, built on first
-        use and kept with the plan.  Not a field, so equality and repr do
-        not see it."""
-        return tuple(_batch_stages(self))
+    def _kernels(self) -> tuple[np.ndarray, tuple[_Kernel, ...], np.ndarray]:
+        """The input gather index, the exact numpy kernels of the stages and
+        the output gather index of apply and apply_batch, built on first use
+        and kept with the plan.  Not a field, so equality and repr do not
+        see it."""
+        return _batch_stages(self)
 
     @cached_property
     def _counts(self) -> _Counts:
@@ -334,7 +335,6 @@ def build_tf2003(ctx: FieldContext) -> Plan:
 def build_fed2006(ctx: FieldContext, variant: str = "a") -> Plan:
     """Coset-ordered output on both sides; variant 'b' shifts the normal basis
     (generator squared) and starts the generator's coset at its exponent."""
-    variant = variant.lower()
     if variant not in ("a", "b"):
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
     return _build(ctx, FED2006B if variant == "b" else FED2006A)
@@ -369,13 +369,13 @@ def apply(
     f runs as one column through the plan's exact numpy kernels, the ones
     apply_batch uses, counted or not.  A tally receives the operation counts
     of the stage-by-stage Python-int walk (reference.counted_apply) without
-    running it: block stages tally into tally.stage1 and binary stages into
-    tally.stage2.  Every count but one is structural and cached on the plan:
-    d(d - 1) stage-1 additions per block and, per binary stage, the naive
-    fold's popcount - 1 additions per row, or with four_russians the
-    closed form of binmat's Four-Russians kernel.  Stage-1 multiplications
+    running it: the block stage tallies into tally.stage1 and the binary
+    stage into tally.stage2.  Every count but one is structural and cached
+    on the plan: d(d - 1) stage-1 additions per block and, for the binary
+    stage, the naive fold's popcount - 1 additions per row, or with
+    four_russians the closed form of binmat's Four-Russians kernel.  Stage-1 multiplications
     by 0 or 1 are free by default, so they depend on the data and are
-    counted on each block stage's input x as w . [x > 1], w_j being the
+    counted on the block stage's input x as w . [x > 1], w_j being the
     entries > 1 in column j of the block covering position j; under
     OpCount(count_units=True) every block but a pass-through costs d^2.
     Without a tally four_russians changes nothing, since both kernels give
@@ -444,10 +444,10 @@ def materialize(plan: Plan) -> np.ndarray:
     blocks_first = isinstance(plan.stages[0], BlockStage)
     x = np.ascontiguousarray(bits.T) if blocks_first else bits
     coef = stage.entries if blocks_first else stage.entries.swapaxes(1, 2)
-    y = np.empty(x.shape, dtype=np.uint16)  # the columns (blocks first) or rows of the product
+    y = np.zeros(x.shape, dtype=np.uint16)  # the columns (blocks first) or rows of the product
     for k, (c0, d) in enumerate(zip(accumulate(stage.sizes, initial=0), stage.sizes)):
-        picked = np.where(x[c0 : c0 + d, None], coef[k, :d, :d, None], np.uint16(0))
-        y[c0 : c0 + d] = np.bitwise_xor.reduce(picked, axis=0)
+        for t in range(d):  # one basis row at a time: no (d, d, n) temporary
+            y[c0 : c0 + d] ^= x[c0 + t] * coef[k, t, :d, None]
     out = np.empty_like(y)
     out[np.ix_(plan.out_perm, plan.in_perm)] = y.T if blocks_first else y
     return out
@@ -481,14 +481,14 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # The numpy kernels (exact) of apply and apply_batch.
 #
 # They run a plan's stages over one (width, batch) uint16 array, a column
-# per vector, between gathers for the two permutations: a block stage for
+# per vector, between one gather for each permutation: a block stage for
 # the multiplications (log/exp lookups; zero has a sentinel log that exp
 # maps back to 0) and a binary stage for the additions (Four Russians on the
 # bytes of each row).  Each reads its stage's one array as stored: the
 # padded block entries, the packed matrix bytes.  Table lookups and XOR
 # only, so both are exact.  The kernels count nothing themselves: a counted
 # apply takes its counts from the plan's cached structural counts
-# (Plan._counts) plus one dot product per block stage for the
+# (Plan._counts) plus one dot product on the block stage's input for the
 # data-dependent multiplications.  Each plan builds its kernels once, on
 # first use (Plan._kernels), copying no stage.  A kernel writes only arrays
 # it allocates per call, so a plan stays safe to share across threads.
@@ -502,36 +502,28 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # the binary stage at m = 10 as 4.  Once the elements one group or column
 # looks up pass _GATHER / 2 (rows x batch, or l x w x batch for the padded
 # blocks), a chunk is one group or column, the narrowest width: a
-# 32-vector batch at m >= 10 runs there.  The binary stage's subset-XOR
-# tables are built once per call, _SCRATCH elements at a time.
+# 32-vector batch at m >= 10 runs there.  The binary stage builds its
+# subset-XOR tables once per call, _GATHER // (32 batch) groups at a time,
+# so 8 _GATHER table entries.
 #
 # Per kernel, in µs: the mean over the six tags of the min of 5 timings, on
-# a 2-CPU x86-64 host with numpy 2.4.  Left of each arrow is one group or
-# column per chunk, right is this rule.
+# a 2-CPU x86-64 host with numpy 2.4.
 #
-#              binary stage              block stage
-#   m     batch 1     batch 32       batch 1    batch 32
-#   8     71 -> 34    208 -> 198     28 -> 13   126 -> 119
-#  10    317 -> 204  1559 -> 1689    51 -> 31   487 -> 492
-#  11    809 -> 728  4053 -> 3890    76 -> 55  1238 -> 1241
+#              binary stage          block stage
+#   m     batch 1   batch 32     batch 1   batch 32
+#   8        34       198           13        119
+#  10       204      1689           31        492
+#  11       728      3890           55       1241
 #
-# The batch-32 cells at m = 10 and 11 run at the narrowest width on both
-# sides; they move by up to 7% from run to run, and the binary stage pays
-# about 1 µs of Python per group for the chunk bookkeeping, seen at m = 10.
-# Budgets of 2^13, 2^14, 2^15, 2^16 and 2^17 elements gave about 1940,
-# 2230, 2360, 2350 and 2180 vectors/s on perfbench's counted_m10 (single
-# vectors at m = 10), so the budget is 2^15; rs255_stream (m = 8) read
-# about 9750 at all five.
+# The batch-32 cells at m = 10 and 11 run at the narrowest width; they move
+# by up to 7% from run to run.  Budgets of 2^13, 2^14, 2^15, 2^16 and 2^17
+# elements gave about 1940, 2230, 2360, 2350 and 2180 vectors/s on
+# perfbench's counted_m10 (single vectors at m = 10), so the budget is
+# 2^15; rs255_stream (m = 8) read about 9750 at all five.
 # ---------------------------------------------------------------------------
 
-_SCRATCH = 1 << 18
 _GATHER = 1 << 15
 _Kernel = Callable[[np.ndarray], np.ndarray]
-
-
-def _gather(perm) -> _Kernel:
-    idx = np.asarray(perm, dtype=np.intp)
-    return lambda x: x[idx]
 
 
 def _xor_fold(acc: np.ndarray, terms: np.ndarray) -> None:
@@ -591,7 +583,7 @@ def _binary_kernel(matrix: BinaryMatrix) -> _Kernel:
         cols[: matrix.cols] = x
         cols = cols.reshape(width, 8, batch)
         out = np.zeros((rows, batch), dtype=np.uint16)
-        step = max(1, _SCRATCH // (256 * max(batch, 1)))
+        step = max(1, _GATHER // (32 * max(batch, 1)))
         k = max(1, min(width, _GATHER // max(rows * batch, 1)))
         offsets = 256 * np.arange(k, dtype=np.intp)[:, None]
         idx = np.empty((k, rows), dtype=np.intp)
@@ -615,31 +607,33 @@ def _binary_kernel(matrix: BinaryMatrix) -> _Kernel:
     return run
 
 
-def _batch_stages(plan: Plan) -> list[_Kernel]:
-    kernels = [
+def _batch_stages(plan: Plan) -> tuple[np.ndarray, tuple[_Kernel, ...], np.ndarray]:
+    kernels = tuple(
         _binary_kernel(s) if isinstance(s, BinaryMatrix) else _block_kernel(plan.ctx, s)
         for s in plan.stages
-    ]
-    return [_gather(plan.in_perm), *kernels, _gather(np.argsort(plan.out_perm))]
+    )
+    return np.asarray(plan.in_perm, dtype=np.intp), kernels, np.argsort(plan.out_perm)
 
 
 def _run_kernels(plan: Plan, rows: np.ndarray, stage1: OpCount | None = None) -> np.ndarray:
-    """Validated (batch, n) input rows through the plan's kernels; the
-    outputs come back as the columns of an (n, batch) array.  With stage1,
-    each block stage adds w . [x > 1] over its input x to stage1.mults."""
-    x = np.ascontiguousarray(rows.T)
+    """Validated (batch, n) input rows gathered into stage order, through
+    the plan's stage kernels and scattered to output order; the outputs
+    come back as the columns of an (n, batch) array.  With stage1, the
+    block stage adds w . [x > 1] over its input x to stage1.mults."""
+    in_idx, kernels, out_idx = plan._kernels
+    x = rows.T[in_idx]
     weights = plan._counts.mult_weights if stage1 is not None else repeat(None)
-    for kernel, w in zip(plan._kernels, weights):
+    for kernel, w in zip(kernels, weights):
         if w is not None:
             stage1.mults += int((w @ (x > 1)).sum())
         x = kernel(x)
-    return x
+    return x[out_idx]
 
 
 def apply_batch(plan: Plan, vectors: list[list[int]]) -> list[list[int]]:
     """Apply one plan to many vectors with the numpy kernels; equals apply."""
     x = _run_kernels(plan, validate_vectors(plan.ctx, vectors))
-    return np.ascontiguousarray(x.T).tolist()
+    return x.T.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +642,7 @@ def apply_batch(plan: Plan, vectors: list[list[int]]) -> list[list[int]]:
 
 
 def structural_stage1_counts(plan: Plan) -> tuple[int, int]:
-    """Worst-case (mults, adds) for the block stages.
+    """Worst-case (mults, adds) for the block stage.
 
     Multiplications follow the skip-units policy: entries equal to 0 or 1 are
     free, so a d x d circulant of non-unit conjugates costs d^2 and a dense
@@ -663,15 +657,15 @@ def _stage1_counts(stage: BlockStage) -> tuple[int, int]:
 
 
 def stage2_naive_adds(plan: Plan) -> int:
-    """Exact additions of the naive binary stages: sum of (popcount - 1)."""
-    popcounts = [s.row_popcounts() for s in plan.stages if isinstance(s, BinaryMatrix)]
-    return sum(int(pc.sum() - np.count_nonzero(pc)) for pc in popcounts)
+    """Exact additions of the naive binary stage: sum of (popcount - 1)."""
+    pc = plan.stage(BinaryMatrix).row_popcounts()
+    return int(pc.sum() - np.count_nonzero(pc))
 
 
 class _Counts(NamedTuple):
     """Per plan, what a counted apply adds to its tally beyond the
     data-dependent stage-1 multiplications: those come from mult_weights,
-    one entry per kernel of Plan._kernels (None but at a block stage)."""
+    one entry per stage of the plan (None at the binary stage)."""
 
     mult_weights: tuple[np.ndarray | None, ...]
     unit_mults: int  # stage-1 multiplications under count_units=True
@@ -687,14 +681,13 @@ def _plan_counts(plan: Plan) -> _Counts:
     stage = plan.stage(BlockStage)
     sizes = np.array(stage.sizes)
     issued = (sizes > 1) | (stage.entries[:, 0, 0] != 1)  # all blocks but the pass-throughs
-    matrices = [s for s in plan.stages if isinstance(s, BinaryMatrix)]
-    stage_weights = (_mult_weights(s) if isinstance(s, BlockStage) else None for s in plan.stages)
+    a = plan.stage(BinaryMatrix)
     return _Counts(
-        (None, *stage_weights, None),  # the two gathers count nothing
+        tuple(_mult_weights(s) if s is stage else None for s in plan.stages),
         int((sizes[issued] ** 2).sum()),
         int((sizes * (sizes - 1)).sum()),
-        sum(int(np.maximum(a.row_popcounts() - 1, 0).sum()) for a in matrices),
-        sum(binmat.make_plan(a.cols).predicted_adds(a.n_rows) for a in matrices),
+        int(np.maximum(a.row_popcounts() - 1, 0).sum()),
+        binmat.make_plan(a.cols).predicted_adds(a.n_rows),
     )
 
 
@@ -710,11 +703,13 @@ def stage1_bound(ctx: FieldContext) -> int:
     return ctx.n * ctx.m
 
 
-# The bench path must cover fields whose full binary matrix would not fit in
-# memory, so the naive-stage addition count is aggregated per coset: as i
-# runs over Z_n, a^(i*rep) sweeps the subgroup generated by a^g, g = gcd(rep,
-# n), hitting each value g times, as a^(i*g) does.  So layouts that agree in
-# basis and g have columns with the same ones, and one column serves them.
+# The bench path counts without building the binary matrix, for speed: at
+# m = 14, tf2003's counts take 0.03 s against 0.36 s to build and count, and
+# goertzel's 0.6 s against 1.2 s (2-CPU host).  The naive-stage addition
+# count is aggregated per coset: as i runs over Z_n, a^(i*rep) sweeps the
+# subgroup generated by a^g, g = gcd(rep, n), hitting each value g times, as
+# a^(i*g) does.  So layouts that agree in basis and g have columns with the
+# same ones, and one column serves them.
 
 
 def structural_counts_for_tag(ctx: FieldContext, tag: str) -> tuple[int, int, int]:

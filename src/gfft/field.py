@@ -100,16 +100,6 @@ class FieldContext:
             return 0
         return self._exp2[self.log[a] + self.log[b]]
 
-    def pow(self, a: int, e: int) -> int:
-        """a raised to an integer power (not counted; table plumbing)."""
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("zero has no negative powers")
-            return 0
-        return self.exp[(self.log[a] * e) % self.n]
-
     def __eq__(self, other: object) -> bool:
         """Fields built from the same m and polynomial are the same field."""
         if not isinstance(other, FieldContext):

@@ -45,10 +45,6 @@ class CosetPartition:
     n: int
     cosets: tuple[Coset, ...]
 
-    @property
-    def l(self) -> int:
-        return len(self.cosets)
-
     def sizes(self) -> tuple[int, ...]:
         return tuple(c.size for c in self.cosets)
 
@@ -260,14 +256,6 @@ class BinaryMatrix:
         except OverflowError:
             raise ValueError(f"a row does not fit in {cols} columns") from None
         return cls(np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), width).T.copy(), cols)
-
-    @classmethod
-    def from_bits(cls, bits: list[list[int]] | tuple) -> "BinaryMatrix":
-        cols = len(bits[0]) if bits else 0
-        if any(len(r) != cols for r in bits):
-            raise ValueError("ragged rows")
-        dense = np.array(bits, dtype=bool).reshape(len(bits), cols)
-        return cls(np.packbits(dense.T, axis=0, bitorder="little"), cols)
 
     @property
     def n_rows(self) -> int:

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pickle
 import random
@@ -161,8 +162,11 @@ def test_fed2006b_matrices_m3(ctx3):
 
 
 def test_fed2006_variant_validation(ctx3):
-    with pytest.raises(ValueError):
-        build_fed2006(ctx3, "c")
+    # only "a" and "b" name a variant: no case folding, and a non-string
+    # raises the same ValueError
+    for variant in ("c", "A", 5):
+        with pytest.raises(ValueError):
+            build_fed2006(ctx3, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +285,9 @@ def _built_rows(plan):
     if plan.tag == "goertzel":
         return {"R": matrix_of(plan).rows}
     if plan.tag == "blahut2008":
-        return {"B": [BinaryMatrix.from_bits(b).rows for b in column_blocks(plan)], "combine": matrix_of(plan).rows}
+        packed = (np.packbits(b, axis=1, bitorder="little") for b in column_blocks(plan))
+        b_rows = [[int.from_bytes(row.tobytes(), "little") for row in p] for p in packed]
+        return {"B": b_rows, "combine": matrix_of(plan).rows}
     return {"A": matrix_of(plan).rows}
 
 
@@ -480,9 +486,9 @@ def test_counted_apply_matches_reference(m):
 
 
 # The kernels' element budget at its edges: 1 runs one byte group or block
-# column per chunk, 900 leaves a ragged last chunk in both kernels at m = 8
-# for one vector (3 of 32 groups, 3 of 8 columns), and 2^30 runs each stage
-# as one gather.
+# column per chunk, and one subset-XOR table at a time; 900 leaves a ragged
+# last chunk in both kernels at m = 8 for one vector (3 of 32 groups, 3 of
+# 8 columns, 28 of 32 tables); and 2^30 runs each stage as one gather.
 _BUDGETS = (1, 900, 1 << 30)
 
 
@@ -710,6 +716,45 @@ def test_block_report_requires_grouped_rows(ctx3):
         coset_block_report(build_tf2003(ctx3))
 
 
+class _NoTable:
+    """A field table that raises on any read."""
+
+    def read(self, *args, **kwargs):
+        raise AssertionError("a field table was read")
+
+    __getitem__ = __iter__ = __len__ = __array__ = read
+
+
+def _no_kernel(*args):
+    raise AssertionError("a kernel was built")
+
+
+@pytest.mark.parametrize("m", [3, 6])
+def test_inspection_reads_neither_kernels_nor_field_tables(m, monkeypatch):
+    # materialize and coset_block_report compose the stored stage entries
+    # only, so they stay a check on the code under test: with both kernels
+    # and every field table raising, they still give the W and the reports
+    # computed beforehand
+    ctx = default_field(m)
+    w = transform_matrix(ctx)
+    plans = {tag: build(tag, ctx) for tag in ALL_TAGS}
+    reports = {tag: coset_block_report(plans[tag]) for tag in ("fed2006a", "fed2006b")}
+    no_tables = copy.copy(ctx)
+    no_tables.exp = no_tables.log = no_tables._exp2 = _NoTable()
+    with pytest.raises(AssertionError, match="field table"):
+        no_tables.mul(2, 3)
+    monkeypatch.setattr(alg, "_block_kernel", _no_kernel)
+    monkeypatch.setattr(alg, "_binary_kernel", _no_kernel)
+    for tag, plan in plans.items():
+        cut_off = dataclasses.replace(plan, ctx=no_tables)
+        with pytest.raises(AssertionError, match="kernel"):
+            apply(cut_off, [1] * ctx.n)
+        assert np.array_equal(materialize(cut_off), w), tag
+        if tag in reports:
+            for got, want in zip(coset_block_report(cut_off), reports[tag]):
+                assert np.array_equal(got, want), tag
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 6])
 @pytest.mark.parametrize("tag", ["tf2003", "fed2006a", "fed2006b"])
 def test_circulant_first_rows_are_conjugate_sequences(m, tag):
@@ -910,5 +955,5 @@ def test_linearized_decomposition_identity(m):
                 continue
             arg = ctx.exp[(i * coset.leader) % n]
             for j, e in enumerate(coset.elements):
-                acc ^= ctx.mul(f[e], ctx.pow(arg, 1 << j))
+                acc ^= ctx.mul(f[e], ctx.exp[(ctx.log[arg] << j) % n])
         assert acc == expected[i]

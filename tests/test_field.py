@@ -129,15 +129,6 @@ def test_opcount_skip_units_policy():
     assert oc.adds == 2
 
 
-def test_pow():
-    ctx = default_field(3)
-    assert ctx.pow(2, 0) == 1
-    assert ctx.pow(2, 7) == 1  # a^n = 1
-    assert ctx.pow(2, 8) == 2
-    assert ctx.pow(0, 5) == 0
-    assert ctx.pow(3, 2) == ctx.mul(3, 3)
-
-
 def test_field_context_equality_by_value():
     # the same m and polynomial make the same field, however often built;
     # an explicit default polynomial equals the implicit one
