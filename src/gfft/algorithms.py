@@ -448,9 +448,10 @@ def materialize(plan: Plan) -> np.ndarray:
     for k, (c0, d) in enumerate(zip(accumulate(stage.sizes, initial=0), stage.sizes)):
         for t in range(d):  # one basis row at a time: no (d, d, n) temporary
             y[c0 : c0 + d] ^= x[c0 + t] * coef[k, t, :d, None]
-    out = np.empty_like(y)
-    out[np.ix_(plan.out_perm, plan.in_perm)] = y.T if blocks_first else y
-    return out
+    inv_in, inv_out = np.argsort(plan.in_perm), np.argsort(plan.out_perm)
+    if blocks_first:  # y[c] is column c of the stage-order product
+        return np.ascontiguousarray(y[inv_in].T)[inv_out]
+    return y[np.ix_(inv_out, inv_in)]
 
 
 def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
@@ -483,46 +484,71 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # They run a plan's stages over one (width, batch) uint16 array, a column
 # per vector, between one gather for each permutation: a block stage for
 # the multiplications (log/exp lookups; zero has a sentinel log that exp
-# maps back to 0) and a binary stage for the additions (Four Russians on the
-# bytes of each row).  Each reads its stage's one array as stored: the
-# padded block entries, the packed matrix bytes.  Table lookups and XOR
-# only, so both are exact.  The kernels count nothing themselves: a counted
-# apply takes its counts from the plan's cached structural counts
-# (Plan._counts) plus one dot product on the block stage's input for the
-# data-dependent multiplications.  Each plan builds its kernels once, on
-# first use (Plan._kernels), copying no stage.  A kernel writes only arrays
-# it allocates per call, so a plan stays safe to share across threads.
+# maps back to 0) and a binary stage for the additions.  Each reads its
+# stage's one array as stored: the padded block entries, the packed matrix
+# bytes.  Table lookups, AND and XOR only, so all are exact.  The kernels
+# count nothing themselves: a counted apply takes its counts from the
+# plan's cached structural counts (Plan._counts) plus one dot product on
+# the block stage's input for the data-dependent multiplications.  Each
+# plan builds its kernels once, on first use (Plan._kernels), copying no
+# stage.  A kernel writes only arrays it allocates per call, so a plan
+# stays safe to share across threads.
 #
-# One chunk rule serves both kernels.  A small call is bound by the number
-# of numpy calls it makes, a large one by memory traffic, so each kernel
-# runs one loop whose chunk holds as many byte groups (binary stage) or
-# block columns (block stage) as give _GATHER looked-up elements, and at
-# least one.  One chunk is one take and one XOR across its groups or
-# columns.  So a single vector at m = 8 runs each stage as one take and
-# the binary stage at m = 10 as 4.  Once the elements one group or column
-# looks up pass _GATHER / 2 (rows x batch, or l x w x batch for the padded
-# blocks), a chunk is one group or column, the narrowest width: a
-# 32-vector batch at m >= 10 runs there.  The binary stage builds its
-# subset-XOR tables once per call, _GATHER // (32 batch) groups at a time,
-# so 8 _GATHER table entries.
+# The binary stage has two kernels, and each call picks one from its
+# input's shape alone.  The stage is GF(2)-linear, so a call of batch
+# vectors of m-bit elements is m batch products over GF(2), one per bit
+# plane.  The plane kernel pays one AND and one XOR per packed byte and
+# plane; Four Russians (a subset-XOR table per byte group, looked up at
+# each row's byte) pays about one lookup per packed byte and vector, plus
+# building the tables.  So planes win for a few vectors and Four Russians
+# for many: a call runs on planes when it has at most _PLANES = 32 planes
+# and their accumulator (planes x rows bytes) holds at most _PLANE_BYTES =
+# 2^18, that is up to 3 vectors at m = 10, 2 up to m = 13 and one at m =
+# 14.  Up to m = 13 the crossover lay above the bound: at 33-44 planes
+# for m = 11, 36-48 for m = 12 and past 50 for m <= 10.  From m = 14 on
+# each table serves 2^14 rows or more and Four Russians costs about the
+# same for one vector or two: at m = 14, two vectors took 70 ms there
+# against 130 ms on 28 planes.  An accumulator bound that keeps that call
+# (448 KiB) off the planes also keeps one vector at m = 15 (480 KiB) off,
+# though planes took 185 ms there against 240; at m = 16 the two tie at
+# about 1 s, memory bound.
+#
+# One budget sizes every kernel's chunks.  A small call is bound by the
+# number of numpy calls it makes, a large one by memory traffic, so each
+# kernel runs one loop whose chunk holds as many byte groups or block
+# columns as give _GATHER elements, and at least one: looked-up elements
+# for Four Russians and the block stage, packed matrix bytes for the plane
+# kernel (so at most 32 _GATHER AND results).  One chunk is one take (one
+# AND) and one XOR across its groups or columns.  So a single vector at
+# m = 8 runs each stage as one chunk and the binary stage at m = 10 as 4.
+# Once one group or column looks up more than _GATHER / 2 elements (rows
+# x batch, or l x w x batch for the padded blocks), a chunk is one group or
+# column, the narrowest width: a 32-vector batch at m >= 10 runs there.
+# Four Russians builds its subset-XOR tables once per call, _GATHER // (32
+# batch) groups at a time, so 8 _GATHER table entries.
 #
 # Per kernel, in µs: the mean over the six tags of the min of 5 timings, on
-# a 2-CPU x86-64 host with numpy 2.4.
+# a 2-CPU x86-64 host with numpy 2.4.  * marks the binary kernel a call of
+# that shape runs; the other is measured for comparison.  The host ran
+# about 2x slower than for the previous table (block stage, m = 10,
+# batch 1: 31 µs then).
 #
-#              binary stage          block stage
-#   m     batch 1   batch 32     batch 1   batch 32
-#   8        34       198           13        119
-#  10       204      1689           31        492
-#  11       728      3890           55       1241
+#          binary stage, Four Russians    binary stage, bit planes     block
+#   m   batch 1     2     4     32      1     2     4      32       1    32
+#   8        66   211   205   418*     41*   63*   91*    650      23   238
+#  10       389  1007  1082* 2561*    253*  457*  879    8975      64  1056
+#  11      1346  2772  3562* 7483*    838* 1735* 3486   34489     101  2175
 #
-# The batch-32 cells at m = 10 and 11 run at the narrowest width; they move
-# by up to 7% from run to run.  Budgets of 2^13, 2^14, 2^15, 2^16 and 2^17
-# elements gave about 1940, 2230, 2360, 2350 and 2180 vectors/s on
-# perfbench's counted_m10 (single vectors at m = 10), so the budget is
-# 2^15; rs255_stream (m = 8) read about 9750 at all five.
+# Budgets of 2^13, 2^14, 2^15, 2^16 and 2^17 elements gave about 1940,
+# 2230, 2360, 2350 and 2180 vectors/s on perfbench's counted_m10 (single
+# vectors at m = 10) with Four Russians, so the budget is 2^15; the plane
+# kernel's binary stage at m = 10 took 334, 285, 270, 259 and 279 µs with
+# them.
 # ---------------------------------------------------------------------------
 
 _GATHER = 1 << 15
+_PLANES = 32
+_PLANE_BYTES = 1 << 18
 _Kernel = Callable[[np.ndarray], np.ndarray]
 
 
@@ -607,9 +633,52 @@ def _binary_kernel(matrix: BinaryMatrix) -> _Kernel:
     return run
 
 
+def _plane_kernel(matrix: BinaryMatrix, m: int) -> _Kernel:
+    """Bit planes: the stage is GF(2)-linear, so bit b of row r's output is
+    the parity of row r AND plane b, the columns' bit b packed as the
+    matrix is (byte g holds columns 8g..8g+7).  Per block of k = _GATHER //
+    rows byte groups, held to 1..width, one broadcast AND of the block's
+    packed bytes with every plane's byte (one per vector and bit) and one
+    XOR across the block; a folded byte's parity is the output bit."""
+    sel = matrix.packed
+    width, rows = sel.shape
+    shifts = np.arange(m, dtype=np.uint16)[:, None]
+
+    def run(x: np.ndarray) -> np.ndarray:
+        batch = x.shape[1]
+        k = max(1, min(width, _GATHER // max(rows, 1)))
+        planes = np.packbits(x.T[:, None, :] & (1 << shifts), axis=2, bitorder="little").reshape(batch * m, width).T
+        acc = np.zeros((batch * m, rows), dtype=np.uint8)
+        anded = np.empty((k, batch * m, rows), dtype=np.uint8)
+        for g0 in range(0, width, k):
+            block = sel[g0 : g0 + k]
+            _xor_fold(acc, np.bitwise_and(block[:, None], planes[g0 : g0 + k, :, None], out=anded[: len(block)]))
+        for shift in (4, 2, 1):  # bit 0 becomes the parity of the byte
+            acc ^= acc >> shift
+        out = (acc & 1).astype(np.uint16).reshape(batch, m, rows)
+        out <<= shifts
+        return np.bitwise_or.reduce(out, axis=1).T
+
+    return run
+
+
+def _binary_stage_kernel(matrix: BinaryMatrix, m: int) -> _Kernel:
+    """Per call, bit planes when the call has at most _PLANES planes (m per
+    vector) and their accumulator at most _PLANE_BYTES, else Four Russians."""
+    planes, russians = _plane_kernel(matrix, m), _binary_kernel(matrix)
+
+    def run(x: np.ndarray) -> np.ndarray:
+        n_planes = m * x.shape[1]
+        few = n_planes <= _PLANES and n_planes * matrix.n_rows <= _PLANE_BYTES
+        return (planes if few else russians)(x)
+
+    return run
+
+
 def _batch_stages(plan: Plan) -> tuple[np.ndarray, tuple[_Kernel, ...], np.ndarray]:
+    m = plan.ctx.m
     kernels = tuple(
-        _binary_kernel(s) if isinstance(s, BinaryMatrix) else _block_kernel(plan.ctx, s)
+        _binary_stage_kernel(s, m) if isinstance(s, BinaryMatrix) else _block_kernel(plan.ctx, s)
         for s in plan.stages
     )
     return np.asarray(plan.in_perm, dtype=np.intp), kernels, np.argsort(plan.out_perm)

@@ -4,10 +4,12 @@ Two kernels: the naive row fold (popcount-1 additions per row) and the Method
 of Four Russians, which precomputes subset sums over column groups of width t
 and cuts the per-row cost to one XOR per group.  Both return identical
 vectors; only the addition tally differs.  They are the reference binary
-kernels: reference.counted_apply runs them, while algorithms.apply runs a
-numpy kernel on the packed matrix and takes the same counts from its row
-popcounts and predicted_adds.  Both walk the matrix's int rows, which
-BinaryMatrix derives from its packed bytes once per call.
+kernels: reference.counted_apply runs them, while algorithms.apply runs
+one of two numpy kernels on the packed matrix (bit-plane parities for a
+call of a few vectors, Four Russians on its bytes above that) and takes the
+same counts from its row popcounts and predicted_adds.  The reference
+kernels walk the matrix's int rows, which BinaryMatrix derives from its
+packed bytes once per call.
 
 The Four-Russians tally is deliberately data-independent: every group is
 costed at its nominal width t (the last group is padded with zero columns),

@@ -207,7 +207,7 @@ class BinaryMatrix:
     """0/1 matrix packed into one uint8 array, the only place that knows the
     layout: entry (r, j) is bit j % 8 of packed[j // 8, r].  So column r of
     packed is row r in little-endian bytes, and packed[g] holds byte g of
-    every row, which is how the binary kernel reads it, in place."""
+    every row, which is how both binary kernels read it, in place."""
 
     __slots__ = ("packed", "cols")
 

@@ -487,42 +487,95 @@ def test_counted_apply_matches_reference(m):
 
 # The kernels' element budget at its edges: 1 runs one byte group or block
 # column per chunk, and one subset-XOR table at a time; 900 leaves a ragged
-# last chunk in both kernels at m = 8 for one vector (3 of 32 groups, 3 of
-# 8 columns, 28 of 32 tables); and 2^30 runs each stage as one gather.
-_BUDGETS = (1, 900, 1 << 30)
+# last chunk in all three kernels at m = 8 for one vector (3 of 32 groups
+# in both binary kernels, 3 of 8 columns, 28 of 32 tables); 6000 leaves a
+# ragged last block of byte groups in the plane kernel at m = 8 and 10 (23
+# of 32, 5 of 128); and 2^30 runs each stage as one gather.
+_BUDGETS = (1, 900, 6000, 1 << 30)
 
 
 @pytest.mark.parametrize("m", [3, 8, 10])
 def test_chunk_rule_edges(m, monkeypatch):
-    # every budget gives the reference walk's outputs, on batches 0, 1, 3
-    # and 32 and on single vectors, and its tallies for both stage-2 kernels
-    # under both counting policies; the naive walk is slow at m = 10, so
-    # there the tallies are checked on one vector
+    # every budget gives the oracle's outputs on batches 0, 1, 3 and 32, on
+    # both sides of the plane rule (32 // m and 32 // m + 1 vectors) and on
+    # single vectors, and the reference walk's tallies for both stage-2
+    # kernels under both counting policies; the naive walk is slow at
+    # m = 10, so there the tallies are checked on one vector
     ctx = default_field(m)
     vecs = _path_vectors(m, 26)
     assert len(vecs) == 32
+    oracle = naive_dft_batch(vecs, ctx)
+    sizes = sorted({0, 1, 3, 32, 32 // m, 32 // m + 1})
     tallied = 1 if m == 10 else 3
     for tag in ALL_TAGS:
         plan = build(tag, ctx)
+        width, rows = plan.stage(BinaryMatrix).packed.shape
         if m == 8:
-            width, rows = plan.stage(BinaryMatrix).packed.shape
             l, w = plan.stage(BlockStage).entries.shape[:2]
             assert width % (900 // rows) and w % (900 // (l * w)), tag
-        walks = [counted_apply(plan, f, TransformTally.fresh(), four_russians=True) for f in vecs]
+        if m in (8, 10):
+            assert width % (6000 // rows), tag
         refs = [(_tally(False), _tally(True)) for _ in range(tallied)]  # as in the test above
-        for f, want_out, (naive, fast) in zip(vecs, walks, refs):
+        for f, want_out, (naive, fast) in zip(vecs, oracle, refs):
             assert counted_apply(plan, f, naive) == counted_apply(plan, f, fast, True) == want_out, tag
         for budget in _BUDGETS:
             monkeypatch.setattr(alg, "_GATHER", budget)
-            for size in (0, 1, 3, 32):
-                assert apply_batch(plan, vecs[:size]) == walks[:size], (tag, budget, size)
-            assert [apply(plan, f) for f in vecs] == walks, (tag, budget)
-            for f, want_out, ref in zip(vecs, walks, refs):
+            for size in sizes:
+                assert apply_batch(plan, vecs[:size]) == oracle[:size], (tag, budget, size)
+            assert [apply(plan, f) for f in vecs] == oracle, (tag, budget)
+            for f, want_out, ref in zip(vecs, oracle, refs):
                 for fr, units in product((False, True), repeat=2):
                     got = _tally(units)
                     assert apply(plan, f, got, fr) == want_out, (tag, budget, fr, units)
                     want = _counters(ref[units].stage1, ref[fr].stage2)
                     assert _counters(got.stage1, got.stage2) == want, (tag, budget, fr, units)
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_plane_kernel_matches_four_russians(m):
+    # the two binary-stage kernels agree on every tag's binary matrix for
+    # batches 1 to 32 // m + 1, across the plane rule
+    rng = np.random.default_rng(m)
+    ctx = default_field(m)
+    for tag in ALL_TAGS:
+        matrix = build(tag, ctx).stage(BinaryMatrix)
+        planes, russians = alg._plane_kernel(matrix, m), alg._binary_kernel(matrix)
+        for batch in range(1, 32 // m + 2):
+            x = rng.integers(0, 1 << m, size=(matrix.cols, batch), dtype=np.uint16)
+            assert np.array_equal(planes(x), russians(x)), (tag, batch)
+
+
+def _recording(builder, name, ran):
+    """builder, with each kernel it builds noting (name, batch) in ran when run."""
+
+    def build_recorded(*args):
+        kernel = builder(*args)
+        return lambda x: ran.append((name, x.shape[1])) or kernel(x)
+
+    return build_recorded
+
+
+@pytest.mark.parametrize("m, most", [(10, 3), (13, 2), (14, 1)])
+def test_binary_stage_kernel_follows_the_plane_rule(m, most, monkeypatch):
+    # a call of up to `most` vectors runs bit planes, one more runs Four
+    # Russians: at m <= 13 the 32-plane bound decides, at m = 14 the
+    # accumulator bound; both kernels give the same outputs
+    ran = []
+    monkeypatch.setattr(alg, "_plane_kernel", _recording(alg._plane_kernel, "planes", ran))
+    monkeypatch.setattr(alg, "_binary_kernel", _recording(alg._binary_kernel, "four_russians", ran))
+    ctx = default_field(m)
+    plan = build("tf2003", ctx)
+    vecs = _path_vectors(m, most + 1)[: most + 1]
+    expected = [("planes", 1)]
+    apply(plan, vecs[0])
+    outs = {}
+    for size in (most, most + 1) + ((32,) if m == 10 else ()):
+        outs[size] = apply_batch(plan, (vecs * 32)[:size])
+        expected.append(("planes" if size <= most else "four_russians", size))
+    assert ran == expected
+    assert outs[most + 1][:most] == outs[most]
+    if m == 10:
+        assert outs[32] == naive_dft_batch((vecs * 32)[:32], ctx)
 
 
 def test_kernels_built_once_per_plan(monkeypatch):
@@ -745,6 +798,7 @@ def test_inspection_reads_neither_kernels_nor_field_tables(m, monkeypatch):
         no_tables.mul(2, 3)
     monkeypatch.setattr(alg, "_block_kernel", _no_kernel)
     monkeypatch.setattr(alg, "_binary_kernel", _no_kernel)
+    monkeypatch.setattr(alg, "_plane_kernel", _no_kernel)
     for tag, plan in plans.items():
         cut_off = dataclasses.replace(plan, ctx=no_tables)
         with pytest.raises(AssertionError, match="kernel"):
