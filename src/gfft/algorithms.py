@@ -47,8 +47,8 @@ from .field import FieldContext, OpCount
 from .structure import (
     BinaryMatrix,
     CosetPartition,
-    LinearSolver,
     NormalBasis,
+    coordinate_tables,
     cyclotomic_cosets,
     doubling_orbit,
     find_normal_basis,
@@ -260,24 +260,29 @@ def _d_blocks(ctx: FieldContext, bases: Sequence[tuple[int, ...]]) -> BlockStage
 # ---------------------------------------------------------------------------
 # Coordinate columns.  Every binary matrix here (A, R and the combine matrix)
 # holds, per coset, the coordinates of a^(i*rep) in a small basis: a
-# GF(2)-linear map of the element's bits (LinearSolver.linear_map, with a
-# residual that is 0 exactly on the span).  Each distinct basis maps the exp
-# table once, and each coset on it gathers its column from that map.
+# GF(2)-linear map of the element's bits, with a residual that is 0 exactly
+# on the span.  One coordinate_tables call reduces every distinct basis of a
+# build at once; each basis then maps the exp table once, and each coset on
+# it gathers its column from that map.
 # ---------------------------------------------------------------------------
 
 
 def _columns(ctx: FieldContext, points, layouts: Sequence[CosetLayout]) -> Iterator[tuple[int, np.ndarray]]:
-    """(k, column) per layout, grouped by basis: entry r of column k is the
-    coordinate vector of a^(points[r] * rep_k) in basis_k, as uint32.
-    ArithmeticError if an argument lies outside its basis's span."""
+    """(k, column) per layout, grouped by basis in the order of each basis's
+    first layout (so in increasing k when no two layouts share a basis):
+    entry r of column k is the coordinate vector of a^(points[r] * rep_k)
+    in basis_k, as uint32.  ArithmeticError if an argument lies outside its
+    basis's span."""
     n = ctx.n
-    exp = np.asarray(ctx.exp, dtype=np.int64)
+    exp = np.asarray(ctx.exp, dtype=np.intp)
+    low, high = exp & 255, exp >> 8
     points = np.asarray(points, dtype=np.uint32)  # points * rep < n^2 < 2^32
     by_basis: dict[tuple[int, ...], list[int]] = {}
     for k, lay in enumerate(layouts):
         by_basis.setdefault(lay.basis, []).append(k)
-    for basis, ks in by_basis.items():
-        mapped = LinearSolver(basis).linear_map(exp)
+    tables = coordinate_tables(list(by_basis))
+    for (basis, ks), table in zip(by_basis.items(), tables):
+        mapped = table[0, low] ^ table[1, high]
         for k in ks:
             e = points * layouts[k].rep % n
             column = mapped[e]

@@ -89,7 +89,66 @@ def minimal_polynomial(coset: Coset, ctx: FieldContext) -> int:
     return mask
 
 
-_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(8) & 1).astype(np.uint32)  # bit j of byte b at [b, j]
+_NIBBLE_BITS = (np.arange(16)[:, None] >> np.arange(4) & 1).astype(np.uint32)  # bit j of nibble v at [v, j]
+_COEFF_BITS = np.uint32(1) << np.arange(16, dtype=np.uint32)  # e_j
+_RESIDUAL_BITS = _COEFF_BITS << 16  # e_q << 16
+
+
+def coordinate_tables(bases: Sequence[Sequence[int]]) -> np.ndarray:
+    """The GF(2)-linear map x -> coords | residual << 16 on [0, 2^16) of
+    every basis, as byte tables of shape (len(bases), 2, 256), uint32: the
+    map of x in basis l is tables[l, 0, x & 255] ^ tables[l, 1, x >> 8].
+    Bit j of coords is the coefficient of basis[j]; the residual is 0
+    exactly on the span.  ValueError for a dependent basis or an element
+    outside [0, 2^16).
+
+    One Gauss-Jordan elimination reduces all the bases at once.  Row j of
+    basis l is basis[j] << 16 | 1 << j, its element beside its combination,
+    and bases of different sizes are padded with zero rows; column 0 is a
+    zero row too, picked where a basis has no pivot.  Bits are eliminated
+    from the top down.  A row not yet a pivot has no bit set above the
+    current bit p, so it is a candidate for p exactly when its element
+    shifted down by p is 1: pivot rows, which keep their higher pivot bit,
+    never qualify.  The result is in reduced row-echelon form, so bit q
+    maps to (pivot row of q) ^ e_q << 16 when q is a pivot, else to
+    e_q << 16."""
+    sizes = [len(b) for b in bases]
+    flat = [x for b in bases for x in b]
+    if flat and (min(flat) < 0 or max(flat) >> 16):
+        raise ValueError(f"a basis has an element outside [0, 2^16): {min(flat)} or {max(flat)}")
+    count, width = len(sizes), max(sizes, default=0)
+    if width > 16:
+        raise ValueError(f"a basis of {width} elements of [0, 2^16) is dependent")
+    real = np.arange(width) < np.array(sizes, dtype=np.intp).reshape(count, 1)
+    elements = np.zeros((count, width), dtype=np.uint32)
+    elements[real] = flat
+    elements <<= 16
+    rows = np.zeros((count, width + 1), dtype=np.uint32)
+    np.multiply(real, _COEFF_BITS[:width], out=rows[:, 1:])
+    rows[:, 1:] |= elements
+    flat_rows = rows.ravel()
+    first = np.arange(0, rows.size, width + 1)  # column 0 of each basis
+    top = max(flat, default=0).bit_length()
+    pivots = np.empty((top, count), dtype=np.intp)  # flat index of each bit's pivot row
+    for p in reversed(range(top)):
+        high = rows >> (p + 16)
+        pick = (high == 1).argmax(axis=1)
+        pick += first
+        pivot = flat_rows[pick]
+        high &= 1
+        high *= pivot[:, None]
+        rows ^= high
+        flat_rows[pick] = pivot  # it cleared itself
+        pivots[p] = pick
+    dependent = ((rows >> 16) == 0) & (rows != 0)  # a combination summing to 0
+    if dependent.any():
+        raise ValueError(f"basis {tuple(bases[int(np.argmax(dependent.any(axis=1)))])} is dependent")
+    images = np.empty((count, 16), dtype=np.uint32)
+    images[:] = _RESIDUAL_BITS
+    images[:, :top] ^= flat_rows[pivots].T
+    # per nibble of each byte, then the XOR of the two nibbles' entries
+    nibbles = np.bitwise_xor.reduce(images.reshape(count, 2, 2, 1, 4) * _NIBBLE_BITS, axis=4)
+    return (nibbles[:, :, 0, None, :] ^ nibbles[:, :, 1, :, None]).reshape(count, 2, 256)
 
 
 class LinearSolver:
@@ -99,14 +158,12 @@ class LinearSolver:
     Coordinates are returned as a d-bit int, bit j = coefficient of basis[j].
     The reduction is kept in reduced row-echelon form: each reduced vector
     holds its own pivot bit and no other pivot, so the pivots an element has
-    set name exactly the reduced vectors it is the XOR of.
-
-    It also gives the GF(2)-linear map x -> coords | residual << 16 on [0,
-    2^16) as two byte tables: bit q maps to (combo, e_q ^ vector) when q is
-    a pivot, else to (0, e_q).  The residual is 0 exactly on the span.
+    set name exactly the reduced vectors it is the XOR of.  It is the
+    element-by-element reference for coordinate_tables, which reduces many
+    bases at once and serves linear_map.
     """
 
-    __slots__ = ("basis", "_reduced", "_bytes")
+    __slots__ = ("basis", "_reduced")
 
     def __init__(self, basis: tuple[int, ...] | list[int]):
         self.basis = tuple(basis)
@@ -127,11 +184,6 @@ class LinearSolver:
                     reduced[idx] = (p2, rv2 ^ v, rc2 ^ combo)
             reduced.append((p, v, combo))
         self._reduced = reduced
-        images = np.array([1 << q << 16 for q in range(16)], dtype=np.uint32)
-        for p, rv, rc in reduced:
-            images[p] = rc | ((rv ^ (1 << p)) << 16)
-        # row 0 maps the low byte, row 1 the high byte
-        self._bytes = np.bitwise_xor.reduce(images.reshape(2, 1, 8) * _BYTE_BITS, axis=2)
 
     def coords(self, x: int) -> int:
         r, combo = x, 0
@@ -144,13 +196,14 @@ class LinearSolver:
         return combo
 
     def linear_map(self, xs: np.ndarray) -> np.ndarray:
-        """coords | residual << 16 of each element of an int array, as uint32:
-        two byte-table lookups XORed.  ValueError outside [0, 2^16)."""
+        """coords | residual << 16 of each element of an int array, as uint32,
+        from the basis's coordinate_tables.  ValueError outside [0, 2^16)."""
         xs = np.asarray(xs, dtype=np.int64)
         wide = (xs >> 16) != 0
         if wide.any():
             raise ValueError(f"element {xs[wide][0]} is outside [0, 2^16)")
-        return self._bytes[0, xs & 255] ^ self._bytes[1, xs >> 8]
+        tables = coordinate_tables([self.basis])[0]
+        return tables[0, xs & 255] ^ tables[1, xs >> 8]
 
 
 def rotate_right_bits(coords: int, d: int) -> int:
@@ -201,6 +254,37 @@ def find_normal_basis(ctx: FieldContext, d: int) -> NormalBasis:
 
 
 _POPCOUNT = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
+# bytes of the untransposed packing that BinaryMatrix.from_coords holds at a
+# time while it packs a transpose
+_TRANSPOSE_BYTES = 1 << 20
+# delta swaps that transpose an 8x8 bit block held as a little-endian uint64,
+# byte i = row i: they swap the off-diagonal bits of each 2x2 block, then the
+# off-diagonal 2x2 blocks of each 4x4 block, then the off-diagonal 4x4 blocks
+_DELTA_SWAPS = tuple(
+    (np.uint64(shift), np.uint64(mask))
+    for shift, mask in ((7, 0x00AA00AA00AA00AA), (14, 0x0000CCCC0000CCCC), (28, 0x00000000F0F0F0F0))
+)
+
+
+def _transpose_into(out: np.ndarray, window: np.ndarray, g0: int) -> None:
+    """OR the transpose of byte groups g0.. of a packing (window, one group
+    per row, 8 * len(out) rows wide) into out's columns 8 * g0.., and clear
+    the window.  Rows 8i..8i+7 of group g, one uint64, are an 8x8 bit block
+    whose transpose holds byte i of rows 8g..8g+7 of the transpose."""
+    blocks = window.view("<u8")  # (span, len(out))
+    swap = np.empty_like(blocks)
+    for shift, mask in _DELTA_SWAPS:
+        np.right_shift(blocks, shift, out=swap)
+        swap ^= blocks
+        swap &= mask
+        blocks ^= swap
+        swap <<= shift
+        blocks ^= swap
+    c0 = 8 * g0
+    width = min(8 * len(window), out.shape[1] - c0)
+    transposed = window.reshape(len(window), len(out), 8).transpose(1, 0, 2).reshape(len(out), -1)
+    out[:, c0 : c0 + width] |= transposed[:, :width]
+    window[:] = 0
 
 
 class BinaryMatrix:
@@ -229,23 +313,35 @@ class BinaryMatrix:
         column k side by side, column group 0 lowest; with transpose, the
         transpose of that matrix.  columns yields (k, column) pairs, each a
         length-points int array, in any order, and each is ORed into its
-        place as it comes, so only one column is held at a time."""
+        place as it comes, so only one column is held at a time.
+
+        The transpose never holds the untransposed packing whole: each
+        column goes into a window of its byte groups, and a window is ORed
+        into the result by 8x8 bit-block transposes when a column falls
+        outside it and at the end.  In increasing k each window is visited
+        once."""
         starts = list(accumulate(widths, initial=0))
+        groups = -(-starts[-1] // 8)
         if transpose:
-            packed = np.zeros((-(-points // 8), starts[-1]), dtype=np.uint8)
-            for k, column in columns:
-                c0, w = starts[k], widths[k]
-                as_bytes = np.asarray(column, dtype="<u4").view(np.uint8).reshape(points, 4)
-                bits = np.unpackbits(as_bytes, axis=1, count=w, bitorder="little").T  # (w, points)
-                packed[:, c0 : c0 + w] = np.packbits(np.ascontiguousarray(bits), axis=1, bitorder="little").T
-            return cls(packed, points)
-        packed = np.zeros((-(-starts[-1] // 8), points), dtype=np.uint8)
+            out = np.zeros((-(-points // 8), starts[-1]), dtype=np.uint8)
+            span = max(1, min(groups, _TRANSPOSE_BYTES // (8 * len(out) or 1)))
+            window = np.zeros((span, 8 * len(out)), dtype=np.uint8)
+        else:
+            out = window = np.zeros((groups, points), dtype=np.uint8)
+            span = groups
+        g0 = 0
         for k, column in columns:
             c0, w = starts[k], widths[k]
             shifted = (np.asarray(column, dtype=np.uint32) & ((1 << w) - 1)) << (c0 % 8)
             for g in range(c0 // 8, (c0 + w + 7) // 8):
-                packed[g] |= (shifted >> (8 * (g - c0 // 8))).astype(np.uint8)  # low byte
-        return cls(packed, starts[-1])
+                if not g0 <= g < g0 + span:
+                    _transpose_into(out, window, g0)
+                    g0 = g - g % span
+                window[g - g0, :points] |= (shifted >> (8 * (g - c0 // 8))).astype(np.uint8)  # low byte
+        if transpose:
+            _transpose_into(out, window, g0)
+            return cls(out, points)
+        return cls(out, starts[-1])
 
     @classmethod
     def from_rows(cls, rows: Sequence[int], cols: int) -> "BinaryMatrix":

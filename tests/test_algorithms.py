@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gfft import algorithms as alg
-from gfft import binmat
+from gfft import binmat, structure
 from gfft.algorithms import (
     ALL_TAGS,
     FACTORED_TAGS,
@@ -43,11 +43,13 @@ from gfft.structure import (
     BinaryMatrix,
     LinearSolver,
     NormalBasis,
+    coordinate_tables,
     find_normal_basis,
     minimal_polynomial,
 )
 
 import m3_worked_example as wk
+from test_golden import FIELDS as GOLDEN_FIELDS
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +183,46 @@ def _layouts_in_use(ctx):
     return [found[key] for key in sorted(found)]
 
 
+@pytest.mark.parametrize("m, poly", GOLDEN_FIELDS)
+def test_coordinate_tables_match_solves_on_every_span_element(m, poly):
+    # one call on every distinct basis of all six plans, sizes mixed; each
+    # table gives LinearSolver.coords on every element of its basis's span
+    # and a nonzero residual on every other element of the field
+    ctx = build_field(FieldSpec(m, poly))
+    bases = sorted({lay.basis for lay in _layouts_in_use(ctx)})
+    assert len({len(b) for b in bases}) > 1
+    tables = coordinate_tables(bases)
+    assert tables.shape == (len(bases), 2, 256) and tables.dtype == np.uint32
+    field = np.arange(1 << m)
+    for basis, table in zip(bases, tables):
+        span = [0]  # span[c] is the XOR of basis[j] over the bits of c
+        for b in basis:
+            span += [x ^ b for x in span]
+        solver = LinearSolver(basis)
+        got = table[0, np.array(span) & 255] ^ table[1, np.array(span) >> 8]
+        assert got.tolist() == [solver.coords(x) for x in span] == list(range(len(span))), basis
+        outside = np.ones(1 << m, dtype=bool)
+        outside[span] = False
+        residual = (table[0, field & 255] ^ table[1, field >> 8]) >> 16
+        assert np.array_equal(residual != 0, outside), basis
+
+
+def test_coordinate_tables_reject_bad_bases_and_flag_outside_span():
+    ctx = default_field(4)
+    gf4, not_gf4 = (1, ctx.exp[5]), (1, ctx.exp[1])
+    for bad in [(3, 5, 6), (1, 1), (0,), (4, 2, 6), tuple(1 << j for j in range(16)) + (3,)]:
+        with pytest.raises(ValueError, match="dependent"):
+            coordinate_tables([gf4, bad, not_gf4])
+    for bad in [(1, 1 << 16), (-1, 2)]:
+        with pytest.raises(ValueError, match="outside \\[0, 2\\^16\\)"):
+            coordinate_tables([gf4, bad])
+    # (1, a) spans no subfield: a^5 and a^10 lie in GF(4) but outside its span
+    tables = coordinate_tables([not_gf4, gf4])
+    xs = np.array(ctx.exp[: ctx.n : 5])  # 1, a^5, a^10
+    residual = (tables[:, 0, xs & 255] ^ tables[:, 1, xs >> 8]) >> 16
+    assert (residual != 0).tolist() == [[False, True, True], [False, False, False]]
+
+
 def _columns_by_layout(ctx, points, layouts):
     return {k: column.tolist() for k, column in alg._columns(ctx, points, layouts)}
 
@@ -303,6 +345,27 @@ def test_bulk_assembly_matches_per_element_assembly(m, poly):
     # R is the transpose of the combine matrix: both hold x^i mod M_k
     r_bits = matrix_of(plans["goertzel"]).bits().tolist()
     assert r_bits == [list(col) for col in zip(*matrix_of(plans["blahut2008"]).bits().tolist())]
+
+
+@pytest.mark.parametrize("m", range(3, 11))
+def test_transposed_packing_window_edges(m, monkeypatch):
+    # R packed one, two or three byte groups of the combine matrix at a
+    # time, from m = 4 on with a window edge inside a coset's bits; every
+    # packing is the combine matrix transposed, also with the columns in
+    # reverse order, which revisits each window
+    ctx = default_field(m)
+    want = matrix_of(build_blahut2008(ctx)).bits().T
+    layouts = alg._layouts_for_tag(ctx, alg.cyclotomic_cosets(ctx.n), "goertzel")
+    widths = [len(lay.basis) for lay in layouts]
+    starts = list(accumulate(widths, initial=0))
+    inside = [c0 < e < c0 + w for e in range(8, starts[-1], 8) for c0, w in zip(starts, widths)]
+    assert any(inside) == (m > 3)
+    for span in (1, 2, 3):
+        monkeypatch.setattr(structure, "_TRANSPOSE_BYTES", span * 8 * -(-ctx.n // 8))
+        assert np.array_equal(matrix_of(build_goertzel(ctx)).bits(), want), (m, span)
+        columns = list(alg._columns(ctx, range(ctx.n), layouts))
+        reverse = BinaryMatrix.from_coords(reversed(columns), widths, ctx.n, transpose=True)
+        assert np.array_equal(reverse.bits(), want), (m, span)
 
 
 def test_tf2003_change_of_basis_identity(ctx3):
