@@ -512,11 +512,11 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # 14.  Up to m = 13 the crossover lay above the bound: at 33-44 planes
 # for m = 11, 36-48 for m = 12 and past 50 for m <= 10.  From m = 14 on
 # each table serves 2^14 rows or more and Four Russians costs about the
-# same for one vector or two: at m = 14, two vectors took 70 ms there
-# against 130 ms on 28 planes.  An accumulator bound that keeps that call
+# same for one vector or two: at m = 14, two vectors took 85 ms there
+# against 154 ms on 28 planes.  An accumulator bound that keeps that call
 # (448 KiB) off the planes also keeps one vector at m = 15 (480 KiB) off,
-# though planes took 185 ms there against 240; at m = 16 the two tie at
-# about 1 s, memory bound.
+# though planes took 226 ms there against 278 (tf2003, medians of 9; host
+# speed 0.70, as below); at m = 16 the two tie at about 1 s, memory bound.
 #
 # One budget sizes every kernel's chunks.  A small call is bound by the
 # number of numpy calls it makes, a large one by memory traffic, so each
@@ -529,20 +529,36 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # Once one group or column looks up more than _GATHER / 2 elements (rows
 # x batch, or l x w x batch for the padded blocks), a chunk is one group or
 # column, the narrowest width: a 32-vector batch at m >= 10 runs there.
+#
 # Four Russians builds its subset-XOR tables once per call, _GATHER // (32
-# batch) groups at a time, so 8 _GATHER table entries.
+# batch) groups at a time, so 8 _GATHER table entries (2 _GATHER was
+# slower on most shapes of m = 8..15, and 32 _GATHER from m = 12 on).  They
+# are laid out entry-major, (256, groups, batch), so a doubling step is one
+# XOR over groups x batch contiguous elements, not one numpy inner loop of
+# batch elements per group and entry.  A take shares groups, at byte g x
+# groups + h in the chunk's flat table, only up to _GATHER / 32 = 1024
+# rows: its index costs a multiply and an add per looked-up row, which
+# beyond that outweighs the takes it saves (at m = 11, 8 vectors took 3.6
+# ms with two groups per take against 2.6 ms with one; one vector, which
+# the plane rule never sends here below m = 15, takes 2.3 ms, against 1.6
+# ms with (groups, 256, batch) tables and 16 groups per take).  Above 1024
+# rows each group takes from its own table column.  A take is fastest when
+# a table entry is 2, 4, 8, 16 or 32 bytes (numpy copies those widths
+# directly and others by memmove), so a batch of up to 16 vectors runs
+# with its tables padded to the next power of two: at m = 11, 3 vectors
+# took 2.7 ms padded to 4 against 4.4 ms unpadded, and 11 vectors 4.4
+# against 6.0 ms at m = 11 and 43 against 63 ms at m = 13.
 #
 # Per kernel, in µs: the mean over the six tags of the min of 5 timings, on
-# a 2-CPU x86-64 host with numpy 2.4.  * marks the binary kernel a call of
-# that shape runs; the other is measured for comparison.  The host ran
-# about 2x slower than for the previous table (block stage, m = 10,
-# batch 1: 31 µs then).
+# a 2-CPU x86-64 host with numpy 2.4 running at 0.70 of perfbench's
+# reference speed (hostclock probe, median of 40).  * marks the binary
+# kernel a call of that shape runs; the other is measured for comparison.
 #
 #          binary stage, Four Russians    binary stage, bit planes     block
 #   m   batch 1     2     4     32      1     2     4      32       1    32
-#   8        66   211   205   418*     41*   63*   91*    650      23   238
-#  10       389  1007  1082* 2561*    253*  457*  879    8975      64  1056
-#  11      1346  2772  3562* 7483*    838* 1735* 3486   34489     101  2175
+#   8        52    56    70   173*     44*   60*  100*    638      26   223
+#  10       345   393   556* 2530*    206*  371*  770   10659      58  1177
+#  11      2531  3183  3277* 5938*   1085* 2028* 3986   34526     131  2082
 #
 # Budgets of 2^13, 2^14, 2^15, 2^16 and 2^17 elements gave about 1940,
 # 2230, 2360, 2350 and 2180 vectors/s on perfbench's counted_m10 (single
@@ -598,42 +614,60 @@ def _block_kernel(ctx: FieldContext, stage: BlockStage) -> _Kernel:
     return run
 
 
+def _russians_sizes(width: int, rows: int, batch: int) -> tuple[int, int]:
+    """(s, k) for a Four-Russians call: tables for s byte groups at a time,
+    _GATHER // (32 batch) held to 1..width (8 _GATHER table entries), and
+    takes of k groups, _GATHER // (rows batch) held to 1..s.  Above
+    _GATHER / 32 rows a shared take's index costs more than the takes it
+    saves, so there k = 1."""
+    s = max(1, min(width, _GATHER // (32 * max(batch, 1))))
+    if 32 * rows > _GATHER:
+        return s, 1
+    return s, max(1, min(s, _GATHER // max(rows * batch, 1)))
+
+
 def _binary_kernel(matrix: BinaryMatrix) -> _Kernel:
     """Four Russians on bytes: byte g of a row selects among columns
     8g..8g+7, so out ^= table_g[byte g] over all groups g.  The selectors
     are matrix.packed itself, whose packed[g] holds byte g of every row.
-    The groups go k at a time, k = _GATHER // (rows batch) held to
-    1..width: one take from their k tables laid end to end, at byte g +
-    256 i for the i-th of them, and one XOR across the k lookups."""
+    The tables of s groups are built entry-major, (256, s, lanes), so each
+    doubling step is one XOR of s lanes contiguous elements per entry;
+    lanes is the batch, padded to a power of two when at most 16.  A take
+    of one group reads its table column at byte g; a take of k groups reads
+    the chunk's flat (256 s, lanes) table at byte g s + h for the h-th
+    group of the chunk, and one XOR folds the k lookups."""
     sel = matrix.packed
     width, rows = sel.shape
 
     def run(x: np.ndarray) -> np.ndarray:
         batch = x.shape[1]
-        cols = np.zeros((width * 8, batch), dtype=np.uint16)
-        cols[: matrix.cols] = x
-        cols = cols.reshape(width, 8, batch)
-        out = np.zeros((rows, batch), dtype=np.uint16)
-        step = max(1, _GATHER // (32 * max(batch, 1)))
-        k = max(1, min(width, _GATHER // max(rows * batch, 1)))
-        offsets = 256 * np.arange(k, dtype=np.intp)[:, None]
-        idx = np.empty((k, rows), dtype=np.intp)
-        looked_up = np.empty((k, rows, batch), dtype=np.uint16)
-        for g0 in range(0, width, step):
-            part = cols[g0 : g0 + step]
-            table = np.zeros((len(part), 256, batch), dtype=np.uint16)
+        lanes = batch if batch > 16 else 1 << max(batch - 1, 0).bit_length()
+        cols = np.zeros((width * 8, lanes), dtype=np.uint16)
+        cols[: matrix.cols, :batch] = x
+        bits = cols.reshape(width, 8, lanes).transpose(1, 0, 2).copy()  # bits[b, g] is column 8g + b
+        out = np.zeros((rows, lanes), dtype=np.uint16)
+        s, k = _russians_sizes(width, rows, lanes)
+        tables = np.empty(256 * s * lanes, dtype=np.uint16)
+        tables[: s * lanes] = 0  # entry 0, the empty subset, of every chunk
+        idx = np.empty((s, rows), dtype=np.intp) if k > 1 else None
+        looked_up = np.empty((k, rows, lanes), dtype=np.uint16)
+        for g0 in range(0, width, s):
+            n = min(s, width - g0)
+            table = tables[: 256 * n * lanes].reshape(256, n, lanes)
             for bit in range(8):
                 lo = 1 << bit
-                np.bitwise_xor(table[:, :lo], part[:, bit, None], out=table[:, lo : 2 * lo])
-            for h in range(0, len(part), k):
-                tabs = table[h : h + k]
-                n_tabs = len(tabs)
-                at = sel[g0 + h : g0 + h + n_tabs]
-                if n_tabs > 1:  # a lone table needs no offsets
-                    at = np.add(at, offsets[:n_tabs], out=idx[:n_tabs])
-                flat = tabs.reshape(n_tabs * 256, batch)
-                _xor_fold(out, np.take(flat, at, axis=0, out=looked_up[:n_tabs], mode="clip"))
-        return out
+                np.bitwise_xor(table[:lo], bits[bit, g0 : g0 + n], out=table[lo : 2 * lo])
+            if k == 1:
+                for h in range(n):
+                    out ^= np.take(table[:, h], sel[g0 + h], axis=0, out=looked_up[0], mode="clip")
+            else:
+                at = np.multiply(sel[g0 : g0 + n], n, out=idx[:n], dtype=np.intp)
+                at += np.arange(n, dtype=np.intp)[:, None]
+                flat = table.reshape(256 * n, lanes)
+                for h in range(0, n, k):
+                    n_tabs = min(k, n - h)
+                    _xor_fold(out, np.take(flat, at[h : h + n_tabs], axis=0, out=looked_up[:n_tabs], mode="clip"))
+        return out[:, :batch]
 
     return run
 

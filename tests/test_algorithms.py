@@ -550,10 +550,13 @@ def test_counted_apply_matches_reference(m):
 
 # The kernels' element budget at its edges: 1 runs one byte group or block
 # column per chunk, and one subset-XOR table at a time; 900 leaves a ragged
-# last chunk in all three kernels at m = 8 for one vector (3 of 32 groups
-# in both binary kernels, 3 of 8 columns, 28 of 32 tables); 6000 leaves a
-# ragged last block of byte groups in the plane kernel at m = 8 and 10 (23
-# of 32, 5 of 128); and 2^30 runs each stage as one gather.
+# last chunk in all three kernels at m = 8 (3 of 32 groups in the plane
+# kernel for one vector, 3 of 8 columns, Four-Russians tables 3 of 32 groups
+# at a time for 5 vectors, padded to 8) and in Four Russians at m = 10 (7
+# of 128 groups for 4 vectors); 6000 leaves a ragged last block of byte groups in the
+# plane kernel at m = 8 and 10 (23 of 32, 5 of 128); and 2^30 runs each
+# stage as one gather, so Four Russians shares one take among all groups,
+# where the smaller budgets give each group its own take.
 _BUDGETS = (1, 900, 6000, 1 << 30)
 
 
@@ -570,6 +573,15 @@ def test_chunk_rule_edges(m, monkeypatch):
     oracle = naive_dft_batch(vecs, ctx)
     sizes = sorted({0, 1, 3, 32, 32 // m, 32 // m + 1})
     tallied = 1 if m == 10 else 3
+    forms = set()  # (ragged last table chunk, groups per take > 1) of each Four-Russians call
+    sizes_of = alg._russians_sizes
+
+    def noted_sizes(width, rows, batch):
+        s, k = sizes_of(width, rows, batch)
+        forms.add((width % s > 0, k > 1))
+        return s, k
+
+    monkeypatch.setattr(alg, "_russians_sizes", noted_sizes)
     for tag in ALL_TAGS:
         plan = build(tag, ctx)
         width, rows = plan.stage(BinaryMatrix).packed.shape
@@ -592,18 +604,22 @@ def test_chunk_rule_edges(m, monkeypatch):
                     assert apply(plan, f, got, fr) == want_out, (tag, budget, fr, units)
                     want = _counters(ref[units].stage1, ref[fr].stage2)
                     assert _counters(got.stage1, got.stage2) == want, (tag, budget, fr, units)
+    if m in (8, 10):  # m = 3 has one byte group, so one table and one take
+        assert any(ragged for ragged, _ in forms), forms
+        assert {shared for _, shared in forms} == {False, True}, forms
 
 
 @pytest.mark.parametrize("m", range(2, 13))
 def test_plane_kernel_matches_four_russians(m):
     # the two binary-stage kernels agree on every tag's binary matrix for
-    # batches 1 to 32 // m + 1, across the plane rule
+    # batches 1 to 32 // m + 1, across the plane rule, and for 8 and 32,
+    # where Four Russians shares takes among groups or gives each its own
     rng = np.random.default_rng(m)
     ctx = default_field(m)
     for tag in ALL_TAGS:
         matrix = build(tag, ctx).stage(BinaryMatrix)
         planes, russians = alg._plane_kernel(matrix, m), alg._binary_kernel(matrix)
-        for batch in range(1, 32 // m + 2):
+        for batch in sorted({*range(1, 32 // m + 2), 8, 32}):
             x = rng.integers(0, 1 << m, size=(matrix.cols, batch), dtype=np.uint16)
             assert np.array_equal(planes(x), russians(x)), (tag, batch)
 
