@@ -5,7 +5,9 @@ naive_dft is the oracle every fast path is checked against.  It is coded as
 Horner evaluation, deliberately not as a stored-matrix product, so that
 dense_matvec against the Vandermonde matrix is an independent second coding.
 naive_dft_batch is a numpy-vectorized third coding of the same definition,
-used where the pure-Python oracle would dominate the test budget.
+used where the pure-Python oracle would dominate the test budget.  Both
+oracles take their input through algorithms.validate_vectors, so an element
+outside GF(2^m) raises the same ValueError as apply.
 counted_apply walks a plan's stages in Python ints, counting every field
 operation as it issues it; algorithms.apply must report the same counts.
 """
@@ -34,8 +36,7 @@ def poly_eval(f: list[int], x: int, ctx: FieldContext, oc: OpCount | None = None
 
 def naive_dft(f: list[int], ctx: FieldContext, oc: OpCount | None = None) -> list[int]:
     """F_i = f(a^i) for i in [0, n), by Horner at each point."""
-    if len(f) != ctx.n:
-        raise ValueError(f"expected length {ctx.n}, got {len(f)}")
+    validate_vectors(ctx, [f])
     return [poly_eval(f, ctx.exp[i], ctx, oc) for i in range(ctx.n)]
 
 
@@ -45,9 +46,13 @@ def unit_response(j: int, ctx: FieldContext) -> list[int]:
 
 
 def transform_matrix(ctx: FieldContext) -> np.ndarray:
-    """The n x n Vandermonde matrix W with W[i, j] = a^(ij), as uint16."""
-    idx = np.arange(ctx.n, dtype=np.uint32)  # i * j < n^2 < 2^32
-    return np.asarray(ctx.exp, dtype=np.uint16)[np.multiply.outer(idx, idx) % ctx.n]
+    """The n x n Vandermonde matrix W with W[i, j] = a^(ij), as uint16,
+    written one row chunk at a time."""
+    w = np.empty((ctx.n, ctx.n), dtype=np.uint16)
+    exp = np.asarray(ctx.exp, dtype=np.uint16)
+    for lo, hi, block in _exponent_blocks(ctx.n):
+        np.take(exp, block, out=w[lo:hi], mode="clip")  # block < n: clip never fires
+    return w
 
 
 def dense_matvec(
@@ -65,43 +70,66 @@ def dense_matvec(
     return out
 
 
+_CHUNK_ELEMENTS = 1 << 16  # entries in each (rows x n) temporary of the numpy oracles
+
+
+def _chunk_rows(n: int) -> int:
+    return max(1, _CHUNK_ELEMENTS // n)
+
+
+def _exponent_blocks(n: int):
+    """Row chunks of the exponent products: yields (lo, hi, block) with
+    block[i - lo, j] = (i*j) mod n for lo <= i < hi, an intp view of at most
+    _chunk_rows(n) rows that the next chunk overwrites in place."""
+    rows = _chunk_rows(n)
+    idx = np.arange(n, dtype=np.intp)  # i * j < n^2 < 2^32
+    buf = np.empty(rows * n, dtype=np.intp)
+    for lo in range(0, n, rows):
+        hi = min(lo + rows, n)
+        block = buf[: (hi - lo) * n].reshape(hi - lo, n)
+        np.multiply.outer(idx[lo:hi], idx, out=block)
+        np.remainder(block, n, out=block)
+        yield lo, hi, block
+
+
 @cache
-def _batch_tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-field numpy tables of the vectorized oracle: the indices 0..n-1,
-    exp repeated twice then a zero pad, and log with the 0-element sentinel
+def _batch_tables(ctx: FieldContext) -> tuple[np.ndarray, np.ndarray]:
+    """Per-field numpy tables of the vectorized oracle: exp repeated twice
+    then a zero pad, as uint16, and log as intp with the 0-element sentinel
     2n, which maps every sum it takes part in into that pad."""
     n = ctx.n
-    exp3 = np.concatenate([np.array(ctx.exp, dtype=np.int32)] * 2 + [np.zeros(n, dtype=np.int32)])
-    logpad = np.array(ctx.log, dtype=np.int32)
+    exp3 = np.concatenate([np.array(ctx.exp, dtype=np.uint16)] * 2 + [np.zeros(n, dtype=np.uint16)])
+    logpad = np.array(ctx.log, dtype=np.intp)
     logpad[0] = 2 * n
-    return np.arange(n, dtype=np.int64), exp3, logpad
+    return exp3, logpad
 
 
 def naive_dft_batch(vectors: list[list[int]], ctx: FieldContext) -> list[list[int]]:
     """Vandermonde-sum oracle for a batch of vectors, vectorized with numpy.
 
     Computes F_i = XOR_j exp[(i*j + log f_j) mod n] directly from the
-    definition; exact, but does no operation counting.  Row chunks of the
-    exponent-product matrix are reused across the whole batch.
+    definition; exact, but does no operation counting.  Each row chunk of
+    the exponent products is computed once and shared by the whole batch;
+    per vector it takes one add, one gather and one XOR reduce into
+    buffers of the chunk's size, so no temporary outgrows _CHUNK_ELEMENTS
+    entries whatever n and the batch size.
     """
     n = ctx.n
-    idx, exp3, logpad = _batch_tables(ctx)
-    for vec in vectors:
-        if len(vec) != n:
-            raise ValueError(f"expected length {n}, got {len(vec)}")
-    if not vectors:
+    arr = validate_vectors(ctx, vectors)
+    if not len(arr):
         return []
-    lfs = logpad[np.asarray(vectors, dtype=np.int64)]
-    count = len(vectors)
-    res = np.empty((count, n), dtype=np.int32)
-    chunk = max(1, (1 << 21) // max(n, 1))  # keep the (rows x n) block in cache
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        # exponent products for this row block, shared by the whole batch
-        block = ((idx[lo:hi, None] * idx[None, :]) % n).astype(np.int32)
-        for b in range(count):
-            res[b, lo:hi] = np.bitwise_xor.reduce(exp3[block + lfs[b]], axis=1)
-    return [[int(v) for v in row] for row in res]
+    exp3, logpad = _batch_tables(ctx)
+    lfs = logpad[arr]
+    res = np.empty(arr.shape, dtype=np.uint16)
+    sums = np.empty(_chunk_rows(n) * n, dtype=np.intp)
+    terms = np.empty(_chunk_rows(n) * n, dtype=np.uint16)
+    for lo, hi, block in _exponent_blocks(n):
+        s, t = sums[: block.size].reshape(block.shape), terms[: block.size].reshape(block.shape)
+        for b, lf in enumerate(lfs):
+            np.add(block, lf, out=s)
+            np.take(exp3, s, out=t, mode="clip")  # s < 3n: clip never fires
+            np.bitwise_xor.reduce(t, axis=1, out=res[b, lo:hi])
+    return res.tolist()
 
 
 def counted_apply(

@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 
 import pytest
 
+from gfft import reference
 from gfft.field import OpCount, default_field
 from gfft.reference import (
     dense_matvec,
@@ -123,3 +125,64 @@ def test_batch_oracle_length_check():
     ctx = default_field(3)
     with pytest.raises(ValueError):
         naive_dft_batch([[0] * 6], ctx)
+
+
+# non-field inputs over GF(8): a negative int, a float and an int outside [0, 8)
+BAD_INPUTS = [[-1] + [0] * 6, [1.5] + [0] * 6, [9] + [0] * 6]
+
+
+@pytest.mark.parametrize("f", BAD_INPUTS)
+def test_oracles_reject_non_field_input(f):
+    ctx = default_field(3)
+    with pytest.raises(ValueError):
+        naive_dft(f, ctx)
+    with pytest.raises(ValueError):
+        naive_dft_batch([f], ctx)
+    with pytest.raises(ValueError):
+        naive_dft_batch([[1] * 7, f], ctx)
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+def test_chunk_edges(monkeypatch, chunk_rows):
+    # n = 2^m - 1 is odd, so 2-row chunks always end on a ragged last chunk,
+    # and 3-row chunks do for m = 3, 5, 7
+    for m in range(2, 8):
+        ctx = default_field(m)
+        monkeypatch.setattr(reference, "_CHUNK_ELEMENTS", chunk_rows * ctx.n)
+        rng = random.Random(m * 13 + chunk_rows)
+        for count in range(4):
+            vecs = [[rng.randrange(1 << m) for _ in range(ctx.n)] for _ in range(count)]
+            assert naive_dft_batch(vecs, ctx) == [naive_dft(f, ctx) for f in vecs]
+        # W is symmetric, so row j is also column j, the response to delta_j
+        assert transform_matrix(ctx).tolist() == [unit_response(j, ctx) for j in range(ctx.n)]
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_oracle_traced_peak():
+    # 32 vectors at m = 11.  The output lists alone trace about 2.3 MiB; the
+    # numpy temporaries are the input's log table (0.5 MiB) and three
+    # 2^16-entry chunk buffers.  Chunks of 2^21 entries (1024 rows of
+    # int64 products and sums) would trace about 40 MiB.
+    ctx = default_field(11)
+    rng = random.Random(11)
+    vecs = [[rng.randrange(1 << 11) for _ in range(ctx.n)] for _ in range(32)]
+    naive_dft_batch(vecs[:1], ctx)  # build the field's cached tables first
+    out, peak = _traced_peak(naive_dft_batch, vecs, ctx)
+    assert len(out) == 32
+    assert peak < 8 << 20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_transform_matrix_traced_peak():
+    # W itself (32 MiB at m = 12) plus 2 MiB for the chunk of intp exponent
+    # products; gathering from the whole (i*j) mod n matrix traces 128 MiB.
+    ctx = default_field(12)
+    w, peak = _traced_peak(transform_matrix, ctx)
+    assert peak < w.nbytes + (2 << 20), f"traced peak {peak / 2**20:.1f} MiB"
