@@ -6,7 +6,6 @@ from .structure import (
     Coset,
     CosetPartition,
     LinearSolver,
-    NormalBasis,
     cyclotomic_cosets,
     find_normal_basis,
     minimal_polynomial,

@@ -36,7 +36,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import accumulate
 from math import gcd
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -47,7 +47,6 @@ from .field import FieldContext, OpCount
 from .structure import (
     BinaryMatrix,
     CosetPartition,
-    NormalBasis,
     coordinate_tables,
     cyclotomic_cosets,
     doubling_orbit,
@@ -193,16 +192,15 @@ class CosetLayout:
     basis: tuple[int, ...]  # column basis for the binary-stage expansion
 
 
-def _normal_bases(ctx: FieldContext, partition: CosetPartition, shifted: bool) -> dict[int, NormalBasis]:
-    """One normal basis per occurring coset size; shifted squares the generator."""
-    bases: dict[int, NormalBasis] = {}
+def _normal_bases(ctx: FieldContext, partition: CosetPartition, shifted: bool) -> dict[int, tuple[int, ...]]:
+    """One normal basis per occurring coset size; shifted rotates it by one,
+    so it starts at the generator squared."""
+    bases: dict[int, tuple[int, ...]] = {}
     for size in sorted(set(partition.sizes())):
         nb = find_normal_basis(ctx, size)
-        if shifted and size > 1:
-            gen = ctx.mul(nb.generator, nb.generator)
-            conj = tuple(nb.basis[(j + 1) % size] for j in range(size))
-            nb = NormalBasis(gen, size, conj)
-        if any(ctx.mul(b, b) != nb.basis[(j + 1) % size] for j, b in enumerate(nb.basis)):
+        if shifted:
+            nb = nb[1:] + nb[:1]
+        if any(ctx.mul(b, b) != nb[(j + 1) % size] for j, b in enumerate(nb)):
             raise ArithmeticError(f"normal basis of size {size} is not a conjugate sequence")
         bases[size] = nb
     return bases
@@ -220,19 +218,19 @@ def _layouts_for_tag(ctx: FieldContext, partition: CosetPartition, tag: str) -> 
     if tag not in ALL_TAGS:
         raise ValueError(f"unknown algorithm tag {tag!r}")
     n, m = ctx.n, ctx.m
-    normal: dict[int, NormalBasis] = {}
+    normal: dict[int, tuple[int, ...]] = {}
     rep_override: dict[int, int] = {}
     if tag in (TF2003, FED2006A, FED2006B):
         normal = _normal_bases(ctx, partition, shifted=tag == FED2006B)
     if tag == FED2006B:
         # keeps the identity sub-block aligned with the shifted basis
-        logs = (ctx.log[nb.generator] for nb in normal.values() if nb.degree > 1)
+        logs = (ctx.log[nb[0]] for nb in normal.values() if len(nb) > 1)
         rep_override = {min(doubling_orbit(lg, n)): lg for lg in logs}
     out = []
     for coset in partition.cosets:
         d, rep = coset.size, rep_override.get(coset.leader, coset.leader)
         if normal:
-            basis = normal[d].basis
+            basis = normal[d]
         elif tag == FT2002 and d == m:
             basis = tuple(1 << t for t in range(m))
         else:
@@ -727,13 +725,13 @@ def _run_kernels(plan: Plan, rows: np.ndarray, stage1: OpCount | None = None) ->
     """Validated (batch, n) input rows gathered into stage order, through
     the plan's stage kernels and scattered to output order; the outputs
     come back as the columns of an (n, batch) array.  With stage1, the
-    block stage adds w . [x > 1] over its input x to stage1.mults."""
+    block stage adds w . [x > 1] over its input x to stage1.mults, w the
+    plan's mult_weights."""
     in_idx, kernels, out_idx = plan._kernels
     x = rows.T[in_idx]
-    weights = plan._counts.mult_weights if stage1 is not None else repeat(None)
-    for kernel, w in zip(kernels, weights):
-        if w is not None:
-            stage1.mults += int((w @ (x > 1)).sum())
+    for kernel, stage in zip(kernels, plan.stages):
+        if stage1 is not None and isinstance(stage, BlockStage):
+            stage1.mults += int((plan._counts.mult_weights @ (x > 1)).sum())
         x = kernel(x)
     return x[out_idx]
 
@@ -773,9 +771,9 @@ def stage2_naive_adds(plan: Plan) -> int:
 class _Counts(NamedTuple):
     """Per plan, what a counted apply adds to its tally beyond the
     data-dependent stage-1 multiplications: those come from mult_weights,
-    one entry per stage of the plan (None at the binary stage)."""
+    one weight per input position of the block stage."""
 
-    mult_weights: tuple[np.ndarray | None, ...]
+    mult_weights: np.ndarray
     unit_mults: int  # stage-1 multiplications under count_units=True
     stage1_adds: int
     naive_adds: int
@@ -791,7 +789,7 @@ def _plan_counts(plan: Plan) -> _Counts:
     issued = (sizes > 1) | (stage.entries[:, 0, 0] != 1)  # all blocks but the pass-throughs
     a = plan.stage(BinaryMatrix)
     return _Counts(
-        tuple(_mult_weights(s) if s is stage else None for s in plan.stages),
+        _mult_weights(stage),
         int((sizes[issued] ** 2).sum()),
         int((sizes * (sizes - 1)).sum()),
         int(np.maximum(a.row_popcounts() - 1, 0).sum()),

@@ -36,9 +36,14 @@ VERIFY_M_RANGE = (2, 12)
 BENCH_M_RANGE = (2, 16)
 FACTOR_M_RANGE = (2, 6)
 
-CSV_HEADER = (
-    "algo,m,n,stage1_mults,stage1_adds,stage2_adds_naive,stage2_adds_4r,"
-    "bound_nlogn,bound_2n2logn,ok_mults,ok_adds"
+# bench's columns as (record key, text header, text format spec); the CSV
+# header is the keys
+BENCH_COLUMNS = (
+    ("algo", "algo", "<10"), ("m", "m", ">2"), ("n", "n", ">6"),
+    ("stage1_mults", "s1_mults", ">9"), ("stage1_adds", "s1_adds", ">9"),
+    ("stage2_adds_naive", "s2_naive", ">10"), ("stage2_adds_4r", "s2_4r", ">10"),
+    ("bound_nlogn", "nlogn", ">8"), ("bound_2n2logn", "2n2/logn", ">10"),
+    ("ok_mults", "mults", ">5"), ("ok_adds", "adds", ">5"),
 )
 
 
@@ -234,15 +239,20 @@ def bench_records(ms: list[int], tags: list[str], poly: int | None, block_size: 
     return records
 
 
-def emit_bench_csv(records, out):
-    print(CSV_HEADER, file=out)
+def emit_bench(records, csv: bool, out):
+    """A header line, then one line per record: comma-separated with
+    true/false, or the aligned text table with ok/FAIL."""
+    if csv:
+        columns, sep, yes, no = [(key, key, "") for key, _, _ in BENCH_COLUMNS], ",", "true", "false"
+    else:
+        columns, sep, yes, no = BENCH_COLUMNS, " ", "ok", "FAIL"
+
+    def cell(value):
+        return (yes if value else no) if isinstance(value, bool) else value
+
+    print(sep.join(f"{head:{spec}}" for _, head, spec in columns), file=out)
     for r in records:
-        print(
-            f"{r['algo']},{r['m']},{r['n']},{r['stage1_mults']},{r['stage1_adds']},"
-            f"{r['stage2_adds_naive']},{r['stage2_adds_4r']},{r['bound_nlogn']},"
-            f"{r['bound_2n2logn']},{str(r['ok_mults']).lower()},{str(r['ok_adds']).lower()}",
-            file=out,
-        )
+        print(sep.join(f"{cell(r[key]):{spec}}" for key, _, spec in columns), file=out)
 
 
 def cmd_bench(args, out=sys.stdout) -> int:
@@ -253,23 +263,7 @@ def cmd_bench(args, out=sys.stdout) -> int:
     poly = _parse_poly(args.poly, ms)
     if args.block_size is not None and not (1 <= args.block_size <= 16):
         raise UsageError("--block-size must be in [1,16]")
-    records = bench_records(ms, tags, poly, args.block_size)
-    if args.format == "csv":
-        emit_bench_csv(records, out)
-    else:
-        hdr = (
-            f"{'algo':<10} {'m':>2} {'n':>6} {'s1_mults':>9} {'s1_adds':>9} "
-            f"{'s2_naive':>10} {'s2_4r':>10} {'nlogn':>8} {'2n2/logn':>10} {'mults':>5} {'adds':>5}"
-        )
-        print(hdr, file=out)
-        for r in records:
-            print(
-                f"{r['algo']:<10} {r['m']:>2} {r['n']:>6} {r['stage1_mults']:>9} "
-                f"{r['stage1_adds']:>9} {r['stage2_adds_naive']:>10} {r['stage2_adds_4r']:>10} "
-                f"{r['bound_nlogn']:>8} {r['bound_2n2logn']:>10} "
-                f"{'ok' if r['ok_mults'] else 'FAIL':>5} {'ok' if r['ok_adds'] else 'FAIL':>5}",
-                file=out,
-            )
+    emit_bench(bench_records(ms, tags, poly, args.block_size), args.format == "csv", out)
     return 0
 
 

@@ -160,7 +160,8 @@ class LinearSolver:
     holds its own pivot bit and no other pivot, so the pivots an element has
     set name exactly the reduced vectors it is the XOR of.  It is the
     element-by-element reference for coordinate_tables, which reduces many
-    bases at once and serves linear_map.
+    bases at once for plan builds, and the independence test of
+    find_normal_basis.
     """
 
     __slots__ = ("basis", "_reduced")
@@ -195,16 +196,6 @@ class LinearSolver:
             raise ValueError(f"element {x} not in span of basis {self.basis}")
         return combo
 
-    def linear_map(self, xs: np.ndarray) -> np.ndarray:
-        """coords | residual << 16 of each element of an int array, as uint32,
-        from the basis's coordinate_tables.  ValueError outside [0, 2^16)."""
-        xs = np.asarray(xs, dtype=np.int64)
-        wide = (xs >> 16) != 0
-        if wide.any():
-            raise ValueError(f"element {xs[wide][0]} is outside [0, 2^16)")
-        tables = coordinate_tables([self.basis])[0]
-        return tables[0, xs & 255] ^ tables[1, xs >> 8]
-
 
 def rotate_right_bits(coords: int, d: int) -> int:
     """One right rotation of a d-bit coordinate vector (bit j -> bit j+1)."""
@@ -212,44 +203,20 @@ def rotate_right_bits(coords: int, d: int) -> int:
     return ((coords << 1) | (coords >> (d - 1))) & mask if d > 1 else coords
 
 
-@dataclass(frozen=True)
-class NormalBasis:
-    """Basis (b, b^2, b^4, ...) of GF(2^d) inside GF(2^m)."""
-
-    generator: int
-    degree: int
-    basis: tuple[int, ...]
-
-
-def conjugates(beta: int, d: int, ctx: FieldContext) -> tuple[int, ...]:
-    """beta, beta^2, beta^4, ..., beta^(2^(d-1)) for a nonzero beta."""
-    out = [beta]
-    lg = ctx.log[beta]
-    for _ in range(d - 1):
-        lg = (2 * lg) % ctx.n
-        out.append(ctx.exp[lg])
-    return tuple(out)
-
-
-def find_normal_basis(ctx: FieldContext, d: int) -> NormalBasis:
-    """Normal basis of the subfield GF(2^d) of GF(2^m): the first subfield
-    element, in increasing discrete-log order, whose conjugates are
-    GF(2)-independent."""
+def find_normal_basis(ctx: FieldContext, d: int) -> tuple[int, ...]:
+    """Normal basis (b, b^2, b^4, ..., b^(2^(d-1))) of the subfield GF(2^d)
+    of GF(2^m), as a tuple: b is the first subfield element, in increasing
+    discrete-log order, whose conjugates are GF(2)-independent.  The
+    subfield's logs are 0, n / (2^d - 1), ..., so for d = 1 it is (1,)."""
     if d < 1 or ctx.m % d != 0:
         raise ValueError(f"d={d} does not divide m={ctx.m}")
-    if d == 1:
-        return NormalBasis(1, 1, (1,))
-
-    subfield_order = (1 << d) - 1
-    step = ctx.n // subfield_order
-    for j in range(1, subfield_order):
-        beta = ctx.exp[j * step]
-        conj = conjugates(beta, d, ctx)
+    for lg in range(0, ctx.n, ctx.n // ((1 << d) - 1)):
+        basis = tuple(ctx.exp[(lg << t) % ctx.n] for t in range(d))
         try:
-            LinearSolver(conj)
+            LinearSolver(basis)
         except ValueError:
             continue
-        return NormalBasis(beta, d, conj)
+        return basis
     raise RuntimeError(f"no normal basis found for d={d} (field tables are broken)")
 
 

@@ -202,8 +202,7 @@ def test_criterion_4_circulant_blocks(m):
         assert circulant[sizes[:, None] == sizes].all(), (m, tag)
     # the underlying Frobenius coordinate shift, exhaustively
     ctx = field(m)
-    nb = find_normal_basis(ctx, m)
-    solver = LinearSolver(nb.basis)
+    solver = LinearSolver(find_normal_basis(ctx, m))
     for x in range(1, 1 << m):
         assert solver.coords(ctx.mul(x, x)) == rotate_right_bits(solver.coords(x), m)
     report(f"4 circulant sub-blocks + Frobenius shift m={m}: PASS")

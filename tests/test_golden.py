@@ -5,7 +5,8 @@ plan is made of; bench_m2_16.csv holds `gfft bench --m 2..16 --format csv`
 over the four factored algorithms.  Both were written by the code before
 binary matrices were stored packed, so they pin a change of storage to the
 plans and counts it replaced.  bench_m2_14_unfactored.csv holds the goertzel
-and blahut2008 rows, which bench gained later.  A change that sets out to
+and blahut2008 rows, which bench gained later, and bench_m2_8.txt the text
+table of `gfft bench --m 2..8`.  A change that sets out to
 move a plan or a count rewrites them with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -27,6 +28,8 @@ BENCH_CSV = GOLDEN_DIR / "bench_m2_16.csv"
 BENCH_ARGV = ["bench", "--m", "2..16", "--algo", "ft2002,tf2003,fed2006a,fed2006b", "--format", "csv"]
 UNFACTORED_CSV = GOLDEN_DIR / "bench_m2_14_unfactored.csv"
 UNFACTORED_ARGV = ["bench", "--m", "2..14", "--algo", "goertzel,blahut2008", "--format", "csv"]
+BENCH_TEXT = GOLDEN_DIR / "bench_m2_8.txt"
+BENCH_TEXT_ARGV = ["bench", "--m", "2..8"]
 
 # m = 2..12 over the default polynomials, plus one non-default polynomial
 # each at m = 5, 6 and 8.
@@ -67,7 +70,7 @@ def plan_digests() -> dict[str, str]:
     return out
 
 
-def bench_csv(argv=BENCH_ARGV) -> str:
+def bench_output(argv=BENCH_ARGV) -> str:
     buf = io.StringIO()
     if cli.main(argv, out=buf) != 0:
         raise RuntimeError(f"gfft {' '.join(argv)} failed")
@@ -79,14 +82,19 @@ def test_plans_and_bench_match_goldens():
     digests = plan_digests()
     assert len(digests) == len(golden) == 84
     assert [k for k in golden if digests.get(k) != golden[k]] == []
-    assert bench_csv() == BENCH_CSV.read_text()
+    assert bench_output() == BENCH_CSV.read_text()
 
 
 def test_unfactored_bench_matches_golden():
-    assert bench_csv(UNFACTORED_ARGV) == UNFACTORED_CSV.read_text()
+    assert bench_output(UNFACTORED_ARGV) == UNFACTORED_CSV.read_text()
+
+
+def test_bench_text_matches_golden():
+    assert bench_output(BENCH_TEXT_ARGV) == BENCH_TEXT.read_text()
 
 
 if __name__ == "__main__":
     DIGESTS.write_text(json.dumps(plan_digests(), indent=1) + "\n")
-    BENCH_CSV.write_text(bench_csv())
-    UNFACTORED_CSV.write_text(bench_csv(UNFACTORED_ARGV))
+    BENCH_CSV.write_text(bench_output())
+    UNFACTORED_CSV.write_text(bench_output(UNFACTORED_ARGV))
+    BENCH_TEXT.write_text(bench_output(BENCH_TEXT_ARGV))

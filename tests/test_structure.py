@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from gfft.algorithms import _normal_bases
 from gfft.field import default_field
 from gfft.reference import poly_eval
 from gfft.structure import (
@@ -29,7 +30,7 @@ def coords_to_bits(coords, d):
 
 def frobenius_coords_pair(x, nb, ctx):
     """Coordinates of x and of x^2 in a normal basis."""
-    solver = LinearSolver(nb.basis)
+    solver = LinearSolver(nb)
     return solver.coords(x), solver.coords(ctx.mul(x, x))
 
 
@@ -97,8 +98,8 @@ def test_minimal_polynomial_roots(m):
 def test_normal_basis_scan_m3():
     ctx = default_field(3)
     nb = find_normal_basis(ctx, 3)
-    assert ctx.log[nb.generator] == 3
-    assert nb.basis == (3, 5, 7)  # a^3, a^6, a^5
+    assert ctx.log[nb[0]] == 3
+    assert nb == (3, 5, 7)  # a^3, a^6, a^5
 
 
 def test_normal_basis_bad_degree():
@@ -107,18 +108,19 @@ def test_normal_basis_bad_degree():
         find_normal_basis(ctx, 3)
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 6, 8, 12])
+@pytest.mark.parametrize("m", range(2, 17))
 def test_normal_basis_full_rank_all_divisors(m):
     ctx = default_field(m)
-    for d in range(1, m + 1):
-        if m % d:
-            continue
+    shifted = _normal_bases(ctx, cyclotomic_cosets(ctx.n), shifted=True)  # fed2006b's
+    divisors = [d for d in range(1, m + 1) if m % d == 0]
+    assert sorted(shifted) == divisors  # every subfield degree is a coset size
+    for d in divisors:
         nb = find_normal_basis(ctx, d)
-        assert len(nb.basis) == d
-        LinearSolver(nb.basis)  # raises if dependent
-        # conjugate closure: squaring the last conjugate returns the generator
-        last = nb.basis[-1]
-        assert ctx.mul(last, last) == nb.generator
+        assert len(nb) == d
+        LinearSolver(nb)  # raises if dependent
+        # a conjugate sequence that wraps: squaring the last returns the first
+        assert [ctx.mul(b, b) for b in nb] == [nb[(j + 1) % d] for j in range(d)]
+        assert shifted[d][0] == nb[1 % d]
 
 
 def test_coordinates_examples_m3():
@@ -137,6 +139,8 @@ def test_coordinates_not_in_span():
 def test_coordinates_dependent_basis():
     with pytest.raises(ValueError, match="depends"):
         LinearSolver((3, 5, 6))  # 3 ^ 5 = 6
+    with pytest.raises(ValueError, match="outside \\[0, 2\\^16\\)"):
+        LinearSolver((1, 1 << 16))
 
 
 @pytest.mark.parametrize("m", [3, 4, 6, 8])
@@ -153,34 +157,10 @@ def test_coordinates_round_trip(m):
         assert acc == x
 
 
-def test_linear_map_matches_coords():
-    for basis in [(1, 2, 4), (3, 5, 7), (6, 3, 1)]:
-        solver = LinearSolver(basis)
-        got = solver.linear_map(range(8))
-        assert got.tolist() == [solver.coords(x) for x in range(8)], basis
-
-
-def test_linear_map_flags_outside_span():
-    solver = LinearSolver((0b001, 0b010))
-    assert solver.linear_map([0, 1, 2, 3]).tolist() == [0, 1, 2, 3]
-    # 4 and 6 = 4 ^ 2 leave the span: a nonzero residual from bit 16 up
-    residual = solver.linear_map([3, 4, 1, 6]) >> 16
-    assert (residual != 0).tolist() == [False, True, False, True]
-
-
-def test_linear_map_rejects_elements_outside_16_bits():
-    solver = LinearSolver((0b001, 0b010))
-    for xs in ([1, 1 << 16], [-1, 2]):
-        with pytest.raises(ValueError, match="outside \\[0, 2\\^16\\)"):
-            solver.linear_map(xs)
-    with pytest.raises(ValueError, match="outside \\[0, 2\\^16\\)"):
-        LinearSolver((1, 1 << 16))
-
-
 def test_frobenius_pair_examples():
     ctx = default_field(3)
     nb = find_normal_basis(ctx, 3)
-    beta = nb.generator
+    beta = nb[0]
     c, csq = frobenius_coords_pair(beta, nb, ctx)
     assert coords_to_bits(c, 3) == (1, 0, 0)
     assert coords_to_bits(csq, 3) == (0, 1, 0)
@@ -192,8 +172,7 @@ def test_frobenius_pair_examples():
 @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8])
 def test_frobenius_shift_exhaustive(m):
     ctx = default_field(m)
-    nb = find_normal_basis(ctx, m)
-    solver = LinearSolver(nb.basis)
+    solver = LinearSolver(find_normal_basis(ctx, m))
     for x in range(1, 1 << m):
         assert solver.coords(ctx.mul(x, x)) == rotate_right_bits(solver.coords(x), m)
 
@@ -204,8 +183,7 @@ def test_frobenius_shift_subfields(m):
     for d in range(2, m):
         if m % d:
             continue
-        nb = find_normal_basis(ctx, d)
-        solver = LinearSolver(nb.basis)
+        solver = LinearSolver(find_normal_basis(ctx, d))
         step = ctx.n // ((1 << d) - 1)
         for j in range((1 << d) - 1):
             x = ctx.exp[j * step]
