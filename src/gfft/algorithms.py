@@ -764,8 +764,7 @@ def _stage1_counts(stage: BlockStage) -> tuple[int, int]:
 
 def stage2_naive_adds(plan: Plan) -> int:
     """Exact additions of the naive binary stage: sum of (popcount - 1)."""
-    pc = plan.stage(BinaryMatrix).row_popcounts()
-    return int(pc.sum() - np.count_nonzero(pc))
+    return _naive_adds(plan.ctx, _layouts_for_tag(plan.ctx, plan.partition, plan.tag))
 
 
 class _Counts(NamedTuple):
@@ -781,9 +780,10 @@ class _Counts(NamedTuple):
 
 
 def _plan_counts(plan: Plan) -> _Counts:
-    """Counted from the stages as the reference walk issues the operations,
-    not through structural_stage1_counts or stage2_naive_adds, so that a
-    check of a tally against those compares two separate codings."""
+    """Stage 1 counted from the block stage as the reference walk issues the
+    operations, not through structural_stage1_counts, so that a check of a
+    tally against that compares two separate codings; stage 2 through
+    _naive_adds itself, not the module's stage2_naive_adds."""
     stage = plan.stage(BlockStage)
     sizes = np.array(stage.sizes)
     issued = (sizes > 1) | (stage.entries[:, 0, 0] != 1)  # all blocks but the pass-throughs
@@ -792,7 +792,7 @@ def _plan_counts(plan: Plan) -> _Counts:
         _mult_weights(stage),
         int((sizes[issued] ** 2).sum()),
         int((sizes * (sizes - 1)).sum()),
-        int(np.maximum(a.row_popcounts() - 1, 0).sum()),
+        _naive_adds(plan.ctx, _layouts_for_tag(plan.ctx, plan.partition, plan.tag)),
         binmat.make_plan(a.cols).predicted_adds(a.n_rows),
     )
 
@@ -809,24 +809,38 @@ def stage1_bound(ctx: FieldContext) -> int:
     return ctx.n * ctx.m
 
 
-# The bench path counts without building the binary matrix, for speed: at
-# m = 14, tf2003's counts take 0.03 s against 0.36 s to build and count, and
-# goertzel's 0.6 s against 1.2 s (2-CPU host).  The naive-stage addition
-# count is aggregated per coset: as i runs over Z_n, a^(i*rep) sweeps the
-# subgroup generated by a^g, g = gcd(rep, n), hitting each value g times, as
-# a^(i*g) does.  So layouts that agree in basis and g have columns with the
-# same ones, and one column serves them.
+# The naive stage-2 count, per coset from the field rather than from the
+# matrix, for plans and the bench alike.  As i runs over Z_n, a^(i*rep)
+# sweeps the subgroup generated by a^g, g = gcd(rep, n), hitting each
+# element g times, so a coset's column group holds g times the coordinate
+# ones of that subgroup in its basis.  When the subgroup is all of GF(2^d)*
+# (g (2^d - 1) = n), each of the d coordinates is a nonzero linear
+# functional, 1 on 2^(d-1) of its elements: g d 2^(d-1) ones, whatever the
+# basis.  A proper subgroup is enumerated once, exp[::g], per distinct
+# (g, basis), through one coordinate_tables call for all of them.  Every row
+# holds a one (the {0} coset), so the count is the ones less n; transposing
+# goertzel's matrix keeps it.  At m = 16 goertzel and blahut2008 enumerate
+# 2047 of their 4115 cosets (30.8 M elements, about 0.8 s on a 2-CPU host),
+# the factored four 11 to 22 distinct (g, basis) (46 K elements); a count
+# from the matrix would read all 512 MiB of it.
+
+
+def _naive_adds(ctx: FieldContext, layouts: Sequence[CosetLayout]) -> int:
+    """Additions of the naive binary stage, sum of (popcount - 1) over the
+    rows, of the plan with these layouts."""
+    n = ctx.n
+    shared = Counter((gcd(lay.rep, n), lay.basis) for lay in layouts)
+    proper = [(g, b) for g, b in shared if g * ((1 << len(b)) - 1) != n]  # a^g generates less than GF(2^d)*
+    ones = sum(shared[g, b] * g * len(b) << (len(b) - 1) for g, b in shared.keys() - proper)
+    exp = np.asarray(ctx.exp, dtype=np.intp)
+    for (g, basis), table in zip(proper, coordinate_tables([b for _, b in proper])):
+        coords = (table[0, exp[::g] & 255] ^ table[1, exp[::g] >> 8]).astype(np.uint16)  # in the span: no residual
+        ones += shared[g, basis] * g * int(np.unpackbits(coords.view(np.uint8)).sum())
+    return ones - n
 
 
 def structural_counts_for_tag(ctx: FieldContext, tag: str) -> tuple[int, int, int]:
     """(stage1 mults, stage1 adds, stage2 naive adds) of a plan without
-    building it.  Transposing goertzel's blocks and matrix keeps both counts,
-    and every row of a binary matrix here holds a one, hence the - n."""
-    n = ctx.n
-    layouts = _layouts_for_tag(ctx, cyclotomic_cosets(n), tag)
-    shared = Counter(CosetLayout(gcd(lay.rep, n), (), lay.basis) for lay in layouts)
-    keys = list(shared)
-    total_ones = 0
-    for k, column in _columns(ctx, range(n), keys):
-        total_ones += shared[keys[k]] * int(np.count_nonzero(np.unpackbits(column.view(np.uint8))))
-    return (*_stage1_counts(_d_blocks(ctx, [lay.basis for lay in layouts])), total_ones - n)
+    building it: transposing goertzel's blocks keeps both stage-1 counts."""
+    layouts = _layouts_for_tag(ctx, cyclotomic_cosets(ctx.n), tag)
+    return (*_stage1_counts(_d_blocks(ctx, [lay.basis for lay in layouts])), _naive_adds(ctx, layouts))

@@ -7,9 +7,10 @@ vectors; only the addition tally differs.  They are the reference binary
 kernels: reference.counted_apply runs them, while algorithms.apply runs
 one of two numpy kernels on the packed matrix (bit-plane parities for a
 call of a few vectors, Four Russians on its bytes above that) and takes the
-same counts from its row popcounts and predicted_adds.  The reference
-kernels walk the matrix's int rows, which BinaryMatrix derives from its
-packed bytes once per call.
+same counts without the matrix: the naive one per coset from the field
+(algorithms._naive_adds), the Four-Russians one from predicted_adds.  The
+reference kernels walk the matrix's int rows, which BinaryMatrix derives
+from its packed bytes once per call.
 
 The Four-Russians tally is deliberately data-independent: every group is
 costed at its nominal width t (the last group is padded with zero columns),

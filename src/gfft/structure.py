@@ -197,12 +197,6 @@ class LinearSolver:
         return combo
 
 
-def rotate_right_bits(coords: int, d: int) -> int:
-    """One right rotation of a d-bit coordinate vector (bit j -> bit j+1)."""
-    mask = (1 << d) - 1
-    return ((coords << 1) | (coords >> (d - 1))) & mask if d > 1 else coords
-
-
 def find_normal_basis(ctx: FieldContext, d: int) -> tuple[int, ...]:
     """Normal basis (b, b^2, b^4, ..., b^(2^(d-1))) of the subfield GF(2^d)
     of GF(2^m), as a tuple: b is the first subfield element, in increasing
@@ -220,7 +214,6 @@ def find_normal_basis(ctx: FieldContext, d: int) -> tuple[int, ...]:
     raise RuntimeError(f"no normal basis found for d={d} (field tables are broken)")
 
 
-_POPCOUNT = np.array([b.bit_count() for b in range(256)], dtype=np.uint8)
 # bytes of the untransposed packing that BinaryMatrix.from_coords holds at a
 # time while it packs a transpose
 _TRANSPOSE_BYTES = 1 << 20
@@ -334,13 +327,6 @@ class BinaryMatrix:
         """The (rows, cols) uint8 0/1 array of the entries, unpacked anew on
         each call: the one place that unpacks the matrix."""
         return np.unpackbits(np.ascontiguousarray(self.packed.T), axis=1, count=self.cols, bitorder="little")
-
-    def row_popcounts(self) -> np.ndarray:
-        """The ones in each row, as an int64 array."""
-        out = np.zeros(self.n_rows, dtype=np.int64)
-        for group in self.packed:
-            out += _POPCOUNT[group]
-        return out
 
     def __eq__(self, other) -> bool:
         return (

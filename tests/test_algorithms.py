@@ -986,14 +986,21 @@ def test_stage1_counts_m3(ctx3):
     assert stage2_naive_adds(plan) == 24
 
 
-@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 9, 10])
+@pytest.mark.parametrize(
+    "m, poly", GOLDEN_FIELDS, ids=[f"{m}" if p is None else f"{m}-{p:#x}" for m, p in GOLDEN_FIELDS]
+)
 @pytest.mark.parametrize("tag", ALL_TAGS)
-def test_structural_counts_match_built_plans(m, tag):
-    ctx = default_field(m)
+def test_structural_counts_match_built_plans(m, poly, tag):
+    # the naive stage-2 count, coded per coset from the field, against the
+    # built matrix's rows: popcount - 1 additions for each row with a one
+    ctx = build_field(FieldSpec(m, poly))
     plan = build(tag, ctx)
+    dense = int(np.maximum(matrix_of(plan).bits().sum(axis=1, dtype=np.int64) - 1, 0).sum())
+    tally = TransformTally.fresh()
+    apply(plan, [int(j == 1) for j in range(ctx.n)], tally)
     s1m, s1a, s2n = structural_counts_for_tag(ctx, tag)
     assert (s1m, s1a) == structural_stage1_counts(plan)
-    assert s2n == stage2_naive_adds(plan)
+    assert s2n == stage2_naive_adds(plan) == tally.stage2.adds == dense
     counts = (s1m, s1a, s2n, *structural_stage1_counts(plan), stage2_naive_adds(plan))
     assert all(type(x) is int for x in counts)
 
@@ -1049,7 +1056,7 @@ def test_blahut_tally(ctx3):
     apply(plan, f, tally)
     assert tally.stage1.adds == 12
     assert tally.stage2.mults == 0
-    assert tally.stage2.adds == matrix_of(plan).row_popcounts().sum() - 7
+    assert tally.stage2.adds == matrix_of(plan).bits().sum(axis=1).sum() - 7
 
 
 def test_unknown_tag(ctx3):

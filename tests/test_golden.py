@@ -5,9 +5,11 @@ plan is made of; bench_m2_16.csv holds `gfft bench --m 2..16 --format csv`
 over the four factored algorithms.  Both were written by the code before
 binary matrices were stored packed, so they pin a change of storage to the
 plans and counts it replaced.  bench_m2_14_unfactored.csv holds the goertzel
-and blahut2008 rows, which bench gained later, and bench_m2_8.txt the text
-table of `gfft bench --m 2..8`.  A change that sets out to
-move a plan or a count rewrites them with
+and blahut2008 rows, which bench gained later; bench_m15_16_unfactored.csv
+holds them at m = 15..16, written by the code that mapped all n points
+through each distinct basis, before the naive count was coded per coset;
+and bench_m2_8.txt the text table of `gfft bench --m 2..8`.  A change that
+sets out to move a plan or a count rewrites them with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -28,6 +30,8 @@ BENCH_CSV = GOLDEN_DIR / "bench_m2_16.csv"
 BENCH_ARGV = ["bench", "--m", "2..16", "--algo", "ft2002,tf2003,fed2006a,fed2006b", "--format", "csv"]
 UNFACTORED_CSV = GOLDEN_DIR / "bench_m2_14_unfactored.csv"
 UNFACTORED_ARGV = ["bench", "--m", "2..14", "--algo", "goertzel,blahut2008", "--format", "csv"]
+UNFACTORED_LARGE_CSV = GOLDEN_DIR / "bench_m15_16_unfactored.csv"
+UNFACTORED_LARGE_ARGV = ["bench", "--m", "15..16", "--algo", "goertzel,blahut2008", "--format", "csv"]
 BENCH_TEXT = GOLDEN_DIR / "bench_m2_8.txt"
 BENCH_TEXT_ARGV = ["bench", "--m", "2..8"]
 
@@ -89,6 +93,10 @@ def test_unfactored_bench_matches_golden():
     assert bench_output(UNFACTORED_ARGV) == UNFACTORED_CSV.read_text()
 
 
+def test_unfactored_bench_at_m15_16_matches_golden():
+    assert bench_output(UNFACTORED_LARGE_ARGV) == UNFACTORED_LARGE_CSV.read_text()
+
+
 def test_bench_text_matches_golden():
     assert bench_output(BENCH_TEXT_ARGV) == BENCH_TEXT.read_text()
 
@@ -97,4 +105,5 @@ if __name__ == "__main__":
     DIGESTS.write_text(json.dumps(plan_digests(), indent=1) + "\n")
     BENCH_CSV.write_text(bench_output())
     UNFACTORED_CSV.write_text(bench_output(UNFACTORED_ARGV))
+    UNFACTORED_LARGE_CSV.write_text(bench_output(UNFACTORED_LARGE_ARGV))
     BENCH_TEXT.write_text(bench_output(BENCH_TEXT_ARGV))
