@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import gcd
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -376,24 +376,19 @@ def apply(
     stage into tally.stage2.  Every count but one is structural and cached
     on the plan: d(d - 1) stage-1 additions per block and, for the binary
     stage, the naive fold's popcount - 1 additions per row, or with
-    four_russians the closed form of binmat's Four-Russians kernel.  Stage-1 multiplications
-    by 0 or 1 are free by default, so they depend on the data and are
+    four_russians the closed form of binmat's Four-Russians kernel.  Stage-1
+    multiplications by 0 or 1 are free, so they depend on the data and are
     counted on the block stage's input x as w . [x > 1], w_j being the
-    entries > 1 in column j of the block covering position j; under
-    OpCount(count_units=True) every block but a pass-through costs d^2.
-    Without a tally four_russians changes nothing, since both kernels give
-    the same output.
+    entries > 1 in column j of the block covering position j.  Without a
+    tally four_russians changes nothing, since both kernels give the same
+    output.
     """
     rows = validate_vectors(plan.ctx, [f])
     if tally is None:
         return _run_kernels(plan, rows)[:, 0].tolist()
-    counts, s1 = plan._counts, tally.stage1
-    if s1.count_units:  # every multiplication issued counts, whatever the data
-        x = _run_kernels(plan, rows)
-        s1.mults += counts.unit_mults
-    else:
-        x = _run_kernels(plan, rows, s1)
-    s1.adds += counts.stage1_adds
+    counts = plan._counts
+    x = _run_kernels(plan, rows, tally.stage1)
+    tally.stage1.adds += counts.stage1_adds
     tally.stage2.adds += counts.four_russians_adds if four_russians else counts.naive_adds
     return x[:, 0].tolist()
 
@@ -764,7 +759,7 @@ def _stage1_counts(stage: BlockStage) -> tuple[int, int]:
 
 def stage2_naive_adds(plan: Plan) -> int:
     """Exact additions of the naive binary stage: sum of (popcount - 1)."""
-    return _naive_adds(plan.ctx, _layouts_for_tag(plan.ctx, plan.partition, plan.tag))
+    return plan._counts.naive_adds
 
 
 class _Counts(NamedTuple):
@@ -773,7 +768,6 @@ class _Counts(NamedTuple):
     one weight per input position of the block stage."""
 
     mult_weights: np.ndarray
-    unit_mults: int  # stage-1 multiplications under count_units=True
     stage1_adds: int
     naive_adds: int
     four_russians_adds: int
@@ -783,16 +777,18 @@ def _plan_counts(plan: Plan) -> _Counts:
     """Stage 1 counted from the block stage as the reference walk issues the
     operations, not through structural_stage1_counts, so that a check of a
     tally against that compares two separate codings; stage 2 through
-    _naive_adds itself, not the module's stage2_naive_adds."""
+    _naive_adds itself, not the module's stage2_naive_adds, on each coset's
+    basis, column 0 of its block of D (entry (t, 0) is basis[t])."""
     stage = plan.stage(BlockStage)
     sizes = np.array(stage.sizes)
-    issued = (sizes > 1) | (stage.entries[:, 0, 0] != 1)  # all blocks but the pass-throughs
     a = plan.stage(BinaryMatrix)
+    col0 = (stage.entries if isinstance(plan.stages[0], BlockStage) else stage.entries.swapaxes(1, 2))[:, :, 0]
+    bases = [tuple(b[:d]) for b, d in zip(col0.tolist(), stage.sizes)]
+    leaders = [coset.leader for coset in plan.partition.cosets]
     return _Counts(
         _mult_weights(stage),
-        int((sizes[issued] ** 2).sum()),
         int((sizes * (sizes - 1)).sum()),
-        _naive_adds(plan.ctx, _layouts_for_tag(plan.ctx, plan.partition, plan.tag)),
+        _naive_adds(plan.ctx, zip(leaders, bases)),
         binmat.make_plan(a.cols).predicted_adds(a.n_rows),
     )
 
@@ -813,10 +809,11 @@ def stage1_bound(ctx: FieldContext) -> int:
 # matrix, for plans and the bench alike.  As i runs over Z_n, a^(i*rep)
 # sweeps the subgroup generated by a^g, g = gcd(rep, n), hitting each
 # element g times, so a coset's column group holds g times the coordinate
-# ones of that subgroup in its basis.  When the subgroup is all of GF(2^d)*
-# (g (2^d - 1) = n), each of the d coordinates is a nonzero linear
-# functional, 1 on 2^(d-1) of its elements: g d 2^(d-1) ones, whatever the
-# basis.  A proper subgroup is enumerated once, exp[::g], per distinct
+# ones of that subgroup in its basis.  n is odd, so g is the same for every
+# element of the coset and any one serves as rep.  When the subgroup is all
+# of GF(2^d)* (g (2^d - 1) = n), each of the d coordinates is a nonzero
+# linear functional, 1 on 2^(d-1) of its elements: g d 2^(d-1) ones,
+# whatever the basis.  A proper subgroup is enumerated once, exp[::g], per distinct
 # (g, basis), through one coordinate_tables call for all of them.  Every row
 # holds a one (the {0} coset), so the count is the ones less n; transposing
 # goertzel's matrix keeps it.  At m = 16 goertzel and blahut2008 enumerate
@@ -825,11 +822,11 @@ def stage1_bound(ctx: FieldContext) -> int:
 # from the matrix would read all 512 MiB of it.
 
 
-def _naive_adds(ctx: FieldContext, layouts: Sequence[CosetLayout]) -> int:
+def _naive_adds(ctx: FieldContext, cosets: Iterable[tuple[int, tuple[int, ...]]]) -> int:
     """Additions of the naive binary stage, sum of (popcount - 1) over the
-    rows, of the plan with these layouts."""
+    rows, of the plan with these (rep, basis) per coset."""
     n = ctx.n
-    shared = Counter((gcd(lay.rep, n), lay.basis) for lay in layouts)
+    shared = Counter((gcd(rep, n), basis) for rep, basis in cosets)
     proper = [(g, b) for g, b in shared if g * ((1 << len(b)) - 1) != n]  # a^g generates less than GF(2^d)*
     ones = sum(shared[g, b] * g * len(b) << (len(b) - 1) for g, b in shared.keys() - proper)
     exp = np.asarray(ctx.exp, dtype=np.intp)
@@ -843,4 +840,5 @@ def structural_counts_for_tag(ctx: FieldContext, tag: str) -> tuple[int, int, in
     """(stage1 mults, stage1 adds, stage2 naive adds) of a plan without
     building it: transposing goertzel's blocks keeps both stage-1 counts."""
     layouts = _layouts_for_tag(ctx, cyclotomic_cosets(ctx.n), tag)
-    return (*_stage1_counts(_d_blocks(ctx, [lay.basis for lay in layouts])), _naive_adds(ctx, layouts))
+    bases = [lay.basis for lay in layouts]
+    return (*_stage1_counts(_d_blocks(ctx, bases)), _naive_adds(ctx, zip((lay.rep for lay in layouts), bases)))

@@ -12,8 +12,9 @@ same counts without the matrix: the naive one per coset from the field
 reference kernels walk the matrix's int rows, which BinaryMatrix derives
 from its packed bytes once per call.
 
-The Four-Russians tally is deliberately data-independent: every group is
-costed at its nominal width t (the last group is padded with zero columns),
+Four Russians groups t = floor(log2 cols) columns (default_block_size), the
+one width gfft counts at.  Its tally is deliberately data-independent: every
+group is costed at the width t (the last group is padded with zero columns),
 and every row folds all ceil(cols/t) table lookups.  That makes the measured
 count equal the closed form G*(2^t - t - 1) + rows*(G - 1) exactly.
 """
@@ -35,16 +36,18 @@ def default_block_size(cols: int) -> int:
 
 @dataclass(frozen=True)
 class FourRussiansPlan:
-    """Column grouping for the subset-sum kernel: G groups of nominal width t."""
+    """Column grouping for the subset-sum kernel: G groups of width
+    t = default_block_size(cols)."""
 
     cols: int
-    t: int
 
     def __post_init__(self):
-        if not (1 <= self.t <= 16):
-            raise ValueError(f"block width t={self.t} outside [1,16]")
         if self.cols < 1:
             raise ValueError(f"cols must be positive, got {self.cols}")
+
+    @property
+    def t(self) -> int:
+        return default_block_size(self.cols)
 
     @property
     def groups(self) -> int:
@@ -60,8 +63,8 @@ class FourRussiansPlan:
         return g * (self.table_size - self.t - 1) + rows * (g - 1)
 
 
-def make_plan(cols: int, t: int | None = None) -> FourRussiansPlan:
-    return FourRussiansPlan(cols, default_block_size(cols) if t is None else t)
+def make_plan(cols: int) -> FourRussiansPlan:
+    return FourRussiansPlan(cols)
 
 
 def binmatvec_naive(A: BinaryMatrix, v: list[int], oc: OpCount | None = None) -> list[int]:
@@ -84,19 +87,11 @@ def binmatvec_naive(A: BinaryMatrix, v: list[int], oc: OpCount | None = None) ->
     return out
 
 
-def binmatvec_four_russians(
-    A: BinaryMatrix,
-    v: list[int],
-    plan: FourRussiansPlan | None = None,
-    oc: OpCount | None = None,
-) -> list[int]:
+def binmatvec_four_russians(A: BinaryMatrix, v: list[int], oc: OpCount | None = None) -> list[int]:
     """Four-Russians multiply; exact match with binmatvec_naive."""
     if A.cols != len(v):
         raise ValueError(f"shape mismatch: {A.cols} columns vs {len(v)} entries")
-    if plan is None:
-        plan = make_plan(A.cols)
-    elif plan.cols != A.cols:
-        raise ValueError(f"plan built for {plan.cols} columns, matrix has {A.cols}")
+    plan = make_plan(A.cols)
     t = plan.t
     size = plan.table_size
     g = plan.groups

@@ -209,14 +209,12 @@ def cmd_verify(args, out=sys.stdout) -> int:
 # ---------------------------------------------------------------------------
 
 
-def bench_records(ms: list[int], tags: list[str], poly: int | None, block_size: int | None):
+def bench_records(ms: list[int], tags: list[str], poly: int | None):
     records = []
     for m in ms:
         ctx = field_for(m, poly)
         n = ctx.n
-        t = block_size if block_size is not None else binmat.default_block_size(n)
-        fr = binmat.FourRussiansPlan(n, t)
-        adds_4r = fr.predicted_adds(n)
+        adds_4r = binmat.make_plan(n).predicted_adds(n)
         bound_mults = alg.stage1_bound(ctx)
         bound_adds = 2 * n * n / math.log2(n)
         for tag in tags:
@@ -261,9 +259,7 @@ def cmd_bench(args, out=sys.stdout) -> int:
         raise UsageError(f"m out of bench range [{BENCH_M_RANGE[0]},{BENCH_M_RANGE[1]}]")
     tags = parse_algos(args.algo, alg.ALL_TAGS)
     poly = _parse_poly(args.poly, ms)
-    if args.block_size is not None and not (1 <= args.block_size <= 16):
-        raise UsageError("--block-size must be in [1,16]")
-    emit_bench(bench_records(ms, tags, poly, args.block_size), args.format == "csv", out)
+    emit_bench(bench_records(ms, tags, poly), args.format == "csv", out)
     return 0
 
 
@@ -455,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="exact operation counts vs complexity budgets")
     p_bench.add_argument("--m", default="2..12", help="degree or range, e.g. 8 or 2..16")
     p_bench.add_argument("--algo", default="all", help=f"comma list or 'all' ({', '.join(alg.ALL_TAGS)})")
-    p_bench.add_argument("--block-size", type=int, default=None, help="Four-Russians group width t")
     p_bench.add_argument("--format", choices=("text", "csv"), default="text")
     p_bench.add_argument("--poly", default=None, help="primitive polynomial override (hex)")
     p_bench.set_defaults(func=cmd_bench)

@@ -62,16 +62,15 @@ class FieldSpec:
 class OpCount:
     """Tally of GF(2^m) multiplications and additions for one pipeline stage.
 
-    The default policy treats multiplication by 0 or 1 as free; set
-    count_units=True to count every invocation.
+    A multiplication by 0 or 1 is free: only a product of two elements > 1
+    counts.
     """
 
     mults: int = 0
     adds: int = 0
-    count_units: bool = False
 
     def count_mul(self, a: int, b: int) -> None:
-        if self.count_units or (a > 1 and b > 1):
+        if a > 1 and b > 1:
             self.mults += 1
 
 

@@ -146,14 +146,13 @@ def counted_apply(
     for stage in plan.stages:
         if isinstance(stage, BinaryMatrix):
             if four_russians:
-                x = binmat.binmatvec_four_russians(stage, x, oc=tally.stage2)
+                x = binmat.binmatvec_four_russians(stage, x, tally.stage2)
             else:
                 x = binmat.binmatvec_naive(stage, x, tally.stage2)
             continue
         y, pos = [], 0
         for k, d in enumerate(stage.sizes):
-            rows, v = stage.rows(k), x[pos : pos + d]  # a pass-through block issues no operation
-            y += v if rows == ((1,),) else dense_matvec(rows, v, ctx, tally.stage1)
+            y += dense_matvec(stage.rows(k), x[pos : pos + d], ctx, tally.stage1)
             pos += d
         x = y
     out = [0] * ctx.n

@@ -241,10 +241,11 @@ def test_criterion_6_addition_budget(m):
     p = plan(m, "tf2003")
     rng = random.Random(f"{SEED}:adds:{m}")
     v = [rng.randrange(1 << m) for _ in range(n)]
-    fr = binmat.make_plan(n, t)
+    fr = binmat.make_plan(n)
+    assert fr.t == t
 
     oc = OpCount()
-    got = binmat.binmatvec_four_russians(matrix_of(p), v, fr, oc)
+    got = binmat.binmatvec_four_russians(matrix_of(p), v, oc)
     naive_oc = OpCount()
     assert got == binmat.binmatvec_naive(matrix_of(p), v, naive_oc)
 
@@ -273,13 +274,13 @@ def test_criterion_7_four_russians_exactness(n):
         mat = BinaryMatrix.from_rows([rng.getrandbits(n) for _ in range(n)], n)
         v = [rng.randrange(1 << lane) for _ in range(n)]
         oc = OpCount()
-        assert binmatvec_equal(mat, v, fr, oc)
+        assert binmatvec_equal(mat, v, oc)
         assert oc.adds == fr.predicted_adds(n)
     report(f"7 four-russians exactness n={n} (200 pairs, counter == closed form): PASS")
 
 
-def binmatvec_equal(mat, v, fr, oc):
-    return binmat.binmatvec_four_russians(mat, v, fr, oc) == binmat.binmatvec_naive(mat, v)
+def binmatvec_equal(mat, v, oc):
+    return binmat.binmatvec_four_russians(mat, v, oc) == binmat.binmatvec_naive(mat, v)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import pickle
 import random
 import sys
 import threading
-from itertools import accumulate, product
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -30,7 +30,7 @@ from gfft.algorithms import (
     structural_counts_for_tag,
     structural_stage1_counts,
 )
-from gfft.field import FieldSpec, OpCount, build_field, default_field
+from gfft.field import FieldSpec, build_field, default_field
 from gfft.reference import (
     counted_apply,
     naive_dft,
@@ -524,34 +524,21 @@ def test_batch_matches_single(m):
         assert apply_batch(plan, vecs[:1]) == oracle[:1], tag
 
 
-def _tally(count_units):
-    return TransformTally(OpCount(count_units=count_units), OpCount(count_units=count_units))
-
-
-def _counters(stage1, stage2):
-    return stage1.mults, stage1.adds, stage2.mults, stage2.adds
-
-
 @pytest.mark.parametrize("m", range(2, 10))
 def test_counted_apply_matches_reference(m):
     # counted apply runs the numpy kernels and adds cached structural counts
     # plus w . [x > 1] per block stage; the reference walk issues and counts
     # every operation.  Outputs and all four counters must agree for both
-    # stage-2 kernels under both counting policies.  Stage 1 counts only
-    # under the policy and stage 2 only under the kernel, so two reference
-    # walks per vector give the expected tally of all four combinations.
+    # stage-2 kernels.
     ctx = default_field(m)
     vecs = _path_vectors(m, 9 if m <= 6 else 3)
     for tag in ALL_TAGS:
         plan = build(tag, ctx)
         for f in vecs:
-            ref = {False: _tally(False), True: _tally(True)}  # four_russians and count_units alike
-            outs = [counted_apply(plan, f, tally, four_russians=k) for k, tally in ref.items()]
-            for fr, units in product((False, True), repeat=2):
-                got = _tally(units)
-                assert apply(plan, f, got, fr) == outs[0] == outs[1], (tag, fr, units)
-                want = _counters(ref[units].stage1, ref[fr].stage2)
-                assert _counters(got.stage1, got.stage2) == want, (tag, fr, units)
+            for fr in (False, True):
+                got, want = TransformTally.fresh(), TransformTally.fresh()
+                assert apply(plan, f, got, fr) == counted_apply(plan, f, want, fr), (tag, fr)
+                assert got == want, (tag, fr)
 
 
 # The kernels' element budget at its edges: 1 runs one byte group or block
@@ -571,8 +558,8 @@ def test_chunk_rule_edges(m, monkeypatch):
     # every budget gives the oracle's outputs on batches 0, 1, 3 and 32, on
     # both sides of the plane rule (32 // m and 32 // m + 1 vectors) and on
     # single vectors, and the reference walk's tallies for both stage-2
-    # kernels under both counting policies; the naive walk is slow at
-    # m = 10, so there the tallies are checked on one vector
+    # kernels; the naive walk is slow at m = 10, so there the tallies are
+    # checked on one vector
     ctx = default_field(m)
     vecs = _path_vectors(m, 26)
     assert len(vecs) == 32
@@ -596,7 +583,7 @@ def test_chunk_rule_edges(m, monkeypatch):
             assert width % (900 // rows) and w % (900 // (l * w)), tag
         if m in (8, 10):
             assert width % (6000 // rows), tag
-        refs = [(_tally(False), _tally(True)) for _ in range(tallied)]  # as in the test above
+        refs = [(TransformTally.fresh(), TransformTally.fresh()) for _ in range(tallied)]  # naive, Four Russians
         for f, want_out, (naive, fast) in zip(vecs, oracle, refs):
             assert counted_apply(plan, f, naive) == counted_apply(plan, f, fast, True) == want_out, tag
         for budget in _BUDGETS:
@@ -605,11 +592,10 @@ def test_chunk_rule_edges(m, monkeypatch):
                 assert apply_batch(plan, vecs[:size]) == oracle[:size], (tag, budget, size)
             assert [apply(plan, f) for f in vecs] == oracle, (tag, budget)
             for f, want_out, ref in zip(vecs, oracle, refs):
-                for fr, units in product((False, True), repeat=2):
-                    got = _tally(units)
-                    assert apply(plan, f, got, fr) == want_out, (tag, budget, fr, units)
-                    want = _counters(ref[units].stage1, ref[fr].stage2)
-                    assert _counters(got.stage1, got.stage2) == want, (tag, budget, fr, units)
+                for fr in (False, True):
+                    got = TransformTally.fresh()
+                    assert apply(plan, f, got, fr) == want_out, (tag, budget, fr)
+                    assert got == ref[fr], (tag, budget, fr)
     if m in (8, 10):  # m = 3 has one byte group, so one table and one take
         assert any(ragged for ragged, _ in forms), forms
         assert {shared for _, shared in forms} == {False, True}, forms
@@ -678,11 +664,28 @@ def test_kernels_built_once_per_plan(monkeypatch):
         assert "_counts" not in vars(plan), tag  # uncounted apply builds no count data
         for f in vecs:
             apply(plan, f, TransformTally.fresh())
-            apply(plan, f, _tally(True), four_russians=True)
+            apply(plan, f, TransformTally.fresh(), four_russians=True)
             apply(plan, f)
         apply_batch(plan, vecs)
         apply_batch(plan, vecs[:2])
     assert builds == {"_batch_stages": list(ALL_TAGS), "_plan_counts": list(ALL_TAGS)}
+
+
+def test_counts_reuse_the_built_plan(monkeypatch):
+    # a plan's counts read each coset's basis off its block stage: once the
+    # six plans are built, counting them looks up no normal basis again
+    ctx = default_field(6)
+    plans = [build(tag, ctx) for tag in ALL_TAGS]
+    calls = []
+    real = alg.find_normal_basis
+    monkeypatch.setattr(alg, "find_normal_basis", lambda *args: calls.append(args) or real(*args))
+    for plan in plans:
+        apply(plan, [1] * ctx.n, TransformTally.fresh())
+        alg.stage2_naive_adds(plan)
+        alg.structural_stage1_counts(plan)
+    assert calls == []
+    build("tf2003", ctx)
+    assert calls  # the patch sees a build's lookups
 
 
 def test_cached_kernels_leave_plan_fields_and_equality(ctx3):

@@ -57,23 +57,15 @@ def test_default_block_size():
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        FourRussiansPlan(8, 0)
-    with pytest.raises(ValueError):
-        FourRussiansPlan(8, 17)
-    with pytest.raises(ValueError):
-        FourRussiansPlan(0, 1)
-    plan = FourRussiansPlan(7, 2)
+        FourRussiansPlan(0)
+    plan = FourRussiansPlan(7)
+    assert plan.t == 2
     assert plan.groups == 4
     assert plan.predicted_adds(7) == 4 * (4 - 2 - 1) + 7 * 3
 
 
-def test_plan_matrix_mismatch():
-    mat = BinaryMatrix.from_rows([0b11], 2)
-    with pytest.raises(ValueError):
-        binmatvec_four_russians(mat, [1, 2], plan=FourRussiansPlan(3, 1))
-
-
-@pytest.mark.parametrize("n", [7, 63, 255])
+# n = 1 is one group; n = 2 and 3 are groups of width 1
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 63, 255])
 def test_four_russians_equals_naive(n):
     rng = random.Random(n)
     lane = 16
@@ -82,21 +74,9 @@ def test_four_russians_equals_naive(n):
         mat = BinaryMatrix.from_rows([rng.getrandbits(n) for _ in range(rows)], n)
         v = [rng.randrange(1 << lane) for _ in range(n)]
         oc = OpCount()
-        got = binmatvec_four_russians(mat, v, oc=oc)
+        got = binmatvec_four_russians(mat, v, oc)
         assert got == binmatvec_naive(mat, v)
         assert oc.adds == make_plan(n).predicted_adds(rows)
-
-
-def test_single_group_degenerate():
-    # t = cols collapses to one table; still exact
-    rng = random.Random(1)
-    n = 10
-    mat = BinaryMatrix.from_rows([rng.getrandbits(n) for _ in range(12)], n)
-    v = [rng.randrange(256) for _ in range(n)]
-    plan = FourRussiansPlan(n, n)
-    oc = OpCount()
-    assert binmatvec_four_russians(mat, v, plan, oc) == binmatvec_naive(mat, v)
-    assert oc.adds == plan.predicted_adds(12)
 
 
 def test_n255_default_cost():

@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import random
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ from gfft.field import default_field
 from gfft.reference import naive_dft, unit_response
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+README = Path(__file__).parent.parent / "README.md"
 ALGOS = ("goertzel", "blahut2008", "ft2002", "tf2003", "fed2006a", "fed2006b")
 
 
@@ -269,19 +272,6 @@ def test_bench_text_format():
     assert "tf2003" in out and "s1_mults" in out
 
 
-def test_bench_block_size_override():
-    code, out = run(["bench", "--m", "8", "--block-size", "4", "--format", "csv"])
-    assert code == 0
-    rec = bench_rows(out)[0]
-    # 64 groups of width 4: 64*(16-4-1) + 255*63
-    assert rec["stage2_adds_4r"] == str(64 * 11 + 255 * 63)
-
-
-def test_bench_rejects_bad_block_size():
-    code, _ = run(["bench", "--m", "8", "--block-size", "0"])
-    assert code == 2
-
-
 def test_bench_unfactored_rows_match_plans():
     code, out = run(["bench", "--m", "3", "--algo", "goertzel,blahut2008", "--format", "csv"])
     assert code == 0
@@ -429,3 +419,19 @@ def test_seed_flag_beats_env(monkeypatch):
     code, out = run(["verify", "--m", "2", "--trials", "1", "--seed", "5"])
     assert code == 0
     assert "seed=5" in out
+
+
+def test_readme_examples_run():
+    # README's library sketch runs as written, and every gfft line of its
+    # CLI block parses (none of them is run)
+    blocks = re.findall(r"^```(\w*)\n(.*?)^```", README.read_text(encoding="utf-8"), re.M | re.S)
+    (sketch,) = (body for lang, body in blocks if lang == "python")
+    exec(sketch, {})
+    commands = [line for lang, body in blocks if not lang for line in body.splitlines() if line.startswith("gfft ")]
+    assert len(commands) >= 7
+    parser = cli.build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")

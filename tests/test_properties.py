@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gfft import algorithms as alg
-from gfft.field import FieldSpec, OpCount, build_field
+from gfft.field import FieldSpec, build_field
 from gfft.reference import counted_apply
 
 
@@ -73,16 +73,13 @@ def test_transform_algebra(m, poly, data):
 @given(data=st.data())
 def test_counted_apply_matches_reference(m, poly, data):
     # the kernels' counts against the Python-int walk's: output and all four
-    # counters, both stage-2 kernels, both counting policies
+    # counters, both stage-2 kernels
     ctx, plans = _plans(m, poly)
     f = data.draw(st.lists(st.integers(0, ctx.n), min_size=ctx.n, max_size=ctx.n))
-    for (tag, plan), fr, units in product(plans.items(), (False, True), (False, True)):
-        got, want = (
-            alg.TransformTally(OpCount(count_units=units), OpCount(count_units=units))
-            for _ in range(2)
-        )
-        assert alg.apply(plan, f, got, fr) == counted_apply(plan, f, want, fr), (tag, fr, units)
-        assert got == want, (tag, fr, units)
+    for (tag, plan), fr in product(plans.items(), (False, True)):
+        got, want = alg.TransformTally.fresh(), alg.TransformTally.fresh()
+        assert alg.apply(plan, f, got, fr) == counted_apply(plan, f, want, fr), (tag, fr)
+        assert got == want, (tag, fr)
 
 
 @st.composite
