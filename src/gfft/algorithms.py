@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
 from math import gcd
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .field import FieldContext, OpCount
 from .structure import (
     BinaryMatrix,
     CosetPartition,
+    coordinate_matrix,
     coordinate_tables,
     cyclotomic_cosets,
     doubling_orbit,
@@ -256,41 +257,13 @@ def _d_blocks(ctx: FieldContext, bases: Sequence[tuple[int, ...]]) -> BlockStage
 
 
 # ---------------------------------------------------------------------------
-# Coordinate columns.  Every binary matrix here (A, R and the combine matrix)
-# holds, per coset, the coordinates of a^(i*rep) in a small basis: a
-# GF(2)-linear map of the element's bits, with a residual that is 0 exactly
-# on the span.  One coordinate_tables call reduces every distinct basis of a
-# build at once; each basis then maps the exp table once, and each coset on
-# it gathers its column from that map.
-# ---------------------------------------------------------------------------
-
-
-def _columns(ctx: FieldContext, points, layouts: Sequence[CosetLayout]) -> Iterator[tuple[int, np.ndarray]]:
-    """(k, column) per layout, grouped by basis in the order of each basis's
-    first layout (so in increasing k when no two layouts share a basis):
-    entry r of column k is the coordinate vector of a^(points[r] * rep_k)
-    in basis_k, as uint32.  ArithmeticError if an argument lies outside its
-    basis's span."""
-    n = ctx.n
-    exp = np.asarray(ctx.exp, dtype=np.intp)
-    low, high = exp & 255, exp >> 8
-    points = np.asarray(points, dtype=np.uint32)  # points * rep < n^2 < 2^32
-    by_basis: dict[tuple[int, ...], list[int]] = {}
-    for k, lay in enumerate(layouts):
-        by_basis.setdefault(lay.basis, []).append(k)
-    tables = coordinate_tables(list(by_basis))
-    for (basis, ks), table in zip(by_basis.items(), tables):
-        mapped = table[0, low] ^ table[1, high]
-        for k in ks:
-            e = points * layouts[k].rep % n
-            column = mapped[e]
-            if column.max(initial=0) >> 16:  # a residual is set
-                raise ArithmeticError(f"a^{e[np.argmax(column >> 16)]} is outside the span of {basis}")
-            yield k, column
-
-
-# ---------------------------------------------------------------------------
-# Builders: one for all six plans.
+# Builders: one for all six plans.  Every binary matrix here (A, R and the
+# combine matrix) holds, per coset, the coordinates of a^(i*rep) in a small
+# basis.  structure.coordinate_matrix, beside the BinaryMatrix whose packing
+# it writes, packs it a chunk of cosets at a time, as many as give _GATHER
+# elements of points x cosets (the kernels' budget, below) and at least
+# one, so one coset at a time from m = 15 on; R, the transpose, goes through
+# a window of bit-block transposes.
 # ---------------------------------------------------------------------------
 
 
@@ -305,14 +278,13 @@ def _build(ctx: FieldContext, tag: str) -> Plan:
     layouts = _layouts_for_tag(ctx, partition, tag)
     coset_order = tuple(i for lay in layouts for i in lay.elements)
     out_perm = coset_order if tag in (FED2006A, FED2006B) else tuple(range(n))
-    columns = _columns(ctx, out_perm, layouts)
-    d = _d_blocks(ctx, [lay.basis for lay in layouts])
+    reps, bases = [lay.rep for lay in layouts], [lay.basis for lay in layouts]
+    d = _d_blocks(ctx, bases)
+    matrix = coordinate_matrix(ctx, out_perm, reps, bases, _GATHER, transpose=tag == GOERTZEL)
     if tag == GOERTZEL:
-        r_matrix = BinaryMatrix.from_coords(columns, partition.sizes(), n, transpose=True)
-        stages = (r_matrix, BlockStage(d.entries.swapaxes(1, 2), d.sizes))
+        stages = (matrix, BlockStage(d.entries.swapaxes(1, 2), d.sizes))
         return Plan(tag, ctx, partition, out_perm, stages, coset_order)
-    a_matrix = BinaryMatrix.from_coords(columns, partition.sizes(), n)
-    return Plan(tag, ctx, partition, coset_order, (d, a_matrix), out_perm)
+    return Plan(tag, ctx, partition, coset_order, (d, matrix), out_perm)
 
 
 def build_goertzel(ctx: FieldContext) -> Plan:
@@ -438,9 +410,8 @@ def materialize(plan: Plan) -> np.ndarray:
     times row c0 + t.  XOR of stored entries only: neither the kernels nor
     the field tables take part.
     """
-    stage, bits = plan.stage(BlockStage), plan.stage(BinaryMatrix).bits()
-    blocks_first = isinstance(plan.stages[0], BlockStage)
-    x = np.ascontiguousarray(bits.T) if blocks_first else bits
+    stage, blocks_first = plan.stage(BlockStage), isinstance(plan.stages[0], BlockStage)
+    x = plan.stage(BinaryMatrix).bits(transpose=blocks_first)
     coef = stage.entries if blocks_first else stage.entries.swapaxes(1, 2)
     y = np.zeros(x.shape, dtype=np.uint16)  # the columns (blocks first) or rows of the product
     for k, (c0, d) in enumerate(zip(accumulate(stage.sizes, initial=0), stage.sizes)):

@@ -3,14 +3,16 @@
 Cosets index the conjugacy classes of GF(2^m); minimal polynomials collapse a
 class to one binary polynomial; normal bases make squaring a coordinate
 rotation.  Everything downstream (remainder matrices, binary expansion
-matrices, circulant blocks) is assembled from these pieces, and every
-binary matrix is packed and unpacked by BinaryMatrix alone.
+matrices, circulant blocks) is assembled from these pieces.  BinaryMatrix
+defines how every binary matrix is packed and is the one place that
+unpacks it; coordinate_matrix assembles a plan's binary matrix in that
+packing.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -214,8 +216,117 @@ def find_normal_basis(ctx: FieldContext, d: int) -> tuple[int, ...]:
     raise RuntimeError(f"no normal basis found for d={d} (field tables are broken)")
 
 
-# bytes of the untransposed packing that BinaryMatrix.from_coords holds at a
-# time while it packs a transpose
+class BinaryMatrix:
+    """0/1 matrix packed into one uint8 array, the only place that knows the
+    layout: entry (r, j) is bit j % 8 of packed[j // 8, r].  So column r of
+    packed is row r in little-endian bytes, and packed[g] holds byte g of
+    every row, which is how both binary kernels read it, in place."""
+
+    __slots__ = ("packed", "cols")
+
+    def __init__(self, packed: np.ndarray, cols: int):
+        """ValueError unless packed is a (ceil(cols / 8), rows) uint8 array
+        with every bit past column cols clear."""
+        if not isinstance(packed, np.ndarray) or packed.dtype != np.uint8:
+            raise ValueError("packed rows must be a uint8 numpy array")
+        if cols < 0 or packed.ndim != 2 or len(packed) != -(-cols // 8):
+            raise ValueError(f"packed shape {packed.shape} does not hold {cols} columns")
+        if cols % 8 and (packed[-1] >> (cols % 8)).any():
+            raise ValueError(f"bits set past column {cols}")
+        self.packed = packed
+        self.cols = cols
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[int], cols: int) -> "BinaryMatrix":
+        """Row i from an int with bit j = entry (i, j)."""
+        width = -(-cols // 8)
+        try:
+            raw = b"".join(r.to_bytes(width, "little") for r in rows)
+        except OverflowError:
+            raise ValueError(f"a row does not fit in {cols} columns") from None
+        return cls(np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), width).T.copy(), cols)
+
+    @property
+    def n_rows(self) -> int:
+        return self.packed.shape[1]
+
+    @property
+    def rows(self) -> list[int]:
+        """Row i as an int with bit j = entry (i, j), derived on each access."""
+        raw, w = np.ascontiguousarray(self.packed.T).tobytes(), len(self.packed)
+        return [int.from_bytes(raw[i * w : (i + 1) * w], "little") for i in range(self.n_rows)]
+
+    def bits(self, transpose: bool = False) -> np.ndarray:
+        """The (rows, cols) uint8 0/1 array of the entries, or with transpose
+        its (cols, rows) transpose, unpacked anew on each call: the one place
+        that unpacks the matrix.  The transpose unpacks along axis 0, where
+        packed[g] holds byte g of every row, so neither form transposes a
+        byte array: bit b of packed[g] is column 8g + b, one shift and one
+        AND per bit (np.unpackbits along axis 0 took 25 times as long at
+        m = 12)."""
+        if transpose:
+            columns = np.empty((len(self.packed), 8, self.n_rows), dtype=np.uint8)
+            for b in range(8):
+                np.right_shift(self.packed, b, out=columns[:, b])
+                columns[:, b] &= 1
+            return columns.reshape(-1, self.n_rows)[: self.cols]
+        return np.unpackbits(np.ascontiguousarray(self.packed.T), axis=1, count=self.cols, bitorder="little")
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, BinaryMatrix)
+            and self.cols == other.cols
+            and np.array_equal(self.packed, other.packed)
+        )
+
+    def __repr__(self) -> str:
+        return f"BinaryMatrix({self.n_rows}x{self.cols})"
+
+
+# Assembling a plan's binary matrix.  Every binary matrix of a plan (A, R
+# and the combine matrix) holds, per coset, the coordinates of a^(i*rep) in
+# a small basis: a GF(2)-linear map of the element's bits, with a residual
+# that is 0 exactly on the span.  One coordinate_tables call reduces every
+# distinct basis of a build, and a basis maps the exp table into its
+# coordinates: once per build when cosets share it (the factored tags' 2-6
+# bases), in the chunk of its coset when the basis is the coset's own (the
+# power bases of goertzel and blahut2008, ft2002's below size m).
+#
+# The matrix is filled a chunk of cosets at a time, as many as give the
+# budget (algorithms passes the kernels' _GATHER, 2^15) in elements of
+# points x cosets, and at least one: m = 8 is one chunk, m = 10 four and
+# m = 11 twelve, where a coset at a time made about ten numpy calls per
+# coset.  A chunk is one grid of exponents points * rep, reduced mod n by
+# two folds (e & n) + (e >> m), as 2^m = 1 mod n, in half the time of
+# numpy's remainder, which divides one element at a time; one gather from
+# the maps of its bases; one residual check; one shift of each coset's
+# coordinates to its bit offset; and the ORs of their bytes into the
+# packed rows, byte j of coset k into byte group starts[k] // 8 + j.  The
+# first byte of each group goes in by one OR into the chunk's consecutive
+# groups; narrow cosets, and a coset's last byte beside the next one's
+# first, give some groups a second or third byte, one fancy OR per round
+# (at most three rounds for every m).  A bitwise_or.reduceat over the
+# cosets of each group took 0.2 ms per call at m = 10, as long as the
+# per-coset steps: it loops over a group's cosets for each point.
+#
+# Once a coset's points exceed half the budget (m >= 15; two cosets at
+# m = 14) a chunk is one coset, with the steps of a coset at a time and the
+# same work per element.  The temporaries, allocated once per build after
+# the matrix, are the chunk's exponents, which become its coordinates, and
+# its gather index, whose memory holds the folds' high parts first: 12
+# bytes per element (0.4 MiB), plus the maps of the shared bases and of one
+# chunk's own.
+#
+# goertzel's R is the transpose of the combine matrix.  Its chunks are ORed
+# into a window of the combine matrix's byte groups, at most
+# _TRANSPOSE_BYTES of them (one group is 8 * ceil(n / 8) bytes) but at
+# least the three that one coset can touch, and a chunk holds no more groups
+# than the window.  The window goes into R's rows by 8x8 bit-block
+# transposes when the next chunk does not fit it, and at the end; a group
+# that two chunks share is transposed once from each window, and the ORs
+# add up.  So a build holds R, one window and one chunk's temporaries,
+# never the untransposed packing whole.
+
 _TRANSPOSE_BYTES = 1 << 20
 # delta swaps that transpose an 8x8 bit block held as a little-endian uint64,
 # byte i = row i: they swap the off-diagonal bits of each 2x2 block, then the
@@ -247,93 +358,99 @@ def _transpose_into(out: np.ndarray, window: np.ndarray, g0: int) -> None:
     window[:] = 0
 
 
-class BinaryMatrix:
-    """0/1 matrix packed into one uint8 array, the only place that knows the
-    layout: entry (r, j) is bit j % 8 of packed[j // 8, r].  So column r of
-    packed is row r in little-endian bytes, and packed[g] holds byte g of
-    every row, which is how both binary kernels read it, in place."""
+def coordinate_matrix(
+    ctx: FieldContext, points, reps: Sequence[int], bases: Sequence[tuple[int, ...]], budget: int, transpose: bool = False
+) -> BinaryMatrix:
+    """The matrix of len(points) rows whose row r holds the coordinates of
+    a^(points[r] * reps[k]) in bases[k], coset k beside coset k - 1 from the
+    lowest bits; with transpose, its transpose.  A chunk holds as many
+    cosets as give budget elements of points x cosets, and at least one.
+    ArithmeticError, naming the exponent and the basis, if an argument lies
+    outside its basis's span."""
+    n, rows, l = ctx.n, len(points), len(bases)
+    widths = np.array([len(b) for b in bases])
+    ends = np.cumsum(widths)
+    starts, cols = ends - widths, int(ends[-1])
+    first_group, last_group = starts // 8, (ends - 1) // 8
+    # byte j of coset k's shifted coordinates goes to byte group
+    # first_group[k] + j; listed by k then j, these (k, j) pairs never go
+    # back a group, and the pairs of one rank within their group write
+    # distinct groups
+    reach = last_group - first_group + 1
+    first_pair = np.concatenate(([0], np.cumsum(reach)))
+    pair_coset = np.repeat(np.arange(l), reach)
+    pair_byte = np.arange(first_pair[-1]) - first_pair[pair_coset]
+    pair_group = first_group[pair_coset] + pair_byte
+    in_group = np.bincount(pair_group)
+    pair_rank = np.arange(len(pair_group)) - (np.cumsum(in_group) - in_group)[pair_group]
+    last = last_group.tolist()  # for bisect
+    shifts = (starts % 8).astype(np.uint32)[:, None]
+    reps = np.array(reps, dtype=np.uint32)[:, None]
+    points = np.asarray(points, dtype=np.uint32)  # points * rep < n^2 < 2^(2m) <= 2^32
 
-    __slots__ = ("packed", "cols")
+    ids: dict[tuple[int, ...], int] = {}
+    basis_of = np.array([ids.setdefault(b, len(ids)) for b in bases])
+    tables = coordinate_tables(list(ids))
+    exp = np.asarray(ctx.exp + ctx.exp[:1], dtype=np.intp)  # a^n = a^0 closes the folds below
+    low, high = exp & 255, exp >> 8
 
-    def __init__(self, packed: np.ndarray, cols: int):
-        """ValueError unless packed is a (ceil(cols / 8), rows) uint8 array
-        with every bit past column cols clear."""
-        if not isinstance(packed, np.ndarray) or packed.dtype != np.uint8:
-            raise ValueError("packed rows must be a uint8 numpy array")
-        if cols < 0 or packed.ndim != 2 or len(packed) != -(-cols // 8):
-            raise ValueError(f"packed shape {packed.shape} does not hold {cols} columns")
-        if cols % 8 and (packed[-1] >> (cols % 8)).any():
-            raise ValueError(f"bits set past column {cols}")
-        self.packed = packed
-        self.cols = cols
+    def map_exp(which: np.ndarray, out: np.ndarray) -> None:
+        """Row i of out: the map of basis which[i] at each a^e, e <= n."""
+        np.take(tables[which, 0], low, axis=1, out=out)
+        out ^= np.take(tables[which, 1], high, axis=1)
 
-    @classmethod
-    def from_coords(cls, columns, widths: Sequence[int], points: int, transpose: bool = False) -> "BinaryMatrix":
-        """points rows, row r holding the low widths[k] bits of entry r of
-        column k side by side, column group 0 lowest; with transpose, the
-        transpose of that matrix.  columns yields (k, column) pairs, each a
-        length-points int array, in any order, and each is ORed into its
-        place as it comes, so only one column is held at a time.
-
-        The transpose never holds the untransposed packing whole: each
-        column goes into a window of its byte groups, and a window is ORed
-        into the result by 8x8 bit-block transposes when a column falls
-        outside it and at the end.  In increasing k each window is visited
-        once."""
-        starts = list(accumulate(widths, initial=0))
-        groups = -(-starts[-1] // 8)
-        if transpose:
-            out = np.zeros((-(-points // 8), starts[-1]), dtype=np.uint8)
-            span = max(1, min(groups, _TRANSPOSE_BYTES // (8 * len(out) or 1)))
-            window = np.zeros((span, 8 * len(out)), dtype=np.uint8)
-        else:
-            out = window = np.zeros((groups, points), dtype=np.uint8)
-            span = groups
-        g0 = 0
-        for k, column in columns:
-            c0, w = starts[k], widths[k]
-            shifted = (np.asarray(column, dtype=np.uint32) & ((1 << w) - 1)) << (c0 % 8)
-            for g in range(c0 // 8, (c0 + w + 7) // 8):
-                if not g0 <= g < g0 + span:
-                    _transpose_into(out, window, g0)
-                    g0 = g - g % span
-                window[g - g0, :points] |= (shifted >> (8 * (g - c0 // 8))).astype(np.uint8)  # low byte
-        if transpose:
+    per_chunk = max(1, min(l, budget // max(rows, 1)))
+    is_shared = np.bincount(basis_of) > 1
+    shared, own = np.flatnonzero(is_shared), ~is_shared[basis_of]
+    shared_row = (np.cumsum(is_shared) - 1)[basis_of]
+    if transpose:
+        out = np.zeros((-(-rows // 8), cols), dtype=np.uint8)
+        span = max(3, min(-(-cols // 8), _TRANSPOSE_BYTES // (8 * len(out))))
+        window = np.zeros((span, 8 * len(out)), dtype=np.uint8)
+    else:
+        out = window = np.zeros((-(-cols // 8), rows), dtype=np.uint8)
+        span = len(out)
+    maps = np.empty((len(shared) + per_chunk, n + 1), dtype=np.uint32)  # the shared bases, then a chunk's own
+    map_exp(shared, maps[: len(shared)])
+    coords = np.empty((per_chunk, rows), dtype=np.uint32)  # exponents, then coordinates
+    at = np.empty(coords.shape, dtype=np.intp)  # the gather index
+    high_part = at.reshape(-1).view(np.uint32)[: coords.size].reshape(coords.shape)  # the folds', in at's memory
+    g0, k0 = 0, 0
+    while k0 < l:
+        # the budget's cosets, as far as their groups fit one window
+        fits = bisect_left(last, first_group[k0] + span)
+        k1 = max(k0 + 1, min(k0 + per_chunk, fits))
+        if last_group[k1 - 1] >= g0 + span:
             _transpose_into(out, window, g0)
-            return cls(out, points)
-        return cls(out, starts[-1])
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[int], cols: int) -> "BinaryMatrix":
-        """Row i from an int with bit j = entry (i, j)."""
-        width = -(-cols // 8)
-        try:
-            raw = b"".join(r.to_bytes(width, "little") for r in rows)
-        except OverflowError:
-            raise ValueError(f"a row does not fit in {cols} columns") from None
-        return cls(np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), width).T.copy(), cols)
-
-    @property
-    def n_rows(self) -> int:
-        return self.packed.shape[1]
-
-    @property
-    def rows(self) -> list[int]:
-        """Row i as an int with bit j = entry (i, j), derived on each access."""
-        raw, w = np.ascontiguousarray(self.packed.T).tobytes(), len(self.packed)
-        return [int.from_bytes(raw[i * w : (i + 1) * w], "little") for i in range(self.n_rows)]
-
-    def bits(self) -> np.ndarray:
-        """The (rows, cols) uint8 0/1 array of the entries, unpacked anew on
-        each call: the one place that unpacks the matrix."""
-        return np.unpackbits(np.ascontiguousarray(self.packed.T), axis=1, count=self.cols, bitorder="little")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BinaryMatrix)
-            and self.cols == other.cols
-            and np.array_equal(self.packed, other.packed)
-        )
-
-    def __repr__(self) -> str:
-        return f"BinaryMatrix({self.n_rows}x{self.cols})"
+            g0 = int(first_group[k0])
+        e, e_high, index, mine = coords[: k1 - k0], high_part[: k1 - k0], at[: k1 - k0], own[k0:k1]
+        np.multiply(reps[k0:k1], points, out=e)
+        for _ in range(2):  # e = (e & n) + (e >> m): below 2n, then at most n
+            np.right_shift(e, ctx.m, out=e_high)
+            e &= n
+            e += e_high
+        map_row, count = shared_row[k0:k1].copy(), np.count_nonzero(mine)
+        if count:
+            map_row[mine] = len(shared) + np.arange(count)
+            map_exp(basis_of[k0:k1][mine], maps[len(shared) : len(shared) + count])
+        np.add(e, (map_row * (n + 1))[:, None], out=index)
+        c = np.take(maps.reshape(-1), index, out=e)
+        if c.max() >> 16:  # a residual is set
+            k, r = divmod(int(np.flatnonzero(c >> 16)[0]), rows)
+            exponent = int(points[r]) * int(reps[k0 + k, 0]) % n
+            raise ArithmeticError(f"a^{exponent} is outside the span of {bases[k0 + k]}")
+        c <<= shifts[k0:k1]
+        by_byte = c.astype("<u4", copy=False).view(np.uint8).reshape(k1 - k0, rows, 4)
+        pairs = slice(first_pair[k0], first_pair[k1])
+        k, j, g = pair_coset[pairs] - k0, pair_byte[pairs], pair_group[pairs] - g0
+        rank = np.minimum(pair_rank[pairs], np.arange(len(g)))  # within the chunk
+        first = rank == 0  # one pair per group, and the chunk's groups are consecutive
+        window[g[0] : g[-1] + 1, :rows] |= by_byte[k[first], :, j[first]]
+        for t in range(1, int(rank.max()) + 1):
+            of_rank = rank == t
+            window[g[of_rank], :rows] |= by_byte[k[of_rank], :, j[of_rank]]
+        k0 = k1
+    if transpose:
+        _transpose_into(out, window, g0)
+        return BinaryMatrix(out, rows)
+    return BinaryMatrix(out, cols)

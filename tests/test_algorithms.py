@@ -2,8 +2,10 @@ import copy
 import dataclasses
 import pickle
 import random
+import re
 import sys
 import threading
+import tracemalloc
 from itertools import accumulate
 
 import numpy as np
@@ -228,21 +230,44 @@ def _mapped(basis, xs):
     return table[0, xs & 255] ^ table[1, xs >> 8]
 
 
-def _columns_by_layout(ctx, points, layouts):
-    return {k: column.tolist() for k, column in alg._columns(ctx, points, layouts)}
+def _assemble(ctx, points, layouts, transpose=False):
+    reps, bases = [lay.rep for lay in layouts], [lay.basis for lay in layouts]
+    return structure.coordinate_matrix(ctx, points, reps, bases, alg._GATHER, transpose)
 
 
-@pytest.mark.parametrize("m", range(2, 9))
-def test_bulk_coords_match_per_element_solves(m):
-    ctx = default_field(m)
+def _coords_by_layout(ctx, points, layouts):
+    """Coset k's coordinates at each point, read back from the matrix that
+    coordinate_matrix packs, after checking that its transpose is what it
+    packs with transpose=True."""
+    bits = _assemble(ctx, points, layouts).bits()
+    widths = [len(lay.basis) for lay in layouts]
+    assert bits.shape == (len(points), sum(widths))
+    assert np.array_equal(_assemble(ctx, points, layouts, transpose=True).bits(), bits.T)
+    return {
+        k: (bits[:, c0 : c0 + w] @ (1 << np.arange(w))).tolist()
+        for k, (c0, w) in enumerate(zip(accumulate(widths, initial=0), widths))
+    }
+
+
+def _check_every_layout_in_use(ctx):
     layouts = _layouts_in_use(ctx)
-    columns = _columns_by_layout(ctx, range(ctx.n), layouts)
+    columns = _coords_by_layout(ctx, range(ctx.n), layouts)
     assert sorted(columns) == list(range(len(layouts)))
     for k, lay in enumerate(layouts):
         solver = LinearSolver(lay.basis)
         # every argument a^(i * rep) of a layout lies in its basis's span
         expected = [solver.coords(ctx.exp[i * lay.rep % ctx.n]) for i in range(ctx.n)]
-        assert columns[k] == expected, (m, lay.rep, lay.basis)
+        assert columns[k] == expected, (ctx, lay.rep, lay.basis)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_bulk_coords_match_per_element_solves(m):
+    _check_every_layout_in_use(default_field(m))
+
+
+@pytest.mark.parametrize("m, poly", [(m, poly) for m, poly in GOLDEN_FIELDS if poly is not None])
+def test_bulk_coords_match_per_element_solves_other_polynomials(m, poly):
+    _check_every_layout_in_use(build_field(FieldSpec(m, poly)))
 
 
 @pytest.mark.parametrize("m", range(9, 17))
@@ -253,7 +278,7 @@ def test_bulk_coords_match_sampled_solves_above_one_byte(m):
     part = alg.cyclotomic_cosets(ctx.n)
     layouts = [lay for tag in ALL_TAGS for lay in rng.sample(alg._layouts_for_tag(ctx, part, tag), 3)]
     points = [rng.randrange(ctx.n) for _ in range(64)]
-    columns = _columns_by_layout(ctx, points, layouts)
+    columns = _coords_by_layout(ctx, points, layouts)
     for k, lay in enumerate(layouts):
         solver = LinearSolver(lay.basis)
         assert columns[k] == [solver.coords(ctx.exp[i * lay.rep % ctx.n]) for i in points], (m, lay)
@@ -269,24 +294,25 @@ def test_bulk_coords_reject_element_outside_span():
     not_gf4 = (1, ctx.exp[1])
     residual = _mapped(not_gf4, ctx.exp[: ctx.n : 5]) >> 16
     assert (residual != 0).tolist() == [False, True, True]
-    with pytest.raises(ArithmeticError, match="a\\^5 is outside the span"):
-        _columns_by_layout(ctx, range(ctx.n), [alg.CosetLayout(5, (), not_gf4)])
+    with pytest.raises(ArithmeticError, match=re.escape(f"a^5 is outside the span of {not_gf4}")):
+        _coords_by_layout(ctx, range(ctx.n), [alg.CosetLayout(5, (), not_gf4)])
 
 
 def test_bulk_coords_reject_basis_without_subfield(ctx3):
     # GF(8) has no subfield GF(4), so the span of no 2-element basis holds
     # the powers of a coset's representative
-    with pytest.raises(ArithmeticError, match="outside the span"):
-        _columns_by_layout(ctx3, range(ctx3.n), [alg.CosetLayout(1, (), (1, ctx3.exp[1]))])
+    # (the first argument outside the span of (1, a) is a^2)
+    with pytest.raises(ArithmeticError, match=re.escape(f"a^2 is outside the span of {(1, ctx3.exp[1])}")):
+        _coords_by_layout(ctx3, range(ctx3.n), [alg.CosetLayout(1, (), (1, ctx3.exp[1]))])
 
 
 def test_bulk_coords_reject_column_outside_subfield():
     ctx = default_field(4)
     gf4 = (1, ctx.exp[5])
-    assert len(_columns_by_layout(ctx, range(ctx.n), [alg.CosetLayout(5, (), gf4)])[0]) == ctx.n
+    assert len(_coords_by_layout(ctx, range(ctx.n), [alg.CosetLayout(5, (), gf4)])[0]) == ctx.n
     # a^(i*1) leaves GF(4) for i not a multiple of 5
-    with pytest.raises(ArithmeticError, match="outside the span"):
-        _columns_by_layout(ctx, range(ctx.n), [alg.CosetLayout(1, (), gf4)])
+    with pytest.raises(ArithmeticError, match=re.escape(f"a^1 is outside the span of {gf4}")):
+        _coords_by_layout(ctx, range(ctx.n), [alg.CosetLayout(1, (), gf4)])
 
 
 def _reference_rows(ctx, plan):
@@ -353,12 +379,41 @@ def test_bulk_assembly_matches_per_element_assembly(m, poly):
     assert r_bits == [list(col) for col in zip(*matrix_of(plans["blahut2008"]).bits().tolist())]
 
 
+def _chunk_budgets(ctx):
+    """_GATHER values under which a build's chunks hold one coset each; two
+    or more cosets, the first chunk ending inside a byte group that its last
+    coset shares with the next chunk's first; and every coset."""
+    sizes = alg.cyclotomic_cosets(ctx.n).sizes()
+    starts = list(accumulate(sizes))[:-1]  # the first bit of coset k, k = 1, 2, ...
+    split = max(k for k, start in enumerate(starts, 1) if start % 8)
+    assert split > 1 or len(sizes) == 2, ctx
+    return ctx.n, split * ctx.n, len(sizes) * ctx.n
+
+
+@pytest.mark.parametrize("m", [3, 4, 7, 10])
+def test_chunk_edges_keep_every_matrix(m, monkeypatch):
+    # each tag's matrix is the same whichever way the budget cuts its cosets
+    # into chunks, and it matches one solve per element
+    ctx = default_field(m)
+    plans = {tag: build(tag, ctx) for tag in ALL_TAGS}
+    for budget in _chunk_budgets(ctx):
+        monkeypatch.setattr(alg, "_GATHER", budget)
+        for tag, plan in plans.items():
+            chunked = build(tag, ctx)
+            assert matrix_of(chunked) == matrix_of(plan), (m, budget, tag)
+            if m <= 7:
+                assert _built_rows(chunked) == _reference_rows(ctx, plan), (m, budget, tag)
+
+
 @pytest.mark.parametrize("m", range(3, 11))
 def test_transposed_packing_window_edges(m, monkeypatch):
-    # R packed one, two or three byte groups of the combine matrix at a
-    # time, from m = 4 on with a window edge inside a coset's bits; every
-    # packing is the combine matrix transposed, also with the columns in
-    # reverse order, which revisits each window
+    # R packed through a window of three, four or five byte groups of the
+    # combine matrix (three is the fewest: one coset can touch three), with
+    # each budget of _chunk_budgets; every packing is the combine matrix
+    # transposed.  From m = 4 on a byte group edge falls inside a coset's
+    # bits.  From m = 6 on R has more byte groups than a window, and some
+    # window starts at a group that two chunks share, so that group goes
+    # into R from two windows
     ctx = default_field(m)
     want = matrix_of(build_blahut2008(ctx)).bits().T
     layouts = alg._layouts_for_tag(ctx, alg.cyclotomic_cosets(ctx.n), "goertzel")
@@ -366,12 +421,48 @@ def test_transposed_packing_window_edges(m, monkeypatch):
     starts = list(accumulate(widths, initial=0))
     inside = [c0 < e < c0 + w for e in range(8, starts[-1], 8) for c0, w in zip(starts, widths)]
     assert any(inside) == (m > 3)
-    for span in (1, 2, 3):
+    transpose_into, window_starts = structure._transpose_into, []
+
+    def noted(out, window, g0):
+        window_starts.append(g0)
+        transpose_into(out, window, g0)
+
+    monkeypatch.setattr(structure, "_transpose_into", noted)
+    for span in (3, 4, 5):
         monkeypatch.setattr(structure, "_TRANSPOSE_BYTES", span * 8 * -(-ctx.n // 8))
-        assert np.array_equal(matrix_of(build_goertzel(ctx)).bits(), want), (m, span)
-        columns = list(alg._columns(ctx, range(ctx.n), layouts))
-        reverse = BinaryMatrix.from_coords(reversed(columns), widths, ctx.n, transpose=True)
-        assert np.array_equal(reverse.bits(), want), (m, span)
+        for budget in _chunk_budgets(ctx):
+            monkeypatch.setattr(alg, "_GATHER", budget)
+            assert np.array_equal(matrix_of(build_goertzel(ctx)).bits(), want), (m, span, budget)
+    shared = [g0 for g0 in window_starts if 8 * g0 not in starts]  # its first bits belong to an earlier coset
+    assert bool(shared) == (m > 5), window_starts
+
+
+@pytest.mark.parametrize("tag", ["goertzel", "blahut2008"])
+def test_build_memory_stays_near_the_packed_matrix(tag, monkeypatch):
+    # tracemalloc sees numpy's buffers.  At m = 13 the packed matrix is 8
+    # MiB.  Beside it a build may hold one transpose window and the two
+    # arrays that its transposition allocates (3 _TRANSPOSE_BYTES, 3 MiB)
+    # and 4 MiB for the rest: one chunk's temporaries (0.4 MiB at 12 bytes
+    # per element, and its maps), the coordinate tables of 631 bases (1.3
+    # MiB), the layouts and D.  The rest came to 3.3 MiB for goertzel and
+    # 3.4 MiB for blahut2008.  A build that held the untransposed packing
+    # whole, another 8 MiB, breaks the bound
+    ctx = default_field(13)
+    allowance = 3 * structure._TRANSPOSE_BYTES + (4 << 20)
+
+    def peak_beside_matrix():
+        tracemalloc.start()
+        try:
+            plan = build(tag, ctx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - matrix_of(plan).packed.nbytes
+
+    assert peak_beside_matrix() < allowance
+    if tag == "goertzel":  # a window that holds every byte group fails
+        monkeypatch.setattr(structure, "_TRANSPOSE_BYTES", 1 << 30)
+        assert peak_beside_matrix() > allowance
 
 
 def test_tf2003_change_of_basis_identity(ctx3):

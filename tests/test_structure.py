@@ -218,6 +218,9 @@ def test_packed_matrix_equals_int_rows(cols):
     assert mat.rows == rows
     assert mat.bits().tolist() == [[(r >> j) & 1 for j in range(cols)] for r in rows]
     assert mat.bits().sum(axis=1).tolist() == [r.bit_count() for r in rows]
+    transposed = mat.bits(transpose=True)
+    assert transposed.dtype == np.uint8 and transposed.flags.c_contiguous
+    assert transposed.tolist() == [[(r >> j) & 1 for r in rows] for j in range(cols)]
 
 
 @pytest.mark.parametrize(
