@@ -262,8 +262,8 @@ def _d_blocks(ctx: FieldContext, bases: Sequence[tuple[int, ...]]) -> BlockStage
 # basis.  structure.coordinate_matrix, beside the BinaryMatrix whose packing
 # it writes, packs it a chunk of cosets at a time, as many as give _GATHER
 # elements of points x cosets (the kernels' budget, below) and at least
-# one, so one coset at a time from m = 15 on; R, the transpose, goes through
-# a window of bit-block transposes.
+# one, so one coset at a time from m = 15 on; R, the transpose, is packed as
+# the combine matrix is and transposed in place.
 # ---------------------------------------------------------------------------
 
 

@@ -11,8 +11,8 @@ packing.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -317,17 +317,17 @@ class BinaryMatrix:
 # bytes per element (0.4 MiB), plus the maps of the shared bases and of one
 # chunk's own.
 #
-# goertzel's R is the transpose of the combine matrix.  Its chunks are ORed
-# into a window of the combine matrix's byte groups, at most
-# _TRANSPOSE_BYTES of them (one group is 8 * ceil(n / 8) bytes) but at
-# least the three that one coset can touch, and a chunk holds no more groups
-# than the window.  The window goes into R's rows by 8x8 bit-block
-# transposes when the next chunk does not fit it, and at the end; a group
-# that two chunks share is transposed once from each window, and the ORs
-# add up.  So a build holds R, one window and one chunk's temporaries,
-# never the untransposed packing whole.
+# goertzel's R is the transpose of the combine matrix.  The same chunks
+# pack the combine matrix into a square grid of whole 8x8 bit blocks,
+# q = ceil(max(rows, cols) / 8) blocks a side ((q, 8q) bytes), which is
+# then transposed in place: block (g, i), one little-endian uint64, holds
+# byte g of rows 8i..8i+7.  The delta swaps below transpose every block,
+# budget // q block rows (budget elements) at a time, and tiles of
+# isqrt(budget // 8) blocks a side (budget bytes, 32 KiB) swap across the
+# grid's diagonal.  R's packing is the grid's first ceil(rows / 8) rows and
+# cols columns.  So a build holds the grid, one chunk's temporaries, one
+# slab and one tile, never a second copy of the packing.
 
-_TRANSPOSE_BYTES = 1 << 20
 # delta swaps that transpose an 8x8 bit block held as a little-endian uint64,
 # byte i = row i: they swap the off-diagonal bits of each 2x2 block, then the
 # off-diagonal 2x2 blocks of each 4x4 block, then the off-diagonal 4x4 blocks
@@ -337,25 +337,30 @@ _DELTA_SWAPS = tuple(
 )
 
 
-def _transpose_into(out: np.ndarray, window: np.ndarray, g0: int) -> None:
-    """OR the transpose of byte groups g0.. of a packing (window, one group
-    per row, 8 * len(out) rows wide) into out's columns 8 * g0.., and clear
-    the window.  Rows 8i..8i+7 of group g, one uint64, are an 8x8 bit block
-    whose transpose holds byte i of rows 8g..8g+7 of the transpose."""
-    blocks = window.view("<u8")  # (span, len(out))
-    swap = np.empty_like(blocks)
-    for shift, mask in _DELTA_SWAPS:
-        np.right_shift(blocks, shift, out=swap)
-        swap ^= blocks
-        swap &= mask
-        blocks ^= swap
-        swap <<= shift
-        blocks ^= swap
-    c0 = 8 * g0
-    width = min(8 * len(window), out.shape[1] - c0)
-    transposed = window.reshape(len(window), len(out), 8).transpose(1, 0, 2).reshape(len(out), -1)
-    out[:, c0 : c0 + width] |= transposed[:, :width]
-    window[:] = 0
+def _transpose_grid(grid: np.ndarray, budget: int) -> None:
+    """Transpose in place the 8q x 8q bit matrix that grid, a (q, 8q) uint8
+    array, packs as BinaryMatrix does: entry (r, j) moves to (j, r)."""
+    blocks = grid.view("<u8")  # (q, q)
+    q = len(blocks)
+    slab = max(1, budget // q)
+    swap = np.empty((min(slab, q), q), dtype=np.uint64)
+    for s in range(0, q, slab):
+        rows = blocks[s : s + slab]
+        tmp = swap[: len(rows)]
+        for shift, mask in _DELTA_SWAPS:
+            np.right_shift(rows, shift, out=tmp)
+            tmp ^= rows
+            tmp &= mask
+            rows ^= tmp
+            tmp <<= shift
+            rows ^= tmp
+    side = max(1, isqrt(budget // 8))
+    for i in range(0, q, side):
+        for j in range(i, q, side):  # a diagonal tile swaps with itself
+            upper, lower = blocks[i : i + side, j : j + side], blocks[j : j + side, i : i + side]
+            tile = upper.copy()
+            upper[:] = lower.T
+            lower[:] = tile.T
 
 
 def coordinate_matrix(
@@ -383,7 +388,6 @@ def coordinate_matrix(
     pair_group = first_group[pair_coset] + pair_byte
     in_group = np.bincount(pair_group)
     pair_rank = np.arange(len(pair_group)) - (np.cumsum(in_group) - in_group)[pair_group]
-    last = last_group.tolist()  # for bisect
     shifts = (starts % 8).astype(np.uint32)[:, None]
     reps = np.array(reps, dtype=np.uint32)[:, None]
     points = np.asarray(points, dtype=np.uint32)  # points * rep < n^2 < 2^(2m) <= 2^32
@@ -404,25 +408,17 @@ def coordinate_matrix(
     shared, own = np.flatnonzero(is_shared), ~is_shared[basis_of]
     shared_row = (np.cumsum(is_shared) - 1)[basis_of]
     if transpose:
-        out = np.zeros((-(-rows // 8), cols), dtype=np.uint8)
-        span = max(3, min(-(-cols // 8), _TRANSPOSE_BYTES // (8 * len(out))))
-        window = np.zeros((span, 8 * len(out)), dtype=np.uint8)
+        q = -(-max(rows, cols) // 8)
+        out = np.zeros((q, 8 * q), dtype=np.uint8)
     else:
-        out = window = np.zeros((-(-cols // 8), rows), dtype=np.uint8)
-        span = len(out)
+        out = np.zeros((-(-cols // 8), rows), dtype=np.uint8)
     maps = np.empty((len(shared) + per_chunk, n + 1), dtype=np.uint32)  # the shared bases, then a chunk's own
     map_exp(shared, maps[: len(shared)])
     coords = np.empty((per_chunk, rows), dtype=np.uint32)  # exponents, then coordinates
     at = np.empty(coords.shape, dtype=np.intp)  # the gather index
     high_part = at.reshape(-1).view(np.uint32)[: coords.size].reshape(coords.shape)  # the folds', in at's memory
-    g0, k0 = 0, 0
-    while k0 < l:
-        # the budget's cosets, as far as their groups fit one window
-        fits = bisect_left(last, first_group[k0] + span)
-        k1 = max(k0 + 1, min(k0 + per_chunk, fits))
-        if last_group[k1 - 1] >= g0 + span:
-            _transpose_into(out, window, g0)
-            g0 = int(first_group[k0])
+    for k0 in range(0, l, per_chunk):
+        k1 = min(k0 + per_chunk, l)
         e, e_high, index, mine = coords[: k1 - k0], high_part[: k1 - k0], at[: k1 - k0], own[k0:k1]
         np.multiply(reps[k0:k1], points, out=e)
         for _ in range(2):  # e = (e & n) + (e >> m): below 2n, then at most n
@@ -442,15 +438,14 @@ def coordinate_matrix(
         c <<= shifts[k0:k1]
         by_byte = c.astype("<u4", copy=False).view(np.uint8).reshape(k1 - k0, rows, 4)
         pairs = slice(first_pair[k0], first_pair[k1])
-        k, j, g = pair_coset[pairs] - k0, pair_byte[pairs], pair_group[pairs] - g0
+        k, j, g = pair_coset[pairs] - k0, pair_byte[pairs], pair_group[pairs]
         rank = np.minimum(pair_rank[pairs], np.arange(len(g)))  # within the chunk
         first = rank == 0  # one pair per group, and the chunk's groups are consecutive
-        window[g[0] : g[-1] + 1, :rows] |= by_byte[k[first], :, j[first]]
+        out[g[0] : g[-1] + 1, :rows] |= by_byte[k[first], :, j[first]]
         for t in range(1, int(rank.max()) + 1):
             of_rank = rank == t
-            window[g[of_rank], :rows] |= by_byte[k[of_rank], :, j[of_rank]]
-        k0 = k1
+            out[g[of_rank], :rows] |= by_byte[k[of_rank], :, j[of_rank]]
     if transpose:
-        _transpose_into(out, window, g0)
-        return BinaryMatrix(out, rows)
+        _transpose_grid(out, budget)
+        return BinaryMatrix(out[: -(-rows // 8), :cols], rows)
     return BinaryMatrix(out, cols)

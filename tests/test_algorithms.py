@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 from itertools import accumulate
+from math import isqrt
 
 import numpy as np
 import pytest
@@ -405,52 +406,41 @@ def test_chunk_edges_keep_every_matrix(m, monkeypatch):
                 assert _built_rows(chunked) == _reference_rows(ctx, plan), (m, budget, tag)
 
 
-@pytest.mark.parametrize("m", range(3, 11))
-def test_transposed_packing_window_edges(m, monkeypatch):
-    # R packed through a window of three, four or five byte groups of the
-    # combine matrix (three is the fewest: one coset can touch three), with
-    # each budget of _chunk_budgets; every packing is the combine matrix
-    # transposed.  From m = 4 on a byte group edge falls inside a coset's
-    # bits.  From m = 6 on R has more byte groups than a window, and some
-    # window starts at a group that two chunks share, so that group goes
-    # into R from two windows
+@pytest.mark.parametrize("m", range(2, 11))
+def test_transposed_packing_tile_edges(m, monkeypatch):
+    # R is packed in a square grid of q x q 8x8 bit blocks and transposed
+    # there: budget // q block rows of delta swaps at a time, then tiles of
+    # isqrt(budget // 8) blocks swapped across the diagonal.  The budgets
+    # give tiles of one block, of three (which divides no q = 2^(m-3)), of
+    # q and of q + 1 blocks, and the cuts of _chunk_budgets; every packing
+    # is the combine matrix transposed.  From m = 5 on some budget leaves a
+    # partial last tile, and from m = 6 on a partial last slab
     ctx = default_field(m)
     want = matrix_of(build_blahut2008(ctx)).bits().T
-    layouts = alg._layouts_for_tag(ctx, alg.cyclotomic_cosets(ctx.n), "goertzel")
-    widths = [len(lay.basis) for lay in layouts]
-    starts = list(accumulate(widths, initial=0))
-    inside = [c0 < e < c0 + w for e in range(8, starts[-1], 8) for c0, w in zip(starts, widths)]
-    assert any(inside) == (m > 3)
-    transpose_into, window_starts = structure._transpose_into, []
-
-    def noted(out, window, g0):
-        window_starts.append(g0)
-        transpose_into(out, window, g0)
-
-    monkeypatch.setattr(structure, "_transpose_into", noted)
-    for span in (3, 4, 5):
-        monkeypatch.setattr(structure, "_TRANSPOSE_BYTES", span * 8 * -(-ctx.n // 8))
-        for budget in _chunk_budgets(ctx):
-            monkeypatch.setattr(alg, "_GATHER", budget)
-            assert np.array_equal(matrix_of(build_goertzel(ctx)).bits(), want), (m, span, budget)
-    shared = [g0 for g0 in window_starts if 8 * g0 not in starts]  # its first bits belong to an earlier coset
-    assert bool(shared) == (m > 5), window_starts
+    q = -(-ctx.n // 8)
+    budgets = [8 * side * side for side in (1, 3, q, q + 1)] + list(_chunk_budgets(ctx))
+    for budget in budgets:
+        monkeypatch.setattr(alg, "_GATHER", budget)
+        assert np.array_equal(matrix_of(build_goertzel(ctx)).bits(), want), (m, budget)
+    sides = [max(1, isqrt(budget // 8)) for budget in budgets]
+    slabs = [max(1, budget // q) for budget in budgets]
+    assert any(side < q and q % side for side in sides) == (m > 4), sides
+    assert any(slab < q and q % slab for slab in slabs) == (m > 5), slabs
 
 
 @pytest.mark.parametrize("tag", ["goertzel", "blahut2008"])
-def test_build_memory_stays_near_the_packed_matrix(tag, monkeypatch):
+def test_build_memory_stays_near_the_packed_matrix(tag):
     # tracemalloc sees numpy's buffers.  At m = 13 the packed matrix is 8
-    # MiB.  Beside it a build may hold one transpose window and the two
-    # arrays that its transposition allocates (3 _TRANSPOSE_BYTES, 3 MiB)
-    # and 4 MiB for the rest: one chunk's temporaries (0.4 MiB at 12 bytes
-    # per element, and its maps), the coordinate tables of 631 bases (1.3
-    # MiB), the layouts and D.  The rest came to 3.3 MiB for goertzel and
-    # 3.4 MiB for blahut2008.  A build that held the untransposed packing
-    # whole, another 8 MiB, breaks the bound
+    # MiB.  Beside it a build may hold 4 MiB: one chunk's temporaries (0.4
+    # MiB at 12 bytes per element, and its maps), the coordinate tables of
+    # 631 bases (1.3 MiB), the layouts and D; goertzel's in-place transpose
+    # adds one slab of delta swaps and one tile (0.3 MiB).  The rest came
+    # to 3.4 MiB for goertzel and 3.3 MiB for blahut2008.  goertzel's rest
+    # stays within 1 MiB of blahut2008's: a build that held a second copy of
+    # the packing, another 8 MiB, breaks both bounds
     ctx = default_field(13)
-    allowance = 3 * structure._TRANSPOSE_BYTES + (4 << 20)
 
-    def peak_beside_matrix():
+    def peak_beside_matrix(tag):
         tracemalloc.start()
         try:
             plan = build(tag, ctx)
@@ -459,10 +449,30 @@ def test_build_memory_stays_near_the_packed_matrix(tag, monkeypatch):
             tracemalloc.stop()
         return peak - matrix_of(plan).packed.nbytes
 
-    assert peak_beside_matrix() < allowance
-    if tag == "goertzel":  # a window that holds every byte group fails
-        monkeypatch.setattr(structure, "_TRANSPOSE_BYTES", 1 << 30)
-        assert peak_beside_matrix() > allowance
+    peak = peak_beside_matrix(tag)
+    assert peak < 4 << 20
+    if tag == "goertzel":
+        assert peak < peak_beside_matrix("blahut2008") + (1 << 20)
+
+
+@pytest.mark.parametrize("m", [13, 14])
+def test_remainder_matrix_is_combine_transposed_above_goldens(m):
+    # the goldens pin R up to m = 12.  Here R, transposed in 16 or 32 tiles
+    # a side and with a partial last block (n = 7 mod 8), is checked against
+    # the combine matrix a slab of byte groups at a time, without an n x n
+    # array: bit b of A.packed[g] is column 8g + b of A, and the bytes of
+    # rows 8g..8g+7 of R are R.packed[:, 8g:8g+8]
+    ctx = default_field(m)
+    r = matrix_of(build_goertzel(ctx))
+    a = matrix_of(build_blahut2008(ctx))
+    assert (r.n_rows, r.cols) == (a.cols, a.n_rows) == (ctx.n, ctx.n)
+    bit = np.arange(8, dtype=np.uint8)[:, None]
+    for g0 in range(0, len(a.packed), 64):
+        groups = a.packed[g0 : g0 + 64]
+        a_cols = ((groups[:, None, :] >> bit) & 1).reshape(-1, ctx.n)[: ctx.n - 8 * g0]
+        r_bytes = np.ascontiguousarray(r.packed[:, 8 * g0 : 8 * g0 + 8 * len(groups)].T)  # row j's bytes
+        r_rows = np.unpackbits(r_bytes, axis=1, count=ctx.n, bitorder="little")
+        assert np.array_equal(a_cols, r_rows), (m, g0)
 
 
 def test_tf2003_change_of_basis_identity(ctx3):
