@@ -160,9 +160,9 @@ class Plan:
         return found
 
     @cached_property
-    def _kernels(self) -> tuple[np.ndarray, tuple[_Kernel, ...], np.ndarray]:
-        """The input gather index, the exact numpy kernels of the stages and
-        the output gather index of apply and apply_batch, built on first use
+    def _kernels(self) -> tuple[_Kernel, ...]:
+        """The exact numpy kernels of the stages of apply and apply_batch,
+        which take the permutations into their gathers, built on first use
         and kept with the plan.  Not a field, so equality and repr do not
         see it."""
         return _batch_stages(self)
@@ -450,17 +450,26 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # The numpy kernels (exact) of apply and apply_batch.
 #
-# They run a plan's stages over one (width, batch) uint16 array, a column
-# per vector, between one gather for each permutation: a block stage for
-# the multiplications (log/exp lookups; zero has a sentinel log that exp
-# maps back to 0) and a binary stage for the additions.  Each reads its
-# stage's one array as stored: the padded block entries, the packed matrix
-# bytes.  Table lookups, AND and XOR only, so all are exact.  The kernels
-# count nothing themselves: a counted apply takes its counts from the
-# plan's cached structural counts (Plan._counts) plus one dot product on
-# the block stage's input for the data-dependent multiplications.  Each
-# plan builds its kernels once, on first use (Plan._kernels), copying no
-# stage.  A kernel writes only arrays it allocates per call, so a plan
+# They run a plan's two stages over one (width, batch) uint16 array, a
+# column per vector: a block stage for the multiplications (log/exp
+# lookups; zero has a sentinel log that exp maps back to 0) and a binary
+# stage for the additions.  Each reads its stage's one array as stored: the
+# padded block entries, the packed matrix bytes.  Table lookups, AND and
+# XOR only, so all are exact.  The permutations cost no gather of their
+# own: each stage kernel takes the one next to it into a gather it already
+# does.  The block stage reads its padded grid from the input rows
+# in_perm[pos] when it runs first, and writes goertzel's output order by
+# reading its rows at keep[argsort(out_perm)] when it runs last.  The
+# binary kernels read every row of their input, so fed2006a/b's output
+# order (coset order) is one gather after that stage, inside its kernel.
+# An identity permutation costs no pass: goertzel's input and the output
+# of blahut2008, ft2002 and tf2003.  A call is two kernel calls.  The
+# kernels count nothing themselves: a counted apply takes its counts from
+# the plan's cached structural counts (Plan._counts) plus one dot product
+# on the block kernel's input for the data-dependent multiplications, with
+# mult_weights indexed in that input's order.  Each plan builds its kernels
+# once, on first use (Plan._kernels), copying no stage and reading no
+# count.  A kernel writes only arrays it allocates per call, so a plan
 # stays safe to share across threads.
 #
 # The binary stage has two kernels, and each call picks one from its
@@ -476,11 +485,17 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # 14.  Up to m = 13 the crossover lay above the bound: at 33-44 planes
 # for m = 11, 36-48 for m = 12 and past 50 for m <= 10.  From m = 14 on
 # each table serves 2^14 rows or more and Four Russians costs about the
-# same for one vector or two: at m = 14, two vectors took 85 ms there
-# against 154 ms on 28 planes.  An accumulator bound that keeps that call
-# (448 KiB) off the planes also keeps one vector at m = 15 (480 KiB) off,
-# though planes took 226 ms there against 278 (tf2003, medians of 9; host
-# speed 0.70, as below); at m = 16 the two tie at about 1 s, memory bound.
+# same for one vector or two.  With the kernels below (tf2003, medians of
+# 15, 11 and 5 alternating calls, host speed 1.12 by the probe below),
+# planes against Four Russians took: one vector at m = 14, 51 against 43
+# ms; two vectors at m = 14 (448 KiB of planes), 103 against 49 ms; one
+# vector at m = 15 (480 KiB), 160 against 163 ms; one vector at m = 16,
+# 923 against 798 ms.  No accumulator bound keeps the 448 KiB call off the
+# planes and puts the 480 KiB one on them, and the two kernels are within
+# 10% there (goertzel: 139 against 152 ms), so one vector runs Four
+# Russians from m = 15 on.  One vector at m = 14 stays on planes, though
+# Four Russians was as fast or faster there (70 against 69 ms at host
+# speed 0.60; 49 against 42 for goertzel at 1.13).
 #
 # One budget sizes every kernel's chunks.  A small call is bound by the
 # number of numpy calls it makes, a large one by memory traffic, so each
@@ -493,6 +508,14 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # Once one group or column looks up more than _GATHER / 2 elements (rows
 # x batch, or l x w x batch for the padded blocks), a chunk is one group or
 # column, the narrowest width: a 32-vector batch at m >= 10 runs there.
+# The block and plane kernels allocate each chunk's temporaries as they go,
+# the first chunk's XOR being the accumulator, so a call of one chunk
+# makes no pass beyond its chunk.  They keep every temporary in C order:
+# numpy lays out a broadcast result after its operands' strides, so the
+# plane kernel's AND with the transposed planes would put the byte groups
+# innermost and make the XOR across them 1.3-1.5 times slower.  The block
+# kernel stores its column logs contiguous, which makes its add 1.2-1.3
+# times faster.
 #
 # Four Russians builds its subset-XOR tables once per call, _GATHER // (32
 # batch) groups at a time, so 8 _GATHER table entries (2 _GATHER was
@@ -513,16 +536,22 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # took 2.7 ms padded to 4 against 4.4 ms unpadded, and 11 vectors 4.4
 # against 6.0 ms at m = 11 and 43 against 63 ms at m = 13.
 #
-# Per kernel, in µs: the mean over the six tags of the min of 5 timings, on
-# a 2-CPU x86-64 host with numpy 2.4 running at 0.70 of perfbench's
-# reference speed (hostclock probe, median of 40).  * marks the binary
-# kernel a call of that shape runs; the other is measured for comparison.
+# Per kernel, in µs: the mean over the six tags of the min of 5 timings,
+# the median of 5 such runs on a 2-CPU x86-64 host with numpy 2.4 running
+# at 0.63-1.03 (median 0.81) of perfbench's reference speed (hostclock
+# probe, median of 80 per run).  * marks the binary kernel a call of that
+# shape runs; the other is measured for comparison.
 #
 #          binary stage, Four Russians    binary stage, bit planes     block
 #   m   batch 1     2     4     32      1     2     4      32       1    32
-#   8        52    56    70   173*     44*   60*  100*    638      26   223
-#  10       345   393   556* 2530*    206*  371*  770   10659      58  1177
-#  11      2531  3183  3277* 5938*   1085* 2028* 3986   34526     131  2082
+#   8        66    70    78   207*     35*   62*   98*    738      17   197
+#  10       484   545   654* 2340*    246*  506*  1016   8731      42   911
+#  11      1743  2160  2151* 5627*    736*  1485* 3094  30346      59  1655
+#
+# The plane kernel's parity lookup beats three shift-XOR folds on a small
+# accumulator (6 against 11.5 µs for one vector at m = 8), ties at 10 K
+# bytes (one vector at m = 10) and loses at 45 K (two vectors at m = 11:
+# 48 against 33 µs, 3% of that call).
 #
 # Budgets of 2^13, 2^14, 2^15, 2^16 and 2^17 elements gave about 1940,
 # 2230, 2360, 2350 and 2180 vectors/s on perfbench's counted_m10 (single
@@ -537,21 +566,24 @@ _PLANE_BYTES = 1 << 18
 _Kernel = Callable[[np.ndarray], np.ndarray]
 
 
-def _xor_fold(acc: np.ndarray, terms: np.ndarray) -> None:
-    """acc ^= the XOR of terms over its first axis.  A single term goes in
+def _xor_fold(acc: np.ndarray | None, terms: np.ndarray) -> np.ndarray:
+    """The XOR of terms over their first axis, XORed into acc in place and
+    returned; with acc None, that XOR alone.  A single term goes in
     directly: a reduce over one would first copy it."""
-    acc ^= terms[0] if len(terms) == 1 else np.bitwise_xor.reduce(terms, axis=0)
+    part = terms[0] if len(terms) == 1 else np.bitwise_xor.reduce(terms, axis=0)
+    return part if acc is None else np.bitwise_xor(acc, part, out=acc)
 
 
-def _block_kernel(ctx: FieldContext, stage: BlockStage) -> _Kernel:
+def _block_kernel(ctx: FieldContext, stage: BlockStage, before: np.ndarray | None, after: np.ndarray | None) -> _Kernel:
     """Block k multiplies the d_k positions of a coset-ordered vector that
     follow the blocks before it.  The stage's padded (l, w, w) entries run
     over the padded (l, w, batch) grid in rounds of c columns j, c =
     _GATHER // (l w batch) held to 1..w.  A round is one add of column j's
-    logs to input j's logs for its c columns, into a (c, l, w, batch)
-    buffer, one take from exp and one XOR across the c products.  A pad
-    entry's sentinel log sends its products to exp's zero tail, and keep
-    drops the pad rows."""
+    logs to input j's logs for its c columns, (c, l, w, batch), one take
+    from exp and one XOR across the c products.  A pad entry's sentinel log
+    sends its products to exp's zero tail, and keep drops the pad rows.  The
+    gathers before and after the stage (None for none) are composed into
+    the grid (input row before[pos]) and into keep."""
     n = ctx.n
     log = np.array(ctx.log, dtype=np.int32)
     log[0] = 2 * n  # any sum with the sentinel lands in exp's zero tail
@@ -559,21 +591,19 @@ def _block_kernel(ctx: FieldContext, stage: BlockStage) -> _Kernel:
     exp[: 2 * n] = ctx.exp * 2
     pos, keep = stage.grid()
     l, w = pos.shape
-    col_logs = np.moveaxis(log[stage.entries], 2, 0)[..., None]  # column j of every block: (w, l, w, 1)
-    pos_by_col = np.ascontiguousarray(pos.T)
+    # column j of every block, (w, l, w, 1), stored contiguous
+    col_logs = np.ascontiguousarray(np.moveaxis(log[stage.entries], 2, 0))[..., None]
+    src = np.ascontiguousarray(pos.T if before is None else before[pos.T])
+    keep = keep if after is None else keep[after]
 
     def run(x: np.ndarray) -> np.ndarray:
         batch = x.shape[1]
-        xs = log[x][pos_by_col][:, :, None]  # input j of every block: (w, l, 1, batch)
+        xs = log.take(x.take(src, axis=0))[:, :, None]  # input j of every block: (w, l, 1, batch)
         c = max(1, min(w, _GATHER // max(l * w * batch, 1)))
-        acc = np.zeros((l, w, batch), dtype=np.uint16)
-        total = np.empty((c, l, w, batch), dtype=np.int32)
-        term = np.empty(total.shape, dtype=np.uint16)
+        acc = None
         for j0 in range(0, w, c):
-            n_cols = min(c, w - j0)
-            np.add(col_logs[j0 : j0 + c], xs[j0 : j0 + c], out=total[:n_cols])
-            _xor_fold(acc, np.take(exp, total[:n_cols], out=term[:n_cols], mode="clip"))
-        return acc.reshape(pos.size, batch)[keep]
+            acc = _xor_fold(acc, exp.take(col_logs[j0 : j0 + c] + xs[j0 : j0 + c], mode="clip"))
+        return acc.reshape(pos.size, batch).take(keep, axis=0)
 
     return run
 
@@ -642,64 +672,75 @@ def _plane_kernel(matrix: BinaryMatrix, m: int) -> _Kernel:
     matrix is (byte g holds columns 8g..8g+7).  Per block of k = _GATHER //
     rows byte groups, held to 1..width, one broadcast AND of the block's
     packed bytes with every plane's byte (one per vector and bit) and one
-    XOR across the block; a folded byte's parity is the output bit."""
-    sel = matrix.packed
-    width, rows = sel.shape
+    XOR across the block.  A folded byte's parity is bit b of its row's
+    output: one lookup in the (m, 256) table of parity(byte) << b puts it
+    in place, and one OR across the planes gives the outputs."""
+    width, rows = matrix.packed.shape
+    sel = matrix.packed[:, None]  # (width, 1, rows)
+    k = max(1, min(width, _GATHER // max(rows, 1)))
     shifts = np.arange(m, dtype=np.uint16)[:, None]
+    odd = np.unpackbits(np.arange(256, dtype=np.uint8)).reshape(256, 8).sum(axis=1, dtype=np.uint16) & 1
+    parity = (odd << shifts).ravel()  # row b at b << 8
+    rows_of = shifts << 8
 
     def run(x: np.ndarray) -> np.ndarray:
         batch = x.shape[1]
-        k = max(1, min(width, _GATHER // max(rows, 1)))
-        planes = np.packbits(x.T[:, None, :] & (1 << shifts), axis=2, bitorder="little").reshape(batch * m, width).T
-        acc = np.zeros((batch * m, rows), dtype=np.uint8)
-        anded = np.empty((k, batch * m, rows), dtype=np.uint8)
+        bits = (x.T[:, None, :] >> shifts).astype(np.uint8) & 1
+        planes = np.packbits(bits, axis=2, bitorder="little").reshape(batch * m, width).T[:, :, None]
+        acc = None
         for g0 in range(0, width, k):
-            block = sel[g0 : g0 + k]
-            _xor_fold(acc, np.bitwise_and(block[:, None], planes[g0 : g0 + k, :, None], out=anded[: len(block)]))
-        for shift in (4, 2, 1):  # bit 0 becomes the parity of the byte
-            acc ^= acc >> shift
-        out = (acc & 1).astype(np.uint16).reshape(batch, m, rows)
-        out <<= shifts
-        return np.bitwise_or.reduce(out, axis=1).T
+            acc = _xor_fold(acc, np.bitwise_and(sel[g0 : g0 + k], planes[g0 : g0 + k], order="C"))
+        return np.bitwise_or.reduce(parity.take(rows_of | acc.reshape(batch, m, rows)), axis=1).T
 
     return run
 
 
-def _binary_stage_kernel(matrix: BinaryMatrix, m: int) -> _Kernel:
+def _binary_stage_kernel(matrix: BinaryMatrix, m: int, before: np.ndarray | None, after: np.ndarray | None) -> _Kernel:
     """Per call, bit planes when the call has at most _PLANES planes (m per
-    vector) and their accumulator at most _PLANE_BYTES, else Four Russians."""
+    vector) and their accumulator at most _PLANE_BYTES, else Four Russians;
+    the gathers before and after the stage (None for none) run around it."""
     planes, russians = _plane_kernel(matrix, m), _binary_kernel(matrix)
 
     def run(x: np.ndarray) -> np.ndarray:
+        x = x if before is None else x.take(before, axis=0)
         n_planes = m * x.shape[1]
         few = n_planes <= _PLANES and n_planes * matrix.n_rows <= _PLANE_BYTES
-        return (planes if few else russians)(x)
+        y = (planes if few else russians)(x)
+        return y if after is None else y.take(after, axis=0)
 
     return run
 
 
-def _batch_stages(plan: Plan) -> tuple[np.ndarray, tuple[_Kernel, ...], np.ndarray]:
-    m = plan.ctx.m
-    kernels = tuple(
-        _binary_stage_kernel(s, m) if isinstance(s, BinaryMatrix) else _block_kernel(plan.ctx, s)
-        for s in plan.stages
+def _gather(perm: Sequence[int]) -> np.ndarray | None:
+    """perm as an index, or None for the identity, which costs no pass."""
+    idx = np.asarray(perm, dtype=np.intp)
+    return None if np.array_equal(idx, np.arange(len(idx))) else idx
+
+
+def _batch_stages(plan: Plan) -> tuple[_Kernel, ...]:
+    """The kernels of the plan's two stages, the first taking the input
+    gather (in_perm) into its own and the second the output gather (the
+    inverse of out_perm)."""
+    ctx, stages = plan.ctx, plan.stages
+    gathers = ((_gather(plan.in_perm), None), (None, _gather(np.argsort(plan.out_perm))))
+    return tuple(
+        _block_kernel(ctx, s, *g) if isinstance(s, BlockStage) else _binary_stage_kernel(s, ctx.m, *g)
+        for s, g in zip(stages, gathers, strict=True)
     )
-    return np.asarray(plan.in_perm, dtype=np.intp), kernels, np.argsort(plan.out_perm)
 
 
 def _run_kernels(plan: Plan, rows: np.ndarray, stage1: OpCount | None = None) -> np.ndarray:
-    """Validated (batch, n) input rows gathered into stage order, through
-    the plan's stage kernels and scattered to output order; the outputs
+    """Validated (batch, n) input rows through the plan's stage kernels,
+    which gather them from input order and into output order; the outputs
     come back as the columns of an (n, batch) array.  With stage1, the
     block stage adds w . [x > 1] over its input x to stage1.mults, w the
     plan's mult_weights."""
-    in_idx, kernels, out_idx = plan._kernels
-    x = rows.T[in_idx]
-    for kernel, stage in zip(kernels, plan.stages):
+    x = rows.T
+    for kernel, stage in zip(plan._kernels, plan.stages):
         if stage1 is not None and isinstance(stage, BlockStage):
             stage1.mults += int((plan._counts.mult_weights @ (x > 1)).sum())
         x = kernel(x)
-    return x[out_idx]
+    return x
 
 
 def apply_batch(plan: Plan, vectors: list[list[int]]) -> list[list[int]]:
@@ -757,18 +798,24 @@ def _plan_counts(plan: Plan) -> _Counts:
     bases = [tuple(b[:d]) for b, d in zip(col0.tolist(), stage.sizes)]
     leaders = [coset.leader for coset in plan.partition.cosets]
     return _Counts(
-        _mult_weights(stage),
+        _mult_weights(plan),
         int((sizes * (sizes - 1)).sum()),
         _naive_adds(plan.ctx, zip(leaders, bases)),
         binmat.make_plan(a.cols).predicted_adds(a.n_rows),
     )
 
 
-def _mult_weights(stage: BlockStage) -> np.ndarray:
+def _mult_weights(plan: Plan) -> np.ndarray:
     """w_j: the entries > 1 in column j of the block covering position j;
-    0 under a pass-through block, which has no entry > 1."""
+    0 under a pass-through block, which has no entry > 1.  Indexed as the
+    block kernel reads its input: by input position when the block stage
+    runs first, so that position in_perm[j] weighs w_j."""
+    stage = plan.stage(BlockStage)
     _, keep = stage.grid()
-    return (stage.entries > 1).sum(axis=1).ravel()[keep]
+    weights = (stage.entries > 1).sum(axis=1).ravel()[keep]
+    if isinstance(plan.stages[0], BlockStage):
+        weights[np.fromiter(plan.in_perm, np.intp, len(plan.in_perm))] = weights.copy()
+    return weights
 
 
 def stage1_bound(ctx: FieldContext) -> int:

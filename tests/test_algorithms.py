@@ -607,31 +607,44 @@ def _path_vectors(m, randoms):
     return vecs
 
 
-@pytest.mark.parametrize("m", range(2, 10))
-def test_batch_matches_single(m):
-    # every execution path against naive_dft on every tag: uncounted apply,
-    # counted apply with either stage-2 count and apply_batch; m = 8 and 9
+def _path_fields(ms):
+    """(m, poly) cases: the default fields at ms, by m, and the non-default
+    polynomials of the golden fields (m = 5, 6, 8), by m and poly."""
+    return [pytest.param(m, None, id=f"{m}") for m in ms] + [
+        pytest.param(m, poly, id=f"{m}-{poly:#x}") for m, poly in GOLDEN_FIELDS if poly
+    ]
+
+
+@pytest.mark.parametrize("m, poly", _path_fields(range(2, 12)))
+def test_batch_matches_single(m, poly):
+    # every execution path against the oracle on every tag: uncounted apply,
+    # counted apply with either stage-2 count, and apply_batch on 1, 2, 3,
+    # 17 and 33 vectors.  Across these fields that runs both binary kernels,
+    # the block and plane kernels in one chunk and in several, and every
+    # permutation the stage kernels fold into their gathers.  m = 8 and 9
     # mix coset sizes {1,2,4,8} and {1,3,9} in one block stage
-    ctx = default_field(m)
-    vecs = _path_vectors(m, 9 if m <= 6 else 3)
-    oracle = [naive_dft(f, ctx) for f in vecs]
+    ctx = build_field(FieldSpec(m, poly))
+    singles = _path_vectors(m, 9 if m <= 6 else 3)
+    vecs = (singles * 33)[:33]
+    oracle = naive_dft_batch(vecs, ctx)
+    k = len(singles)
     for tag in ALL_TAGS:
         plan = build(tag, ctx)
         for fr in (False, True):
-            counted = [apply(plan, f, TransformTally.fresh(), four_russians=fr) for f in vecs]
-            assert counted == oracle, (tag, fr)
-        assert [apply(plan, f) for f in vecs] == oracle, tag
-        assert apply_batch(plan, vecs) == oracle, tag
-        assert apply_batch(plan, vecs[:1]) == oracle[:1], tag
+            counted = [apply(plan, f, TransformTally.fresh(), four_russians=fr) for f in singles]
+            assert counted == oracle[:k], (tag, fr)
+        assert [apply(plan, f) for f in singles] == oracle[:k], tag
+        for size in (1, 2, 3, 17, 33):
+            assert apply_batch(plan, vecs[:size]) == oracle[:size], (tag, size)
 
 
-@pytest.mark.parametrize("m", range(2, 10))
-def test_counted_apply_matches_reference(m):
+@pytest.mark.parametrize("m, poly", _path_fields(range(2, 10)))
+def test_counted_apply_matches_reference(m, poly):
     # counted apply runs the numpy kernels and adds cached structural counts
     # plus w . [x > 1] per block stage; the reference walk issues and counts
     # every operation.  Outputs and all four counters must agree for both
     # stage-2 kernels.
-    ctx = default_field(m)
+    ctx = build_field(FieldSpec(m, poly))
     vecs = _path_vectors(m, 9 if m <= 6 else 3)
     for tag in ALL_TAGS:
         plan = build(tag, ctx)
@@ -640,6 +653,29 @@ def test_counted_apply_matches_reference(m):
                 got, want = TransformTally.fresh(), TransformTally.fresh()
                 assert apply(plan, f, got, fr) == counted_apply(plan, f, want, fr), (tag, fr)
                 assert got == want, (tag, fr)
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_binary_first_plan_gathers_its_input(m):
+    # goertzel, the one plan whose binary stage runs first, has the identity
+    # in_perm, but a Plan may carry any: x[c] = input[in_perm[c]] must reach
+    # the binary stage on every path, with counts as the reference walk's
+    ctx = default_field(m)
+    plan = build("goertzel", ctx)
+    assert plan.in_perm == tuple(range(ctx.n)) and isinstance(plan.stages[0], BinaryMatrix)
+    perm = list(range(ctx.n))
+    random.Random(m).shuffle(perm)
+    shuffled = dataclasses.replace(plan, in_perm=tuple(perm))
+    vecs = _path_vectors(m, 27)[:33]
+    oracle = naive_dft_batch([[f[j] for j in perm] for f in vecs], ctx)
+    for f, want in zip(vecs[:3], oracle):
+        assert apply(shuffled, f) == want
+        for fr in (False, True):
+            got, ref = TransformTally.fresh(), TransformTally.fresh()
+            assert apply(shuffled, f, got, fr) == counted_apply(shuffled, f, ref, fr) == want, fr
+            assert got == ref, fr
+    for size in (1, 2, 33):  # planes, and Four Russians for 33
+        assert apply_batch(shuffled, vecs[:size]) == oracle[:size], size
 
 
 # The kernels' element budget at its edges: 1 runs one byte group or block
