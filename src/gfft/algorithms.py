@@ -32,6 +32,7 @@ output are enumerated in doubling order.
 
 from __future__ import annotations
 
+import weakref
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -52,6 +53,7 @@ from .structure import (
     cyclotomic_cosets,
     doubling_orbit,
     find_normal_basis,
+    transpose_matrix,
 )
 
 GOERTZEL = "goertzel"
@@ -264,17 +266,61 @@ def _d_blocks(ctx: FieldContext, bases: Sequence[tuple[int, ...]]) -> BlockStage
 # elements of points x cosets (the kernels' budget, below) and at least
 # one, so one coset at a time from m = 15 on; R, the transpose, is packed as
 # the combine matrix is and transposed in place.
+#
+# Two pairs of plans are one matrix read two ways: goertzel is blahut2008
+# transposed, and fed2006a is tf2003 with A's rows in coset order.  So a
+# build whose twin is alive on the same FieldContext object derives its
+# plan from the twin's: one copy of the packing into a grid and the same
+# in-place transpose, or one np.take of A's packed columns, which keeps
+# each byte group's rows contiguous (packed[:, rows] is F-ordered, and
+# made an apply at m = 10 six times slower: 1.1 against 0.19 ms).  At
+# m = 11 either takes about 0.5 ms, against 3.3-6 ms to assemble.  The
+# first plan built on a field lends its coset partition to the rest.  _live finds them: it holds plans
+# weakly, so it keeps none alive, and a live plan holds its ctx, so the id
+# in a live key names that ctx alone.  It is keyed by the object, not the
+# field, so a fresh build_field builds cold.  A derived plan shares no
+# array with its twin.
 # ---------------------------------------------------------------------------
 
 
+_TWINS = {GOERTZEL: BLAHUT2008, BLAHUT2008: GOERTZEL, TF2003: FED2006A, FED2006A: TF2003}
+_live: weakref.WeakValueDictionary[tuple[int, str], Plan] = weakref.WeakValueDictionary()
+
+
 def _build(ctx: FieldContext, tag: str) -> Plan:
+    """A new plan, derived from its live twin on ctx if any, else assembled
+    on the partition of any live plan on ctx."""
+    twin = _live.get((id(ctx), _TWINS.get(tag)))
+    if twin is not None:
+        plan = _derive(twin, tag)
+    else:
+        lender = next((p for t in ALL_TAGS if (p := _live.get((id(ctx), t))) is not None), None)
+        plan = _assemble(ctx, lender.partition if lender else cyclotomic_cosets(ctx.n), tag)
+    _live[id(ctx), tag] = plan
+    return plan
+
+
+def _derive(twin: Plan, tag: str) -> Plan:
+    """tag's plan from its twin's, sharing no array with it: each stage
+    transposed, in reverse order, and the permutations swapped; or A's rows
+    gathered into coset order (in_perm), or back by the inverse."""
+    d, a = twin.stage(BlockStage), twin.stage(BinaryMatrix)
+    if tag in (GOERTZEL, BLAHUT2008):
+        stages = (BlockStage(d.entries.swapaxes(1, 2).copy(), d.sizes), transpose_matrix(a, _GATHER))
+        return Plan(tag, twin.ctx, twin.partition, twin.out_perm, stages if tag == BLAHUT2008 else stages[::-1], twin.in_perm)
+    rows = np.asarray(twin.in_perm) if tag == FED2006A else np.argsort(twin.in_perm)
+    stages = (BlockStage(d.entries.copy(), d.sizes), BinaryMatrix(np.take(a.packed, rows, axis=1), a.cols))
+    out_perm = twin.in_perm if tag == FED2006A else tuple(range(twin.ctx.n))
+    return Plan(tag, twin.ctx, twin.partition, twin.in_perm, stages, out_perm)
+
+
+def _assemble(ctx: FieldContext, partition: CosetPartition, tag: str) -> Plan:
     """Input in coset order through the blocks D, then the binary matrix A;
     row r of A holds the coordinates of a^(out_perm[r] * rep) in each coset's
     basis.  fed2006a/b keep the output in coset order too.  goertzel is
     blahut2008 transposed: W is symmetric, so it equals D^T A^T as well,
     with the two permutations swapped; A^T is the remainder matrix R."""
     n = ctx.n
-    partition = cyclotomic_cosets(n)
     layouts = _layouts_for_tag(ctx, partition, tag)
     coset_order = tuple(i for lay in layouts for i in lay.elements)
     out_perm = coset_order if tag in (FED2006A, FED2006B) else tuple(range(n))

@@ -6,7 +6,7 @@ rotation.  Everything downstream (remainder matrices, binary expansion
 matrices, circulant blocks) is assembled from these pieces.  BinaryMatrix
 defines how every binary matrix is packed and is the one place that
 unpacks it; coordinate_matrix assembles a plan's binary matrix in that
-packing.
+packing, and transpose_matrix transposes one.
 """
 
 from __future__ import annotations
@@ -326,7 +326,9 @@ class BinaryMatrix:
 # isqrt(budget // 8) blocks a side (budget bytes, 32 KiB) swap across the
 # grid's diagonal.  R's packing is the grid's first ceil(rows / 8) rows and
 # cols columns.  So a build holds the grid, one chunk's temporaries, one
-# slab and one tile, never a second copy of the packing.
+# slab and one tile, never a second copy of the packing.  transpose_matrix
+# transposes a built matrix the same way, after one copy of its packing
+# into a new grid: _grid and _transpose_grid alone know the grid's layout.
 
 # delta swaps that transpose an 8x8 bit block held as a little-endian uint64,
 # byte i = row i: they swap the off-diagonal bits of each 2x2 block, then the
@@ -337,23 +339,25 @@ _DELTA_SWAPS = tuple(
 )
 
 
-def _transpose_grid(grid: np.ndarray, budget: int) -> None:
+def _transpose_grid(grid: np.ndarray, rows: int, cols: int, budget: int) -> BinaryMatrix:
     """Transpose in place the 8q x 8q bit matrix that grid, a (q, 8q) uint8
-    array, packs as BinaryMatrix does: entry (r, j) moves to (j, r)."""
+    array, packs as BinaryMatrix does, entry (r, j) moving to (j, r), and
+    return the transpose of its rows x cols corner: a view of the grid, whose
+    byte groups stay contiguous."""
     blocks = grid.view("<u8")  # (q, q)
     q = len(blocks)
     slab = max(1, budget // q)
     swap = np.empty((min(slab, q), q), dtype=np.uint64)
     for s in range(0, q, slab):
-        rows = blocks[s : s + slab]
-        tmp = swap[: len(rows)]
+        block_rows = blocks[s : s + slab]
+        tmp = swap[: len(block_rows)]
         for shift, mask in _DELTA_SWAPS:
-            np.right_shift(rows, shift, out=tmp)
-            tmp ^= rows
+            np.right_shift(block_rows, shift, out=tmp)
+            tmp ^= block_rows
             tmp &= mask
-            rows ^= tmp
+            block_rows ^= tmp
             tmp <<= shift
-            rows ^= tmp
+            block_rows ^= tmp
     side = max(1, isqrt(budget // 8))
     for i in range(0, q, side):
         for j in range(i, q, side):  # a diagonal tile swaps with itself
@@ -361,6 +365,22 @@ def _transpose_grid(grid: np.ndarray, budget: int) -> None:
             tile = upper.copy()
             upper[:] = lower.T
             lower[:] = tile.T
+    return BinaryMatrix(grid[: -(-rows // 8), :cols], rows)
+
+
+def _grid(rows: int, cols: int) -> np.ndarray:
+    """The zeroed grid that packs a rows x cols matrix, as BinaryMatrix
+    does, in its first ceil(cols / 8) rows and rows columns."""
+    q = -(-max(rows, cols) // 8)
+    return np.zeros((q, 8 * q), dtype=np.uint8)
+
+
+def transpose_matrix(matrix: BinaryMatrix, budget: int) -> BinaryMatrix:
+    """matrix's transpose: its packing copied into a new grid, which is
+    transposed in place, so no third copy is held."""
+    grid = _grid(matrix.n_rows, matrix.cols)
+    grid[: len(matrix.packed), : matrix.n_rows] = matrix.packed
+    return _transpose_grid(grid, matrix.n_rows, matrix.cols, budget)
 
 
 def coordinate_matrix(
@@ -407,11 +427,7 @@ def coordinate_matrix(
     is_shared = np.bincount(basis_of) > 1
     shared, own = np.flatnonzero(is_shared), ~is_shared[basis_of]
     shared_row = (np.cumsum(is_shared) - 1)[basis_of]
-    if transpose:
-        q = -(-max(rows, cols) // 8)
-        out = np.zeros((q, 8 * q), dtype=np.uint8)
-    else:
-        out = np.zeros((-(-cols // 8), rows), dtype=np.uint8)
+    out = _grid(rows, cols) if transpose else np.zeros((-(-cols // 8), rows), dtype=np.uint8)
     maps = np.empty((len(shared) + per_chunk, n + 1), dtype=np.uint32)  # the shared bases, then a chunk's own
     map_exp(shared, maps[: len(shared)])
     coords = np.empty((per_chunk, rows), dtype=np.uint32)  # exponents, then coordinates
@@ -445,7 +461,4 @@ def coordinate_matrix(
         for t in range(1, int(rank.max()) + 1):
             of_rank = rank == t
             out[g[of_rank], :rows] |= by_byte[k[of_rank], :, j[of_rank]]
-    if transpose:
-        _transpose_grid(out, budget)
-        return BinaryMatrix(out[: -(-rows // 8), :cols], rows)
-    return BinaryMatrix(out, cols)
+    return _transpose_grid(out, rows, cols, budget) if transpose else BinaryMatrix(out, cols)

@@ -475,6 +475,38 @@ def test_remainder_matrix_is_combine_transposed_above_goldens(m):
         assert np.array_equal(a_cols, r_rows), (m, g0)
 
 
+def _stage_arrays(plan):
+    return [s.packed if isinstance(s, BinaryMatrix) else s.entries for s in plan.stages]
+
+
+@pytest.mark.parametrize("m, poly", GOLDEN_FIELDS)
+def test_twin_built_from_its_live_partner_equals_a_cold_build(m, poly, monkeypatch):
+    # a plan built while its twin lives on the same field object is derived
+    # from the twin (goertzel is blahut2008 transposed, fed2006a is tf2003
+    # with A's rows in coset order) and equals the plan built alone; it
+    # assembles no matrix and shares no array with the twin
+    assembled = []
+    real = alg.coordinate_matrix
+    monkeypatch.setattr(alg, "coordinate_matrix", lambda *args, **kw: assembled.append(args) or real(*args, **kw))
+    for pair in (("goertzel", "blahut2008"), ("tf2003", "fed2006a")):
+        for partner, tag in (pair, pair[::-1]):
+            alone = build(tag, build_field(FieldSpec(m, poly)))
+            ctx = build_field(FieldSpec(m, poly))
+            twin = build(partner, ctx)
+            assembled.clear()
+            derived = build(tag, ctx)
+            assert assembled == [], (partner, tag)
+            assert derived == alone and derived.tag == tag, (partner, tag)
+            assert (derived.in_perm, derived.out_perm) == (alone.in_perm, alone.out_perm), (partner, tag)
+            assert derived.partition == alone.partition and derived.partition is twin.partition, (partner, tag)
+            assert all(matrix_of(p).packed.strides[1] == 1 for p in (alone, twin, derived)), (partner, tag)
+            assert not any(np.shares_memory(x, y) for x in _stage_arrays(derived) for y in _stage_arrays(twin))
+            assert apply(derived, [int(j == 1) for j in range(ctx.n)]) == unit_response(1, ctx), (partner, tag)
+            # a live twin on another object of the same field leaves a build cold
+            build(tag, build_field(FieldSpec(m, poly)))
+            assert len(assembled) == 1, (partner, tag)
+
+
 def test_tf2003_change_of_basis_identity(ctx3):
     # the standard-points block equals a binary matrix times the basis circulant
     binary = [[1, 1, 1], [0, 1, 1], [1, 0, 1]]
@@ -821,7 +853,7 @@ def test_counts_reuse_the_built_plan(monkeypatch):
         alg.stage2_naive_adds(plan)
         alg.structural_stage1_counts(plan)
     assert calls == []
-    build("tf2003", ctx)
+    build("fed2006b", ctx)  # no twin: tf2003 would come from the live fed2006a
     assert calls  # the patch sees a build's lookups
 
 
@@ -869,6 +901,35 @@ def test_fresh_plan_shared_across_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == {k: [oracle] * len(plans) for k in range(workers)}
+
+
+def test_twin_builds_across_threads():
+    # several threads switching often, each building the six plans on one
+    # shared field object, half in reverse order, so that builds derive from
+    # twins other threads built: every plan equals the plan built alone
+    ctx = default_field(6)
+    alone = {tag: build(tag, default_field(6)) for tag in ALL_TAGS}
+    workers = 4
+    barrier = threading.Barrier(workers)
+    results = {}
+
+    def work(k):
+        barrier.wait(timeout=30)
+        results[k] = [build(tag, ctx) for _ in range(5) for tag in (ALL_TAGS if k % 2 else ALL_TAGS[::-1])]
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(results) == list(range(workers))
+    assert all(plan == alone[plan.tag] for plans in results.values() for plan in plans)
 
 
 def test_batch_empty(ctx3):
