@@ -411,32 +411,26 @@ def apply(
     return x[:, 0].tolist()
 
 
-def _as_row(ctx: FieldContext, f, b: int) -> array:
-    """Vector b as an array("H"), or ValueError for a wrong length or a
-    non-int element."""
-    n = ctx.n
-    if len(f) != n:
-        raise ValueError(f"vector {b}: expected length {n}, got {len(f)}")
-    try:
-        return array("H", f)  # rejects non-ints and ints outside [0, 2^16)
-    except (TypeError, OverflowError):
-        raise ValueError(f"vector {b}: elements must be ints in [0, 2^{ctx.m})") from None
-
-
-def _outside_field(ctx: FieldContext, b: int, row: array) -> ValueError:
-    j = next(j for j, x in enumerate(row) if x >> ctx.m)
-    return ValueError(f"vector {b}, index {j}: {row[j]} is not in GF(2^{ctx.m})")
-
-
 def validate_vectors(ctx: FieldContext, vectors) -> np.ndarray:
-    """The input boundary of apply and apply_batch: ValueError for a wrong
-    length, a non-int element or one outside [0, 2^m); else a (batch, n)
-    uint16 array, range tested in one numpy pass over the whole batch."""
-    rows = [_as_row(ctx, f, b) for b, f in enumerate(vectors)]
-    arr = np.frombuffer(b"".join(rows), dtype=np.uint16).reshape(len(rows), ctx.n)
-    if rows and arr.max() >> ctx.m:
-        b = int(np.argmax(arr.max(axis=1) >> ctx.m))
-        raise _outside_field(ctx, b, rows[b])
+    """The input boundary of apply, apply_batch and the oracles: ValueError
+    naming the vector for anything but a sequence of n ints in [0, 2^m);
+    else a (batch, n) uint16 array, range tested in one pass over it all."""
+    n, m = ctx.n, ctx.m
+    rows = []
+    try:
+        for f in vectors:
+            if len(f) != n:
+                raise ValueError(f"vector {len(rows)}: expected length {n}, got {len(f)}")
+            try:
+                rows.append(array("H", f))  # rejects non-ints and ints outside [0, 2^16)
+            except (TypeError, OverflowError):
+                raise ValueError(f"vector {len(rows)}: elements must be ints in [0, 2^{m})") from None
+    except TypeError:  # vectors is not iterable, or vector len(rows) has no length
+        raise ValueError(f"vector {len(rows)}: expected a sequence of {n} ints") from None
+    arr = np.frombuffer(b"".join(rows), dtype=np.uint16).reshape(len(rows), n)
+    if rows and arr.max() > n:
+        b, j = divmod(int(np.argmax(arr > n)), n)  # the first element outside the field
+        raise ValueError(f"vector {b}, index {j}: {arr[b, j]} is not in GF(2^{m})")
     return arr
 
 

@@ -32,9 +32,7 @@ from .field import PRIMITIVE_POLYS, FieldSpec, build_field
 from .reference import naive_dft_batch, transform_matrix, unit_response
 from .structure import BinaryMatrix
 
-VERIFY_M_RANGE = (2, 12)
-BENCH_M_RANGE = (2, 16)
-FACTOR_M_RANGE = (2, 6)
+M_RANGES = {"verify": (2, 12), "bench": (2, 16), "factor": (2, 6)}
 
 # bench's columns as (record key, text header, text format spec); the CSV
 # header is the keys
@@ -51,27 +49,29 @@ class UsageError(Exception):
     pass
 
 
-def parse_m_range(text: str) -> list[int]:
-    """Either a single degree '3' or an inclusive range '2..8'."""
+def parse_m_range(text: str, command: str) -> list[int]:
+    """Either a single degree '3' or an inclusive range '2..8', inside the
+    command's M_RANGES entry."""
+    ends = text.split("..")
     try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            if lo > hi:
-                raise ValueError
-            return list(range(lo, hi + 1))
-        return [int(text)]
+        lo, hi = int(ends[0]), int(ends[-1])  # a single degree is both ends
+        if len(ends) > 2 or lo > hi:
+            raise ValueError
     except ValueError:
         raise UsageError(f"bad m range {text!r} (use e.g. '3' or '2..8')") from None
+    low, high = M_RANGES[command]
+    if lo < low or hi > high:
+        raise UsageError(f"m out of {command} range [{low},{high}]")
+    return list(range(lo, hi + 1))
 
 
-def parse_algos(text: str, allowed: tuple[str, ...]) -> list[str]:
+def parse_algos(text: str) -> list[str]:
     if text == "all":
-        return list(allowed)
+        return list(alg.ALL_TAGS)
     tags = [t.strip() for t in text.split(",") if t.strip()]
     for t in tags:
-        if t not in allowed:
-            raise UsageError(f"unknown algorithm {t!r} (choose from {', '.join(allowed)})")
+        if t not in alg.ALL_TAGS:
+            raise UsageError(f"unknown algorithm {t!r} (choose from {', '.join(alg.ALL_TAGS)})")
     if not tags:
         raise UsageError("empty algorithm list")
     return tags
@@ -89,10 +89,21 @@ def resolve_seed(arg_seed: int | None) -> int:
     return 1
 
 
-def field_for(m: int, poly: int | None):
+def parse_inputs(args) -> tuple[list, list[str]]:
+    """The fields GF(2^m) for --m, over --poly (a hex bitmask, single m only)
+    when it is given, and the --algo tags: the one argument path of all three
+    commands, so every usage error in them comes before any output."""
+    ms = parse_m_range(args.m, args.command)
+    tags = parse_algos(args.algo)
+    if args.poly is not None and len(ms) != 1:
+        raise UsageError("--poly requires a single m")
     try:
-        return build_field(FieldSpec(m, poly))
-    except ValueError as e:  # m out of range, or a bad or non-primitive --poly
+        poly = None if args.poly is None else int(args.poly, 16)
+    except ValueError:
+        raise UsageError(f"--poly expects a hex bitmask, got {args.poly!r}") from None
+    try:
+        return [build_field(FieldSpec(m, poly)) for m in ms], tags
+    except ValueError as e:  # a bad or non-primitive --poly
         raise UsageError(str(e)) from None
 
 
@@ -171,27 +182,22 @@ def _verify_one_field(ctx, tags: list[str], trials: int, seed: int, mismatches: 
 
 
 def cmd_verify(args, out=sys.stdout) -> int:
-    ms = parse_m_range(args.m)
-    if ms[0] < VERIFY_M_RANGE[0] or ms[-1] > VERIFY_M_RANGE[1]:
-        raise UsageError(f"m out of verify range [{VERIFY_M_RANGE[0]},{VERIFY_M_RANGE[1]}]")
+    ctxs, tags = parse_inputs(args)
     if args.trials < 0:
         raise UsageError("--trials must be non-negative")
-    tags = parse_algos(args.algo, alg.ALL_TAGS)
-    poly = _parse_poly(args.poly, ms)
     seed = resolve_seed(args.seed)
-    ctxs = [field_for(m, poly) for m in ms]  # every usage error before the first line
 
     text = args.format == "text"
     if text:
         print(f"gfft verify: seed={seed} trials={args.trials} m={args.m} algo={','.join(tags)}", file=out)
         print(f"{'m':>2}  {'algo':<10}  {'random':<6}  {'units':<6}  {'matrix':<6}", file=out)
     records, mismatches = [], []
-    for m, ctx in zip(ms, ctxs):
+    for ctx in ctxs:
         for r in _verify_one_field(ctx, tags, args.trials, seed, mismatches):
             records.append(r)
             if text:
                 cells = f"{r['random']:<6}  {r['unit']:<6}  {r['matrix']:<6}"
-                print(f"{m:>2}  {r['algo']:<10}  {cells}", file=out)
+                print(f"{r['m']:>2}  {r['algo']:<10}  {cells}", file=out)
     all_ok = all(r["ok"] for r in records)
     overall = "PASS" if all_ok else "FAIL"
     if text:
@@ -209,11 +215,10 @@ def cmd_verify(args, out=sys.stdout) -> int:
 # ---------------------------------------------------------------------------
 
 
-def bench_records(ms: list[int], tags: list[str], poly: int | None):
+def bench_records(ctxs: list, tags: list[str]):
     records = []
-    for m in ms:
-        ctx = field_for(m, poly)
-        n = ctx.n
+    for ctx in ctxs:
+        m, n = ctx.m, ctx.n
         adds_4r = binmat.make_plan(n).predicted_adds(n)
         bound_mults = alg.stage1_bound(ctx)
         bound_adds = 2 * n * n / math.log2(n)
@@ -254,12 +259,8 @@ def emit_bench(records, csv: bool, out):
 
 
 def cmd_bench(args, out=sys.stdout) -> int:
-    ms = parse_m_range(args.m)
-    if ms[0] < BENCH_M_RANGE[0] or ms[-1] > BENCH_M_RANGE[1]:
-        raise UsageError(f"m out of bench range [{BENCH_M_RANGE[0]},{BENCH_M_RANGE[1]}]")
-    tags = parse_algos(args.algo, alg.ALL_TAGS)
-    poly = _parse_poly(args.poly, ms)
-    emit_bench(bench_records(ms, tags, poly), args.format == "csv", out)
+    ctxs, tags = parse_inputs(args)
+    emit_bench(bench_records(ctxs, tags), args.format == "csv", out)
     return 0
 
 
@@ -392,19 +393,14 @@ def _factor_latex(plan, out):
 
 
 def cmd_factor(args, out=sys.stdout) -> int:
-    ms = parse_m_range(args.m)
-    if len(ms) != 1:
+    ctxs, tags = parse_inputs(args)
+    if len(ctxs) != 1:
         raise UsageError("factor takes a single m, not a range")
-    m = ms[0]
-    if not (FACTOR_M_RANGE[0] <= m <= FACTOR_M_RANGE[1]):
-        raise UsageError(f"m out of factor range [{FACTOR_M_RANGE[0]},{FACTOR_M_RANGE[1]}]")
-    tags = parse_algos(args.algo, alg.ALL_TAGS)
     if len(tags) != 1:
         raise UsageError("factor takes a single algorithm")
-    poly = _parse_poly(args.poly, ms)
-    ctx = field_for(m, poly)
+    ctx = ctxs[0]
     plan = alg.build(tags[0], ctx)
-    print(f"algo={tags[0]} m={m} n={ctx.n} poly={ctx.spec.resolved_poly():#x}", file=out)
+    print(f"algo={tags[0]} m={ctx.m} n={ctx.n} poly={ctx.spec.resolved_poly():#x}", file=out)
     if args.format == "latex":
         _factor_latex(plan, out)
     else:
@@ -415,17 +411,6 @@ def cmd_factor(args, out=sys.stdout) -> int:
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
-
-
-def _parse_poly(poly_text: str | None, ms: list[int]) -> int | None:
-    if poly_text is None:
-        return None
-    if len(ms) != 1:
-        raise UsageError("--poly requires a single m")
-    try:
-        return int(poly_text, 16)
-    except ValueError:
-        raise UsageError(f"--poly expects a hex bitmask, got {poly_text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

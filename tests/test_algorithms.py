@@ -464,7 +464,9 @@ def test_remainder_matrix_is_combine_transposed_above_goldens(m):
     # rows 8g..8g+7 of R are R.packed[:, 8g:8g+8]
     ctx = default_field(m)
     r = matrix_of(build_goertzel(ctx))
-    a = matrix_of(build_blahut2008(ctx))
+    # on its own field object blahut2008 is assembled cold, never derived
+    # from R, whether or not the goertzel plan is still alive
+    a = matrix_of(build_blahut2008(default_field(m)))
     assert (r.n_rows, r.cols) == (a.cols, a.n_rows) == (ctx.n, ctx.n)
     bit = np.arange(8, dtype=np.uint8)[:, None]
     for g0 in range(0, len(a.packed), 64):
@@ -585,6 +587,9 @@ def test_apply_length_checks(ctx3):
         [-1, 0, 0, 0, 0, 0, 0],
         [1.0, 0, 0, 0, 0, 0, 0],
         [None, 0, 0, 0, 0, 0, 0],
+        5,  # not a sequence
+        None,
+        np.zeros(7, dtype=bool),  # array("H") takes Python bools, not numpy's
     ],
 )
 def test_apply_rejects_elements_outside_field(ctx3, tag, bad):
@@ -592,6 +597,18 @@ def test_apply_rejects_elements_outside_field(ctx3, tag, bad):
     for tally in (None, TransformTally.fresh()):  # uncounted and counted
         with pytest.raises(ValueError, match="vector 0"):
             alg.apply(plan, bad, tally)
+    with pytest.raises(ValueError, match="vector 0"):
+        counted_apply(plan, bad, TransformTally.fresh())
+
+
+def test_vectors_take_python_bools_as_0_and_1(ctx3):
+    f = [True, False, True, False, False, False, True]
+    expected = naive_dft([1, 0, 1, 0, 0, 0, 1], ctx3)
+    assert naive_dft_batch([f], ctx3) == [expected]
+    for tag in ALL_TAGS:
+        plan = build(tag, ctx3)
+        assert alg.apply(plan, f) == apply(plan, f, TransformTally.fresh()) == expected, tag
+        assert apply_batch(plan, [f]) == [expected], tag
 
 
 @pytest.mark.parametrize("m", [3, 5, 8])
@@ -969,12 +986,22 @@ def test_batch_above_1024_with_padded_blocks(m):
         [2**70, 0, 0, 0, 0, 0, 0],
         [0] * 6,
         [0] * 8,
+        5,  # not a sequence
+        None,
+        np.zeros(7, dtype=bool),  # array("H") takes Python bools, not numpy's
+        np.array([9, 0, 0, 0, 0, 0, 0]),
     ],
 )
 def test_batch_rejects_bad_input(ctx3, bad):
-    for tag in ALL_TAGS:
-        with pytest.raises(ValueError):
-            apply_batch(build(tag, ctx3), [bad, [0] * 7])
+    # bad as vector 0 of a batch, and bad passed as the batch itself: a flat
+    # list of ints or a 1-D ndarray, whose vector 0 is one element, or an
+    # int or None, which is no batch at all
+    for batch in ([bad, [0] * 7], bad):
+        for tag in ALL_TAGS:
+            with pytest.raises(ValueError, match="vector 0"):
+                apply_batch(build(tag, ctx3), batch)
+        with pytest.raises(ValueError, match="vector 0"):
+            naive_dft_batch(batch, ctx3)
 
 
 def test_normal_basis_must_be_conjugate_sequence(ctx3, monkeypatch):
