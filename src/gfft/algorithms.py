@@ -65,6 +65,7 @@ FED2006B = "fed2006b"
 
 FACTORED_TAGS = (FT2002, TF2003, FED2006A, FED2006B)
 ALL_TAGS = (GOERTZEL, BLAHUT2008) + FACTORED_TAGS
+_NORMAL = (TF2003, FED2006A, FED2006B)  # normal bases: one stored binary matrix
 
 
 @dataclass
@@ -223,7 +224,7 @@ def _layouts_for_tag(ctx: FieldContext, partition: CosetPartition, tag: str) -> 
     n, m = ctx.n, ctx.m
     normal: dict[int, tuple[int, ...]] = {}
     rep_override: dict[int, int] = {}
-    if tag in (TF2003, FED2006A, FED2006B):
+    if tag in _NORMAL:
         normal = _normal_bases(ctx, partition, shifted=tag == FED2006B)
     if tag == FED2006B:
         # keeps the identity sub-block aligned with the shifted basis
@@ -267,54 +268,57 @@ def _d_blocks(ctx: FieldContext, bases: Sequence[tuple[int, ...]]) -> BlockStage
 # one, so one coset at a time from m = 15 on; R, the transpose, is packed as
 # the combine matrix is and transposed in place.
 #
-# Two pairs of plans are one matrix read two ways: goertzel is blahut2008
-# transposed, and fed2006a is tf2003 with A's rows in coset order.  So a
-# build whose twin is alive on the same FieldContext object derives its
-# plan from the twin's: one copy of the packing into a grid and the same
-# in-place transpose, or one np.take of A's packed columns, which keeps
-# each byte group's rows contiguous (packed[:, rows] is F-ordered, and
-# made an apply at m = 10 six times slower: 1.1 against 0.19 ms).  At
-# m = 11 either takes about 0.5 ms, against 3.3-6 ms to assemble.  The
-# first plan built on a field lends its coset partition to the rest.  _live finds them: it holds plans
-# weakly, so it keeps none alive, and a live plan holds its ctx, so the id
-# in a live key names that ctx alone.  It is keyed by the object, not the
-# field, so a fresh build_field builds cold.  A derived plan shares no
-# array with its twin.
+# Two relations of the paper make plans one matrix read two ways.  goertzel
+# is blahut2008 transposed, so a build whose twin is alive on the same
+# FieldContext object derives its plan from the twin's: one copy of the
+# packing into a grid and the same in-place transpose, about 0.5 ms at
+# m = 11 against 3.3-6 ms to assemble.  fed2006a and fed2006b are tf2003
+# up to free permutations, so the three keep one packing per ctx: tf2003's
+# A, rows in natural order, which each shows in its own row and column
+# orders (BinaryMatrix.order).  fed2006a/b show its rows in out_perm, the
+# coset order.  Squaring rotates normal-basis coordinates by one, and
+# fed2006b's basis is tf2003's rotated by one, on rep = leader 2^r; so its
+# column c0 + t of a coset of size d, coordinate t + 1 of a^(i rep) in
+# tf2003's basis, is tf2003's column c0 + (t + 1 - r) mod d.  A
+# normal-basis build computes its own layouts, D and permutations and
+# takes the packing of any of the three alive on ctx, else assembles
+# tf2003's from its own layouts (fed2006b's bases turned back by one, on
+# the leaders), so a cold build finds its normal bases once.  The first
+# plan built on a field lends its coset partition to the rest.  _live
+# finds them: it holds plans weakly, so it keeps none alive, and a live
+# plan holds its ctx, so the id in a live key names that ctx alone.  It is
+# keyed by the object, not the field, so a fresh build_field builds cold.
+# A derived goertzel or blahut2008 shares no array with its twin; the
+# shared packing is read-only, and no plan writes its stages.
 # ---------------------------------------------------------------------------
 
 
-_TWINS = {GOERTZEL: BLAHUT2008, BLAHUT2008: GOERTZEL, TF2003: FED2006A, FED2006A: TF2003}
+_TWINS = {GOERTZEL: BLAHUT2008, BLAHUT2008: GOERTZEL}
 _live: weakref.WeakValueDictionary[tuple[int, str], Plan] = weakref.WeakValueDictionary()
 
 
 def _build(ctx: FieldContext, tag: str) -> Plan:
     """A new plan, derived from its live twin on ctx if any, else assembled
-    on the partition of any live plan on ctx."""
-    twin = _live.get((id(ctx), _TWINS.get(tag)))
+    on the partition of, and with the live plans of, ctx."""
+    live = {t: p for t in ALL_TAGS if (p := _live.get((id(ctx), t))) is not None}
+    twin = live.get(_TWINS.get(tag))
     if twin is not None:
         plan = _derive(twin, tag)
     else:
-        lender = next((p for t in ALL_TAGS if (p := _live.get((id(ctx), t))) is not None), None)
-        plan = _assemble(ctx, lender.partition if lender else cyclotomic_cosets(ctx.n), tag)
+        plan = _assemble(ctx, next(iter(live.values())).partition if live else cyclotomic_cosets(ctx.n), tag, live)
     _live[id(ctx), tag] = plan
     return plan
 
 
 def _derive(twin: Plan, tag: str) -> Plan:
-    """tag's plan from its twin's, sharing no array with it: each stage
-    transposed, in reverse order, and the permutations swapped; or A's rows
-    gathered into coset order (in_perm), or back by the inverse."""
+    """goertzel's plan from blahut2008's or back, sharing no array with it:
+    each stage transposed, in reverse order, and the permutations swapped."""
     d, a = twin.stage(BlockStage), twin.stage(BinaryMatrix)
-    if tag in (GOERTZEL, BLAHUT2008):
-        stages = (BlockStage(d.entries.swapaxes(1, 2).copy(), d.sizes), transpose_matrix(a, _GATHER))
-        return Plan(tag, twin.ctx, twin.partition, twin.out_perm, stages if tag == BLAHUT2008 else stages[::-1], twin.in_perm)
-    rows = np.asarray(twin.in_perm) if tag == FED2006A else np.argsort(twin.in_perm)
-    stages = (BlockStage(d.entries.copy(), d.sizes), BinaryMatrix(np.take(a.packed, rows, axis=1), a.cols))
-    out_perm = twin.in_perm if tag == FED2006A else tuple(range(twin.ctx.n))
-    return Plan(tag, twin.ctx, twin.partition, twin.in_perm, stages, out_perm)
+    stages = (BlockStage(d.entries.swapaxes(1, 2).copy(), d.sizes), transpose_matrix(a, _GATHER))
+    return Plan(tag, twin.ctx, twin.partition, twin.out_perm, stages if tag == BLAHUT2008 else stages[::-1], twin.in_perm)
 
 
-def _assemble(ctx: FieldContext, partition: CosetPartition, tag: str) -> Plan:
+def _assemble(ctx: FieldContext, partition: CosetPartition, tag: str, live: dict[str, Plan]) -> Plan:
     """Input in coset order through the blocks D, then the binary matrix A;
     row r of A holds the coordinates of a^(out_perm[r] * rep) in each coset's
     basis.  fed2006a/b keep the output in coset order too.  goertzel is
@@ -326,7 +330,19 @@ def _assemble(ctx: FieldContext, partition: CosetPartition, tag: str) -> Plan:
     out_perm = coset_order if tag in (FED2006A, FED2006B) else tuple(range(n))
     reps, bases = [lay.rep for lay in layouts], [lay.basis for lay in layouts]
     d = _d_blocks(ctx, bases)
-    matrix = coordinate_matrix(ctx, out_perm, reps, bases, _GATHER, transpose=tag == GOERTZEL)
+    if tag not in _NORMAL:
+        matrix = coordinate_matrix(ctx, reps, bases, _GATHER, transpose=tag == GOERTZEL)
+    else:
+        packed = next((live[t].stage(BinaryMatrix).packed for t in _NORMAL if t in live), None)
+        if packed is None:  # tf2003's bases: fed2006b's turned back by one
+            stored = [b[-1:] + b[:-1] for b in bases] if tag == FED2006B else bases
+            packed = coordinate_matrix(ctx, [c.leader for c in partition.cosets], stored, _GATHER).packed
+        cols = None
+        if tag == FED2006B:  # column c0 + t shows c0 + (t + 1 - r) mod d
+            r = np.array([c.elements.index(rep) for c, rep in zip(partition.cosets, reps)])[:, None]
+            pos, keep = d.grid()  # pos[k, t] = c0 + t
+            cols = ((pos - pos[:, :1] + 1 - r) % np.array(d.sizes)[:, None] + pos[:, :1]).ravel()[keep]
+        matrix = BinaryMatrix(packed, n, (None if tag == TF2003 else out_perm, cols))
     if tag == GOERTZEL:
         stages = (matrix, BlockStage(d.entries.swapaxes(1, 2), d.sizes))
         return Plan(tag, ctx, partition, out_perm, stages, coset_order)
@@ -362,19 +378,12 @@ def build_fed2006(ctx: FieldContext, variant: str = "a") -> Plan:
 
 
 def build(tag: str, ctx: FieldContext) -> Plan:
-    if tag == GOERTZEL:
-        return build_goertzel(ctx)
-    if tag == BLAHUT2008:
-        return build_blahut2008(ctx)
-    if tag == FT2002:
-        return build_ft2002(ctx)
-    if tag == TF2003:
-        return build_tf2003(ctx)
-    if tag == FED2006A:
-        return build_fed2006(ctx, "a")
-    if tag == FED2006B:
-        return build_fed2006(ctx, "b")
-    raise ValueError(f"unknown algorithm tag {tag!r}")
+    if tag in (FED2006A, FED2006B):
+        return build_fed2006(ctx, "b" if tag == FED2006B else "a")
+    by_tag = {GOERTZEL: build_goertzel, BLAHUT2008: build_blahut2008, FT2002: build_ft2002, TF2003: build_tf2003}
+    if tag not in by_tag:
+        raise ValueError(f"unknown algorithm tag {tag!r}")
+    return by_tag[tag](ctx)
 
 
 # ---------------------------------------------------------------------------
@@ -495,15 +504,19 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # lookups; zero has a sentinel log that exp maps back to 0) and a binary
 # stage for the additions.  Each reads its stage's one array as stored: the
 # padded block entries, the packed matrix bytes.  Table lookups, AND and
-# XOR only, so all are exact.  The permutations cost no gather of their
+# XOR only, so all are exact.  The permutations, and the order in which a
+# binary matrix shows its stored rows and columns, cost no gather of their
 # own: each stage kernel takes the one next to it into a gather it already
-# does.  The block stage reads its padded grid from the input rows
-# in_perm[pos] when it runs first, and writes goertzel's output order by
-# reading its rows at keep[argsort(out_perm)] when it runs last.  The
-# binary kernels read every row of their input, so fed2006a/b's output
-# order (coset order) is one gather after that stage, inside its kernel.
-# An identity permutation costs no pass: goertzel's input and the output
-# of blahut2008, ft2002 and tf2003.  A call is two kernel calls.  The
+# does, composed when the kernels are built.  The block stage reads its
+# padded grid from the input rows in_perm[pos] when it runs first, and
+# drops its pad rows by reading keep: at keep[argsort(order[1])] when the
+# binary stage follows (fed2006b's column order), at keep[argsort(out_perm)]
+# for goertzel's output order when it runs last.  The binary kernels read
+# every row of their input, so an output order would be one gather after
+# that stage, inside its kernel; fed2006a/b show tf2003's stored rows in
+# their output order, so the two compose to the identity.  An identity
+# costs no pass: goertzel's input and every other plan's binary-stage
+# output.  A call is two kernel calls.  The
 # kernels count nothing themselves: a counted apply takes its counts from
 # the plan's cached structural counts (Plan._counts) plus one dot product
 # on the block kernel's input for the data-dependent multiplications, with
@@ -760,13 +773,15 @@ def _gather(perm: Sequence[int]) -> np.ndarray | None:
 def _batch_stages(plan: Plan) -> tuple[_Kernel, ...]:
     """The kernels of the plan's two stages, the first taking the input
     gather (in_perm) into its own and the second the output gather (the
-    inverse of out_perm)."""
-    ctx, stages = plan.ctx, plan.stages
-    gathers = ((_gather(plan.in_perm), None), (None, _gather(np.argsort(plan.out_perm))))
-    return tuple(
-        _block_kernel(ctx, s, *g) if isinstance(s, BlockStage) else _binary_stage_kernel(s, ctx.m, *g)
-        for s, g in zip(stages, gathers, strict=True)
-    )
+    inverse of out_perm), each composed with the binary matrix's order."""
+    ctx, blocks, matrix = plan.ctx, plan.stage(BlockStage), plan.stage(BinaryMatrix)
+    rows, cols = (np.arange(size) if o is None else o for o, size in zip(matrix.order, (matrix.n_rows, matrix.cols)))
+    in_perm, inv_out = np.asarray(plan.in_perm, dtype=np.intp), np.argsort(plan.out_perm)
+    if plan.stages[0] is blocks:
+        block = _block_kernel(ctx, blocks, _gather(in_perm), _gather(np.argsort(cols)))
+        return block, _binary_stage_kernel(matrix, ctx.m, None, _gather(rows[inv_out]))
+    binary = _binary_stage_kernel(matrix, ctx.m, _gather(in_perm[np.argsort(cols)]), None)
+    return binary, _block_kernel(ctx, blocks, _gather(rows), _gather(inv_out))
 
 
 def _run_kernels(plan: Plan, rows: np.ndarray, stage1: OpCount | None = None) -> np.ndarray:

@@ -217,22 +217,29 @@ def find_normal_basis(ctx: FieldContext, d: int) -> tuple[int, ...]:
 
 
 class BinaryMatrix:
-    """0/1 matrix packed into one uint8 array, the only place that knows the
-    layout: entry (r, j) is bit j % 8 of packed[j // 8, r].  So column r of
-    packed is row r in little-endian bytes, and packed[g] holds byte g of
-    every row, which is how both binary kernels read it, in place."""
+    """0/1 matrix packed into one read-only uint8 array, the only place that
+    knows the layout: stored entry (r, j) is bit j % 8 of packed[j // 8, r],
+    so packed[g] holds byte g of every row, as both binary kernels read it.
+    Entry (r, c) is stored entry (order[0][r], order[1][c]), an order being
+    an index or None, so stages one permutation apart share a packing."""
 
-    __slots__ = ("packed", "cols")
+    __slots__ = ("packed", "cols", "order")
 
-    def __init__(self, packed: np.ndarray, cols: int):
+    def __init__(self, packed: np.ndarray, cols: int, order: tuple = (None, None)):
         """ValueError unless packed is a (ceil(cols / 8), rows) uint8 array
-        with every bit past column cols clear."""
+        with every bit past column cols clear, and each index of order a
+        permutation of the rows or of the columns.  Marks packed read-only."""
         if not isinstance(packed, np.ndarray) or packed.dtype != np.uint8:
             raise ValueError("packed rows must be a uint8 numpy array")
         if cols < 0 or packed.ndim != 2 or len(packed) != -(-cols // 8):
             raise ValueError(f"packed shape {packed.shape} does not hold {cols} columns")
         if cols % 8 and (packed[-1] >> (cols % 8)).any():
             raise ValueError(f"bits set past column {cols}")
+        self.order = tuple(None if idx is None else np.asarray(idx) for idx in order)
+        for idx, size, axis in zip(self.order, (packed.shape[1], cols), ("row", "column"), strict=True):
+            if idx is not None and (idx.dtype.kind not in "iu" or not np.array_equal(np.sort(idx), np.arange(size))):
+                raise ValueError(f"the {axis} order is not a permutation of {size} {axis}s")
+        packed.flags.writeable = False
         self.packed = packed
         self.cols = cols
 
@@ -253,30 +260,34 @@ class BinaryMatrix:
     @property
     def rows(self) -> list[int]:
         """Row i as an int with bit j = entry (i, j), derived on each access."""
-        raw, w = np.ascontiguousarray(self.packed.T).tobytes(), len(self.packed)
+        raw, w = np.packbits(self.bits(), axis=1, bitorder="little").tobytes(), len(self.packed)
         return [int.from_bytes(raw[i * w : (i + 1) * w], "little") for i in range(self.n_rows)]
 
     def bits(self, transpose: bool = False) -> np.ndarray:
         """The (rows, cols) uint8 0/1 array of the entries, or with transpose
-        its (cols, rows) transpose, unpacked anew on each call: the one place
-        that unpacks the matrix.  The transpose unpacks along axis 0, where
-        packed[g] holds byte g of every row, so neither form transposes a
-        byte array: bit b of packed[g] is column 8g + b, one shift and one
-        AND per bit (np.unpackbits along axis 0 took 25 times as long at
-        m = 12)."""
+        its (cols, rows) transpose, unpacked anew on each call and taken in
+        order: the one place that unpacks the matrix.  The transpose unpacks
+        along axis 0, where packed[g] holds byte g of every row, so neither
+        form transposes a byte array: bit b of packed[g] is column 8g + b,
+        one shift and one AND per bit (np.unpackbits along axis 0 took 25
+        times as long at m = 12)."""
         if transpose:
             columns = np.empty((len(self.packed), 8, self.n_rows), dtype=np.uint8)
             for b in range(8):
                 np.right_shift(self.packed, b, out=columns[:, b])
                 columns[:, b] &= 1
-            return columns.reshape(-1, self.n_rows)[: self.cols]
-        return np.unpackbits(np.ascontiguousarray(self.packed.T), axis=1, count=self.cols, bitorder="little")
+            out = columns.reshape(-1, self.n_rows)[: self.cols]
+        else:
+            out = np.unpackbits(np.ascontiguousarray(self.packed.T), axis=1, count=self.cols, bitorder="little")
+        first, second = self.order[::-1] if transpose else self.order
+        out = out if first is None else out.take(first, axis=0)
+        return out if second is None else out.take(second, axis=1)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, BinaryMatrix)
             and self.cols == other.cols
-            and np.array_equal(self.packed, other.packed)
+            and np.array_equal(self.bits(), other.bits())
         )
 
     def __repr__(self) -> str:
@@ -339,11 +350,11 @@ _DELTA_SWAPS = tuple(
 )
 
 
-def _transpose_grid(grid: np.ndarray, rows: int, cols: int, budget: int) -> BinaryMatrix:
+def _transpose_grid(grid: np.ndarray, rows: int, cols: int, budget: int, order: tuple = (None, None)) -> BinaryMatrix:
     """Transpose in place the 8q x 8q bit matrix that grid, a (q, 8q) uint8
     array, packs as BinaryMatrix does, entry (r, j) moving to (j, r), and
-    return the transpose of its rows x cols corner: a view of the grid, whose
-    byte groups stay contiguous."""
+    return the transpose of its rows x cols corner, shown in order: a view of
+    the grid, whose byte groups stay contiguous."""
     blocks = grid.view("<u8")  # (q, q)
     q = len(blocks)
     slab = max(1, budget // q)
@@ -365,7 +376,7 @@ def _transpose_grid(grid: np.ndarray, rows: int, cols: int, budget: int) -> Bina
             tile = upper.copy()
             upper[:] = lower.T
             lower[:] = tile.T
-    return BinaryMatrix(grid[: -(-rows // 8), :cols], rows)
+    return BinaryMatrix(grid[: -(-rows // 8), :cols], rows, order)
 
 
 def _grid(rows: int, cols: int) -> np.ndarray:
@@ -377,22 +388,22 @@ def _grid(rows: int, cols: int) -> np.ndarray:
 
 def transpose_matrix(matrix: BinaryMatrix, budget: int) -> BinaryMatrix:
     """matrix's transpose: its packing copied into a new grid, which is
-    transposed in place, so no third copy is held."""
+    transposed in place, so no third copy is held, and its orders swapped."""
     grid = _grid(matrix.n_rows, matrix.cols)
     grid[: len(matrix.packed), : matrix.n_rows] = matrix.packed
-    return _transpose_grid(grid, matrix.n_rows, matrix.cols, budget)
+    return _transpose_grid(grid, matrix.n_rows, matrix.cols, budget, matrix.order[::-1])
 
 
 def coordinate_matrix(
-    ctx: FieldContext, points, reps: Sequence[int], bases: Sequence[tuple[int, ...]], budget: int, transpose: bool = False
+    ctx: FieldContext, reps: Sequence[int], bases: Sequence[tuple[int, ...]], budget: int, transpose: bool = False
 ) -> BinaryMatrix:
-    """The matrix of len(points) rows whose row r holds the coordinates of
-    a^(points[r] * reps[k]) in bases[k], coset k beside coset k - 1 from the
-    lowest bits; with transpose, its transpose.  A chunk holds as many
-    cosets as give budget elements of points x cosets, and at least one.
+    """The matrix of n rows whose row i holds the coordinates of
+    a^(i * reps[k]) in bases[k], coset k beside coset k - 1 from the lowest
+    bits; with transpose, its transpose.  A chunk holds as many cosets as
+    give budget elements of points x cosets, and at least one.
     ArithmeticError, naming the exponent and the basis, if an argument lies
     outside its basis's span."""
-    n, rows, l = ctx.n, len(points), len(bases)
+    n, rows, l = ctx.n, ctx.n, len(bases)
     widths = np.array([len(b) for b in bases])
     ends = np.cumsum(widths)
     starts, cols = ends - widths, int(ends[-1])
@@ -410,7 +421,7 @@ def coordinate_matrix(
     pair_rank = np.arange(len(pair_group)) - (np.cumsum(in_group) - in_group)[pair_group]
     shifts = (starts % 8).astype(np.uint32)[:, None]
     reps = np.array(reps, dtype=np.uint32)[:, None]
-    points = np.asarray(points, dtype=np.uint32)  # points * rep < n^2 < 2^(2m) <= 2^32
+    points = np.arange(n, dtype=np.uint32)  # points * rep < n^2 < 2^(2m) <= 2^32
 
     ids: dict[tuple[int, ...], int] = {}
     basis_of = np.array([ids.setdefault(b, len(ids)) for b in bases])
@@ -449,7 +460,7 @@ def coordinate_matrix(
         c = np.take(maps.reshape(-1), index, out=e)
         if c.max() >> 16:  # a residual is set
             k, r = divmod(int(np.flatnonzero(c >> 16)[0]), rows)
-            exponent = int(points[r]) * int(reps[k0 + k, 0]) % n
+            exponent = r * int(reps[k0 + k, 0]) % n
             raise ArithmeticError(f"a^{exponent} is outside the span of {bases[k0 + k]}")
         c <<= shifts[k0:k1]
         by_byte = c.astype("<u4", copy=False).view(np.uint8).reshape(k1 - k0, rows, 4)

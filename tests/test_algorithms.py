@@ -6,7 +6,7 @@ import re
 import sys
 import threading
 import tracemalloc
-from itertools import accumulate
+from itertools import accumulate, permutations
 from math import isqrt
 
 import numpy as np
@@ -52,6 +52,8 @@ from gfft.structure import (
 
 import m3_worked_example as wk
 from test_golden import FIELDS as GOLDEN_FIELDS
+
+_NORMAL = ("tf2003", "fed2006a", "fed2006b")  # the normal-basis tags
 
 
 @pytest.fixture(scope="module")
@@ -231,19 +233,21 @@ def _mapped(basis, xs):
     return table[0, xs & 255] ^ table[1, xs >> 8]
 
 
-def _assemble(ctx, points, layouts, transpose=False):
+def _assemble(ctx, layouts, transpose=False):
     reps, bases = [lay.rep for lay in layouts], [lay.basis for lay in layouts]
-    return structure.coordinate_matrix(ctx, points, reps, bases, alg._GATHER, transpose)
+    return structure.coordinate_matrix(ctx, reps, bases, alg._GATHER, transpose)
 
 
-def _coords_by_layout(ctx, points, layouts):
-    """Coset k's coordinates at each point, read back from the matrix that
-    coordinate_matrix packs, after checking that its transpose is what it
-    packs with transpose=True."""
-    bits = _assemble(ctx, points, layouts).bits()
+def _coords_by_layout(ctx, layouts):
+    """Coset k's coordinates at each point i of Z_n, read back from the
+    matrix that coordinate_matrix packs, after checking that its transpose
+    is what it packs with transpose=True (up to m = 14, where that square
+    grid of n x n bits is 32 MiB; 128 MiB at m = 15, 512 MiB at m = 16)."""
+    bits = _assemble(ctx, layouts).bits()
     widths = [len(lay.basis) for lay in layouts]
-    assert bits.shape == (len(points), sum(widths))
-    assert np.array_equal(_assemble(ctx, points, layouts, transpose=True).bits(), bits.T)
+    assert bits.shape == (ctx.n, sum(widths))
+    if ctx.m <= 14:
+        assert np.array_equal(_assemble(ctx, layouts, transpose=True).bits(), bits.T)
     return {
         k: (bits[:, c0 : c0 + w] @ (1 << np.arange(w))).tolist()
         for k, (c0, w) in enumerate(zip(accumulate(widths, initial=0), widths))
@@ -252,7 +256,7 @@ def _coords_by_layout(ctx, points, layouts):
 
 def _check_every_layout_in_use(ctx):
     layouts = _layouts_in_use(ctx)
-    columns = _coords_by_layout(ctx, range(ctx.n), layouts)
+    columns = _coords_by_layout(ctx, layouts)
     assert sorted(columns) == list(range(len(layouts)))
     for k, lay in enumerate(layouts):
         solver = LinearSolver(lay.basis)
@@ -279,10 +283,11 @@ def test_bulk_coords_match_sampled_solves_above_one_byte(m):
     part = alg.cyclotomic_cosets(ctx.n)
     layouts = [lay for tag in ALL_TAGS for lay in rng.sample(alg._layouts_for_tag(ctx, part, tag), 3)]
     points = [rng.randrange(ctx.n) for _ in range(64)]
-    columns = _coords_by_layout(ctx, points, layouts)
+    columns = _coords_by_layout(ctx, layouts)
     for k, lay in enumerate(layouts):
         solver = LinearSolver(lay.basis)
-        assert columns[k] == [solver.coords(ctx.exp[i * lay.rep % ctx.n]) for i in points], (m, lay)
+        got = [columns[k][i] for i in points]
+        assert got == [solver.coords(ctx.exp[i * lay.rep % ctx.n]) for i in points], (m, lay)
     basis = find_normal_basis(ctx, m)
     solver = LinearSolver(basis)
     xs = [rng.randrange(1 << m) for _ in range(256)]
@@ -296,7 +301,7 @@ def test_bulk_coords_reject_element_outside_span():
     residual = _mapped(not_gf4, ctx.exp[: ctx.n : 5]) >> 16
     assert (residual != 0).tolist() == [False, True, True]
     with pytest.raises(ArithmeticError, match=re.escape(f"a^5 is outside the span of {not_gf4}")):
-        _coords_by_layout(ctx, range(ctx.n), [alg.CosetLayout(5, (), not_gf4)])
+        _coords_by_layout(ctx, [alg.CosetLayout(5, (), not_gf4)])
 
 
 def test_bulk_coords_reject_basis_without_subfield(ctx3):
@@ -304,16 +309,16 @@ def test_bulk_coords_reject_basis_without_subfield(ctx3):
     # the powers of a coset's representative
     # (the first argument outside the span of (1, a) is a^2)
     with pytest.raises(ArithmeticError, match=re.escape(f"a^2 is outside the span of {(1, ctx3.exp[1])}")):
-        _coords_by_layout(ctx3, range(ctx3.n), [alg.CosetLayout(1, (), (1, ctx3.exp[1]))])
+        _coords_by_layout(ctx3, [alg.CosetLayout(1, (), (1, ctx3.exp[1]))])
 
 
 def test_bulk_coords_reject_column_outside_subfield():
     ctx = default_field(4)
     gf4 = (1, ctx.exp[5])
-    assert len(_coords_by_layout(ctx, range(ctx.n), [alg.CosetLayout(5, (), gf4)])[0]) == ctx.n
+    assert len(_coords_by_layout(ctx, [alg.CosetLayout(5, (), gf4)])[0]) == ctx.n
     # a^(i*1) leaves GF(4) for i not a multiple of 5
     with pytest.raises(ArithmeticError, match=re.escape(f"a^1 is outside the span of {gf4}")):
-        _coords_by_layout(ctx, range(ctx.n), [alg.CosetLayout(1, (), gf4)])
+        _coords_by_layout(ctx, [alg.CosetLayout(1, (), gf4)])
 
 
 def _reference_rows(ctx, plan):
@@ -394,13 +399,15 @@ def _chunk_budgets(ctx):
 @pytest.mark.parametrize("m", [3, 4, 7, 10])
 def test_chunk_edges_keep_every_matrix(m, monkeypatch):
     # each tag's matrix is the same whichever way the budget cuts its cosets
-    # into chunks, and it matches one solve per element
+    # into chunks, and it matches one solve per element.  Each chunked plan
+    # is built on a fresh field object, so no live plan lends it a matrix
+    # and every tag assembles its own under the budget
     ctx = default_field(m)
     plans = {tag: build(tag, ctx) for tag in ALL_TAGS}
     for budget in _chunk_budgets(ctx):
         monkeypatch.setattr(alg, "_GATHER", budget)
         for tag, plan in plans.items():
-            chunked = build(tag, ctx)
+            chunked = build(tag, default_field(m))
             assert matrix_of(chunked) == matrix_of(plan), (m, budget, tag)
             if m <= 7:
                 assert _built_rows(chunked) == _reference_rows(ctx, plan), (m, budget, tag)
@@ -481,32 +488,83 @@ def _stage_arrays(plan):
     return [s.packed if isinstance(s, BinaryMatrix) else s.entries for s in plan.stages]
 
 
-@pytest.mark.parametrize("m, poly", GOLDEN_FIELDS)
-def test_twin_built_from_its_live_partner_equals_a_cold_build(m, poly, monkeypatch):
-    # a plan built while its twin lives on the same field object is derived
-    # from the twin (goertzel is blahut2008 transposed, fed2006a is tf2003
-    # with A's rows in coset order) and equals the plan built alone; it
-    # assembles no matrix and shares no array with the twin
+def _counting_assemblies(monkeypatch):
+    """The argument lists of every coordinate_matrix call from now on."""
     assembled = []
     real = alg.coordinate_matrix
     monkeypatch.setattr(alg, "coordinate_matrix", lambda *args, **kw: assembled.append(args) or real(*args, **kw))
-    for pair in (("goertzel", "blahut2008"), ("tf2003", "fed2006a")):
-        for partner, tag in (pair, pair[::-1]):
-            alone = build(tag, build_field(FieldSpec(m, poly)))
-            ctx = build_field(FieldSpec(m, poly))
-            twin = build(partner, ctx)
-            assembled.clear()
-            derived = build(tag, ctx)
-            assert assembled == [], (partner, tag)
-            assert derived == alone and derived.tag == tag, (partner, tag)
-            assert (derived.in_perm, derived.out_perm) == (alone.in_perm, alone.out_perm), (partner, tag)
-            assert derived.partition == alone.partition and derived.partition is twin.partition, (partner, tag)
-            assert all(matrix_of(p).packed.strides[1] == 1 for p in (alone, twin, derived)), (partner, tag)
-            assert not any(np.shares_memory(x, y) for x in _stage_arrays(derived) for y in _stage_arrays(twin))
-            assert apply(derived, [int(j == 1) for j in range(ctx.n)]) == unit_response(1, ctx), (partner, tag)
-            # a live twin on another object of the same field leaves a build cold
-            build(tag, build_field(FieldSpec(m, poly)))
-            assert len(assembled) == 1, (partner, tag)
+    return assembled
+
+
+def _same_plan(plan, alone):
+    """plan equals alone, the same tag built on its own field object: every
+    field, so the permutations, D and the bits its binary matrix shows
+    (BinaryMatrix equality compares bits())."""
+    assert plan == alone and plan.tag == alone.tag
+    assert (plan.in_perm, plan.out_perm) == (alone.in_perm, alone.out_perm)
+    assert plan.stage(BlockStage) == alone.stage(BlockStage)
+    assert all(matrix_of(p).packed.strides[1] == 1 for p in (plan, alone))
+
+
+@pytest.mark.parametrize("m, poly", GOLDEN_FIELDS)
+def test_twin_built_from_its_live_partner_equals_a_cold_build(m, poly, monkeypatch):
+    # goertzel is blahut2008 transposed: a plan of the pair built while the
+    # other lives on the same field object is derived from it, equals the
+    # plan built alone, assembles no matrix and shares no array with it.
+    # tf2003, fed2006a and fed2006b are one matrix up to free permutations:
+    # built in any order on one field object, each equals its plan built
+    # alone, and all three hold one read-only packing, assembled once
+    assembled = _counting_assemblies(monkeypatch)
+    for partner, tag in (("goertzel", "blahut2008"), ("blahut2008", "goertzel")):
+        alone = build(tag, build_field(FieldSpec(m, poly)))
+        ctx = build_field(FieldSpec(m, poly))
+        twin = build(partner, ctx)
+        assembled.clear()
+        derived = build(tag, ctx)
+        assert assembled == [], (partner, tag)
+        _same_plan(derived, alone)
+        assert derived.partition == alone.partition and derived.partition is twin.partition, (partner, tag)
+        assert not any(np.shares_memory(x, y) for x in _stage_arrays(derived) for y in _stage_arrays(twin))
+        assert apply(derived, [int(j == 1) for j in range(ctx.n)]) == unit_response(1, ctx), (partner, tag)
+        # a live twin on another object of the same field leaves a build cold
+        build(tag, build_field(FieldSpec(m, poly)))
+        assert len(assembled) == 1, (partner, tag)
+    alone = {tag: build(tag, build_field(FieldSpec(m, poly))) for tag in _NORMAL}
+    for order in permutations(_NORMAL):
+        ctx = build_field(FieldSpec(m, poly))
+        assembled.clear()
+        plans = [build(tag, ctx) for tag in order]
+        assert len(assembled) == 1, order
+        packed = matrix_of(plans[0]).packed
+        for plan in plans:
+            _same_plan(plan, alone[plan.tag])
+            assert matrix_of(plan).packed is packed and plan.partition is plans[0].partition, order
+            assert apply(plan, [int(j == 1) for j in range(ctx.n)]) == unit_response(1, ctx), order
+        with pytest.raises(ValueError, match="read-only"):
+            packed[0, 0] ^= 1
+
+
+@pytest.mark.parametrize("m, poly", GOLDEN_FIELDS)
+def test_fed2006_is_tf2003_up_to_free_permutations(m, poly):
+    # each fed2006 plan, built alone, shows a cold tf2003's binary matrix
+    # with its rows in out_perm and its columns in some order sigma, found
+    # here by matching the columns (no column repeats), not from layouts:
+    # sigma is the identity for fed2006a and, within each coset, a rotation
+    # by one or by none for fed2006b
+    tf = matrix_of(build_tf2003(build_field(FieldSpec(m, poly)))).bits()
+    for variant in "ab":
+        plan = build_fed2006(build_field(FieldSpec(m, poly)), variant)
+        rows = tf[list(plan.out_perm)]
+        column = {c.tobytes(): j for j, c in enumerate(np.packbits(rows, axis=0).T)}
+        assert len(column) == plan.ctx.n
+        sigma = np.array([column[c.tobytes()] for c in np.packbits(matrix_of(plan).bits(), axis=0).T])
+        assert np.array_equal(matrix_of(plan).bits(), rows[:, sigma])
+        if variant == "a":
+            assert np.array_equal(sigma, np.arange(plan.ctx.n))
+            continue
+        for c0, d in zip(accumulate(plan.partition.sizes(), initial=0), plan.partition.sizes()):
+            turn = (sigma[c0] - c0) % d
+            assert turn in (0, 1) and np.array_equal(sigma[c0 : c0 + d], c0 + (np.arange(d) + turn) % d), (c0, d)
 
 
 def test_tf2003_change_of_basis_identity(ctx3):
@@ -1060,13 +1118,14 @@ def test_fed2006_blocks_are_circulants(m, variant):
 
 def test_block_report_flags_one_flipped_bit():
     # one bit of A flipped inside a 4 x 4 circulant: its pair alone loses
-    # both flags, every other pair reads as before
+    # both flags, every other pair reads as before.  The broken stage is
+    # built from the rows A shows, which are not the stored ones
     plan = build_fed2006(default_field(4), "a")
     a = matrix_of(plan)
     r, c = 6, 2  # second row of coset {3, 6, 12, 9}, a column of coset {1, 2, 4, 8}
-    packed = a.packed.copy()
-    packed[c // 8, r] ^= 1 << (c % 8)
-    broken = dataclasses.replace(plan, stages=(plan.stages[0], BinaryMatrix(packed, a.cols)))
+    rows = a.rows
+    rows[r] ^= 1 << c
+    broken = dataclasses.replace(plan, stages=(plan.stages[0], BinaryMatrix.from_rows(rows, a.cols)))
     before, after = coset_block_report(plan), coset_block_report(broken)
     leaders = [c.leader for c in plan.partition.cosets]
     for x, y in zip(before, after):

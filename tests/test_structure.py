@@ -13,6 +13,7 @@ from gfft.structure import (
     doubling_orbit,
     find_normal_basis,
     minimal_polynomial,
+    transpose_matrix,
 )
 
 from m3_worked_example import COSETS, MIN_POLYS
@@ -239,6 +240,39 @@ def test_packed_matrix_equals_int_rows(cols):
 def test_packed_matrix_rejects_malformed(packed, cols, match):
     with pytest.raises(ValueError, match=match):
         BinaryMatrix(packed, cols)
+
+
+def test_binary_matrix_shows_its_stored_entries_in_order():
+    # entry (r, c) is stored entry (order[0][r], order[1][c]) for every
+    # reader: bits in both forms, rows, equality and the transpose
+    stored = BinaryMatrix.from_rows([0b0011, 0b0101, 0b1001], 4)
+    rows, cols = [2, 0, 1], [3, 0, 1, 2]
+    shown = BinaryMatrix(stored.packed, 4, (rows, cols))
+    want = stored.bits()[np.ix_(rows, cols)]
+    assert shown.bits().tolist() == want.tolist() == [[1, 1, 0, 0], [0, 1, 1, 0], [0, 1, 0, 1]]
+    assert shown.bits(transpose=True).tolist() == want.T.tolist()
+    assert shown.rows == [0b0011, 0b0110, 0b1010]
+    assert shown == BinaryMatrix.from_rows(shown.rows, 4) and shown != stored
+    assert transpose_matrix(shown, 64).bits().tolist() == want.T.tolist()
+    assert np.shares_memory(shown.packed, stored.packed)
+    with pytest.raises(ValueError, match="read-only"):
+        shown.packed[0, 0] = 1
+
+
+@pytest.mark.parametrize(
+    "order, match",
+    [
+        (([0, 0, 1], None), "row order"),
+        (([0, 1], None), "row order"),
+        ((None, [0, 1, 2, 4]), "column order"),
+        ((None, [[0, 1], [2, 3]]), "column order"),
+        (([0.0, 1.0, 2.0], None), "row order"),
+        (([0, 1, 2],), "zip"),
+    ],
+)
+def test_binary_matrix_rejects_an_order_that_is_not_a_permutation(order, match):
+    with pytest.raises(ValueError, match=match):
+        BinaryMatrix(np.zeros((1, 3), dtype=np.uint8), 4, order)
 
 
 def test_int_rows_must_fit_the_columns():
