@@ -331,12 +331,12 @@ def _assemble(ctx: FieldContext, partition: CosetPartition, tag: str, live: dict
     reps, bases = [lay.rep for lay in layouts], [lay.basis for lay in layouts]
     d = _d_blocks(ctx, bases)
     if tag not in _NORMAL:
-        matrix = coordinate_matrix(ctx, reps, bases, _GATHER, transpose=tag == GOERTZEL)
+        matrix = coordinate_matrix(ctx, range(n), reps, bases, _GATHER, transpose=tag == GOERTZEL)
     else:
         packed = next((live[t].stage(BinaryMatrix).packed for t in _NORMAL if t in live), None)
         if packed is None:  # tf2003's bases: fed2006b's turned back by one
             stored = [b[-1:] + b[:-1] for b in bases] if tag == FED2006B else bases
-            packed = coordinate_matrix(ctx, [c.leader for c in partition.cosets], stored, _GATHER).packed
+            packed = coordinate_matrix(ctx, range(n), [c.leader for c in partition.cosets], stored, _GATHER).packed
         cols = None
         if tag == FED2006B:  # column c0 + t shows c0 + (t + 1 - r) mod d
             r = np.array([c.elements.index(rep) for c, rep in zip(partition.cosets, reps)])[:, None]
@@ -378,12 +378,19 @@ def build_fed2006(ctx: FieldContext, variant: str = "a") -> Plan:
 
 
 def build(tag: str, ctx: FieldContext) -> Plan:
-    if tag in (FED2006A, FED2006B):
-        return build_fed2006(ctx, "b" if tag == FED2006B else "a")
-    by_tag = {GOERTZEL: build_goertzel, BLAHUT2008: build_blahut2008, FT2002: build_ft2002, TF2003: build_tf2003}
-    if tag not in by_tag:
-        raise ValueError(f"unknown algorithm tag {tag!r}")
-    return by_tag[tag](ctx)
+    if tag == GOERTZEL:
+        return build_goertzel(ctx)
+    if tag == BLAHUT2008:
+        return build_blahut2008(ctx)
+    if tag == FT2002:
+        return build_ft2002(ctx)
+    if tag == TF2003:
+        return build_tf2003(ctx)
+    if tag == FED2006A:
+        return build_fed2006(ctx, "a")
+    if tag == FED2006B:
+        return build_fed2006(ctx, "b")
+    raise ValueError(f"unknown algorithm tag {tag!r}")
 
 
 # ---------------------------------------------------------------------------

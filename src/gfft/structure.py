@@ -284,11 +284,11 @@ class BinaryMatrix:
         return out if second is None else out.take(second, axis=1)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, BinaryMatrix)
-            and self.cols == other.cols
-            and np.array_equal(self.bits(), other.bits())
-        )
+        if not isinstance(other, BinaryMatrix) or self.cols != other.cols:
+            return False
+        if all(a is b or np.array_equal(a, b) for a, b in zip(self.order, other.order)):
+            return np.array_equal(self.packed, other.packed)  # one order maps both the same way
+        return np.array_equal(self.bits(), other.bits())
 
     def __repr__(self) -> str:
         return f"BinaryMatrix({self.n_rows}x{self.cols})"
@@ -395,15 +395,15 @@ def transpose_matrix(matrix: BinaryMatrix, budget: int) -> BinaryMatrix:
 
 
 def coordinate_matrix(
-    ctx: FieldContext, reps: Sequence[int], bases: Sequence[tuple[int, ...]], budget: int, transpose: bool = False
+    ctx: FieldContext, points, reps: Sequence[int], bases: Sequence[tuple[int, ...]], budget: int, transpose: bool = False
 ) -> BinaryMatrix:
-    """The matrix of n rows whose row i holds the coordinates of
-    a^(i * reps[k]) in bases[k], coset k beside coset k - 1 from the lowest
-    bits; with transpose, its transpose.  A chunk holds as many cosets as
-    give budget elements of points x cosets, and at least one.
+    """The matrix of len(points) rows whose row r holds the coordinates of
+    a^(points[r] * reps[k]) in bases[k], coset k beside coset k - 1 from the
+    lowest bits; with transpose, its transpose.  A chunk holds as many
+    cosets as give budget elements of points x cosets, and at least one.
     ArithmeticError, naming the exponent and the basis, if an argument lies
     outside its basis's span."""
-    n, rows, l = ctx.n, ctx.n, len(bases)
+    n, rows, l = ctx.n, len(points), len(bases)
     widths = np.array([len(b) for b in bases])
     ends = np.cumsum(widths)
     starts, cols = ends - widths, int(ends[-1])
@@ -421,7 +421,7 @@ def coordinate_matrix(
     pair_rank = np.arange(len(pair_group)) - (np.cumsum(in_group) - in_group)[pair_group]
     shifts = (starts % 8).astype(np.uint32)[:, None]
     reps = np.array(reps, dtype=np.uint32)[:, None]
-    points = np.arange(n, dtype=np.uint32)  # points * rep < n^2 < 2^(2m) <= 2^32
+    points = np.asarray(points, dtype=np.uint32)  # points * rep < n^2 < 2^(2m) <= 2^32
 
     ids: dict[tuple[int, ...], int] = {}
     basis_of = np.array([ids.setdefault(b, len(ids)) for b in bases])
@@ -460,7 +460,7 @@ def coordinate_matrix(
         c = np.take(maps.reshape(-1), index, out=e)
         if c.max() >> 16:  # a residual is set
             k, r = divmod(int(np.flatnonzero(c >> 16)[0]), rows)
-            exponent = r * int(reps[k0 + k, 0]) % n
+            exponent = int(points[r]) * int(reps[k0 + k, 0]) % n
             raise ArithmeticError(f"a^{exponent} is outside the span of {bases[k0 + k]}")
         c <<= shifts[k0:k1]
         by_byte = c.astype("<u4", copy=False).view(np.uint8).reshape(k1 - k0, rows, 4)

@@ -233,21 +233,19 @@ def _mapped(basis, xs):
     return table[0, xs & 255] ^ table[1, xs >> 8]
 
 
-def _assemble(ctx, layouts, transpose=False):
+def _assemble(ctx, points, layouts, transpose=False):
     reps, bases = [lay.rep for lay in layouts], [lay.basis for lay in layouts]
-    return structure.coordinate_matrix(ctx, reps, bases, alg._GATHER, transpose)
+    return structure.coordinate_matrix(ctx, points, reps, bases, alg._GATHER, transpose)
 
 
-def _coords_by_layout(ctx, layouts):
-    """Coset k's coordinates at each point i of Z_n, read back from the
-    matrix that coordinate_matrix packs, after checking that its transpose
-    is what it packs with transpose=True (up to m = 14, where that square
-    grid of n x n bits is 32 MiB; 128 MiB at m = 15, 512 MiB at m = 16)."""
-    bits = _assemble(ctx, layouts).bits()
+def _coords_by_layout(ctx, points, layouts):
+    """Coset k's coordinates at each point, read back from the matrix that
+    coordinate_matrix packs, after checking that its transpose is what it
+    packs with transpose=True."""
+    bits = _assemble(ctx, points, layouts).bits()
     widths = [len(lay.basis) for lay in layouts]
-    assert bits.shape == (ctx.n, sum(widths))
-    if ctx.m <= 14:
-        assert np.array_equal(_assemble(ctx, layouts, transpose=True).bits(), bits.T)
+    assert bits.shape == (len(points), sum(widths))
+    assert np.array_equal(_assemble(ctx, points, layouts, transpose=True).bits(), bits.T)
     return {
         k: (bits[:, c0 : c0 + w] @ (1 << np.arange(w))).tolist()
         for k, (c0, w) in enumerate(zip(accumulate(widths, initial=0), widths))
@@ -256,7 +254,7 @@ def _coords_by_layout(ctx, layouts):
 
 def _check_every_layout_in_use(ctx):
     layouts = _layouts_in_use(ctx)
-    columns = _coords_by_layout(ctx, layouts)
+    columns = _coords_by_layout(ctx, range(ctx.n), layouts)
     assert sorted(columns) == list(range(len(layouts)))
     for k, lay in enumerate(layouts):
         solver = LinearSolver(lay.basis)
@@ -283,11 +281,10 @@ def test_bulk_coords_match_sampled_solves_above_one_byte(m):
     part = alg.cyclotomic_cosets(ctx.n)
     layouts = [lay for tag in ALL_TAGS for lay in rng.sample(alg._layouts_for_tag(ctx, part, tag), 3)]
     points = [rng.randrange(ctx.n) for _ in range(64)]
-    columns = _coords_by_layout(ctx, layouts)
+    columns = _coords_by_layout(ctx, points, layouts)
     for k, lay in enumerate(layouts):
         solver = LinearSolver(lay.basis)
-        got = [columns[k][i] for i in points]
-        assert got == [solver.coords(ctx.exp[i * lay.rep % ctx.n]) for i in points], (m, lay)
+        assert columns[k] == [solver.coords(ctx.exp[i * lay.rep % ctx.n]) for i in points], (m, lay)
     basis = find_normal_basis(ctx, m)
     solver = LinearSolver(basis)
     xs = [rng.randrange(1 << m) for _ in range(256)]
@@ -301,7 +298,7 @@ def test_bulk_coords_reject_element_outside_span():
     residual = _mapped(not_gf4, ctx.exp[: ctx.n : 5]) >> 16
     assert (residual != 0).tolist() == [False, True, True]
     with pytest.raises(ArithmeticError, match=re.escape(f"a^5 is outside the span of {not_gf4}")):
-        _coords_by_layout(ctx, [alg.CosetLayout(5, (), not_gf4)])
+        _coords_by_layout(ctx, range(ctx.n), [alg.CosetLayout(5, (), not_gf4)])
 
 
 def test_bulk_coords_reject_basis_without_subfield(ctx3):
@@ -309,16 +306,16 @@ def test_bulk_coords_reject_basis_without_subfield(ctx3):
     # the powers of a coset's representative
     # (the first argument outside the span of (1, a) is a^2)
     with pytest.raises(ArithmeticError, match=re.escape(f"a^2 is outside the span of {(1, ctx3.exp[1])}")):
-        _coords_by_layout(ctx3, [alg.CosetLayout(1, (), (1, ctx3.exp[1]))])
+        _coords_by_layout(ctx3, range(ctx3.n), [alg.CosetLayout(1, (), (1, ctx3.exp[1]))])
 
 
 def test_bulk_coords_reject_column_outside_subfield():
     ctx = default_field(4)
     gf4 = (1, ctx.exp[5])
-    assert len(_coords_by_layout(ctx, [alg.CosetLayout(5, (), gf4)])[0]) == ctx.n
+    assert len(_coords_by_layout(ctx, range(ctx.n), [alg.CosetLayout(5, (), gf4)])[0]) == ctx.n
     # a^(i*1) leaves GF(4) for i not a multiple of 5
     with pytest.raises(ArithmeticError, match=re.escape(f"a^1 is outside the span of {gf4}")):
-        _coords_by_layout(ctx, [alg.CosetLayout(1, (), gf4)])
+        _coords_by_layout(ctx, range(ctx.n), [alg.CosetLayout(1, (), gf4)])
 
 
 def _reference_rows(ctx, plan):

@@ -253,6 +253,10 @@ def test_binary_matrix_shows_its_stored_entries_in_order():
     assert shown.bits(transpose=True).tolist() == want.T.tolist()
     assert shown.rows == [0b0011, 0b0110, 0b1010]
     assert shown == BinaryMatrix.from_rows(shown.rows, 4) and shown != stored
+    # under one order, equality is that of the packings
+    flipped = BinaryMatrix.from_rows([0b0011, 0b0101, 0b1000], 4)
+    assert shown == BinaryMatrix(stored.packed.copy(), 4, (np.array(rows), cols))
+    assert shown != BinaryMatrix(flipped.packed, 4, (rows, cols))
     assert transpose_matrix(shown, 64).bits().tolist() == want.T.tolist()
     assert np.shares_memory(shown.packed, stored.packed)
     with pytest.raises(ValueError, match="read-only"):
