@@ -104,7 +104,8 @@ class BlockStage:
 
     def __init__(self, entries: np.ndarray, sizes: Sequence[int]):
         """ValueError unless entries is a (len(sizes), w, w) uint16 array, w
-        the largest size, that is 0 past each block's size."""
+        the largest size, that is 0 past each block's size.  Marks entries
+        read-only, as plans share them."""
         sizes = tuple(map(int, sizes))
         w = max(sizes, default=0)
         if getattr(entries, "dtype", None) != np.uint16 or np.shape(entries) != (len(sizes), w, w):
@@ -112,8 +113,13 @@ class BlockStage:
         real = _within(sizes, w)
         if entries[~(real[:, :, None] & real[:, None, :])].any():
             raise ValueError("entries set past a block's size")
+        entries.flags.writeable = False
         self.entries = entries
         self.sizes = sizes
+
+    def __reduce__(self):
+        """Copies and pickles go through __init__: checked and read-only."""
+        return BlockStage, (self.entries, self.sizes)
 
     def rows(self, k: int) -> tuple[tuple[int, ...], ...]:
         """Block k as Python ints, row-major."""
@@ -279,17 +285,21 @@ def _d_blocks(ctx: FieldContext, bases: Sequence[tuple[int, ...]]) -> BlockStage
 # coset order.  Squaring rotates normal-basis coordinates by one, and
 # fed2006b's basis is tf2003's rotated by one, on rep = leader 2^r; so its
 # column c0 + t of a coset of size d, coordinate t + 1 of a^(i rep) in
-# tf2003's basis, is tf2003's column c0 + (t + 1 - r) mod d.  A
-# normal-basis build computes its own layouts, D and permutations and
-# takes the packing of any of the three alive on ctx, else assembles
-# tf2003's from its own layouts (fed2006b's bases turned back by one, on
-# the leaders), so a cold build finds its normal bases once.  The first
-# plan built on a field lends its coset partition to the rest.  _live
-# finds them: it holds plans weakly, so it keeps none alive, and a live
-# plan holds its ctx, so the id in a live key names that ctx alone.  It is
-# keyed by the object, not the field, so a fresh build_field builds cold.
-# A derived goertzel or blahut2008 shares no array with its twin; the
-# shared packing is read-only, and no plan writes its stages.
+# tf2003's basis, is tf2003's column c0 + (t + 1 - r) mod d.  So the three
+# build from one core, tf2003's D, coset order (in_perm) and packing: by
+# reference from a live tf2003 or fed2006a, else from tf2003's layouts,
+# with the packing of a live fed2006b or assembled, so a cold build finds
+# its normal bases once and a warm one not at all.  tf2003 and fed2006a
+# hold the core as it is; fed2006b turns it by index arithmetic (its D's
+# row t is the core's row t + 1 mod d).  At m = 8 on a 2-CPU host a warm
+# fed2006a builds in 0.04-0.05 ms and a warm fed2006b in 0.19 ms, where
+# computing their own layouts and D took 0.26-0.28 and 0.30-0.32 ms.  The
+# first plan built on a field lends its coset partition to the rest.
+# _live finds them: it holds plans weakly, so it keeps none alive, and a
+# live plan holds its ctx, so the id in a live key names that ctx alone.
+# It is keyed by the object, not the field, so a fresh build_field builds
+# cold.  A derived goertzel or blahut2008 shares no array with its twin;
+# the shared packing and D are read-only, and no plan writes its stages.
 # ---------------------------------------------------------------------------
 
 
@@ -323,29 +333,43 @@ def _assemble(ctx: FieldContext, partition: CosetPartition, tag: str, live: dict
     row r of A holds the coordinates of a^(out_perm[r] * rep) in each coset's
     basis.  fed2006a/b keep the output in coset order too.  goertzel is
     blahut2008 transposed: W is symmetric, so it equals D^T A^T as well,
-    with the two permutations swapped; A^T is the remainder matrix R."""
-    n = ctx.n
-    layouts = _layouts_for_tag(ctx, partition, tag)
-    coset_order = tuple(i for lay in layouts for i in lay.elements)
-    out_perm = coset_order if tag in (FED2006A, FED2006B) else tuple(range(n))
-    reps, bases = [lay.rep for lay in layouts], [lay.basis for lay in layouts]
-    d = _d_blocks(ctx, bases)
-    if tag not in _NORMAL:
-        matrix = coordinate_matrix(ctx, range(n), reps, bases, _GATHER, transpose=tag == GOERTZEL)
+    with the two permutations swapped; A^T is the remainder matrix R.  The
+    normal-basis tags start from tf2003's D, coset order and A."""
+    n, normal = ctx.n, tag in _NORMAL
+    core = next((live[t] for t in (TF2003, FED2006A) if t in live), None) if normal else None
+    if core is not None:
+        d, coset_order, matrix = core.stage(BlockStage), core.in_perm, core.stage(BinaryMatrix)
     else:
-        packed = next((live[t].stage(BinaryMatrix).packed for t in _NORMAL if t in live), None)
-        if packed is None:  # tf2003's bases: fed2006b's turned back by one
-            stored = [b[-1:] + b[:-1] for b in bases] if tag == FED2006B else bases
-            packed = coordinate_matrix(ctx, range(n), [c.leader for c in partition.cosets], stored, _GATHER).packed
-        cols = None
-        if tag == FED2006B:  # column c0 + t shows c0 + (t + 1 - r) mod d
-            r = np.array([c.elements.index(rep) for c, rep in zip(partition.cosets, reps)])[:, None]
-            pos, keep = d.grid()  # pos[k, t] = c0 + t
-            cols = ((pos - pos[:, :1] + 1 - r) % np.array(d.sizes)[:, None] + pos[:, :1]).ravel()[keep]
-        matrix = BinaryMatrix(packed, n, (None if tag == TF2003 else out_perm, cols))
+        layouts = _layouts_for_tag(ctx, partition, TF2003 if normal else tag)
+        coset_order = tuple(i for lay in layouts for i in lay.elements)
+        reps, bases = [lay.rep for lay in layouts], [lay.basis for lay in layouts]
+        d = _d_blocks(ctx, bases)
+        if normal and FED2006B in live:
+            matrix = live[FED2006B].stage(BinaryMatrix)
+        else:
+            matrix = coordinate_matrix(ctx, range(n), reps, bases, _GATHER, transpose=tag == GOERTZEL)
     if tag == GOERTZEL:
         stages = (matrix, BlockStage(d.entries.swapaxes(1, 2), d.sizes))
-        return Plan(tag, ctx, partition, out_perm, stages, coset_order)
+        return Plan(tag, ctx, partition, tuple(range(n)), stages, coset_order)
+    cols = None
+    if tag == FED2006B:
+        # tf2003's bases turned by one: row t of a block of D is tf2003's
+        # row t + 1 mod d, and the coset of each basis's new first element
+        # starts there, at leader 2^r, so its position c0 + t holds
+        # tf2003's c0 + (t + r) mod d and its column shows c0 + (t + 1 - r)
+        size, t = np.array(d.sizes)[:, None], np.arange(d.entries.shape[1])
+        d = BlockStage(d.entries[np.arange(len(size))[:, None], np.where(t < size, (t + 1) % size, t)], d.sizes)
+        pos, keep = d.grid()  # pos[k, t] = c0 + t
+        c0, r = pos[:, :1], np.zeros_like(size)
+        for first in set(d.entries[:, 0, 0].tolist()):  # np.unique's first call costs 1.7 MiB (numpy 2.4)
+            p = coset_order.index(ctx.log[first])
+            k = np.count_nonzero(c0 <= p) - 1
+            r[k] = p - c0[k]
+        at, cols = ((pos - c0 + np.array([r, 1 - r])) % size + c0).reshape(2, -1)[:, keep]
+        coset_order = tuple(np.take(coset_order, at).tolist())
+    out_perm = coset_order if tag in (FED2006A, FED2006B) else tuple(range(n))
+    if normal:
+        matrix = BinaryMatrix(matrix.packed, n, (None if tag == TF2003 else out_perm, cols))
     return Plan(tag, ctx, partition, coset_order, (d, matrix), out_perm)
 
 

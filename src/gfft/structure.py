@@ -243,6 +243,10 @@ class BinaryMatrix:
         self.packed = packed
         self.cols = cols
 
+    def __reduce__(self):
+        """Copies and pickles go through __init__: checked and read-only."""
+        return BinaryMatrix, (self.packed, self.cols, self.order)
+
     @classmethod
     def from_rows(cls, rows: Sequence[int], cols: int) -> "BinaryMatrix":
         """Row i from an int with bit j = entry (i, j)."""

@@ -485,12 +485,12 @@ def _stage_arrays(plan):
     return [s.packed if isinstance(s, BinaryMatrix) else s.entries for s in plan.stages]
 
 
-def _counting_assemblies(monkeypatch):
-    """The argument lists of every coordinate_matrix call from now on."""
-    assembled = []
-    real = alg.coordinate_matrix
-    monkeypatch.setattr(alg, "coordinate_matrix", lambda *args, **kw: assembled.append(args) or real(*args, **kw))
-    return assembled
+def _counting_calls(monkeypatch, name):
+    """The argument lists of every call of alg's function name from now on."""
+    calls = []
+    real = getattr(alg, name)
+    monkeypatch.setattr(alg, name, lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    return calls
 
 
 def _same_plan(plan, alone):
@@ -510,8 +510,11 @@ def test_twin_built_from_its_live_partner_equals_a_cold_build(m, poly, monkeypat
     # plan built alone, assembles no matrix and shares no array with it.
     # tf2003, fed2006a and fed2006b are one matrix up to free permutations:
     # built in any order on one field object, each equals its plan built
-    # alone, and all three hold one read-only packing, assembled once
-    assembled = _counting_assemblies(monkeypatch)
+    # alone, and all three hold one read-only packing, assembled once.  A
+    # build while tf2003 or fed2006a lives takes their D, coset order and
+    # packing, which the two hold as one object each, and looks up no
+    # layout, normal basis or D
+    assembled = _counting_calls(monkeypatch, "coordinate_matrix")
     for partner, tag in (("goertzel", "blahut2008"), ("blahut2008", "goertzel")):
         alone = build(tag, build_field(FieldSpec(m, poly)))
         ctx = build_field(FieldSpec(m, poly))
@@ -527,18 +530,33 @@ def test_twin_built_from_its_live_partner_equals_a_cold_build(m, poly, monkeypat
         build(tag, build_field(FieldSpec(m, poly)))
         assert len(assembled) == 1, (partner, tag)
     alone = {tag: build(tag, build_field(FieldSpec(m, poly))) for tag in _NORMAL}
+    looked_up = [_counting_calls(monkeypatch, name) for name in ("_layouts_for_tag", "find_normal_basis", "_d_blocks")]
     for order in permutations(_NORMAL):
         ctx = build_field(FieldSpec(m, poly))
         assembled.clear()
-        plans = [build(tag, ctx) for tag in order]
+        plans = []
+        for tag in order:
+            warm = {"tf2003", "fed2006a"} & {p.tag for p in plans}
+            for calls in looked_up:
+                calls.clear()
+            before = len(assembled)
+            plans.append(build(tag, ctx))
+            if warm:
+                assert looked_up == [[], [], []] and len(assembled) == before, (order, tag)
+            else:  # the patches see a cold build's lookups
+                assert all(looked_up), (order, tag)
         assert len(assembled) == 1, order
         packed = matrix_of(plans[0]).packed
         for plan in plans:
             _same_plan(plan, alone[plan.tag])
             assert matrix_of(plan).packed is packed and plan.partition is plans[0].partition, order
             assert apply(plan, [int(j == 1) for j in range(ctx.n)]) == unit_response(1, ctx), order
+        tf, fed_a = (next(p for p in plans if p.tag == tag) for tag in ("tf2003", "fed2006a"))
+        assert tf.stage(BlockStage) is fed_a.stage(BlockStage) and tf.in_perm is fed_a.in_perm, order
         with pytest.raises(ValueError, match="read-only"):
             packed[0, 0] ^= 1
+        with pytest.raises(ValueError, match="read-only"):
+            tf.stage(BlockStage).entries[0, 0, 0] ^= 1
 
 
 @pytest.mark.parametrize("m, poly", GOLDEN_FIELDS)
@@ -925,7 +943,9 @@ def test_counts_reuse_the_built_plan(monkeypatch):
         alg.stage2_naive_adds(plan)
         alg.structural_stage1_counts(plan)
     assert calls == []
-    build("fed2006b", ctx)  # no twin: tf2003 would come from the live fed2006a
+    build("fed2006b", ctx)  # warm: tf2003's bases come with the live tf2003
+    assert calls == []
+    build("fed2006b", default_field(6))  # cold, on a fresh field object
     assert calls  # the patch sees a build's lookups
 
 
@@ -944,6 +964,12 @@ def test_cached_kernels_leave_plan_fields_and_equality(ctx3):
         assert not cached & vars(copied).keys(), tag
         assert copied.ctx is not ctx3 and copied == used, tag
         assert apply(copied, [1] * 7) == apply(used, [1] * 7), tag
+        # stages are read-only, and a copy's stages are built through __init__ again
+        for plan in (used, copied, copy.deepcopy(used)):
+            assert not plan.stage(BinaryMatrix).packed.flags.writeable, tag
+            assert not plan.stage(BlockStage).entries.flags.writeable, tag
+        with pytest.raises(ValueError, match="read-only"):
+            used.stage(BlockStage).entries[0, 0, 0] = 2
 
 
 def test_fresh_plan_shared_across_threads():
@@ -1062,9 +1088,10 @@ def test_batch_rejects_bad_input(ctx3, bad):
 def test_normal_basis_must_be_conjugate_sequence(ctx3, monkeypatch):
     b0, b1, b2 = find_normal_basis(ctx3, 3)
     monkeypatch.setattr(alg, "find_normal_basis", lambda ctx, d: (b0, b2, b1))
-    for tag in ("tf2003", "fed2006a"):
+    for tag in _NORMAL:
+        # a fresh field object, so no live tf2003 or fed2006a lends its bases
         with pytest.raises(ArithmeticError, match="conjugate"):
-            build(tag, ctx3)
+            build(tag, default_field(3))
 
 
 # ---------------------------------------------------------------------------
