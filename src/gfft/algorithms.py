@@ -18,7 +18,7 @@ and whether the plan is transposed:
               (V blocks, then the combine matrix)
   ft2002      the same, but the standard basis on the cosets of size m
   tf2003      normal bases: D's blocks are circulant
-  fed2006a/b  normal (b: shifted) bases, output in coset order too
+  fed2006a/b  normal bases (b: turned by one), output in coset order too
   goertzel    blahut2008 transposed, which computes the same transform
               since W is symmetric: binary R (f mod each minimal
               polynomial), then evaluation blocks; output in coset order
@@ -51,7 +51,6 @@ from .structure import (
     coordinate_matrix,
     coordinate_tables,
     cyclotomic_cosets,
-    doubling_orbit,
     find_normal_basis,
     transpose_matrix,
 )
@@ -189,65 +188,39 @@ class Plan:
 
 
 # ---------------------------------------------------------------------------
-# Coset layouts: representative, doubling order and column basis per coset.
-# A layout's basis fixes both of its stages: the D block and the binary
-# matrix's column group of the coset.
+# Coset bases: one basis per coset fixes both of its stages, the D block and
+# the binary matrix's column group of the coset.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CosetLayout:
-    rep: int
-    elements: tuple[int, ...]  # doubling order from rep
-    basis: tuple[int, ...]  # column basis for the binary-stage expansion
-
-
-def _normal_bases(ctx: FieldContext, partition: CosetPartition, shifted: bool) -> dict[int, tuple[int, ...]]:
-    """One normal basis per occurring coset size; shifted rotates it by one,
-    so it starts at the generator squared."""
+def _normal_bases(ctx: FieldContext, partition: CosetPartition) -> dict[int, tuple[int, ...]]:
+    """One normal basis per occurring coset size, a conjugate sequence that
+    starts at its generator."""
     bases: dict[int, tuple[int, ...]] = {}
     for size in sorted(set(partition.sizes())):
         nb = find_normal_basis(ctx, size)
-        if shifted:
-            nb = nb[1:] + nb[:1]
         if any(ctx.mul(b, b) != nb[(j + 1) % size] for j, b in enumerate(nb)):
             raise ArithmeticError(f"normal basis of size {size} is not a conjugate sequence")
         bases[size] = nb
     return bases
 
 
-def _layouts_for_tag(ctx: FieldContext, partition: CosetPartition, tag: str) -> list[CosetLayout]:
-    """The basis of the coset with leader s and size d, per tag:
+def _bases_for_tag(ctx: FieldContext, partition: CosetPartition, tag: str) -> list[tuple[int, ...]]:
+    """The basis of each coset of the partition, leader s and size d, in the
+    tag's family; the coset's representative is its leader:
 
       goertzel, blahut2008  the power basis (1, b, ..., b^(d-1)), b = a^s
       ft2002                the same, but the standard basis when d = m
-      tf2003, fed2006a      the normal basis of GF(2^d)
-      fed2006b              the shifted normal basis; the coset holding its
-                            generator's exponent starts at that exponent
+      tf2003, fed2006a/b    the normal basis of GF(2^d) (fed2006b shows
+                            it turned by one; see _assemble)
     """
     if tag not in ALL_TAGS:
         raise ValueError(f"unknown algorithm tag {tag!r}")
     n, m = ctx.n, ctx.m
-    normal: dict[int, tuple[int, ...]] = {}
-    rep_override: dict[int, int] = {}
-    if tag in _NORMAL:
-        normal = _normal_bases(ctx, partition, shifted=tag == FED2006B)
-    if tag == FED2006B:
-        # keeps the identity sub-block aligned with the shifted basis
-        logs = (ctx.log[nb[0]] for nb in normal.values() if len(nb) > 1)
-        rep_override = {min(doubling_orbit(lg, n)): lg for lg in logs}
-    out = []
-    for coset in partition.cosets:
-        d, rep = coset.size, rep_override.get(coset.leader, coset.leader)
-        if normal:
-            basis = normal[d]
-        elif tag == FT2002 and d == m:
-            basis = tuple(1 << t for t in range(m))
-        else:
-            basis = tuple(ctx.exp[(rep * t) % n] for t in range(d))
-        elements = coset.elements if rep == coset.leader else doubling_orbit(rep, n)
-        out.append(CosetLayout(rep, elements, basis))
-    return out
+    by_size = _normal_bases(ctx, partition) if tag in _NORMAL else {}
+    if tag == FT2002:
+        by_size = {m: tuple(1 << t for t in range(m))}
+    return [by_size.get(c.size) or tuple(ctx.exp[(c.leader * t) % n] for t in range(c.size)) for c in partition.cosets]
 
 
 def _d_blocks(ctx: FieldContext, bases: Sequence[tuple[int, ...]]) -> BlockStage:
@@ -274,58 +247,48 @@ def _d_blocks(ctx: FieldContext, bases: Sequence[tuple[int, ...]]) -> BlockStage
 # one, so one coset at a time from m = 15 on; R, the transpose, is packed as
 # the combine matrix is and transposed in place.
 #
-# Two relations of the paper make plans one matrix read two ways.  goertzel
-# is blahut2008 transposed, so a build whose twin is alive on the same
-# FieldContext object derives its plan from the twin's: one copy of the
-# packing into a grid and the same in-place transpose, about 0.5 ms at
-# m = 11 against 3.3-6 ms to assemble.  fed2006a and fed2006b are tf2003
-# up to free permutations, so the three keep one packing per ctx: tf2003's
-# A, rows in natural order, which each shows in its own row and column
-# orders (BinaryMatrix.order).  fed2006a/b show its rows in out_perm, the
-# coset order.  Squaring rotates normal-basis coordinates by one, and
+# A plan is its basis family's core, D, coset order and binary matrix, shown
+# in the tag's order.  Two relations of the paper make the families.
+# goertzel is blahut2008 transposed: the same core, its stages transposed
+# and reversed and its permutations swapped.  fed2006a and fed2006b are
+# tf2003 up to free permutations, so the three keep one packing per ctx:
+# tf2003's A, rows in natural order, which each shows in its own row and
+# column orders (BinaryMatrix.order).  fed2006a/b show its rows in out_perm,
+# the coset order.  Squaring rotates normal-basis coordinates by one, and
 # fed2006b's basis is tf2003's rotated by one, on rep = leader 2^r; so its
 # column c0 + t of a coset of size d, coordinate t + 1 of a^(i rep) in
-# tf2003's basis, is tf2003's column c0 + (t + 1 - r) mod d.  So the three
-# build from one core, tf2003's D, coset order (in_perm) and packing: by
-# reference from a live tf2003 or fed2006a, else from tf2003's layouts,
-# with the packing of a live fed2006b or assembled, so a cold build finds
-# its normal bases once and a warm one not at all.  tf2003 and fed2006a
-# hold the core as it is; fed2006b turns it by index arithmetic (its D's
-# row t is the core's row t + 1 mod d).  At m = 8 on a 2-CPU host a warm
-# fed2006a builds in 0.04-0.05 ms and a warm fed2006b in 0.19 ms, where
-# computing their own layouts and D took 0.26-0.28 and 0.30-0.32 ms.  The
-# first plan built on a field lends its coset partition to the rest.
-# _live finds them: it holds plans weakly, so it keeps none alive, and a
-# live plan holds its ctx, so the id in a live key names that ctx alone.
-# It is keyed by the object, not the field, so a fresh build_field builds
-# cold.  A derived goertzel or blahut2008 shares no array with its twin;
-# the shared packing and D are read-only, and no plan writes its stages.
+# tf2003's basis, is tf2003's column c0 + (t + 1 - r) mod d, and its D's
+# row t is the core's row t + 1 mod d.  A build takes the core by reference
+# from a live plan of its family that holds it as it is (blahut2008 or
+# goertzel; tf2003 or fed2006a), transposing it with a copy of D when the
+# orientation differs, so that twins share no array: one copy of the
+# packing into a grid and the same in-place transpose, about 0.5 ms at
+# m = 11 against 3.3-6 ms to assemble.  Otherwise it assembles the core
+# from the family's bases, a normal-basis core with the packing of a live
+# fed2006b if any.  At m = 8 on a 2-CPU host a warm fed2006a builds in
+# 0.04-0.05 ms and a warm fed2006b in 0.19 ms, where computing their own
+# bases and D took 0.26-0.28 and 0.30-0.32 ms.  The first plan built on a
+# field lends its coset partition to the rest.  _live finds them: it holds
+# plans weakly, so it keeps none alive, and the first live plan of a tag
+# stays the one found; a live plan holds its ctx, so the id in a live key
+# names that ctx alone.  It is keyed by the object, not the field, so a
+# fresh build_field builds cold.  The shared packing and D are read-only,
+# and no plan writes its stages.
 # ---------------------------------------------------------------------------
 
 
-_TWINS = {GOERTZEL: BLAHUT2008, BLAHUT2008: GOERTZEL}
+# per tag, the tags of its family whose plans hold the core as it is
+_LENDERS = dict.fromkeys((GOERTZEL, BLAHUT2008), (GOERTZEL, BLAHUT2008)) | dict.fromkeys(_NORMAL, (TF2003, FED2006A))
 _live: weakref.WeakValueDictionary[tuple[int, str], Plan] = weakref.WeakValueDictionary()
 
 
 def _build(ctx: FieldContext, tag: str) -> Plan:
-    """A new plan, derived from its live twin on ctx if any, else assembled
-    on the partition of, and with the live plans of, ctx."""
+    """A new plan, assembled on the partition of, and with the live plans
+    of, ctx; registered unless a plan of its tag is already live there."""
     live = {t: p for t in ALL_TAGS if (p := _live.get((id(ctx), t))) is not None}
-    twin = live.get(_TWINS.get(tag))
-    if twin is not None:
-        plan = _derive(twin, tag)
-    else:
-        plan = _assemble(ctx, next(iter(live.values())).partition if live else cyclotomic_cosets(ctx.n), tag, live)
-    _live[id(ctx), tag] = plan
+    plan = _assemble(ctx, next(iter(live.values())).partition if live else cyclotomic_cosets(ctx.n), tag, live)
+    _live.setdefault((id(ctx), tag), plan)
     return plan
-
-
-def _derive(twin: Plan, tag: str) -> Plan:
-    """goertzel's plan from blahut2008's or back, sharing no array with it:
-    each stage transposed, in reverse order, and the permutations swapped."""
-    d, a = twin.stage(BlockStage), twin.stage(BinaryMatrix)
-    stages = (BlockStage(d.entries.swapaxes(1, 2).copy(), d.sizes), transpose_matrix(a, _GATHER))
-    return Plan(tag, twin.ctx, twin.partition, twin.out_perm, stages if tag == BLAHUT2008 else stages[::-1], twin.in_perm)
 
 
 def _assemble(ctx: FieldContext, partition: CosetPartition, tag: str, live: dict[str, Plan]) -> Plan:
@@ -334,23 +297,29 @@ def _assemble(ctx: FieldContext, partition: CosetPartition, tag: str, live: dict
     basis.  fed2006a/b keep the output in coset order too.  goertzel is
     blahut2008 transposed: W is symmetric, so it equals D^T A^T as well,
     with the two permutations swapped; A^T is the remainder matrix R.  The
-    normal-basis tags start from tf2003's D, coset order and A."""
-    n, normal = ctx.n, tag in _NORMAL
-    core = next((live[t] for t in (TF2003, FED2006A) if t in live), None) if normal else None
-    if core is not None:
-        d, coset_order, matrix = core.stage(BlockStage), core.in_perm, core.stage(BinaryMatrix)
+    core, D (D^T for goertzel), coset order and A (R), comes from a live
+    plan of the tag's family, else from the family's bases."""
+    n, normal, transposed = ctx.n, tag in _NORMAL, tag == GOERTZEL
+    # the tag itself first, which lends without a transpose
+    lender = next((live[t] for t in sorted(_LENDERS.get(tag, ()), key=tag.__ne__) if t in live), None)
+    if lender is not None:
+        d, matrix = lender.stage(BlockStage), lender.stage(BinaryMatrix)
+        coset_order = lender.out_perm if lender.tag == GOERTZEL else lender.in_perm
+        if (lender.tag == GOERTZEL) != transposed:
+            d, matrix = BlockStage(d.entries.swapaxes(1, 2).copy(), d.sizes), transpose_matrix(matrix, _GATHER)
     else:
-        layouts = _layouts_for_tag(ctx, partition, TF2003 if normal else tag)
-        coset_order = tuple(i for lay in layouts for i in lay.elements)
-        reps, bases = [lay.rep for lay in layouts], [lay.basis for lay in layouts]
+        bases = _bases_for_tag(ctx, partition, tag)
+        coset_order = tuple(i for coset in partition.cosets for i in coset.elements)
         d = _d_blocks(ctx, bases)
+        if transposed:
+            d = BlockStage(d.entries.swapaxes(1, 2), d.sizes)
         if normal and FED2006B in live:
             matrix = live[FED2006B].stage(BinaryMatrix)
         else:
-            matrix = coordinate_matrix(ctx, range(n), reps, bases, _GATHER, transpose=tag == GOERTZEL)
-    if tag == GOERTZEL:
-        stages = (matrix, BlockStage(d.entries.swapaxes(1, 2), d.sizes))
-        return Plan(tag, ctx, partition, tuple(range(n)), stages, coset_order)
+            reps = [coset.leader for coset in partition.cosets]
+            matrix = coordinate_matrix(ctx, range(n), reps, bases, _GATHER, transpose=transposed)
+    if transposed:
+        return Plan(tag, ctx, partition, tuple(range(n)), (matrix, d), coset_order)
     cols = None
     if tag == FED2006B:
         # tf2003's bases turned by one: row t of a block of D is tf2003's
@@ -394,8 +363,9 @@ def build_tf2003(ctx: FieldContext) -> Plan:
 
 
 def build_fed2006(ctx: FieldContext, variant: str = "a") -> Plan:
-    """Coset-ordered output on both sides; variant 'b' shifts the normal basis
-    (generator squared) and starts the generator's coset at its exponent."""
+    """Coset-ordered output on both sides; variant 'b' turns the normal basis
+    by one (generator squared) and starts the generator's coset at its
+    exponent."""
     if variant not in ("a", "b"):
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
     return _build(ctx, FED2006B if variant == "b" else FED2006A)
@@ -482,13 +452,15 @@ def validate_vectors(ctx: FieldContext, vectors) -> np.ndarray:
 def materialize(plan: Plan) -> np.ndarray:
     """Un-permuted dense n x n matrix of the plan as a uint16 array, composed
     from the stage entries without applying the plan; equals the
-    Vandermonde matrix when the construction is sound.
+    Vandermonde matrix when the construction is sound.  For a blocks-first
+    plan the result is a transposed view of a fresh array, not C-ordered.
 
     Column c0 + j of binary . blocks is the XOR over t < d of block k's
     entry (t, j) times column c0 + t of the matrix (d the block's size, c0
     its offset); row c0 + j of blocks . binary is the XOR of entry (j, t)
     times row c0 + t.  XOR of stored entries only: neither the kernels nor
-    the field tables take part.
+    the field tables take part.  Both permutations are undone by one np.ix_
+    gather.
     """
     stage, blocks_first = plan.stage(BlockStage), isinstance(plan.stages[0], BlockStage)
     x = plan.stage(BinaryMatrix).bits(transpose=blocks_first)
@@ -499,7 +471,7 @@ def materialize(plan: Plan) -> np.ndarray:
             y[c0 : c0 + d] ^= x[c0 + t] * coef[k, t, :d, None]
     inv_in, inv_out = np.argsort(plan.in_perm), np.argsort(plan.out_perm)
     if blocks_first:  # y[c] is column c of the stage-order product
-        return np.ascontiguousarray(y[inv_in].T)[inv_out]
+        return y[np.ix_(inv_in, inv_out)].T
     return y[np.ix_(inv_out, inv_in)]
 
 
@@ -942,7 +914,9 @@ def _naive_adds(ctx: FieldContext, cosets: Iterable[tuple[int, tuple[int, ...]]]
 
 def structural_counts_for_tag(ctx: FieldContext, tag: str) -> tuple[int, int, int]:
     """(stage1 mults, stage1 adds, stage2 naive adds) of a plan without
-    building it: transposing goertzel's blocks keeps both stage-1 counts."""
-    layouts = _layouts_for_tag(ctx, cyclotomic_cosets(ctx.n), tag)
-    bases = [lay.basis for lay in layouts]
-    return (*_stage1_counts(_d_blocks(ctx, bases)), _naive_adds(ctx, zip((lay.rep for lay in layouts), bases)))
+    building it, from its family's bases: transposing goertzel's blocks, and
+    permuting the rows of D and the rows and columns of A (fed2006b), keep
+    every count."""
+    partition = cyclotomic_cosets(ctx.n)
+    bases = _bases_for_tag(ctx, partition, tag)
+    return (*_stage1_counts(_d_blocks(ctx, bases)), _naive_adds(ctx, zip((c.leader for c in partition.cosets), bases)))

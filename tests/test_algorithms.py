@@ -46,6 +46,7 @@ from gfft.structure import (
     BinaryMatrix,
     LinearSolver,
     coordinate_tables,
+    doubling_orbit,
     find_normal_basis,
     minimal_polynomial,
 )
@@ -180,11 +181,23 @@ def test_fed2006_variant_validation(ctx3):
 # ---------------------------------------------------------------------------
 
 
+def _layouts(ctx, part, tag):
+    """(rep, basis) per coset of the tag's plan as its binary matrix shows
+    it: the leader and the family's basis, but for fed2006b, coded from its
+    definition, the normal basis turned by one, and the coset holding its
+    generator's exponent starts at that exponent."""
+    bases, reps = alg._bases_for_tag(ctx, part, tag), [coset.leader for coset in part.cosets]
+    if tag == "fed2006b":
+        bases = [b[1:] + b[:1] for b in bases]
+        starts = {min(doubling_orbit(ctx.log[b[0]], ctx.n)): ctx.log[b[0]] for b in bases if len(b) > 1}
+        reps = [starts.get(rep, rep) for rep in reps]
+    return list(zip(reps, bases))
+
+
 def _layouts_in_use(ctx):
     """Every distinct (rep, basis) layout of every plan over ctx."""
     part = alg.cyclotomic_cosets(ctx.n)
-    found = {(lay.rep, lay.basis): lay for tag in ALL_TAGS for lay in alg._layouts_for_tag(ctx, part, tag)}
-    return [found[key] for key in sorted(found)]
+    return sorted({lay for tag in ALL_TAGS for lay in _layouts(ctx, part, tag)})
 
 
 @pytest.mark.parametrize("m, poly", GOLDEN_FIELDS)
@@ -193,7 +206,7 @@ def test_coordinate_tables_match_solves_on_every_span_element(m, poly):
     # table gives LinearSolver.coords on every element of its basis's span
     # and a nonzero residual on every other element of the field
     ctx = build_field(FieldSpec(m, poly))
-    bases = sorted({lay.basis for lay in _layouts_in_use(ctx)})
+    bases = sorted({basis for _, basis in _layouts_in_use(ctx)})
     assert len({len(b) for b in bases}) > 1
     tables = coordinate_tables(bases)
     assert tables.shape == (len(bases), 2, 256) and tables.dtype == np.uint32
@@ -234,7 +247,7 @@ def _mapped(basis, xs):
 
 
 def _assemble(ctx, points, layouts, transpose=False):
-    reps, bases = [lay.rep for lay in layouts], [lay.basis for lay in layouts]
+    reps, bases = zip(*layouts)
     return structure.coordinate_matrix(ctx, points, reps, bases, alg._GATHER, transpose)
 
 
@@ -243,7 +256,7 @@ def _coords_by_layout(ctx, points, layouts):
     coordinate_matrix packs, after checking that its transpose is what it
     packs with transpose=True."""
     bits = _assemble(ctx, points, layouts).bits()
-    widths = [len(lay.basis) for lay in layouts]
+    widths = [len(basis) for _, basis in layouts]
     assert bits.shape == (len(points), sum(widths))
     assert np.array_equal(_assemble(ctx, points, layouts, transpose=True).bits(), bits.T)
     return {
@@ -256,11 +269,11 @@ def _check_every_layout_in_use(ctx):
     layouts = _layouts_in_use(ctx)
     columns = _coords_by_layout(ctx, range(ctx.n), layouts)
     assert sorted(columns) == list(range(len(layouts)))
-    for k, lay in enumerate(layouts):
-        solver = LinearSolver(lay.basis)
+    for k, (rep, basis) in enumerate(layouts):
+        solver = LinearSolver(basis)
         # every argument a^(i * rep) of a layout lies in its basis's span
-        expected = [solver.coords(ctx.exp[i * lay.rep % ctx.n]) for i in range(ctx.n)]
-        assert columns[k] == expected, (ctx, lay.rep, lay.basis)
+        expected = [solver.coords(ctx.exp[i * rep % ctx.n]) for i in range(ctx.n)]
+        assert columns[k] == expected, (ctx, rep, basis)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -279,12 +292,12 @@ def test_bulk_coords_match_sampled_solves_above_one_byte(m):
     ctx = default_field(m)
     rng = random.Random(f"coords:{m}")
     part = alg.cyclotomic_cosets(ctx.n)
-    layouts = [lay for tag in ALL_TAGS for lay in rng.sample(alg._layouts_for_tag(ctx, part, tag), 3)]
+    layouts = [lay for tag in ALL_TAGS for lay in rng.sample(_layouts(ctx, part, tag), 3)]
     points = [rng.randrange(ctx.n) for _ in range(64)]
     columns = _coords_by_layout(ctx, points, layouts)
-    for k, lay in enumerate(layouts):
-        solver = LinearSolver(lay.basis)
-        assert columns[k] == [solver.coords(ctx.exp[i * lay.rep % ctx.n]) for i in points], (m, lay)
+    for k, (rep, basis) in enumerate(layouts):
+        solver = LinearSolver(basis)
+        assert columns[k] == [solver.coords(ctx.exp[i * rep % ctx.n]) for i in points], (m, rep, basis)
     basis = find_normal_basis(ctx, m)
     solver = LinearSolver(basis)
     xs = [rng.randrange(1 << m) for _ in range(256)]
@@ -298,7 +311,7 @@ def test_bulk_coords_reject_element_outside_span():
     residual = _mapped(not_gf4, ctx.exp[: ctx.n : 5]) >> 16
     assert (residual != 0).tolist() == [False, True, True]
     with pytest.raises(ArithmeticError, match=re.escape(f"a^5 is outside the span of {not_gf4}")):
-        _coords_by_layout(ctx, range(ctx.n), [alg.CosetLayout(5, (), not_gf4)])
+        _coords_by_layout(ctx, range(ctx.n), [(5, not_gf4)])
 
 
 def test_bulk_coords_reject_basis_without_subfield(ctx3):
@@ -306,16 +319,16 @@ def test_bulk_coords_reject_basis_without_subfield(ctx3):
     # the powers of a coset's representative
     # (the first argument outside the span of (1, a) is a^2)
     with pytest.raises(ArithmeticError, match=re.escape(f"a^2 is outside the span of {(1, ctx3.exp[1])}")):
-        _coords_by_layout(ctx3, range(ctx3.n), [alg.CosetLayout(1, (), (1, ctx3.exp[1]))])
+        _coords_by_layout(ctx3, range(ctx3.n), [(1, (1, ctx3.exp[1]))])
 
 
 def test_bulk_coords_reject_column_outside_subfield():
     ctx = default_field(4)
     gf4 = (1, ctx.exp[5])
-    assert len(_coords_by_layout(ctx, range(ctx.n), [alg.CosetLayout(5, (), gf4)])[0]) == ctx.n
+    assert len(_coords_by_layout(ctx, range(ctx.n), [(5, gf4)])[0]) == ctx.n
     # a^(i*1) leaves GF(4) for i not a multiple of 5
     with pytest.raises(ArithmeticError, match=re.escape(f"a^1 is outside the span of {gf4}")):
-        _coords_by_layout(ctx, range(ctx.n), [alg.CosetLayout(1, (), gf4)])
+        _coords_by_layout(ctx, range(ctx.n), [(1, gf4)])
 
 
 def _reference_rows(ctx, plan):
@@ -346,14 +359,14 @@ def _reference_rows(ctx, plan):
             combined = [c | r << offset for c, r in zip(combined, rows)]
             offset += d
         return {"B": b_blocks, "combine": combined}
-    layouts = alg._layouts_for_tag(ctx, plan.partition, plan.tag)
-    solvers = [LinearSolver(lay.basis) for lay in layouts]
+    layouts = _layouts(ctx, plan.partition, plan.tag)
+    solvers = [LinearSolver(basis) for _, basis in layouts]
     rows = []
     for i in plan.out_perm:
         row, offset = 0, 0
-        for lay, solver in zip(layouts, solvers):
-            row |= solver.coords(ctx.exp[(i * lay.rep) % n]) << offset
-            offset += len(lay.basis)
+        for (rep, basis), solver in zip(layouts, solvers):
+            row |= solver.coords(ctx.exp[(i * rep) % n]) << offset
+            offset += len(basis)
         rows.append(row)
     return {"A": rows}
 
@@ -512,8 +525,8 @@ def test_twin_built_from_its_live_partner_equals_a_cold_build(m, poly, monkeypat
     # built in any order on one field object, each equals its plan built
     # alone, and all three hold one read-only packing, assembled once.  A
     # build while tf2003 or fed2006a lives takes their D, coset order and
-    # packing, which the two hold as one object each, and looks up no
-    # layout, normal basis or D
+    # packing, which the two hold as one object each, and calls none of
+    # _bases_for_tag, find_normal_basis and _d_blocks
     assembled = _counting_calls(monkeypatch, "coordinate_matrix")
     for partner, tag in (("goertzel", "blahut2008"), ("blahut2008", "goertzel")):
         alone = build(tag, build_field(FieldSpec(m, poly)))
@@ -530,7 +543,7 @@ def test_twin_built_from_its_live_partner_equals_a_cold_build(m, poly, monkeypat
         build(tag, build_field(FieldSpec(m, poly)))
         assert len(assembled) == 1, (partner, tag)
     alone = {tag: build(tag, build_field(FieldSpec(m, poly))) for tag in _NORMAL}
-    looked_up = [_counting_calls(monkeypatch, name) for name in ("_layouts_for_tag", "find_normal_basis", "_d_blocks")]
+    looked_up = [_counting_calls(monkeypatch, name) for name in ("_bases_for_tag", "find_normal_basis", "_d_blocks")]
     for order in permutations(_NORMAL):
         ctx = build_field(FieldSpec(m, poly))
         assembled.clear()
@@ -557,6 +570,23 @@ def test_twin_built_from_its_live_partner_equals_a_cold_build(m, poly, monkeypat
             packed[0, 0] ^= 1
         with pytest.raises(ValueError, match="read-only"):
             tf.stage(BlockStage).entries[0, 0, 0] ^= 1
+
+
+def test_registry_keeps_the_first_live_plan(monkeypatch):
+    # a second tf2003, built and dropped while the first is held, leaves
+    # the first as the plan later builds find: fed2006a takes its core,
+    # looks up no basis and holds its packing, not a second assembly
+    ctx = default_field(8)
+    tf = build("tf2003", ctx)
+    second = build("tf2003", ctx)
+    assert second is not tf and second == tf  # build returns a new plan
+    del second
+    looked_up = [_counting_calls(monkeypatch, name) for name in ("find_normal_basis", "_bases_for_tag")]
+    assembled = _counting_calls(monkeypatch, "coordinate_matrix")
+    fed_a = build("fed2006a", ctx)
+    assert looked_up == [[], []] and assembled == []
+    assert matrix_of(fed_a).packed is matrix_of(tf).packed
+    assert fed_a.stage(BlockStage) is tf.stage(BlockStage)
 
 
 @pytest.mark.parametrize("m, poly", GOLDEN_FIELDS)

@@ -111,16 +111,20 @@ def test_normal_basis_bad_degree():
 @pytest.mark.parametrize("m", range(2, 17))
 def test_normal_basis_full_rank_all_divisors(m):
     ctx = default_field(m)
-    shifted = _normal_bases(ctx, cyclotomic_cosets(ctx.n), shifted=True)  # fed2006b's
+    normal = _normal_bases(ctx, cyclotomic_cosets(ctx.n))
     divisors = [d for d in range(1, m + 1) if m % d == 0]
-    assert sorted(shifted) == divisors  # every subfield degree is a coset size
+    assert sorted(normal) == divisors  # every subfield degree is a coset size
     for d in divisors:
         nb = find_normal_basis(ctx, d)
-        assert len(nb) == d
+        assert len(nb) == d and normal[d] == nb
         LinearSolver(nb)  # raises if dependent
         # a conjugate sequence that wraps: squaring the last returns the first
         assert [ctx.mul(b, b) for b in nb] == [nb[(j + 1) % d] for j in range(d)]
-        assert shifted[d][0] == nb[1 % d]
+        # fed2006b's basis, turned by one, starts at the generator squared
+        # and is a conjugate sequence too
+        turned = nb[1:] + nb[:1]
+        assert turned[0] == ctx.mul(nb[0], nb[0])
+        assert [ctx.mul(b, b) for b in turned] == [turned[(j + 1) % d] for j in range(d)]
 
 
 def test_coordinates_examples_m3():
