@@ -32,8 +32,9 @@ output are enumerated in doubling order.
 
 from __future__ import annotations
 
+import operator
+import struct
 import weakref
-from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -278,7 +279,11 @@ def _d_blocks(ctx: FieldContext, bases: Sequence[tuple[int, ...]]) -> BlockStage
 
 
 # per tag, the tags of its family whose plans hold the core as it is
-_LENDERS = dict.fromkeys((GOERTZEL, BLAHUT2008), (GOERTZEL, BLAHUT2008)) | dict.fromkeys(_NORMAL, (TF2003, FED2006A))
+_LENDERS = (
+    dict.fromkeys((GOERTZEL, BLAHUT2008), (GOERTZEL, BLAHUT2008))
+    | dict.fromkeys(_NORMAL, (TF2003, FED2006A))
+    | {FT2002: (FT2002,)}
+)
 _live: weakref.WeakValueDictionary[tuple[int, str], Plan] = weakref.WeakValueDictionary()
 
 
@@ -423,25 +428,44 @@ def apply(
 
 def validate_vectors(ctx: FieldContext, vectors) -> np.ndarray:
     """The input boundary of apply, apply_batch and the oracles: ValueError
-    naming the vector for anything but a sequence of n ints in [0, 2^m);
-    else a (batch, n) uint16 array, range tested in one pass over it all."""
+    naming the vector for anything but a sequence of n ints in [0, 2^m),
+    and the first element outside the field when one is at fault; else a
+    (batch, n) uint16 array.  Each vector is packed as n native uint16 by
+    one struct call, which takes what operator.index takes (ints, Python
+    bools, numpy integer scalars, so a bytes vector's ints too) in
+    [0, 2^16); the field is then tested in one pass over the array."""
     n, m = ctx.n, ctx.m
+    pack = struct.Struct(f"={n}H").pack
     rows = []
     try:
         for f in vectors:
             if len(f) != n:
                 raise ValueError(f"vector {len(rows)}: expected length {n}, got {len(f)}")
             try:
-                rows.append(array("H", f))  # rejects non-ints and ints outside [0, 2^16)
-            except (TypeError, OverflowError):
-                raise ValueError(f"vector {len(rows)}: elements must be ints in [0, 2^{m})") from None
-    except TypeError:  # vectors is not iterable, or vector len(rows) has no length
+                rows.append(pack(*f))
+            except struct.error:
+                raise _element_error(f, len(rows), n, m) from None
+    except TypeError:  # vectors is not iterable, or vector len(rows) has no length or does not iterate
         raise ValueError(f"vector {len(rows)}: expected a sequence of {n} ints") from None
     arr = np.frombuffer(b"".join(rows), dtype=np.uint16).reshape(len(rows), n)
     if rows and arr.max() > n:
-        b, j = divmod(int(np.argmax(arr > n)), n)  # the first element outside the field
-        raise ValueError(f"vector {b}, index {j}: {arr[b, j]} is not in GF(2^{m})")
+        b = int(np.argmax(arr > n)) // n  # the first vector holding an element outside the field
+        raise _element_error(arr[b].tolist(), b, n, m)
     return arr
+
+
+def _element_error(f, b: int, n: int, m: int) -> ValueError:
+    """The error for vector b: it names the first element that is not an
+    int in [0, 2^m), or the vector alone when there is none (f yields
+    other than len(f) elements)."""
+    for j, x in enumerate(f):
+        try:
+            if 0 <= operator.index(x) <= n:
+                continue
+        except TypeError:
+            pass
+        return ValueError(f"vector {b}, index {j}: {x!r} is not in GF(2^{m})")
+    return ValueError(f"vector {b}: expected a sequence of {n} ints")
 
 
 # ---------------------------------------------------------------------------

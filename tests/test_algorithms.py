@@ -590,6 +590,25 @@ def test_registry_keeps_the_first_live_plan(monkeypatch):
 
 
 @pytest.mark.parametrize("m, poly", GOLDEN_FIELDS)
+def test_ft2002_built_while_one_lives_takes_its_core(m, poly, monkeypatch):
+    # a second ft2002 on a field object where one is alive assembles and
+    # looks up nothing: it holds the first plan's packing and D and equals
+    # the plan built alone
+    alone = build("ft2002", build_field(FieldSpec(m, poly)))
+    ctx = build_field(FieldSpec(m, poly))
+    first = build("ft2002", ctx)
+    assembled = _counting_calls(monkeypatch, "coordinate_matrix")
+    looked_up = _counting_calls(monkeypatch, "_bases_for_tag")
+    second = build("ft2002", ctx)
+    assert assembled == [] and looked_up == []
+    assert second is not first
+    _same_plan(second, alone)
+    assert matrix_of(second).packed is matrix_of(first).packed
+    assert second.stage(BlockStage) is first.stage(BlockStage)
+    assert apply(second, [int(j == 1) for j in range(ctx.n)]) == unit_response(1, ctx)
+
+
+@pytest.mark.parametrize("m, poly", GOLDEN_FIELDS)
 def test_fed2006_is_tf2003_up_to_free_permutations(m, poly):
     # each fed2006 plan, built alone, shows a cold tf2003's binary matrix
     # with its rows in out_perm and its columns in some order sigma, found
@@ -692,7 +711,7 @@ def test_apply_length_checks(ctx3):
         [None, 0, 0, 0, 0, 0, 0],
         5,  # not a sequence
         None,
-        np.zeros(7, dtype=bool),  # array("H") takes Python bools, not numpy's
+        np.zeros(7, dtype=bool),  # struct takes Python bools, not numpy's
     ],
 )
 def test_apply_rejects_elements_outside_field(ctx3, tag, bad):
@@ -712,6 +731,59 @@ def test_vectors_take_python_bools_as_0_and_1(ctx3):
         plan = build(tag, ctx3)
         assert alg.apply(plan, f) == apply(plan, f, TransformTally.fresh()) == expected, tag
         assert apply_batch(plan, [f]) == [expected], tag
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_bytes_vectors_are_sequences_of_ints(m):
+    # a bytes or bytearray vector is n ints in [0, 256): below m = 8 its
+    # bytes must lie in the field, at m = 8 any bytes of length 255 do
+    ctx = default_field(m)
+    rng = random.Random(f"bytes:{m}")
+    vectors = [[rng.randrange(ctx.n + 1) for _ in range(ctx.n)] for _ in range(3)]
+    expected = naive_dft_batch(vectors, ctx)
+    for kind in (bytes, bytearray):
+        given = [kind(v) for v in vectors]
+        assert naive_dft_batch(given, ctx) == expected, kind
+        assert [naive_dft(f, ctx) for f in given] == expected, kind
+        for tag in ALL_TAGS:
+            plan = build(tag, ctx)
+            assert apply_batch(plan, given) == expected, (kind, tag)
+            assert [alg.apply(plan, f) for f in given] == expected, (kind, tag)
+            assert apply(plan, given[0], TransformTally.fresh()) == expected[0], (kind, tag)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [9, 8, -1, 2**16, 2**70, 1.0, None, "1", np.True_, np.float64(1.0), np.int64(-1)],
+    ids=repr,
+)
+def test_rejection_names_the_first_element_outside_the_field(ctx3, bad):
+    # the error names vector 1 and index 3, the first element that is not
+    # an int in [0, 2^3), whichever check it fails; a later bad element of
+    # the same vector, and a good vector after it, do not change that
+    vector = [1, 2, 3, bad, 4, None, 7]
+    message = rf"^vector 1, index 3: {re.escape(repr(bad))} is not in GF\(2\^3\)$"
+    batch = [[0] * 7, vector, [0] * 7]
+    with pytest.raises(ValueError, match=message):
+        naive_dft_batch(batch, ctx3)
+    for tag in ALL_TAGS:
+        with pytest.raises(ValueError, match=message):
+            apply_batch(build(tag, ctx3), batch)
+    with pytest.raises(ValueError, match=message.replace("vector 1", "vector 0")):
+        alg.apply(build("tf2003", ctx3), vector)
+
+
+def test_rejection_without_a_bad_element_names_the_vector(ctx3):
+    # a sequence whose len disagrees with what it yields has no element at
+    # fault, so the error names the vector alone
+
+    class Short(list):
+        def __len__(self):
+            return 7
+
+    for vector in (Short([0] * 6), Short([0] * 8)):
+        with pytest.raises(ValueError, match=r"^vector 1: expected a sequence of 7 ints$"):
+            apply_batch(build("ft2002", ctx3), [[0] * 7, vector])
 
 
 @pytest.mark.parametrize("m", [3, 5, 8])
@@ -1099,7 +1171,7 @@ def test_batch_above_1024_with_padded_blocks(m):
         [0] * 8,
         5,  # not a sequence
         None,
-        np.zeros(7, dtype=bool),  # array("H") takes Python bools, not numpy's
+        np.zeros(7, dtype=bool),  # struct takes Python bools, not numpy's
         np.array([9, 0, 0, 0, 0, 0, 0]),
     ],
 )

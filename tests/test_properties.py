@@ -1,11 +1,14 @@
 """Property tests: the transform's algebra through uncounted apply and
 counted apply against the counted reference walk, on every primitive
-polynomial of degree 2..6, and apply_batch against the reference walk."""
+polynomial of degree 2..6, apply_batch against the reference walk, and the
+input boundary against a per-element reference."""
 
+import operator
 from functools import lru_cache
 from itertools import product
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,3 +101,99 @@ def test_apply_batch_equals_apply(case):
     for tag, plan in _plans(m)[1].items():
         expected = [counted_apply(plan, f, alg.TransformTally.fresh()) for f in vectors]
         assert alg.apply_batch(plan, vectors) == expected, tag
+
+
+def _first_outside(n: int, f) -> int:
+    """The index of the first element of f that is not an int in [0, n];
+    an int is what operator.index takes."""
+    for j, x in enumerate(f):
+        try:
+            if 0 <= operator.index(x) <= n:
+                continue
+        except TypeError:
+            pass
+        return j
+    raise AssertionError("every element is in the field")
+
+
+def _boundary_reference(n: int, vectors: list) -> np.ndarray | str:
+    """validate_vectors coded per element: the (batch, n) uint16 array, or
+    the start of the error, which names the vector and, when it has n
+    elements, the first one outside the field.  Lengths and ints in
+    [0, 2^16) are checked over the whole batch before the field, so the
+    first vector that is not a sequence of n such ints is named ahead of an
+    earlier one that holds an int above n."""
+    rows = []
+    for b, f in enumerate(vectors):
+        if not hasattr(f, "__len__") or len(f) != n:
+            return f"vector {b}: "
+        try:
+            row = [operator.index(x) for x in f]
+        except TypeError:
+            return f"vector {b}, index {_first_outside(n, f)}: "
+        if not all(0 <= v < 1 << 16 for v in row):
+            return f"vector {b}, index {_first_outside(n, f)}: "
+        rows.append(row)
+    for b, row in enumerate(rows):
+        if max(row) > n:
+            return f"vector {b}, index {_first_outside(n, row)}: "
+    return np.array(rows, dtype=np.uint16).reshape(len(rows), n)
+
+
+@st.composite
+def boundary_cases(draw):
+    # mostly field elements as Python ints, bools and numpy integer scalars,
+    # with a few replaced by numpy bools, floats, None, strings or ints out
+    # of range, and now and then a vector of another length or not a
+    # sequence; each vector a list, a tuple or an int64 ndarray
+    m = draw(st.integers(2, 5))
+    n = (1 << m) - 1
+    good = st.one_of(
+        st.integers(0, n),
+        st.booleans(),
+        st.integers(0, n).map(np.uint16),
+        st.integers(0, n).map(np.int64),
+    )
+    bad = st.one_of(
+        st.booleans().map(np.bool_),
+        st.floats(allow_nan=False),
+        st.none(),
+        st.text(max_size=2),
+        st.integers(max_value=-1),
+        st.integers(n + 1, 2**16 - 1),
+        st.integers(min_value=2**16),
+    )
+    vectors = []
+    for _ in range(draw(st.integers(0, 4))):
+        f = draw(st.lists(good, min_size=n, max_size=n))
+        if draw(st.integers(0, 3)) == 0:
+            for j in draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2)):
+                f[j] = draw(bad)
+        shape = draw(st.sampled_from(["list", "list", "tuple", "ndarray", "ndarray", "ndarray", "length", "scalar"]))
+        if shape == "tuple":
+            f = tuple(f)
+        elif shape == "ndarray" and all(isinstance(x, (int, np.integer)) and -(2**63) <= x < 2**63 for x in f):
+            f = np.array([int(x) for x in f], dtype=np.int64)
+        elif shape == "length":
+            f = f[: draw(st.integers(0, n - 1))] if draw(st.booleans()) else f + [0]
+        elif shape == "scalar":
+            f = f[0]
+        vectors.append(f)
+    return n, vectors
+
+
+@settings(max_examples=200, deadline=None)
+@given(boundary_cases())
+def test_validate_vectors_matches_a_per_element_reference(case):
+    # accepts exactly what the reference accepts, with the same array, and
+    # otherwise raises ValueError naming the vector, and the element, that
+    # the reference names
+    n, vectors = case
+    ctx = _plans(n.bit_length())[0]
+    expected = _boundary_reference(n, vectors)
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=f"^{expected}"):
+            alg.validate_vectors(ctx, vectors)
+    else:
+        got = alg.validate_vectors(ctx, vectors)
+        assert got.dtype == np.uint16 and np.array_equal(got, expected) and got.shape == expected.shape
