@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from math import gcd
+from math import gcd, isqrt
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -53,6 +53,7 @@ from .structure import (
     coordinate_tables,
     cyclotomic_cosets,
     find_normal_basis,
+    stored_columns,
     transpose_matrix,
 )
 
@@ -242,18 +243,20 @@ def _d_blocks(ctx: FieldContext, bases: Sequence[tuple[int, ...]]) -> BlockStage
 # ---------------------------------------------------------------------------
 # Builders: one for all six plans.  Every binary matrix here (A, R and the
 # combine matrix) holds, per coset, the coordinates of a^(i*rep) in a small
-# basis.  structure.coordinate_matrix, beside the BinaryMatrix whose packing
+# basis.  structure.coordinate_matrix, beside the BinaryMatrix whose parts
 # it writes, packs it a chunk of cosets at a time, as many as give _GATHER
 # elements of points x cosets (the kernels' budget, below) and at least
-# one, so one coset at a time from m = 15 on; R, the transpose, is packed as
-# the combine matrix is and transposed in place.
+# one, so one coset at a time from m = 15 on, each periodic part on its own
+# points (_periodic_parts); R, the transpose, is packed as the combine
+# matrix is and transposed a slab at a time.
 #
 # A plan is its basis family's core, D, coset order and binary matrix, shown
 # in the tag's order.  Two relations of the paper make the families.
 # goertzel is blahut2008 transposed: the same core, its stages transposed
 # and reversed and its permutations swapped.  fed2006a and fed2006b are
-# tf2003 up to free permutations, so the three keep one packing per ctx:
-# tf2003's A, rows in natural order, which each shows in its own row and
+# tf2003 up to free permutations, so the three keep one set of part
+# packings per ctx: tf2003's A, rows in natural order (so its parts are
+# periodic for all three), which each shows in its own row and
 # column orders (BinaryMatrix.order).  fed2006a/b show its rows in out_perm,
 # the coset order.  Squaring rotates normal-basis coordinates by one, and
 # fed2006b's basis is tf2003's rotated by one, on rep = leader 2^r; so its
@@ -262,20 +265,44 @@ def _d_blocks(ctx: FieldContext, bases: Sequence[tuple[int, ...]]) -> BlockStage
 # row t is the core's row t + 1 mod d.  A build takes the core by reference
 # from a live plan of its family that holds it as it is (blahut2008 or
 # goertzel; tf2003 or fed2006a), transposing it with a copy of D when the
-# orientation differs, so that twins share no array: one copy of the
-# packing into a grid and the same in-place transpose, about 0.5 ms at
-# m = 11 against 3.3-6 ms to assemble.  Otherwise it assembles the core
-# from the family's bases, a normal-basis core with the packing of a live
-# fed2006b if any.  At m = 8 on a 2-CPU host a warm fed2006a builds in
+# orientation differs, so that twins share no array: each part's packing
+# transposed into a new one a slab at a time, about 0.6 ms at m = 11
+# against 3.3-6 ms to assemble.  Otherwise it assembles the core from the
+# family's bases, a normal-basis core with the parts of a live fed2006b if
+# any.  At m = 8 on a 2-CPU host a warm fed2006a builds in
 # 0.04-0.05 ms and a warm fed2006b in 0.19 ms, where computing their own
 # bases and D took 0.26-0.28 and 0.30-0.32 ms.  The first plan built on a
 # field lends its coset partition to the rest.  _live finds them: it holds
 # plans weakly, so it keeps none alive, and the first live plan of a tag
 # stays the one found; a live plan holds its ctx, so the id in a live key
 # names that ctx alone.  It is keyed by the object, not the field, so a
-# fresh build_field builds cold.  The shared packing and D are read-only,
+# fresh build_field builds cold.  The shared parts and D are read-only,
 # and no plan writes its stages.
 # ---------------------------------------------------------------------------
+
+
+def _periodic_parts(n: int, partition: CosetPartition) -> list[tuple[int, Sequence[int]]]:
+    """The parts of a binary stage, each its row period and its cosets'
+    indices: first every coset whose class keeps the full period n, then
+    each class that splits, by increasing g.  The class of g = gcd(rep, n)
+    has period n / g (see the kernel comment) and phi(n / g) columns, the
+    i in Z_n with gcd(i, n) = g, and splits when the bits it saves, its
+    columns times n - n / g, exceed _SPLIT_BITS."""
+    factors, rest = [], n
+    for p in range(3, isqrt(n) + 1, 2):  # n is odd
+        while rest % p == 0:
+            factors.append(p)
+            rest //= p
+    factors += [rest] if rest > 1 else []
+    totient: dict[int, int] = {1: 1}  # phi(d) of each divisor d of n, from its prime factors
+    for p in factors:
+        totient |= {d * p: t * (p if d % p == 0 else p - 1) for d, t in totient.items()}
+    splits = sorted(n // d for d, t in totient.items() if d < n and t * (n - d) > _SPLIT_BITS)
+    if not splits:
+        return [(n, range(len(partition.cosets)))]
+    g = np.gcd(np.fromiter((c.leader for c in partition.cosets), np.intp, len(partition.cosets)), n)
+    full = np.flatnonzero(np.all(g[:, None] != splits, axis=1))
+    return ([(n, full)] if len(full) else []) + [(n // c, np.flatnonzero(g == c)) for c in splits]
 
 
 # per tag, the tags of its family whose plans hold the core as it is
@@ -312,17 +339,21 @@ def _assemble(ctx: FieldContext, partition: CosetPartition, tag: str, live: dict
         coset_order = lender.out_perm if lender.tag == GOERTZEL else lender.in_perm
         if (lender.tag == GOERTZEL) != transposed:
             d, matrix = BlockStage(d.entries.swapaxes(1, 2).copy(), d.sizes), transpose_matrix(matrix, _GATHER)
+        stored_cols = matrix.order[1]  # tf2003's or fed2006a's: A's columns in coset order
     else:
         bases = _bases_for_tag(ctx, partition, tag)
         coset_order = tuple(i for coset in partition.cosets for i in coset.elements)
         d = _d_blocks(ctx, bases)
         if transposed:
             d = BlockStage(d.entries.swapaxes(1, 2), d.sizes)
+        reps = [coset.leader for coset in partition.cosets]
+        parts = _periodic_parts(n, partition)
         if normal and FED2006B in live:
             matrix = live[FED2006B].stage(BinaryMatrix)
+            stored_cols = stored_columns(d.sizes, [ks for _, ks in parts])
         else:
-            reps = [coset.leader for coset in partition.cosets]
-            matrix = coordinate_matrix(ctx, range(n), reps, bases, _GATHER, transpose=transposed)
+            matrix = coordinate_matrix(ctx, range(n), reps, bases, _GATHER, transposed, parts)
+            stored_cols = matrix.order[1]
     if transposed:
         return Plan(tag, ctx, partition, tuple(range(n)), (matrix, d), coset_order)
     cols = None
@@ -343,7 +374,9 @@ def _assemble(ctx: FieldContext, partition: CosetPartition, tag: str, live: dict
         coset_order = tuple(np.take(coset_order, at).tolist())
     out_perm = coset_order if tag in (FED2006A, FED2006B) else tuple(range(n))
     if normal:
-        matrix = BinaryMatrix(matrix.packed, n, (None if tag == TF2003 else out_perm, cols))
+        if stored_cols is not None:  # through tf2003's columns to where they are stored
+            cols = stored_cols if cols is None else stored_cols[cols]
+        matrix = BinaryMatrix(matrix.parts, (None if tag == TF2003 else out_perm, cols))
     return Plan(tag, ctx, partition, coset_order, (d, matrix), out_perm)
 
 
@@ -436,7 +469,7 @@ def validate_vectors(ctx: FieldContext, vectors) -> np.ndarray:
     [0, 2^16); the field is then tested in one pass over the array."""
     n, m = ctx.n, ctx.m
     pack = struct.Struct(f"={n}H").pack
-    rows = []
+    rows, error = [], None
     try:
         for f in vectors:
             if len(f) != n:
@@ -446,11 +479,15 @@ def validate_vectors(ctx: FieldContext, vectors) -> np.ndarray:
             except struct.error:
                 raise _element_error(f, len(rows), n, m) from None
     except TypeError:  # vectors is not iterable, or vector len(rows) has no length or does not iterate
-        raise ValueError(f"vector {len(rows)}: expected a sequence of {n} ints") from None
+        error = ValueError(f"vector {len(rows)}: expected a sequence of {n} ints")
+    except ValueError as fault:
+        error = fault
     arr = np.frombuffer(b"".join(rows), dtype=np.uint16).reshape(len(rows), n)
-    if rows and arr.max() > n:
+    if rows and arr.max() > n:  # the vectors packed before a fault come first
         b = int(np.argmax(arr > n)) // n  # the first vector holding an element outside the field
         raise _element_error(arr[b].tolist(), b, n, m)
+    if error is not None:
+        raise error
     return arr
 
 
@@ -529,15 +566,17 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # They run a plan's two stages over one (width, batch) uint16 array, a
 # column per vector: a block stage for the multiplications (log/exp
 # lookups; zero has a sentinel log that exp maps back to 0) and a binary
-# stage for the additions.  Each reads its stage's one array as stored: the
-# padded block entries, the packed matrix bytes.  Table lookups, AND and
+# stage for the additions.  Each reads its stage's arrays as stored: the
+# padded block entries, the parts' packed bytes.  Table lookups, AND and
 # XOR only, so all are exact.  The permutations, and the order in which a
 # binary matrix shows its stored rows and columns, cost no gather of their
 # own: each stage kernel takes the one next to it into a gather it already
 # does, composed when the kernels are built.  The block stage reads its
 # padded grid from the input rows in_perm[pos] when it runs first, and
-# drops its pad rows by reading keep: at keep[argsort(order[1])] when the
-# binary stage follows (fed2006b's column order), at keep[argsort(out_perm)]
+# drops its pad rows by reading keep: at keep[shown] when the binary stage
+# follows, shown[j] being the column that stored column j shows (the class
+# order of the parts, and fed2006b's column order; a pad column between
+# parts reads any row, as its packed bits are 0), at keep[argsort(out_perm)]
 # for goertzel's output order when it runs last.  The binary kernels read
 # every row of their input, so an output order would be one gather after
 # that stage, inside its kernel; fed2006a/b show tf2003's stored rows in
@@ -551,6 +590,60 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # once, on first use (Plan._kernels), copying no stage and reading no
 # count.  A kernel writes only arrays it allocates per call, so a plan
 # stays safe to share across threads.
+#
+# A binary stage is a tuple of row-periodic parts (structure.BinaryMatrix).
+# Every binary matrix here holds, per coset, the coordinates of a^(i rep),
+# and as i runs over Z_n that element sweeps the subgroup generated by
+# a^g, g = gcd(rep, n) (see _naive_adds), so the column group of every
+# coset of class g repeats with period n / g down the rows, in any basis.
+# _periodic_parts stores each class that the size rule splits as a part of
+# n / g rows, built on those points only, and the rest as one part of n
+# rows, first; the class order is composed into keep (goertzel's into its
+# input gather), so a call gains no gather.  Both kernels read the input
+# once: the plane kernel packs the planes of all stored columns in one
+# pass, and each part runs its own chunk loop on its p rows; one reshape-
+# XOR folds a short accumulator into the full one, tiled n / p times,
+# before the parity step (the parity of an XOR is the XOR of the
+# parities).  Four Russians builds each part's tables from its own groups,
+# looks them up on its p rows and XORs its output tiled.  goertzel's R is
+# the transpose: a class's rows repeat in the input index, so R_k x =
+# R_k,short fold_p(x), fold_p XOR-summing x over the residues mod p.  Its
+# parts sit one under the other along R's rows, and the kernels run them
+# on the folds of the input stacked from byte boundaries (the full part on
+# x itself), each writing its rows in place.  One part is the dense matrix
+# and runs the loop it ran before the split.  The counts stay structural.
+#
+# The size rule, a property of n: a class splits when the bits it saves,
+# its columns times n - n / g, exceed _SPLIT_BITS = 3 x 2^16.  So m <= 9
+# and m = 11 (whose classes save at most 172 K bits) keep one part; m = 10
+# splits the multiples of 3 (period 341, 205 K bits) but not the 11- and
+# 31-classes (56 K and 20 K); m = 12 splits 9 of its 23 classes below the
+# full period, m = 14 5 of 7, m = 16 13 of 15.  Binary stage alone, µs,
+# median of 9 alternating runs (2-CPU host, numpy 2.4), dense against the
+# rule's parts and other splits:
+#
+#    m  vectors  tag        dense  the rule      other splits
+#    8     1     tf2003        26  (one part)    all 8 parts 61
+#    8    32     tf2003       147  (one part)    all 302
+#   10     1     tf2003       166  146 (2 parts) 3 parts 143, 4 149, all 8 187
+#   10    32     tf2003      1658  1450          3 parts 1369, all 1454
+#   10     1     goertzel     169  158           all 197
+#   10    32     goertzel    1581  1511          all 1696
+#   11     1     tf2003       610  (one part)    period 89 split 595
+#   11    32     tf2003      4288  (one part)    4270
+#   11     1     goertzel     610  (one part)    629
+#   12     1     tf2003      2217  1431 (10)     all 24 parts 1622
+#   12    32     tf2003     13748  9502          9100
+#   12     1     goertzel    2233  1685          1657
+#   12    32     goertzel   16914  12971         14155
+#
+# Each part costs a chunk loop, a tiled XOR and, for goertzel, a fold of
+# the input, about 5-10 µs of numpy calls at m = 10: a class pays when the
+# bytes it saves outweigh them.  At m = 10 the 11-class ties on one vector
+# (it gains on 32, where no workload runs), and at m = 11 the period-89
+# class costs goertzel 3% on one vector and its fold on every build, so
+# both stay whole.  A split also assembles each class on its n / g points
+# only: at m = 16 tf2003 builds in 0.9-1.2 s, 1.6-2.1 s dense.
 #
 # The binary stage has two kernels, and each call picks one from its
 # input's shape alone.  The stage is GF(2)-linear, so a call of batch
@@ -641,6 +734,7 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 _GATHER = 1 << 15
+_SPLIT_BITS = 3 << 16
 _PLANES = 32
 _PLANE_BYTES = 1 << 18
 _Kernel = Callable[[np.ndarray], np.ndarray]
@@ -700,47 +794,112 @@ def _russians_sizes(width: int, rows: int, batch: int) -> tuple[int, int]:
     return s, max(1, min(s, _GATHER // max(rows * batch, 1)))
 
 
+class _Layout(NamedTuple):
+    """How the binary kernels read a matrix's parts.  Part i reads byte
+    groups first[i].. of the kernel's input and writes its rows at out[i]
+    of the output, or, with out[i] None, XORs them into the output tiled.
+    folds lists, for a transposed matrix, the input's folds to stack: the
+    input folded to period p, from row offset (a byte boundary) on; it is
+    empty for a matrix whose parts all read the input as it is."""
+
+    first: list[int]
+    packed: list[np.ndarray]
+    out: list[int | None]
+    folds: list[tuple[int, int]]
+    rows: int  # the output's rows, pads included
+    width: int  # the input's byte groups
+
+
+def _layout(matrix: BinaryMatrix) -> _Layout:
+    """A matrix's parts as the binary kernels read them.  The parts of a
+    transposed matrix (goertzel's R) each read the input folded to their
+    period p, row i of the fold being the XOR of the input's rows i, i + p,
+    ...; the folds are stacked, each from a byte boundary, and each part
+    writes its rows at its offset.  Otherwise each part reads its own byte
+    groups of the input."""
+    packed = [part.packed for part in matrix.parts]
+    if not matrix.transposed:
+        first = [off // 8 for off in matrix.offsets]
+        out = [None] * len(packed)
+        return _Layout(first, packed, out, [], matrix.stored[0], -(-matrix.stored[1] // 8))
+    groups = [-(-part.cols // 8) for part in matrix.parts]
+    first = list(accumulate(groups[:-1], initial=0))
+    folds = [(8 * g, part.cols) for g, part in zip(first, matrix.parts)]
+    return _Layout(first, packed, list(matrix.offsets), folds, matrix.stored[0], sum(groups))
+
+
+def _stacked(x: np.ndarray, layout: _Layout) -> np.ndarray:
+    """The kernel input for layout: x itself, or its folds stacked."""
+    if not layout.folds:
+        return x
+    batch = x.shape[1]
+    stacked = np.zeros((8 * layout.width, batch), dtype=x.dtype)
+    for at, p in layout.folds:
+        if p == len(x):
+            stacked[at : at + p] = x
+        else:
+            np.bitwise_xor.reduce(x.reshape(len(x) // p, p, batch), axis=0, out=stacked[at : at + p])
+    return stacked
+
+
 def _binary_kernel(matrix: BinaryMatrix) -> _Kernel:
     """Four Russians on bytes: byte g of a row selects among columns
     8g..8g+7, so out ^= table_g[byte g] over all groups g.  The selectors
-    are matrix.packed itself, whose packed[g] holds byte g of every row.
-    The tables of s groups are built entry-major, (256, s, lanes), so each
-    doubling step is one XOR of s lanes contiguous elements per entry;
-    lanes is the batch, padded to a power of two when at most 16.  A take
-    of one group reads its table column at byte g; a take of k groups reads
-    the chunk's flat (256 s, lanes) table at byte g s + h for the h-th
-    group of the chunk, and one XOR folds the k lookups."""
-    sel = matrix.packed
-    width, rows = sel.shape
+    are each part's packing itself, whose packed[g] holds byte g of every
+    row of the part.  The tables of s groups are built entry-major, (256,
+    s, lanes), so each doubling step is one XOR of s lanes contiguous
+    elements per entry; lanes is the batch, padded to a power of two when at
+    most 16.  A take of one group reads its table column at byte g; a take
+    of k groups reads the chunk's flat (256 s, lanes) table at byte g s + h
+    for the h-th group of the chunk, and one XOR folds the k lookups.  A
+    part of period p < rows looks up its groups on its p rows, and its
+    result is XORed into the output tiled rows / p times."""
+    layout = _layout(matrix)
+    rows, width = layout.rows, layout.width
 
     def run(x: np.ndarray) -> np.ndarray:
+        x = _stacked(x, layout)
         batch = x.shape[1]
         lanes = batch if batch > 16 else 1 << max(batch - 1, 0).bit_length()
         cols = np.zeros((width * 8, lanes), dtype=np.uint16)
-        cols[: matrix.cols, :batch] = x
+        cols[: len(x), :batch] = x
         bits = cols.reshape(width, 8, lanes).transpose(1, 0, 2).copy()  # bits[b, g] is column 8g + b
         out = np.zeros((rows, lanes), dtype=np.uint16)
-        s, k = _russians_sizes(width, rows, lanes)
-        tables = np.empty(256 * s * lanes, dtype=np.uint16)
-        tables[: s * lanes] = 0  # entry 0, the empty subset, of every chunk
-        idx = np.empty((s, rows), dtype=np.intp) if k > 1 else None
-        looked_up = np.empty((k, rows, lanes), dtype=np.uint16)
-        for g0 in range(0, width, s):
-            n = min(s, width - g0)
-            table = tables[: 256 * n * lanes].reshape(256, n, lanes)
-            for bit in range(8):
-                lo = 1 << bit
-                np.bitwise_xor(table[:lo], bits[bit, g0 : g0 + n], out=table[lo : 2 * lo])
-            if k == 1:
-                for h in range(n):
-                    out ^= np.take(table[:, h], sel[g0 + h], axis=0, out=looked_up[0], mode="clip")
+        sizes = [_russians_sizes(len(sel), sel.shape[1], lanes) for sel in layout.packed]
+        # one buffer each for the tables, the take index and the looked-up
+        # rows, sized for the largest part and viewed per part
+        tables = np.empty(256 * max(s for s, _ in sizes) * lanes, dtype=np.uint16)
+        shared = [s * sel.shape[1] for (s, k), sel in zip(sizes, layout.packed) if k > 1]
+        index = np.empty(max(shared), dtype=np.intp) if shared else None
+        looked = np.empty(max(k * sel.shape[1] for (_, k), sel in zip(sizes, layout.packed)) * lanes, dtype=np.uint16)
+        for first, sel, place, (s, k) in zip(layout.first, layout.packed, layout.out, sizes):
+            groups, p = sel.shape
+            if place is not None:
+                acc = out[place : place + p]
             else:
-                at = np.multiply(sel[g0 : g0 + n], n, out=idx[:n], dtype=np.intp)
-                at += np.arange(n, dtype=np.intp)[:, None]
-                flat = table.reshape(256 * n, lanes)
-                for h in range(0, n, k):
-                    n_tabs = min(k, n - h)
-                    _xor_fold(out, np.take(flat, at[h : h + n_tabs], axis=0, out=looked_up[:n_tabs], mode="clip"))
+                acc = out if p == rows else np.zeros((p, lanes), dtype=np.uint16)
+            tables[: s * lanes] = 0  # entry 0, the empty subset, of every chunk
+            idx = index[: s * p].reshape(s, p) if k > 1 else None
+            looked_up = looked[: k * p * lanes].reshape(k, p, lanes)
+            for g0 in range(0, groups, s):
+                n = min(s, groups - g0)
+                table = tables[: 256 * n * lanes].reshape(256, n, lanes)
+                for bit in range(8):
+                    lo = 1 << bit
+                    np.bitwise_xor(table[:lo], bits[bit, first + g0 : first + g0 + n], out=table[lo : 2 * lo])
+                if k == 1:
+                    for h in range(n):
+                        acc ^= np.take(table[:, h], sel[g0 + h], axis=0, out=looked_up[0], mode="clip")
+                else:
+                    at = np.multiply(sel[g0 : g0 + n], n, out=idx[:n], dtype=np.intp)
+                    at += np.arange(n, dtype=np.intp)[:, None]
+                    flat = table.reshape(256 * n, lanes)
+                    for h in range(0, n, k):
+                        n_tabs = min(k, n - h)
+                        _xor_fold(acc, np.take(flat, at[h : h + n_tabs], axis=0, out=looked_up[:n_tabs], mode="clip"))
+            if place is None and p < rows:
+                tiled = out.reshape(rows // p, p, lanes)
+                tiled ^= acc
         return out[:, :batch]
 
     return run
@@ -749,27 +908,51 @@ def _binary_kernel(matrix: BinaryMatrix) -> _Kernel:
 def _plane_kernel(matrix: BinaryMatrix, m: int) -> _Kernel:
     """Bit planes: the stage is GF(2)-linear, so bit b of row r's output is
     the parity of row r AND plane b, the columns' bit b packed as the
-    matrix is (byte g holds columns 8g..8g+7).  Per block of k = _GATHER //
-    rows byte groups, held to 1..width, one broadcast AND of the block's
-    packed bytes with every plane's byte (one per vector and bit) and one
-    XOR across the block.  A folded byte's parity is bit b of its row's
-    output: one lookup in the (m, 256) table of parity(byte) << b puts it
-    in place, and one OR across the planes gives the outputs."""
-    width, rows = matrix.packed.shape
-    sel = matrix.packed[:, None]  # (width, 1, rows)
-    k = max(1, min(width, _GATHER // max(rows, 1)))
+    matrix is (byte g holds columns 8g..8g+7), in one pass over the whole
+    input.  Per part, per block of k = _GATHER // p byte groups of its p
+    rows, held to 1..groups, one broadcast AND of the block's packed bytes
+    with every plane's byte (one per vector and bit) and one XOR across the
+    block; a part of period p < rows is folded into the full accumulator by
+    one XOR of its (planes, p) bytes tiled rows / p times.  A folded byte's
+    parity is bit b of its row's output: one lookup in the (m, 256) table of
+    parity(byte) << b puts it in place, and one OR across the planes gives
+    the outputs."""
+    layout = _layout(matrix)
+    rows, width = layout.rows, layout.width
+    parts = [
+        (first, sel[:, None], max(1, min(len(sel), _GATHER // max(sel.shape[1], 1))), at)
+        for first, sel, at in zip(layout.first, layout.packed, layout.out)
+    ]  # (first group, (groups, 1, p) selectors, groups per block, output row or None)
     shifts = np.arange(m, dtype=np.uint16)[:, None]
     odd = np.unpackbits(np.arange(256, dtype=np.uint8)).reshape(256, 8).sum(axis=1, dtype=np.uint16) & 1
     parity = (odd << shifts).ravel()  # row b at b << 8
     rows_of = shifts << 8
 
     def run(x: np.ndarray) -> np.ndarray:
+        x = _stacked(x, layout)
         batch = x.shape[1]
         bits = (x.T[:, None, :] >> shifts).astype(np.uint8) & 1
         planes = np.packbits(bits, axis=2, bitorder="little").reshape(batch * m, width).T[:, :, None]
-        acc = None
-        for g0 in range(0, width, k):
-            acc = _xor_fold(acc, np.bitwise_and(sel[g0 : g0 + k], planes[g0 : g0 + k], order="C"))
+        acc = np.zeros((batch * m, rows), dtype=np.uint8) if layout.folds else None
+        short = []
+        for first, sel, k, place in parts:
+            part_acc = None if place is None else acc[:, place : place + sel.shape[2]]
+            for g0 in range(0, len(sel), k):
+                block = sel[g0 : g0 + k]
+                part_acc = _xor_fold(
+                    part_acc, np.bitwise_and(block, planes[first + g0 : first + g0 + len(block)], order="C")
+                )
+            if place is not None:
+                continue
+            if acc is None and part_acc.shape[1] == rows:
+                acc = part_acc
+            else:
+                short.append(part_acc)
+        if acc is None:
+            acc = np.zeros((batch * m, rows), dtype=np.uint8)
+        for part_acc in short:
+            tiled = acc.reshape(batch * m, rows // part_acc.shape[1], part_acc.shape[1])
+            tiled ^= part_acc[:, None]
         return np.bitwise_or.reduce(parity.take(rows_of | acc.reshape(batch, m, rows)), axis=1).T
 
     return run
@@ -780,11 +963,12 @@ def _binary_stage_kernel(matrix: BinaryMatrix, m: int, before: np.ndarray | None
     vector) and their accumulator at most _PLANE_BYTES, else Four Russians;
     the gathers before and after the stage (None for none) run around it."""
     planes, russians = _plane_kernel(matrix, m), _binary_kernel(matrix)
+    rows = matrix.stored[0]
 
     def run(x: np.ndarray) -> np.ndarray:
         x = x if before is None else x.take(before, axis=0)
         n_planes = m * x.shape[1]
-        few = n_planes <= _PLANES and n_planes * matrix.n_rows <= _PLANE_BYTES
+        few = n_planes <= _PLANES and n_planes * rows <= _PLANE_BYTES
         y = (planes if few else russians)(x)
         return y if after is None else y.take(after, axis=0)
 
@@ -803,11 +987,13 @@ def _batch_stages(plan: Plan) -> tuple[_Kernel, ...]:
     inverse of out_perm), each composed with the binary matrix's order."""
     ctx, blocks, matrix = plan.ctx, plan.stage(BlockStage), plan.stage(BinaryMatrix)
     rows, cols = (np.arange(size) if o is None else o for o, size in zip(matrix.order, (matrix.n_rows, matrix.cols)))
+    shown = np.zeros(matrix.stored[1], dtype=np.intp)  # the column each stored column shows; 0 for a pad
+    shown[cols] = np.arange(matrix.cols)
     in_perm, inv_out = np.asarray(plan.in_perm, dtype=np.intp), np.argsort(plan.out_perm)
     if plan.stages[0] is blocks:
-        block = _block_kernel(ctx, blocks, _gather(in_perm), _gather(np.argsort(cols)))
+        block = _block_kernel(ctx, blocks, _gather(in_perm), _gather(shown))
         return block, _binary_stage_kernel(matrix, ctx.m, None, _gather(rows[inv_out]))
-    binary = _binary_stage_kernel(matrix, ctx.m, _gather(in_perm[np.argsort(cols)]), None)
+    binary = _binary_stage_kernel(matrix, ctx.m, _gather(in_perm[shown]), None)
     return binary, _block_kernel(ctx, blocks, _gather(rows), _gather(inv_out))
 
 
@@ -891,13 +1077,21 @@ def _mult_weights(plan: Plan) -> np.ndarray:
     """w_j: the entries > 1 in column j of the block covering position j;
     0 under a pass-through block, which has no entry > 1.  Indexed as the
     block kernel reads its input: by input position when the block stage
-    runs first, so that position in_perm[j] weighs w_j."""
+    runs first, so that position in_perm[j] weighs w_j, else by the binary
+    stage's stored row, so that stored row order[0][j] weighs w_j and a pad
+    weighs 0."""
     stage = plan.stage(BlockStage)
     _, keep = stage.grid()
     weights = (stage.entries > 1).sum(axis=1).ravel()[keep]
     if isinstance(plan.stages[0], BlockStage):
         weights[np.fromiter(plan.in_perm, np.intp, len(plan.in_perm))] = weights.copy()
-    return weights
+        return weights
+    matrix = plan.stage(BinaryMatrix)
+    if matrix.order[0] is None:
+        return weights
+    stored = np.zeros(matrix.stored[0], dtype=weights.dtype)
+    stored[matrix.order[0]] = weights
+    return stored
 
 
 def stage1_bound(ctx: FieldContext) -> int:

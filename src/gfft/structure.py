@@ -12,8 +12,8 @@ packing, and transpose_matrix transposes one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
-from typing import Sequence
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -216,86 +216,150 @@ def find_normal_basis(ctx: FieldContext, d: int) -> tuple[int, ...]:
     raise RuntimeError(f"no normal basis found for d={d} (field tables are broken)")
 
 
+class Part(NamedTuple):
+    """One packed 0/1 block of a BinaryMatrix: entry (r, j) is bit j % 8 of
+    packed[j // 8, r], so packed[g] holds byte g of every row, as both
+    binary kernels read it; every bit past column cols is clear."""
+
+    packed: np.ndarray
+    cols: int
+
+    @property
+    def rows(self) -> int:
+        return self.packed.shape[1]
+
+
 class BinaryMatrix:
-    """0/1 matrix packed into one read-only uint8 array, the only place that
-    knows the layout: stored entry (r, j) is bit j % 8 of packed[j // 8, r],
-    so packed[g] holds byte g of every row, as both binary kernels read it.
+    """0/1 matrix held as a tuple of parts, each a read-only packing (Part),
+    the only place that knows the layout.  The parts sit side by side along
+    the stored columns, part i from column offsets[i], 8 times the byte
+    groups of the parts before it (so each starts at a byte boundary and
+    the columns between one part's last and the next one's first are pads,
+    stored nowhere), and each repeats down the stored rows with its row
+    period p, its row count, which divides the largest, the stored row
+    count: stored entry (r, offsets[i] + j) is part i's entry (r mod p, j).
+    With transposed, rows and columns swap roles: the parts sit one under
+    the other along the stored rows and repeat across the columns with the
+    period of their column count, stored entry (offsets[i] + r, c) being
+    part i's (r, c mod p).  One part is a dense matrix either way.
     Entry (r, c) is stored entry (order[0][r], order[1][c]), an order being
-    an index or None, so stages one permutation apart share a packing."""
+    an index or None, so stages one permutation apart share the parts; an
+    index along the parts' axis names every stored position but the pads."""
 
-    __slots__ = ("packed", "cols", "order")
+    __slots__ = ("parts", "order", "transposed", "offsets", "stored", "n_rows", "cols")
 
-    def __init__(self, packed: np.ndarray, cols: int, order: tuple = (None, None)):
-        """ValueError unless packed is a (ceil(cols / 8), rows) uint8 array
-        with every bit past column cols clear, and each index of order a
-        permutation of the rows or of the columns.  Marks packed read-only."""
-        if not isinstance(packed, np.ndarray) or packed.dtype != np.uint8:
-            raise ValueError("packed rows must be a uint8 numpy array")
-        if cols < 0 or packed.ndim != 2 or len(packed) != -(-cols // 8):
-            raise ValueError(f"packed shape {packed.shape} does not hold {cols} columns")
-        if cols % 8 and (packed[-1] >> (cols % 8)).any():
-            raise ValueError(f"bits set past column {cols}")
+    def __init__(self, parts: Sequence[Part], order: tuple = (None, None), transposed: bool = False):
+        """ValueError unless each part is a (ceil(cols / 8), rows) uint8 array
+        with every bit past its column cols clear, each period divides the
+        largest, and each index of order is a permutation of the stored
+        positions of its axis, a None along the parts' axis needing no pads.
+        Marks every packing read-only."""
+        parts = tuple(part if isinstance(part, Part) else Part(*part) for part in parts)
+        for packed, cols in parts:
+            if not isinstance(packed, np.ndarray) or packed.dtype != np.uint8:
+                raise ValueError("packed rows must be a uint8 numpy array")
+            if cols < 0 or packed.ndim != 2 or len(packed) != -(-cols // 8):
+                raise ValueError(f"packed shape {packed.shape} does not hold {cols} columns")
+            if cols % 8 and (packed[-1] >> (cols % 8)).any():
+                raise ValueError(f"bits set past column {cols}")
+        if not parts:
+            raise ValueError("a binary matrix needs a part")
+        transposed = bool(transposed) and len(parts) > 1  # one part reads the same either way
+        extents = [part.rows if transposed else part.cols for part in parts]
+        periods = [part.cols if transposed else part.rows for part in parts]
+        period = max(periods)
+        if any(period % p for p in periods):
+            raise ValueError(f"periods {periods} do not all divide {period}")
+        self.offsets = tuple(8 * g for g in accumulate((-(-e // 8) for e in extents[:-1]), initial=0))
+        placed = self.offsets[-1] + extents[-1]
+        self.stored = (placed, period) if transposed else (period, placed)
         self.order = tuple(None if idx is None else np.asarray(idx) for idx in order)
-        for idx, size, axis in zip(self.order, (packed.shape[1], cols), ("row", "column"), strict=True):
-            if idx is not None and (idx.dtype.kind not in "iu" or not np.array_equal(np.sort(idx), np.arange(size))):
-                raise ValueError(f"the {axis} order is not a permutation of {size} {axis}s")
-        packed.flags.writeable = False
-        self.packed = packed
-        self.cols = cols
+        for axis, (idx, name) in enumerate(zip(self.order, ("row", "column"), strict=True)):
+            along = axis == (0 if transposed else 1)
+            if idx is None:
+                if along and sum(extents) != placed:
+                    raise ValueError(f"the {name} order must skip the pads between parts")
+                continue
+            if along:  # every stored position but the pads
+                want = np.concatenate([np.arange(off, off + e) for off, e in zip(self.offsets, extents)])
+            else:
+                want = np.arange(period)
+            if idx.dtype.kind not in "iu" or not np.array_equal(np.sort(idx), want):
+                raise ValueError(f"the {name} order is not a permutation of {len(want)} stored {name}s")
+        self.n_rows, self.cols = (self.stored[axis] if idx is None else len(idx) for axis, idx in enumerate(self.order))
+        for part in parts:
+            part.packed.flags.writeable = False
+        self.parts = parts
+        self.transposed = transposed
 
     def __reduce__(self):
         """Copies and pickles go through __init__: checked and read-only."""
-        return BinaryMatrix, (self.packed, self.cols, self.order)
+        return BinaryMatrix, (self.parts, self.order, self.transposed)
 
     @classmethod
     def from_rows(cls, rows: Sequence[int], cols: int) -> "BinaryMatrix":
-        """Row i from an int with bit j = entry (i, j)."""
+        """Row i from an int with bit j = entry (i, j): one part."""
         width = -(-cols // 8)
         try:
             raw = b"".join(r.to_bytes(width, "little") for r in rows)
         except OverflowError:
             raise ValueError(f"a row does not fit in {cols} columns") from None
-        return cls(np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), width).T.copy(), cols)
-
-    @property
-    def n_rows(self) -> int:
-        return self.packed.shape[1]
+        return cls((Part(np.frombuffer(raw, dtype=np.uint8).reshape(len(rows), width).T.copy(), cols),))
 
     @property
     def rows(self) -> list[int]:
         """Row i as an int with bit j = entry (i, j), derived on each access."""
-        raw, w = np.packbits(self.bits(), axis=1, bitorder="little").tobytes(), len(self.packed)
+        raw, w = np.packbits(self.bits(), axis=1, bitorder="little").tobytes(), -(-self.cols // 8)
         return [int.from_bytes(raw[i * w : (i + 1) * w], "little") for i in range(self.n_rows)]
 
     def bits(self, transpose: bool = False) -> np.ndarray:
         """The (rows, cols) uint8 0/1 array of the entries, or with transpose
         its (cols, rows) transpose, unpacked anew on each call and taken in
-        order: the one place that unpacks the matrix.  The transpose unpacks
-        along axis 0, where packed[g] holds byte g of every row, so neither
-        form transposes a byte array: bit b of packed[g] is column 8g + b,
-        one shift and one AND per bit (np.unpackbits along axis 0 took 25
-        times as long at m = 12)."""
-        if transpose:
-            columns = np.empty((len(self.packed), 8, self.n_rows), dtype=np.uint8)
-            for b in range(8):
-                np.right_shift(self.packed, b, out=columns[:, b])
-                columns[:, b] &= 1
-            out = columns.reshape(-1, self.n_rows)[: self.cols]
+        order: the one place that unpacks the matrix.  Each part is unpacked
+        once and tiled along its period into the stored matrix, whose pads
+        are 0; one part is the stored matrix itself."""
+        blocks = [_unpacked(part, transpose) for part in self.parts]
+        if len(blocks) == 1:
+            out = blocks[0]
         else:
-            out = np.unpackbits(np.ascontiguousarray(self.packed.T), axis=1, count=self.cols, bitorder="little")
+            out = np.zeros(self.stored[::-1] if transpose else self.stored, dtype=np.uint8)
+            for off, block in zip(self.offsets, blocks):
+                if transpose != self.transposed:  # the parts stack along the rows
+                    extent, p = block.shape
+                    out[off : off + extent].reshape(extent, out.shape[1] // p, p)[:] = block[:, None]
+                else:
+                    p, extent = block.shape
+                    out[:, off : off + extent].reshape(len(out) // p, p, extent)[:] = block
         first, second = self.order[::-1] if transpose else self.order
         out = out if first is None else out.take(first, axis=0)
         return out if second is None else out.take(second, axis=1)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, BinaryMatrix) or self.cols != other.cols:
+        if not isinstance(other, BinaryMatrix) or (self.n_rows, self.cols) != (other.n_rows, other.cols):
             return False
-        if all(a is b or np.array_equal(a, b) for a, b in zip(self.order, other.order)):
-            return np.array_equal(self.packed, other.packed)  # one order maps both the same way
+        layouts = [(m.transposed, [(part.packed.shape, part.cols) for part in m.parts]) for m in (self, other)]
+        if layouts[0] == layouts[1] and all(a is b or np.array_equal(a, b) for a, b in zip(self.order, other.order)):
+            # one layout and one order map both the same way
+            return all(np.array_equal(p.packed, q.packed) for p, q in zip(self.parts, other.parts))
         return np.array_equal(self.bits(), other.bits())
 
     def __repr__(self) -> str:
         return f"BinaryMatrix({self.n_rows}x{self.cols})"
+
+
+def _unpacked(part: Part, transpose: bool) -> np.ndarray:
+    """The part's (rows, cols) uint8 0/1 array, or with transpose its (cols,
+    rows) transpose.  The transpose unpacks along axis 0, where packed[g]
+    holds byte g of every row, so neither form transposes a byte array: bit
+    b of packed[g] is column 8g + b, one shift and one AND per bit
+    (np.unpackbits along axis 0 took 25 times as long at m = 12)."""
+    if not transpose:
+        return np.unpackbits(np.ascontiguousarray(part.packed.T), axis=1, count=part.cols, bitorder="little")
+    columns = np.empty((len(part.packed), 8, part.rows), dtype=np.uint8)
+    for b in range(8):
+        np.right_shift(part.packed, b, out=columns[:, b])
+        columns[:, b] &= 1
+    return columns.reshape(-1, part.rows)[: part.cols]
 
 
 # Assembling a plan's binary matrix.  Every binary matrix of a plan (A, R
@@ -326,24 +390,35 @@ class BinaryMatrix:
 #
 # Once a coset's points exceed half the budget (m >= 15; two cosets at
 # m = 14) a chunk is one coset, with the steps of a coset at a time and the
-# same work per element.  The temporaries, allocated once per build after
-# the matrix, are the chunk's exponents, which become its coordinates, and
-# its gather index, whose memory holds the folds' high parts first: 12
-# bytes per element (0.4 MiB), plus the maps of the shared bases and of one
-# chunk's own.
+# same work per element.  The temporaries, allocated once per build, are
+# the chunk's exponents, which become its coordinates, and its gather
+# index, whose memory holds the folds' high parts first: 12 bytes per
+# element (0.4 MiB), plus the maps of the shared bases and of one chunk's
+# own.
 #
-# goertzel's R is the transpose of the combine matrix.  The same chunks
-# pack the combine matrix into a square grid of whole 8x8 bit blocks,
-# q = ceil(max(rows, cols) / 8) blocks a side ((q, 8q) bytes), which is
-# then transposed in place: block (g, i), one little-endian uint64, holds
-# byte g of rows 8i..8i+7.  The delta swaps below transpose every block,
-# budget // q block rows (budget elements) at a time, and tiles of
-# isqrt(budget // 8) blocks a side (budget bytes, 32 KiB) swap across the
-# grid's diagonal.  R's packing is the grid's first ceil(rows / 8) rows and
-# cols columns.  So a build holds the grid, one chunk's temporaries, one
-# slab and one tile, never a second copy of the packing.  transpose_matrix
-# transposes a built matrix the same way, after one copy of its packing
-# into a new grid: _grid and _transpose_grid alone know the grid's layout.
+# A matrix of parts is filled in one pass over its cosets in stored order,
+# part by part, each part's from a byte boundary, and a chunk never spans
+# two parts: the cosets of a part of p rows are mapped at points[:p] only,
+# so a part whose arguments a^(i rep) repeat with period p (subgroup
+# periodicity, see algorithms) costs p / len(points) of a full one to
+# build and to hold.  The byte-group bookkeeping, the coordinate tables,
+# the maps of the shared bases and the temporaries serve every part.
+#
+# goertzel's R is the transpose of the combine matrix.  The chunks pack
+# their cosets' bytes into a slab of the combine matrix's packing, as many
+# groups as one transpose step takes (budget blocks) and at least a
+# chunk's.  When the next chunk would not fit, the groups before its first
+# are transposed into R's packing and its first group, which the chunk
+# before may have begun, moves to the slab's start, so each group is
+# transposed once.  The transpose works on whole 8x8 bit blocks: block
+# (g, a) of a slab, one little-endian uint64, holds byte g of rows
+# 8a..8a+7, and the delta swaps below turn it into byte a of rows
+# 8g..8g+7 of the transpose, so the slab's blocks, transposed as a uint64
+# array, are the transpose's bytes.  So a build
+# holds R, one chunk's temporaries and one slab of blocks, never the
+# combine matrix.  transpose_matrix transposes a built matrix part by part
+# the same way, budget blocks of a part's packing at a time into a new
+# packing, so the two share no memory.
 
 # delta swaps that transpose an 8x8 bit block held as a little-endian uint64,
 # byte i = row i: they swap the off-diagonal bits of each 2x2 block, then the
@@ -354,63 +429,105 @@ _DELTA_SWAPS = tuple(
 )
 
 
-def _transpose_grid(grid: np.ndarray, rows: int, cols: int, budget: int, order: tuple = (None, None)) -> BinaryMatrix:
-    """Transpose in place the 8q x 8q bit matrix that grid, a (q, 8q) uint8
-    array, packs as BinaryMatrix does, entry (r, j) moving to (j, r), and
-    return the transpose of its rows x cols corner, shown in order: a view of
-    the grid, whose byte groups stay contiguous."""
-    blocks = grid.view("<u8")  # (q, q)
-    q = len(blocks)
-    slab = max(1, budget // q)
-    swap = np.empty((min(slab, q), q), dtype=np.uint64)
-    for s in range(0, q, slab):
-        block_rows = blocks[s : s + slab]
-        tmp = swap[: len(block_rows)]
+def _transpose_into(packed: np.ndarray, rows: int, out: np.ndarray, budget: int, in_place: bool = False) -> None:
+    """Write into out, a (ceil(rows / 8), 8 groups) byte array whose rows
+    are C-contiguous, the transpose of packed, a (groups, rows) packing,
+    budget // ceil(rows / 8) byte groups (budget blocks) at a time: each
+    slab's rows zero-padded to whole blocks in a copy, or, in_place, packed
+    is (groups, 8 ceil(rows / 8)) scratch already padded, swapped where it
+    is.  The delta swaps turn each block in place, and one copy puts the
+    slab's blocks, transposed as a uint64 array, into out's."""
+    groups, p8 = len(packed), len(out)
+    slab = max(1, budget // max(p8, 1))
+    swap = np.empty((min(slab, groups), p8), dtype=np.uint64)
+    buf = None if in_place else np.zeros((len(swap), 8 * p8), dtype=np.uint8)
+    out = out.view("<u8")  # (p8, groups): block (a, g) is byte a of rows 8g..8g+7
+    for g0 in range(0, groups, slab):
+        s = min(slab, groups - g0)
+        if in_place:
+            blocks = packed[g0 : g0 + s].view("<u8")
+        else:
+            buf[:s, :rows] = packed[g0 : g0 + s]
+            buf[:s, rows:] = 0  # the last swaps moved bits there
+            blocks = buf[:s].view("<u8")
+        tmp = swap[:s]
         for shift, mask in _DELTA_SWAPS:
-            np.right_shift(block_rows, shift, out=tmp)
-            tmp ^= block_rows
+            np.right_shift(blocks, shift, out=tmp)
+            tmp ^= blocks
             tmp &= mask
-            block_rows ^= tmp
+            blocks ^= tmp
             tmp <<= shift
-            block_rows ^= tmp
-    side = max(1, isqrt(budget // 8))
-    for i in range(0, q, side):
-        for j in range(i, q, side):  # a diagonal tile swaps with itself
-            upper, lower = blocks[i : i + side, j : j + side], blocks[j : j + side, i : i + side]
-            tile = upper.copy()
-            upper[:] = lower.T
-            lower[:] = tile.T
-    return BinaryMatrix(grid[: -(-rows // 8), :cols], rows, order)
+            blocks ^= tmp
+        out[:, g0 : g0 + s] = blocks.T
 
 
-def _grid(rows: int, cols: int) -> np.ndarray:
-    """The zeroed grid that packs a rows x cols matrix, as BinaryMatrix
-    does, in its first ceil(cols / 8) rows and rows columns."""
-    q = -(-max(rows, cols) // 8)
-    return np.zeros((q, 8 * q), dtype=np.uint8)
+def _transposed_packing(cols: int, rows: int) -> np.ndarray:
+    """The (ceil(rows / 8), 8 ceil(cols / 8)) array whose first cols columns
+    pack a transpose of cols rows, its rows whole uint64 blocks, for
+    _transpose_into to fill."""
+    return np.empty((-(-rows // 8), 8 * -(-cols // 8)), dtype=np.uint8)
 
 
 def transpose_matrix(matrix: BinaryMatrix, budget: int) -> BinaryMatrix:
-    """matrix's transpose: its packing copied into a new grid, which is
-    transposed in place, so no third copy is held, and its orders swapped."""
-    grid = _grid(matrix.n_rows, matrix.cols)
-    grid[: len(matrix.packed), : matrix.n_rows] = matrix.packed
-    return _transpose_grid(grid, matrix.n_rows, matrix.cols, budget, matrix.order[::-1])
+    """matrix's transpose: each part's packing transposed into a new one,
+    its orders swapped."""
+    parts = []
+    for part in matrix.parts:
+        out = _transposed_packing(part.cols, part.rows)
+        _transpose_into(part.packed, part.rows, out, budget)
+        parts.append(Part(out[:, : part.cols], part.rows))
+    return BinaryMatrix(parts, matrix.order[::-1], not matrix.transposed)
 
 
 def coordinate_matrix(
-    ctx: FieldContext, points, reps: Sequence[int], bases: Sequence[tuple[int, ...]], budget: int, transpose: bool = False
+    ctx: FieldContext,
+    points,
+    reps: Sequence[int],
+    bases: Sequence[tuple[int, ...]],
+    budget: int,
+    transpose: bool = False,
+    parts: Sequence[tuple[int, Sequence[int]]] | None = None,
 ) -> BinaryMatrix:
     """The matrix of len(points) rows whose row r holds the coordinates of
     a^(points[r] * reps[k]) in bases[k], coset k beside coset k - 1 from the
-    lowest bits; with transpose, its transpose.  A chunk holds as many
-    cosets as give budget elements of points x cosets, and at least one.
-    ArithmeticError, naming the exponent and the basis, if an argument lies
-    outside its basis's span."""
-    n, rows, l = ctx.n, len(points), len(bases)
+    lowest bits; with transpose, its transpose.  parts lists, per part, its
+    row count p and the indices of its cosets, increasing, each coset in
+    one part; the default is one part of every coset.  A part stores its
+    cosets at points[:p] alone, and for p < len(points) the caller vouches
+    that row r + p of each of them repeats row r.  The parts' columns (rows,
+    with transpose) are stored in the order the list gives, each part from
+    a byte boundary, and shown in coset order.  A chunk holds as many
+    cosets of a part as give budget elements of points x cosets, and at
+    least one.  ArithmeticError, naming the exponent and the basis, if an
+    argument lies outside its basis's span."""
+    n, l = ctx.n, len(bases)
+    parts = [(len(points), range(l))] if parts is None else parts
+    ids: dict[tuple[int, ...], int] = {}
+    basis_of = np.array([ids.setdefault(b, len(ids)) for b in bases])
+    tables = coordinate_tables(list(ids))
+    exp = np.asarray(ctx.exp + ctx.exp[:1], dtype=np.intp)  # a^n = a^0 closes the folds below
+    low, high = exp & 255, exp >> 8
+    points = np.asarray(points, dtype=np.uint32)  # points * rep < n^2 < 2^(2m) <= 2^32
+
+    def map_exp(which: np.ndarray, out: np.ndarray) -> None:
+        """Row i of out: the map of basis which[i] at each a^e, e <= n."""
+        np.take(tables[which, 0], low, axis=1, out=out)
+        out ^= np.take(tables[which, 1], high, axis=1)
+
+    # the cosets in stored order, part by part: coset i of that order is
+    # coset stored[i], its columns from starts[i] on, each part's from a
+    # byte boundary; the column order shows them in coset order
+    lens = np.array([len(ks) for _, ks in parts])
+    part_end = np.cumsum(lens)  # each part's cosets end there in stored order
     widths = np.array([len(b) for b in bases])
-    ends = np.cumsum(widths)
-    starts, cols = ends - widths, int(ends[-1])
+    reps = np.array(reps, dtype=np.uint32)[:, None]
+    order = stored_columns(widths, [ks for _, ks in parts])
+    starts = np.cumsum(widths) - widths
+    if order is not None:  # the cosets and their columns in stored order
+        stored = np.concatenate([np.asarray(ks, dtype=np.intp) for _, ks in parts])
+        starts, widths, reps, basis_of = order[starts[stored]], widths[stored], reps[stored], basis_of[stored]
+        bases = [bases[k] for k in stored.tolist()]
+    ends = starts + widths
     first_group, last_group = starts // 8, (ends - 1) // 8
     # byte j of coset k's shifted coordinates goes to byte group
     # first_group[k] + j; listed by k then j, these (k, j) pairs never go
@@ -424,56 +541,95 @@ def coordinate_matrix(
     in_group = np.bincount(pair_group)
     pair_rank = np.arange(len(pair_group)) - (np.cumsum(in_group) - in_group)[pair_group]
     shifts = (starts % 8).astype(np.uint32)[:, None]
-    reps = np.array(reps, dtype=np.uint32)[:, None]
-    points = np.asarray(points, dtype=np.uint32)  # points * rep < n^2 < 2^(2m) <= 2^32
 
-    ids: dict[tuple[int, ...], int] = {}
-    basis_of = np.array([ids.setdefault(b, len(ids)) for b in bases])
-    tables = coordinate_tables(list(ids))
-    exp = np.asarray(ctx.exp + ctx.exp[:1], dtype=np.intp)  # a^n = a^0 closes the folds below
-    low, high = exp & 255, exp >> 8
-
-    def map_exp(which: np.ndarray, out: np.ndarray) -> None:
-        """Row i of out: the map of basis which[i] at each a^e, e <= n."""
-        np.take(tables[which, 0], low, axis=1, out=out)
-        out ^= np.take(tables[which, 1], high, axis=1)
-
-    per_chunk = max(1, min(l, budget // max(rows, 1)))
     is_shared = np.bincount(basis_of) > 1
     shared, own = np.flatnonzero(is_shared), ~is_shared[basis_of]
     shared_row = (np.cumsum(is_shared) - 1)[basis_of]
-    out = _grid(rows, cols) if transpose else np.zeros((-(-cols // 8), rows), dtype=np.uint8)
-    maps = np.empty((len(shared) + per_chunk, n + 1), dtype=np.uint32)  # the shared bases, then a chunk's own
+    per_chunk = [max(1, min(int(c), budget // max(p, 1))) for (p, _), c in zip(parts, lens)]
+    size = max(k * p for k, (p, _) in zip(per_chunk, parts))
+    part_cols = [int(ends[k1 - 1] - starts[k0]) for k0, k1 in zip(part_end - lens, part_end)]
+    outs = [  # the packings, before the temporaries
+        _transposed_packing(cols, rows) if transpose else np.zeros((-(-cols // 8), rows), dtype=np.uint8)
+        for (rows, _), cols in zip(parts, part_cols)
+    ]
+    maps = np.empty((len(shared) + max(per_chunk), n + 1), dtype=np.uint32)  # the shared bases, then a chunk's own
     map_exp(shared, maps[: len(shared)])
-    coords = np.empty((per_chunk, rows), dtype=np.uint32)  # exponents, then coordinates
-    at = np.empty(coords.shape, dtype=np.intp)  # the gather index
-    high_part = at.reshape(-1).view(np.uint32)[: coords.size].reshape(coords.shape)  # the folds', in at's memory
-    for k0 in range(0, l, per_chunk):
-        k1 = min(k0 + per_chunk, l)
-        e, e_high, index, mine = coords[: k1 - k0], high_part[: k1 - k0], at[: k1 - k0], own[k0:k1]
-        np.multiply(reps[k0:k1], points, out=e)
-        for _ in range(2):  # e = (e & n) + (e >> m): below 2n, then at most n
-            np.right_shift(e, ctx.m, out=e_high)
-            e &= n
-            e += e_high
-        map_row, count = shared_row[k0:k1].copy(), np.count_nonzero(mine)
-        if count:
-            map_row[mine] = len(shared) + np.arange(count)
-            map_exp(basis_of[k0:k1][mine], maps[len(shared) : len(shared) + count])
-        np.add(e, (map_row * (n + 1))[:, None], out=index)
-        c = np.take(maps.reshape(-1), index, out=e)
-        if c.max() >> 16:  # a residual is set
-            k, r = divmod(int(np.flatnonzero(c >> 16)[0]), rows)
-            exponent = int(points[r]) * int(reps[k0 + k, 0]) % n
-            raise ArithmeticError(f"a^{exponent} is outside the span of {bases[k0 + k]}")
-        c <<= shifts[k0:k1]
-        by_byte = c.astype("<u4", copy=False).view(np.uint8).reshape(k1 - k0, rows, 4)
-        pairs = slice(first_pair[k0], first_pair[k1])
-        k, j, g = pair_coset[pairs] - k0, pair_byte[pairs], pair_group[pairs]
-        rank = np.minimum(pair_rank[pairs], np.arange(len(g)))  # within the chunk
-        first = rank == 0  # one pair per group, and the chunk's groups are consecutive
-        out[g[0] : g[-1] + 1, :rows] |= by_byte[k[first], :, j[first]]
-        for t in range(1, int(rank.max()) + 1):
-            of_rank = rank == t
-            out[g[of_rank], :rows] |= by_byte[k[of_rank], :, j[of_rank]]
-    return _transpose_grid(out, rows, cols, budget) if transpose else BinaryMatrix(out, cols)
+    coords = np.empty(size, dtype=np.uint32)  # exponents, then coordinates
+    at = np.empty(size, dtype=np.intp)  # the gather index
+    high_part = at.view(np.uint32)  # the folds', in at's memory
+    built = []
+    for (rows, _), k0_part, k1_part, chunk, out, cols in zip(
+        parts, part_end - lens, part_end, per_chunk, outs, part_cols
+    ):
+        g_part = int(first_group[k0_part])  # the part's first byte group
+        groups, base = -(-cols // 8), g_part  # packed[i] holds byte group base + i
+        packed = out
+        if transpose:  # a slab of groups, what one _transpose_into step takes and at least a chunk's, padded
+            chunks = range(k0_part, k1_part, chunk)
+            span = max(last_group[min(k0 + chunk, k1_part) - 1] - first_group[k0] + 1 for k0 in chunks)
+            slab = np.zeros((min(groups, max(span, budget // -(-rows // 8))), 8 * -(-rows // 8)), dtype=np.uint8)
+            packed = slab[:, :rows]
+
+        def flush(end: int) -> None:
+            """The slab's groups base..end - 1 into R, the swaps leaving them to clear."""
+            into = out[:, 8 * (base - g_part) : 8 * (end - g_part)]
+            _transpose_into(slab[: end - base], rows, into, budget, in_place=True)
+
+        pts = points[:rows]
+        e_all, high_all, index_all = (buf[: chunk * rows].reshape(chunk, rows) for buf in (coords, high_part, at))
+        for k0 in range(k0_part, k1_part, chunk):
+            k1 = min(k0 + chunk, k1_part)
+            if transpose and last_group[k1 - 1] + 1 - base > len(packed):
+                done = int(first_group[k0]) - base  # the groups before this chunk's first are complete
+                flush(base + done)
+                slab[0] = slab[done] if done < len(slab) else 0  # this chunk's first group: the last may have begun it
+                slab[1 : done + 1] = 0
+                base += done
+            e, e_high, index, mine = e_all[: k1 - k0], high_all[: k1 - k0], index_all[: k1 - k0], own[k0:k1]
+            np.multiply(reps[k0:k1], pts, out=e)
+            for _ in range(2):  # e = (e & n) + (e >> m): below 2n, then at most n
+                np.right_shift(e, ctx.m, out=e_high)
+                e &= n
+                e += e_high
+            map_row, count = shared_row[k0:k1].copy(), np.count_nonzero(mine)
+            if count:
+                map_row[mine] = len(shared) + np.arange(count)
+                map_exp(basis_of[k0:k1][mine], maps[len(shared) : len(shared) + count])
+            np.add(e, (map_row * (n + 1))[:, None], out=index)
+            c = np.take(maps.reshape(-1), index, out=e)
+            if c.max() >> 16:  # a residual is set
+                k, r = divmod(int(np.flatnonzero(c >> 16)[0]), rows)
+                exponent = int(pts[r]) * int(reps[k0 + k, 0]) % n
+                raise ArithmeticError(f"a^{exponent} is outside the span of {bases[k0 + k]}")
+            c <<= shifts[k0:k1]
+            by_byte = c.astype("<u4", copy=False).view(np.uint8).reshape(k1 - k0, rows, 4)
+            pairs = slice(first_pair[k0], first_pair[k1])
+            k, j, g = pair_coset[pairs] - k0, pair_byte[pairs], pair_group[pairs] - base
+            rank = np.minimum(pair_rank[pairs], np.arange(len(g)))  # within the chunk
+            first = rank == 0  # one pair per group, and the chunk's groups are consecutive
+            packed[g[0] : g[-1] + 1] |= by_byte[k[first], :, j[first]]
+            for t in range(1, int(rank.max()) + 1):
+                of_rank = rank == t
+                packed[g[of_rank]] |= by_byte[k[of_rank], :, j[of_rank]]
+        if transpose:
+            flush(g_part + groups)
+            built.append(Part(out[:, :cols], rows))
+        else:
+            built.append(Part(out, cols))
+    return BinaryMatrix(built, (order, None) if transpose else (None, order), transpose)
+
+
+def stored_columns(widths: Sequence[int], groups: Sequence[Sequence[int]]) -> np.ndarray | None:
+    """Where each column of cosets of these widths, side by side in coset
+    order, is stored when the groups of coset indices, each increasing, are
+    stored in order, each from a byte boundary: an index, or None for the
+    identity."""
+    if len(groups) == 1:
+        return None
+    widths = np.asarray(widths, dtype=np.intp)
+    starts, offset = np.empty(len(widths), dtype=np.intp), 0  # where each coset's first column is stored
+    for ks in groups:
+        w = widths[ks]
+        starts[ks] = offset + np.cumsum(w) - w
+        offset += 8 * -(-int(w.sum()) // 8)
+    return np.repeat(starts - (np.cumsum(widths) - widths), widths) + np.arange(int(widths.sum()))

@@ -7,7 +7,7 @@ import sys
 import threading
 import tracemalloc
 from itertools import accumulate, permutations
-from math import isqrt
+from math import gcd
 
 import numpy as np
 import pytest
@@ -425,13 +425,14 @@ def test_chunk_edges_keep_every_matrix(m, monkeypatch):
 
 @pytest.mark.parametrize("m", range(2, 11))
 def test_transposed_packing_tile_edges(m, monkeypatch):
-    # R is packed in a square grid of q x q 8x8 bit blocks and transposed
-    # there: budget // q block rows of delta swaps at a time, then tiles of
-    # isqrt(budget // 8) blocks swapped across the diagonal.  The budgets
-    # give tiles of one block, of three (which divides no q = 2^(m-3)), of
-    # q and of q + 1 blocks, and the cuts of _chunk_budgets; every packing
-    # is the combine matrix transposed.  From m = 5 on some budget leaves a
-    # partial last tile, and from m = 6 on a partial last slab
+    # R is packed a slab of byte groups at a time: the chunks of cosets fill
+    # a slab of the combine matrix's packing, which is transposed into R's
+    # in steps of budget // q groups (q = ceil(n / 8) blocks of rows) and
+    # flushed when the next chunk would not fit.  The budgets 8, 72, 8 q^2
+    # and 8 (q + 1)^2 give steps of one group (a flush per chunk), of
+    # 72 // q groups and of the whole matrix at once, and the cuts of
+    # _chunk_budgets; every packing is the combine matrix transposed.  From
+    # m = 6 on some budget leaves a partial last step
     ctx = default_field(m)
     want = matrix_of(build_blahut2008(ctx)).bits().T
     q = -(-ctx.n // 8)
@@ -439,9 +440,7 @@ def test_transposed_packing_tile_edges(m, monkeypatch):
     for budget in budgets:
         monkeypatch.setattr(alg, "_GATHER", budget)
         assert np.array_equal(matrix_of(build_goertzel(ctx)).bits(), want), (m, budget)
-    sides = [max(1, isqrt(budget // 8)) for budget in budgets]
     slabs = [max(1, budget // q) for budget in budgets]
-    assert any(side < q and q % side for side in sides) == (m > 4), sides
     assert any(slab < q and q % slab for slab in slabs) == (m > 5), slabs
 
 
@@ -464,7 +463,7 @@ def test_build_memory_stays_near_the_packed_matrix(tag):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak - matrix_of(plan).packed.nbytes
+        return peak - sum(part.packed.nbytes for part in matrix_of(plan).parts)
 
     peak = peak_beside_matrix(tag)
     assert peak < 4 << 20
@@ -474,28 +473,46 @@ def test_build_memory_stays_near_the_packed_matrix(tag):
 
 @pytest.mark.parametrize("m", [13, 14])
 def test_remainder_matrix_is_combine_transposed_above_goldens(m):
-    # the goldens pin R up to m = 12.  Here R, transposed in 16 or 32 tiles
-    # a side and with a partial last block (n = 7 mod 8), is checked against
-    # the combine matrix a slab of byte groups at a time, without an n x n
-    # array: bit b of A.packed[g] is column 8g + b of A, and the bytes of
-    # rows 8g..8g+7 of R are R.packed[:, 8g:8g+8]
+    # the goldens pin R up to m = 12.  Here R, built in slabs with a partial
+    # last block (n = 7 mod 8), is checked against the combine matrix part
+    # by part (m = 14 splits its periodic classes; 13, with n prime, is one
+    # part), a slab of byte groups at a time, without an n x n array: bit b
+    # of a part's A.packed[g] is its column 8g + b, and the bytes of rows
+    # 8g..8g+7 of R's part are its R.packed[:, 8g:8g+8]
     ctx = default_field(m)
     r = matrix_of(build_goertzel(ctx))
     # on its own field object blahut2008 is assembled cold, never derived
     # from R, whether or not the goertzel plan is still alive
     a = matrix_of(build_blahut2008(default_field(m)))
     assert (r.n_rows, r.cols) == (a.cols, a.n_rows) == (ctx.n, ctx.n)
+    assert len(r.parts) == len(a.parts) == (1 if m == 13 else 6)
+    assert r.transposed == (m == 14) and not a.transposed and r.offsets == a.offsets
+    assert r.order[1] is a.order[0] is None
+    assert r.order[0] is a.order[1] is None or np.array_equal(r.order[0], a.order[1])
     bit = np.arange(8, dtype=np.uint8)[:, None]
-    for g0 in range(0, len(a.packed), 64):
-        groups = a.packed[g0 : g0 + 64]
-        a_cols = ((groups[:, None, :] >> bit) & 1).reshape(-1, ctx.n)[: ctx.n - 8 * g0]
-        r_bytes = np.ascontiguousarray(r.packed[:, 8 * g0 : 8 * g0 + 8 * len(groups)].T)  # row j's bytes
-        r_rows = np.unpackbits(r_bytes, axis=1, count=ctx.n, bitorder="little")
-        assert np.array_equal(a_cols, r_rows), (m, g0)
+    for pa, pr in zip(a.parts, r.parts):
+        assert (pr.rows, pr.cols) == (pa.cols, pa.rows) and ctx.n % pa.rows == 0
+        for g0 in range(0, len(pa.packed), 64):
+            groups = pa.packed[g0 : g0 + 64]
+            a_cols = ((groups[:, None, :] >> bit) & 1).reshape(-1, pa.rows)[: pa.cols - 8 * g0]
+            r_bytes = np.ascontiguousarray(pr.packed[:, 8 * g0 : 8 * g0 + 8 * len(groups)].T)  # row j's bytes
+            r_rows = np.unpackbits(r_bytes, axis=1, count=pr.cols, bitorder="little")
+            assert np.array_equal(a_cols, r_rows), (m, pa.rows, g0)
 
 
 def _stage_arrays(plan):
-    return [s.packed if isinstance(s, BinaryMatrix) else s.entries for s in plan.stages]
+    return _packings(plan) + [plan.stage(BlockStage).entries]
+
+
+def _packings(plan):
+    """The packings of the parts of the plan's binary stage."""
+    return [part.packed for part in matrix_of(plan).parts]
+
+
+def _holds_packings_of(plan, lender):
+    """Whether plan holds lender's part packings themselves, part by part."""
+    mine, theirs = _packings(plan), _packings(lender)
+    return len(mine) == len(theirs) and all(x is y for x, y in zip(mine, theirs))
 
 
 def _counting_calls(monkeypatch, name):
@@ -513,20 +530,24 @@ def _same_plan(plan, alone):
     assert plan == alone and plan.tag == alone.tag
     assert (plan.in_perm, plan.out_perm) == (alone.in_perm, alone.out_perm)
     assert plan.stage(BlockStage) == alone.stage(BlockStage)
-    assert all(matrix_of(p).packed.strides[1] == 1 for p in (plan, alone))
+    assert all(packed.strides[1] == 1 for p in (plan, alone) for packed in _packings(p))
+    assert [(part.rows, part.cols) for part in matrix_of(plan).parts] == [
+        (part.rows, part.cols) for part in matrix_of(alone).parts
+    ]
 
 
 @pytest.mark.parametrize("m, poly", GOLDEN_FIELDS)
 def test_twin_built_from_its_live_partner_equals_a_cold_build(m, poly, monkeypatch):
     # goertzel is blahut2008 transposed: a plan of the pair built while the
-    # other lives on the same field object is derived from it, equals the
-    # plan built alone, assembles no matrix and shares no array with it.
-    # tf2003, fed2006a and fed2006b are one matrix up to free permutations:
-    # built in any order on one field object, each equals its plan built
-    # alone, and all three hold one read-only packing, assembled once.  A
-    # build while tf2003 or fed2006a lives takes their D, coset order and
-    # packing, which the two hold as one object each, and calls none of
-    # _bases_for_tag, find_normal_basis and _d_blocks
+    # other lives on the same field object is derived from it part by part,
+    # equals the plan built alone, part for part, assembles no matrix and
+    # shares no array with it.  tf2003, fed2006a and fed2006b are one
+    # matrix up to free permutations: built in any order on one field
+    # object, each equals its plan built alone, and all three hold one set
+    # of read-only part packings, assembled once.  A build while tf2003 or
+    # fed2006a lives takes their D, coset order and packings, which the two
+    # hold as one object each, and calls none of _bases_for_tag,
+    # find_normal_basis and _d_blocks
     assembled = _counting_calls(monkeypatch, "coordinate_matrix")
     for partner, tag in (("goertzel", "blahut2008"), ("blahut2008", "goertzel")):
         alone = build(tag, build_field(FieldSpec(m, poly)))
@@ -559,15 +580,15 @@ def test_twin_built_from_its_live_partner_equals_a_cold_build(m, poly, monkeypat
             else:  # the patches see a cold build's lookups
                 assert all(looked_up), (order, tag)
         assert len(assembled) == 1, order
-        packed = matrix_of(plans[0]).packed
         for plan in plans:
             _same_plan(plan, alone[plan.tag])
-            assert matrix_of(plan).packed is packed and plan.partition is plans[0].partition, order
+            assert _holds_packings_of(plan, plans[0]) and plan.partition is plans[0].partition, order
             assert apply(plan, [int(j == 1) for j in range(ctx.n)]) == unit_response(1, ctx), order
         tf, fed_a = (next(p for p in plans if p.tag == tag) for tag in ("tf2003", "fed2006a"))
         assert tf.stage(BlockStage) is fed_a.stage(BlockStage) and tf.in_perm is fed_a.in_perm, order
-        with pytest.raises(ValueError, match="read-only"):
-            packed[0, 0] ^= 1
+        for packed in _packings(tf):
+            with pytest.raises(ValueError, match="read-only"):
+                packed[0, 0] ^= 1
         with pytest.raises(ValueError, match="read-only"):
             tf.stage(BlockStage).entries[0, 0, 0] ^= 1
 
@@ -585,7 +606,7 @@ def test_registry_keeps_the_first_live_plan(monkeypatch):
     assembled = _counting_calls(monkeypatch, "coordinate_matrix")
     fed_a = build("fed2006a", ctx)
     assert looked_up == [[], []] and assembled == []
-    assert matrix_of(fed_a).packed is matrix_of(tf).packed
+    assert _holds_packings_of(fed_a, tf)
     assert fed_a.stage(BlockStage) is tf.stage(BlockStage)
 
 
@@ -603,7 +624,7 @@ def test_ft2002_built_while_one_lives_takes_its_core(m, poly, monkeypatch):
     assert assembled == [] and looked_up == []
     assert second is not first
     _same_plan(second, alone)
-    assert matrix_of(second).packed is matrix_of(first).packed
+    assert _holds_packings_of(second, first)
     assert second.stage(BlockStage) is first.stage(BlockStage)
     assert apply(second, [int(j == 1) for j in range(ctx.n)]) == unit_response(1, ctx)
 
@@ -773,6 +794,23 @@ def test_rejection_names_the_first_element_outside_the_field(ctx3, bad):
         alg.apply(build("tf2003", ctx3), vector)
 
 
+@pytest.mark.parametrize("later", [[None] * 7, [0] * 6, 5], ids=["not ints", "short", "not a sequence"])
+def test_rejection_names_the_first_vector_at_fault(ctx3, later):
+    # vector 0 packs, but holds 9 > n; vector 1 does not pack at all: the
+    # error names vector 0, whose fault comes first
+    batch = [[9, 0, 0, 0, 0, 0, 0], later]
+    message = r"^vector 0, index 0: 9 is not in GF\(2\^3\)$"
+    with pytest.raises(ValueError, match=message):
+        alg.validate_vectors(ctx3, batch)
+    with pytest.raises(ValueError, match=message):
+        naive_dft_batch(batch, ctx3)
+    for tag in ALL_TAGS:
+        with pytest.raises(ValueError, match=message):
+            apply_batch(build(tag, ctx3), batch)
+    with pytest.raises(ValueError, match=r"^vector 1"):  # a good vector 0 leaves vector 1 named
+        alg.validate_vectors(ctx3, [[0] * 7, later])
+
+
 def test_rejection_without_a_bad_element_names_the_vector(ctx3):
     # a sequence whose len disagrees with what it yields has no element at
     # fault, so the error names the vector alone
@@ -907,8 +945,10 @@ def test_binary_first_plan_gathers_its_input(m):
 # last chunk in all three kernels at m = 8 (3 of 32 groups in the plane
 # kernel for one vector, 3 of 8 columns, Four-Russians tables 3 of 32 groups
 # at a time for 5 vectors, padded to 8) and in Four Russians at m = 10 (7
-# of 128 groups for 4 vectors); 6000 leaves a ragged last block of byte groups in the
-# plane kernel at m = 8 and 10 (23 of 32, 5 of 128); and 2^30 runs each
+# groups at a time for 4 vectors: 3 of the 38 of tf2003's period-341
+# part); 6000 leaves a ragged last block of byte groups in the plane kernel
+# at m = 8 and 10 (23 of 32; 1 of tf2003's 91 full-period groups, in
+# blocks of 5 for 1023 rows); and 2^30 runs each
 # stage as one gather, so Four Russians shares one take among all groups,
 # where the smaller budgets give each group its own take.
 _BUDGETS = (1, 900, 6000, 1 << 30)
@@ -938,12 +978,13 @@ def test_chunk_rule_edges(m, monkeypatch):
     monkeypatch.setattr(alg, "_russians_sizes", noted_sizes)
     for tag in ALL_TAGS:
         plan = build(tag, ctx)
-        width, rows = plan.stage(BinaryMatrix).packed.shape
+        shapes = [packed.shape for packed in _packings(plan)]  # (byte groups, rows) per part
         if m == 8:
+            ((width, rows),) = shapes
             l, w = plan.stage(BlockStage).entries.shape[:2]
             assert width % (900 // rows) and w % (900 // (l * w)), tag
         if m in (8, 10):
-            assert width % (6000 // rows), tag
+            assert any(width % (6000 // rows) for width, rows in shapes), tag
         refs = [(TransformTally.fresh(), TransformTally.fresh()) for _ in range(tallied)]  # naive, Four Russians
         for f, want_out, (naive, fast) in zip(vecs, oracle, refs):
             assert counted_apply(plan, f, naive) == counted_apply(plan, f, fast, True) == want_out, tag
@@ -966,15 +1007,68 @@ def test_chunk_rule_edges(m, monkeypatch):
 def test_plane_kernel_matches_four_russians(m):
     # the two binary-stage kernels agree on every tag's binary matrix for
     # batches 1 to 32 // m + 1, across the plane rule, and for 8 and 32,
-    # where Four Russians shares takes among groups or gives each its own
+    # where Four Russians shares takes among groups or gives each its own;
+    # on every stored column and row, pads included
     rng = np.random.default_rng(m)
     ctx = default_field(m)
     for tag in ALL_TAGS:
         matrix = build(tag, ctx).stage(BinaryMatrix)
         planes, russians = alg._plane_kernel(matrix, m), alg._binary_kernel(matrix)
         for batch in sorted({*range(1, 32 // m + 2), 8, 32}):
-            x = rng.integers(0, 1 << m, size=(matrix.cols, batch), dtype=np.uint16)
+            x = rng.integers(0, 1 << m, size=(matrix.stored[1], batch), dtype=np.uint16)
             assert np.array_equal(planes(x), russians(x)), (tag, batch)
+
+
+# m = 2..12 on the default polynomials, and the three others of the goldens
+_SPLIT_FIELDS = [(m, None) for m in range(2, 13)] + [(m, poly) for m, poly in GOLDEN_FIELDS if poly is not None]
+
+
+@pytest.mark.parametrize("m, poly", _SPLIT_FIELDS)
+def test_periodic_parts_match_the_dense_stage(m, poly, monkeypatch):
+    # the size rule forced both ways, each on a fresh field object so that
+    # every tag builds from its own family: no class split (one dense part)
+    # and every class whose period is below n split.  Both give the
+    # oracle's outputs on batches 1, 2 and 3 (planes, padded lanes) and 17
+    # and 33 (Four Russians, unpadded), the same tallies on both counted
+    # kernels, and the same bits and materialize, byte for byte
+    rng = random.Random(f"parts:{m}:{poly}")
+    plans = {}
+    for split_bits in (1 << 62, -1):
+        monkeypatch.setattr(alg, "_SPLIT_BITS", split_bits)
+        ctx = build_field(FieldSpec(m, poly))
+        plans[split_bits] = {tag: build(tag, ctx) for tag in ALL_TAGS}
+    dense, split = plans[1 << 62], plans[-1]
+    vecs = [[rng.randrange(ctx.n + 1) for _ in range(ctx.n)] for _ in range(33)]
+    oracle = naive_dft_batch(vecs, ctx)
+    periods = {ctx.n // gcd(c.leader, ctx.n) for c in alg.cyclotomic_cosets(ctx.n).cosets}
+    for tag in ALL_TAGS:
+        assert len(matrix_of(dense[tag]).parts) == 1, tag
+        matrix = matrix_of(split[tag])
+        assert sorted(p.cols if matrix.transposed else p.rows for p in matrix.parts) == sorted(periods), tag
+        for plan in (dense[tag], split[tag]):
+            for size in (1, 2, 3, 17, 33):
+                assert apply_batch(plan, vecs[:size]) == oracle[:size], (tag, size)
+        for f, want in zip(vecs[:2], oracle):
+            for fr in (False, True):
+                got, ref = TransformTally.fresh(), TransformTally.fresh()
+                assert apply(split[tag], f, got, fr) == apply(dense[tag], f, ref, fr) == want, (tag, fr)
+                assert got == ref, (tag, fr)
+        a, b = matrix_of(split[tag]), matrix_of(dense[tag])
+        for transpose in (False, True):
+            x, y = a.bits(transpose), b.bits(transpose)
+            assert x.dtype == y.dtype and np.array_equal(x, y), (tag, transpose)
+        x, y = materialize(split[tag]), materialize(dense[tag])
+        assert x.dtype == y.dtype and np.array_equal(x, y), tag
+
+
+def test_periodic_parts_hold_at_most_six_tenths_of_the_dense_bytes():
+    # m = 12: the size rule splits the large classes, so each of the six
+    # plans stores at most 0.6 of the dense packing's ceil(n / 8) n bytes
+    ctx = default_field(12)
+    dense = -(-ctx.n // 8) * ctx.n
+    for tag in ALL_TAGS:
+        stored = sum(packed.nbytes for packed in _packings(build(tag, ctx)))
+        assert stored <= 0.6 * dense, (tag, stored / dense)
 
 
 def _recording(builder, name, ran):
@@ -1068,7 +1162,7 @@ def test_cached_kernels_leave_plan_fields_and_equality(ctx3):
         assert apply(copied, [1] * 7) == apply(used, [1] * 7), tag
         # stages are read-only, and a copy's stages are built through __init__ again
         for plan in (used, copied, copy.deepcopy(used)):
-            assert not plan.stage(BinaryMatrix).packed.flags.writeable, tag
+            assert not any(packed.flags.writeable for packed in _packings(plan)), tag
             assert not plan.stage(BlockStage).entries.flags.writeable, tag
         with pytest.raises(ValueError, match="read-only"):
             used.stage(BlockStage).entries[0, 0, 0] = 2

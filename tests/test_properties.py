@@ -118,11 +118,8 @@ def _first_outside(n: int, f) -> int:
 
 def _boundary_reference(n: int, vectors: list) -> np.ndarray | str:
     """validate_vectors coded per element: the (batch, n) uint16 array, or
-    the start of the error, which names the vector and, when it has n
-    elements, the first one outside the field.  Lengths and ints in
-    [0, 2^16) are checked over the whole batch before the field, so the
-    first vector that is not a sequence of n such ints is named ahead of an
-    earlier one that holds an int above n."""
+    the start of the error, which names the first vector at fault and, when
+    it has n elements, its first one outside the field."""
     rows = []
     for b, f in enumerate(vectors):
         if not hasattr(f, "__len__") or len(f) != n:
@@ -131,12 +128,9 @@ def _boundary_reference(n: int, vectors: list) -> np.ndarray | str:
             row = [operator.index(x) for x in f]
         except TypeError:
             return f"vector {b}, index {_first_outside(n, f)}: "
-        if not all(0 <= v < 1 << 16 for v in row):
+        if not all(0 <= v <= n for v in row):
             return f"vector {b}, index {_first_outside(n, f)}: "
         rows.append(row)
-    for b, row in enumerate(rows):
-        if max(row) > n:
-            return f"vector {b}, index {_first_outside(n, row)}: "
     return np.array(rows, dtype=np.uint16).reshape(len(rows), n)
 
 

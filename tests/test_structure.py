@@ -1,3 +1,4 @@
+import pickle
 import random
 
 import numpy as np
@@ -9,6 +10,7 @@ from gfft.reference import poly_eval
 from gfft.structure import (
     BinaryMatrix,
     LinearSolver,
+    Part,
     cyclotomic_cosets,
     doubling_orbit,
     find_normal_basis,
@@ -218,7 +220,7 @@ def test_packed_matrix_equals_int_rows(cols):
     rows = [rng.getrandbits(cols) for _ in range(6)]
     width = -(-cols // 8)
     packed = np.array([[(r >> 8 * g) & 0xFF for r in rows] for g in range(width)], dtype=np.uint8)
-    mat = BinaryMatrix(packed, cols)
+    mat = BinaryMatrix([Part(packed, cols)])
     assert mat == BinaryMatrix.from_rows(rows, cols)
     assert mat.rows == rows
     assert mat.bits().tolist() == [[(r >> j) & 1 for j in range(cols)] for r in rows]
@@ -243,7 +245,9 @@ def test_packed_matrix_equals_int_rows(cols):
 )
 def test_packed_matrix_rejects_malformed(packed, cols, match):
     with pytest.raises(ValueError, match=match):
-        BinaryMatrix(packed, cols)
+        BinaryMatrix([(packed, cols)])
+    with pytest.raises(ValueError, match=match):  # as any part of several
+        BinaryMatrix([(np.zeros((1, 3), dtype=np.uint8), 8), (packed, cols)], (None, np.arange(8 + max(cols, 0))))
 
 
 def test_binary_matrix_shows_its_stored_entries_in_order():
@@ -251,7 +255,7 @@ def test_binary_matrix_shows_its_stored_entries_in_order():
     # reader: bits in both forms, rows, equality and the transpose
     stored = BinaryMatrix.from_rows([0b0011, 0b0101, 0b1001], 4)
     rows, cols = [2, 0, 1], [3, 0, 1, 2]
-    shown = BinaryMatrix(stored.packed, 4, (rows, cols))
+    shown = BinaryMatrix(stored.parts, (rows, cols))
     want = stored.bits()[np.ix_(rows, cols)]
     assert shown.bits().tolist() == want.tolist() == [[1, 1, 0, 0], [0, 1, 1, 0], [0, 1, 0, 1]]
     assert shown.bits(transpose=True).tolist() == want.T.tolist()
@@ -259,12 +263,12 @@ def test_binary_matrix_shows_its_stored_entries_in_order():
     assert shown == BinaryMatrix.from_rows(shown.rows, 4) and shown != stored
     # under one order, equality is that of the packings
     flipped = BinaryMatrix.from_rows([0b0011, 0b0101, 0b1000], 4)
-    assert shown == BinaryMatrix(stored.packed.copy(), 4, (np.array(rows), cols))
-    assert shown != BinaryMatrix(flipped.packed, 4, (rows, cols))
+    assert shown == BinaryMatrix([Part(stored.parts[0].packed.copy(), 4)], (np.array(rows), cols))
+    assert shown != BinaryMatrix(flipped.parts, (rows, cols))
     assert transpose_matrix(shown, 64).bits().tolist() == want.T.tolist()
-    assert np.shares_memory(shown.packed, stored.packed)
+    assert np.shares_memory(shown.parts[0].packed, stored.parts[0].packed)
     with pytest.raises(ValueError, match="read-only"):
-        shown.packed[0, 0] = 1
+        shown.parts[0].packed[0, 0] = 1
 
 
 @pytest.mark.parametrize(
@@ -280,7 +284,7 @@ def test_binary_matrix_shows_its_stored_entries_in_order():
 )
 def test_binary_matrix_rejects_an_order_that_is_not_a_permutation(order, match):
     with pytest.raises(ValueError, match=match):
-        BinaryMatrix(np.zeros((1, 3), dtype=np.uint8), 4, order)
+        BinaryMatrix([(np.zeros((1, 3), dtype=np.uint8), 4)], order)
 
 
 def test_int_rows_must_fit_the_columns():
@@ -290,3 +294,62 @@ def test_int_rows_must_fit_the_columns():
         BinaryMatrix.from_rows([1 << 8], 3)
     with pytest.raises(ValueError, match="does not fit"):
         BinaryMatrix.from_rows([-1], 3)
+
+
+def _periodic(rng, periods, widths, rows):
+    """Random parts of these periods and widths, and the stored bits they
+    make on rows rows: part i tiled down the rows at column offset
+    8 * (byte groups before it)."""
+    parts, blocks = [], []
+    for p, w in zip(periods, widths):
+        block = rng.integers(0, 2, size=(p, w), dtype=np.uint8)
+        parts.append(Part(np.ascontiguousarray(np.packbits(block, axis=1, bitorder="little").T), w))
+        blocks.append(np.tile(block, (rows // p, 1)))
+    return parts, blocks
+
+
+def test_periodic_parts_tile_into_the_stored_matrix():
+    # three parts of periods 15, 5 and 3 on 15 rows, widths 10, 3 and 9:
+    # stored at columns 0, 16 and 24, the pads 10..15 and 19..23 stored
+    # nowhere; every reader sees the tiled parts through the orders, and
+    # the transpose holds the transposed parts, repeating along its columns
+    rng = np.random.default_rng(36)
+    parts, blocks = _periodic(rng, (15, 5, 3), (10, 3, 9), 15)
+    real = np.r_[0:10, 16:19, 24:33]
+    cols = rng.permutation(real)
+    rows = rng.permutation(15)
+    mat = BinaryMatrix(parts, (rows, cols))
+    assert mat.offsets == (0, 16, 24) and mat.stored == (15, 33) and (mat.n_rows, mat.cols) == (15, 22)
+    stored = np.zeros((15, 33), dtype=np.uint8)
+    for off, block in zip(mat.offsets, blocks):
+        stored[:, off : off + block.shape[1]] = block
+    want = stored[np.ix_(rows, cols)]
+    assert np.array_equal(mat.bits(), want) and np.array_equal(mat.bits(transpose=True), want.T)
+    assert mat == BinaryMatrix.from_rows(mat.rows, 22) and mat.rows == BinaryMatrix.from_rows(mat.rows, 22).rows
+    r = transpose_matrix(mat, 8)
+    assert r.transposed and r.stored == (33, 15) and np.array_equal(r.bits(), want.T)
+    assert np.array_equal(r.bits(transpose=True), want)
+    assert [(p.rows, p.cols) for p in r.parts] == [(10, 15), (3, 5), (9, 3)]
+    assert np.array_equal(transpose_matrix(r, 8).bits(), want) and not transpose_matrix(r, 8).transposed
+    assert not any(np.shares_memory(p.packed, q.packed) for p in r.parts for q in mat.parts)
+    for part in mat.parts + r.parts:
+        with pytest.raises(ValueError, match="read-only"):
+            part.packed[0, 0] ^= 1
+    # a copy goes through __init__ and equals its source
+    assert pickle.loads(pickle.dumps(r)) == r and pickle.loads(pickle.dumps(r)).transposed
+
+
+@pytest.mark.parametrize(
+    "periods, widths, order, match",
+    [
+        ((6, 4), (8, 8), (None, None), "do not all divide"),
+        ((6, 3), (5, 8), (None, None), "skip the pads"),
+        ((6, 3), (5, 8), (None, np.r_[0:13]), "column order"),
+        ((6, 3), (8, 8), (None, np.r_[0:15]), "column order"),
+        ((6, 3), (8, 8), (np.r_[0:3], None), "row order"),
+    ],
+)
+def test_periodic_parts_reject_a_bad_layout(periods, widths, order, match):
+    parts, _ = _periodic(np.random.default_rng(0), periods, widths, 6)
+    with pytest.raises(ValueError, match=match):
+        BinaryMatrix(parts, order)
