@@ -44,7 +44,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from . import binmat
+from . import binmat, scratch
 from .field import FieldContext, OpCount
 from .structure import (
     BinaryMatrix,
@@ -588,8 +588,24 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # on the block kernel's input for the data-dependent multiplications, with
 # mult_weights indexed in that input's order.  Each plan builds its kernels
 # once, on first use (Plan._kernels), copying no stage and reading no
-# count.  A kernel writes only arrays it allocates per call, so a plan
-# stays safe to share across threads.
+# count.
+#
+# The block kernel and Four Russians lay their temporaries out in one
+# scratch buffer per thread (gfft.scratch), shared by every plan and both
+# stages, each from offset 0: a stage's scratch is dead by the time the
+# next stage runs.  Each kernel returns a result it allocates itself, so no
+# output aliases the scratch and a plan stays safe to share across threads.
+# The buffer grows to the largest call the thread has made and stays: 1.1
+# MiB after 32 vectors at m = 11, 2.3 MiB after 2 at m = 16 and 36 MiB
+# after 32 at m = 16.  A call finds its arrays in the buffer with one
+# lookup, by kernel and batch, not a view per temporary, so a single
+# vector pays nothing for it.  With temporaries allocated per call, those
+# of 128 KiB or more were mapped afresh on each call whenever glibc had not
+# yet raised its mmap threshold: 32 vectors at m = 11 took 0-320 minor
+# faults a call in a fresh process (1700-2500 with the threshold pinned at
+# its 128 KiB default), and a 4 s perfbench batch_m11 run 155 K in its
+# rounds, against 2 K now, nearly all of them first calls.  The plane
+# kernel's temporaries stay per call: they are small, and it took no faults.
 #
 # A binary stage is a tuple of row-periodic parts (structure.BinaryMatrix).
 # Every binary matrix here holds, per coset, the coordinates of a^(i rep),
@@ -681,17 +697,36 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # Once one group or column looks up more than _GATHER / 2 elements (rows
 # x batch, or l x w x batch for the padded blocks), a chunk is one group or
 # column, the narrowest width: a 32-vector batch at m >= 10 runs there.
-# The block and plane kernels allocate each chunk's temporaries as they go,
-# the first chunk's XOR being the accumulator, so a call of one chunk
-# makes no pass beyond its chunk.  They keep every temporary in C order:
-# numpy lays out a broadcast result after its operands' strides, so the
-# plane kernel's AND with the transposed planes would put the byte groups
-# innermost and make the XOR across them 1.3-1.5 times slower.  The block
-# kernel stores its column logs contiguous, which makes its add 1.2-1.3
-# times faster.
+# The plane kernel allocates each chunk's temporaries as it goes, the
+# first chunk's XOR being the accumulator, so a call of one chunk makes no
+# pass beyond its chunk; the block kernel's first round XORs straight into
+# its accumulator.  Both keep every temporary in C order: numpy lays out a
+# broadcast result after its operands' strides, so the plane kernel's AND
+# with the transposed planes would put the byte groups innermost and make
+# the XOR across them 1.3-1.5 times slower.  The block kernel stores its
+# column logs contiguous, which made its add 1.2-1.3 times faster, and runs
+# on a t-major (j, t, l, batch) grid, whose inner loops run over the l
+# cosets rather than a block's w rows.  numpy's take first copies an index
+# that is not intp to intp, a hidden temporary of 8 bytes an element, so
+# the block kernel widens its gathered input into its intp scratch before
+# the log lookup and adds each round's logs, kept int32 in the plan, into
+# an intp index, and Four Russians widens each group's uint8 selectors, as
+# many groups at a time as hold _GATHER rows (the chunk's s with shared
+# takes).  The take method, not np.take, skips a Python wrapper of about
+# 0.8 µs a call.  Together, against the kernels before them in one process
+# (alternating, min of repeated calls, mean over the six tags, 2-CPU host,
+# five to eight runs): the block stage took 6-11% less for one vector at
+# m = 8 (about 9.5 µs) and 12-21% less at m = 10 (about 21 µs); for 32
+# vectors at m = 11 (about 1.1 ms) 1-2% less where the earlier kernels'
+# temporaries came from a warm heap and 17-21% less where they were mapped
+# afresh; Four Russians took 3-6% less at m = 11 x 32, and the two stages
+# together 6-10% less.
 #
 # Four Russians builds its subset-XOR tables once per call, _GATHER // (32
-# batch) groups at a time, so 8 _GATHER table entries (2 _GATHER was
+# batch) groups at a time, so 8 _GATHER table entries, in its scratch with
+# the widened selectors, the bit columns of the input, the looked-up rows
+# and the output; the input's columns take the selectors' space, as they
+# are dead once the bit columns hold them (2 _GATHER was
 # slower on most shapes of m = 8..15, and 32 _GATHER from m = 12 on).  They
 # are laid out entry-major, (256, groups, batch), so a doubling step is one
 # XOR over groups x batch contiguous elements, not one numpy inner loop of
@@ -722,9 +757,13 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 #  11      1743  2160  2151* 5627*    736*  1485* 3094  30346      59  1655
 #
 # The plane kernel's parity lookup beats three shift-XOR folds on a small
-# accumulator (6 against 11.5 µs for one vector at m = 8), ties at 10 K
-# bytes (one vector at m = 10) and loses at 45 K (two vectors at m = 11:
-# 48 against 33 µs, 3% of that call).
+# accumulator (6 against 11.5 µs for one vector at m = 8; 5.5 against 8.7
+# on the uint8 accumulator), ties at 10 K bytes (one vector at m = 10:
+# 14.5 against 13.8 µs) and loses at 45 K (two vectors at m = 11: 48
+# against 33 µs, 3% of that call).  A lookup of each byte's parity alone
+# in a 256-entry table, the m bit planes then packed into each output by
+# packbits, took 10.8 against 5.5 µs at m = 8 and 49 against 14.5 µs at
+# m = 10, so the (m, 256) table of shifted parities stays.
 #
 # Budgets of 2^13, 2^14, 2^15, 2^16 and 2^17 elements gave about 1940,
 # 2230, 2360, 2350 and 2180 vectors/s on perfbench's counted_m10 (single
@@ -751,13 +790,14 @@ def _xor_fold(acc: np.ndarray | None, terms: np.ndarray) -> np.ndarray:
 def _block_kernel(ctx: FieldContext, stage: BlockStage, before: np.ndarray | None, after: np.ndarray | None) -> _Kernel:
     """Block k multiplies the d_k positions of a coset-ordered vector that
     follow the blocks before it.  The stage's padded (l, w, w) entries run
-    over the padded (l, w, batch) grid in rounds of c columns j, c =
-    _GATHER // (l w batch) held to 1..w.  A round is one add of column j's
-    logs to input j's logs for its c columns, (c, l, w, batch), one take
-    from exp and one XOR across the c products.  A pad entry's sentinel log
-    sends its products to exp's zero tail, and keep drops the pad rows.  The
-    gathers before and after the stage (None for none) are composed into
-    the grid (input row before[pos]) and into keep."""
+    over the t-major padded (w, l, batch) grid, row t of block k at [t, k],
+    in rounds of c columns j, c = _GATHER // (w l batch) held to 1..w.  A
+    round is one add of column j's logs to input j's logs for its c
+    columns, (c, w, l, batch) into an intp index, one take from exp and one
+    XOR across the c products.  A pad entry's sentinel log sends its
+    products to exp's zero tail, and keep drops the pad rows.  The gathers
+    before and after the stage (None for none) are composed into the grid
+    (input row before[pos]) and into keep."""
     n = ctx.n
     log = np.array(ctx.log, dtype=np.int32)
     log[0] = 2 * n  # any sum with the sentinel lands in exp's zero tail
@@ -765,19 +805,39 @@ def _block_kernel(ctx: FieldContext, stage: BlockStage, before: np.ndarray | Non
     exp[: 2 * n] = ctx.exp * 2
     pos, keep = stage.grid()
     l, w = pos.shape
-    # column j of every block, (w, l, w, 1), stored contiguous
-    col_logs = np.ascontiguousarray(np.moveaxis(log[stage.entries], 2, 0))[..., None]
+    # entry (t, j) of block k at [j, t, k]: column j of every block, (w, w, l, 1), stored contiguous
+    col_logs = np.ascontiguousarray(log[stage.entries].transpose(2, 1, 0))[..., None]
     src = np.ascontiguousarray(pos.T if before is None else before[pos.T])
+    keep = keep % w * l + keep // w  # flat k w + t to t l + k
     keep = keep if after is None else keep[after]
+
+    key = next(scratch.keys)
+
+    def specs(batch: int) -> list[scratch.Spec]:
+        grid = (w, l, batch)
+        c = max(1, min(w, _GATHER // max(w * l * batch, 1)))
+        return [((c, *grid), np.intp), (grid, np.int32), ((c, *grid), np.uint16), (grid, np.uint16), (grid, np.uint16)]
 
     def run(x: np.ndarray) -> np.ndarray:
         batch = x.shape[1]
-        xs = log.take(x.take(src, axis=0))[:, :, None]  # input j of every block: (w, l, 1, batch)
-        c = max(1, min(w, _GATHER // max(l * w * batch, 1)))
-        acc = None
+        # the layout's key holds what sizes it: the kernel, the batch and _GATHER
+        index, xs, products, acc, rest = scratch.arrays((key, batch, _GATHER), specs, batch)
+        c = len(index)
+        # input j of every block, widened to intp before its log lookup, as
+        # take would otherwise copy its index so
+        wide = index[0]
+        np.copyto(wide, x.take(src, 0, rest, "clip"))
+        log.take(wide, None, xs, "clip")
+        xs = xs[:, None]  # (w, 1, l, batch)
         for j0 in range(0, w, c):
-            acc = _xor_fold(acc, exp.take(col_logs[j0 : j0 + c] + xs[j0 : j0 + c], mode="clip"))
-        return acc.reshape(pos.size, batch).take(keep, axis=0)
+            cc = min(c, w - j0)
+            idx = np.add(col_logs[j0 : j0 + cc], xs[j0 : j0 + cc], out=index[:cc])
+            terms = exp.take(idx, None, products[:cc], "clip")
+            if j0 == 0:
+                np.bitwise_xor.reduce(terms, axis=0, out=acc)
+            else:
+                acc ^= terms[0] if cc == 1 else np.bitwise_xor.reduce(terms, axis=0, out=rest)
+        return acc.reshape(w * l, batch).take(keep, axis=0)
 
     return run
 
@@ -828,21 +888,24 @@ def _layout(matrix: BinaryMatrix) -> _Layout:
     return _Layout(first, packed, list(matrix.offsets), folds, matrix.stored[0], sum(groups))
 
 
-def _stacked(x: np.ndarray, layout: _Layout) -> np.ndarray:
-    """The kernel input for layout: x itself, or its folds stacked."""
-    if not layout.folds:
+def _stacked(x: np.ndarray, layout: _Layout, out: np.ndarray | None = None) -> np.ndarray:
+    """The kernel input for layout: x itself, or its folds stacked.  Given
+    out, an (8 width, lanes >= batch) array, x or its folds go into
+    out[:, :batch] and every other entry of out is set to 0."""
+    if out is None and not layout.folds:
         return x
     batch = x.shape[1]
-    stacked = np.zeros((8 * layout.width, batch), dtype=x.dtype)
-    for at, p in layout.folds:
+    out = np.empty((8 * layout.width, batch), dtype=x.dtype) if out is None else out
+    out[...] = 0
+    for at, p in layout.folds or [(0, len(x))]:
         if p == len(x):
-            stacked[at : at + p] = x
+            out[at : at + p, :batch] = x
         else:
-            np.bitwise_xor.reduce(x.reshape(len(x) // p, p, batch), axis=0, out=stacked[at : at + p])
-    return stacked
+            np.bitwise_xor.reduce(x.reshape(len(x) // p, p, batch), axis=0, out=out[at : at + p, :batch])
+    return out
 
 
-def _binary_kernel(matrix: BinaryMatrix) -> _Kernel:
+def _binary_kernel(matrix: BinaryMatrix, after: np.ndarray | None = None) -> _Kernel:
     """Four Russians on bytes: byte g of a row selects among columns
     8g..8g+7, so out ^= table_g[byte g] over all groups g.  The selectors
     are each part's packing itself, whose packed[g] holds byte g of every
@@ -853,33 +916,56 @@ def _binary_kernel(matrix: BinaryMatrix) -> _Kernel:
     of k groups reads the chunk's flat (256 s, lanes) table at byte g s + h
     for the h-th group of the chunk, and one XOR folds the k lookups.  A
     part of period p < rows looks up its groups on its p rows, and its
-    result is XORed into the output tiled rows / p times."""
+    result is XORed into the output tiled rows / p times.  Every temporary
+    lives in the thread's scratch; the output gather after the stage (None
+    for none) copies the result out of it."""
     layout = _layout(matrix)
     rows, width = layout.rows, layout.width
+    tiled = [sel.shape[1] for sel, at in zip(layout.packed, layout.out) if at is None and sel.shape[1] < rows]
+
+    key = next(scratch.keys)
+
+    def chunks(lanes: int) -> list[tuple[int, int, int]]:
+        """Per part, (s, k) and the groups whose selectors are widened to
+        intp at a time: the chunk's s when takes share groups, else as many
+        as hold _GATHER rows, at least one."""
+        found = []
+        for sel in layout.packed:
+            s, k = _russians_sizes(len(sel), sel.shape[1], lanes)
+            found.append((s, k, s if k > 1 else min(s, max(1, _GATHER // sel.shape[1]))))
+        return found
+
+    def specs(batch: int) -> list[scratch.Spec]:
+        lanes = batch if batch > 16 else 1 << max(batch - 1, 0).bit_length()
+        s, k, wide = zip(*chunks(lanes))
+        p = [sel.shape[1] for sel in layout.packed]
+        return [
+            ((max(2 * width * lanes, *map(operator.mul, wide, p)),), np.intp),  # selectors, or the input
+            ((8, width, lanes), np.uint16),  # bits[b, g] is column 8g + b
+            ((rows, lanes), np.uint16),
+            ((256 * max(s) * lanes,), np.uint16),  # the tables, viewed per chunk
+            ((max(map(operator.mul, k, p)) * lanes,), np.uint16),  # the looked-up rows, viewed per part
+            ((max(tiled, default=0) * lanes,), np.uint16),  # a tiled part's rows
+        ]
 
     def run(x: np.ndarray) -> np.ndarray:
-        x = _stacked(x, layout)
         batch = x.shape[1]
-        lanes = batch if batch > 16 else 1 << max(batch - 1, 0).bit_length()
-        cols = np.zeros((width * 8, lanes), dtype=np.uint16)
-        cols[: len(x), :batch] = x
-        bits = cols.reshape(width, 8, lanes).transpose(1, 0, 2).copy()  # bits[b, g] is column 8g + b
-        out = np.zeros((rows, lanes), dtype=np.uint16)
-        sizes = [_russians_sizes(len(sel), sel.shape[1], lanes) for sel in layout.packed]
-        # one buffer each for the tables, the take index and the looked-up
-        # rows, sized for the largest part and viewed per part
-        tables = np.empty(256 * max(s for s, _ in sizes) * lanes, dtype=np.uint16)
-        shared = [s * sel.shape[1] for (s, k), sel in zip(sizes, layout.packed) if k > 1]
-        index = np.empty(max(shared), dtype=np.intp) if shared else None
-        looked = np.empty(max(k * sel.shape[1] for (_, k), sel in zip(sizes, layout.packed)) * lanes, dtype=np.uint16)
-        for first, sel, place, (s, k) in zip(layout.first, layout.packed, layout.out, sizes):
+        index, bits, out, tables, looked, short = scratch.arrays((key, batch, _GATHER), specs, batch)
+        lanes = out.shape[1]
+        cols = index.view(np.uint16)[: 8 * width * lanes].reshape(8 * width, lanes)  # dead once bits holds it
+        np.copyto(bits, _stacked(x, layout, cols).reshape(width, 8, lanes).transpose(1, 0, 2))
+        out[...] = 0
+        for first, sel, place, (s, k, wide) in zip(layout.first, layout.packed, layout.out, chunks(lanes)):
             groups, p = sel.shape
             if place is not None:
                 acc = out[place : place + p]
+            elif p == rows:
+                acc = out
             else:
-                acc = out if p == rows else np.zeros((p, lanes), dtype=np.uint16)
+                acc = short[: p * lanes].reshape(p, lanes)
+                acc[...] = 0
             tables[: s * lanes] = 0  # entry 0, the empty subset, of every chunk
-            idx = index[: s * p].reshape(s, p) if k > 1 else None
+            idx = index[: wide * p].reshape(wide, p)
             looked_up = looked[: k * p * lanes].reshape(k, p, lanes)
             for g0 in range(0, groups, s):
                 n = min(s, groups - g0)
@@ -889,18 +975,21 @@ def _binary_kernel(matrix: BinaryMatrix) -> _Kernel:
                     np.bitwise_xor(table[:lo], bits[bit, first + g0 : first + g0 + n], out=table[lo : 2 * lo])
                 if k == 1:
                     for h in range(n):
-                        acc ^= np.take(table[:, h], sel[g0 + h], axis=0, out=looked_up[0], mode="clip")
+                        if h % wide == 0:  # as take would copy each group's uint8 selectors to intp
+                            np.copyto(idx[: min(wide, n - h)], sel[g0 + h : g0 + min(h + wide, n)])
+                        acc ^= table[:, h].take(idx[h % wide], 0, looked_up[0], "clip")
                 else:
                     at = np.multiply(sel[g0 : g0 + n], n, out=idx[:n], dtype=np.intp)
                     at += np.arange(n, dtype=np.intp)[:, None]
                     flat = table.reshape(256 * n, lanes)
                     for h in range(0, n, k):
                         n_tabs = min(k, n - h)
-                        _xor_fold(acc, np.take(flat, at[h : h + n_tabs], axis=0, out=looked_up[:n_tabs], mode="clip"))
+                        _xor_fold(acc, flat.take(at[h : h + n_tabs], 0, looked_up[:n_tabs], "clip"))
             if place is None and p < rows:
                 tiled = out.reshape(rows // p, p, lanes)
                 tiled ^= acc
-        return out[:, :batch]
+        result = out[:, :batch]
+        return result.copy() if after is None else result.take(after, axis=0)
 
     return run
 
@@ -961,15 +1050,18 @@ def _plane_kernel(matrix: BinaryMatrix, m: int) -> _Kernel:
 def _binary_stage_kernel(matrix: BinaryMatrix, m: int, before: np.ndarray | None, after: np.ndarray | None) -> _Kernel:
     """Per call, bit planes when the call has at most _PLANES planes (m per
     vector) and their accumulator at most _PLANE_BYTES, else Four Russians;
-    the gathers before and after the stage (None for none) run around it."""
-    planes, russians = _plane_kernel(matrix, m), _binary_kernel(matrix)
+    the gather before the stage (None for none) runs first, and the one
+    after it last, inside Four Russians, which copies its result out of its
+    scratch so."""
+    planes, russians = _plane_kernel(matrix, m), _binary_kernel(matrix, after)
     rows = matrix.stored[0]
 
     def run(x: np.ndarray) -> np.ndarray:
         x = x if before is None else x.take(before, axis=0)
         n_planes = m * x.shape[1]
-        few = n_planes <= _PLANES and n_planes * rows <= _PLANE_BYTES
-        y = (planes if few else russians)(x)
+        if n_planes > _PLANES or n_planes * rows > _PLANE_BYTES:
+            return russians(x)
+        y = planes(x)
         return y if after is None else y.take(after, axis=0)
 
     return run

@@ -1,13 +1,17 @@
 import copy
 import dataclasses
+import json
+import os
 import pickle
 import random
 import re
+import subprocess
 import sys
 import threading
 import tracemalloc
 from itertools import accumulate, permutations
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1168,12 +1172,24 @@ def test_cached_kernels_leave_plan_fields_and_equality(ctx3):
             used.stage(BlockStage).entries[0, 0, 0] = 2
 
 
+def _batch_sizes(k):
+    """Thread k's apply_batch sizes: 40 and 136 planes and more at m = 8,
+    so Four Russians and the block stage's batch grid, each thread's own,
+    growing in odd threads and shrinking in even ones."""
+    sizes = (5 + k, 17 + k)
+    return sizes if k % 2 else sizes[::-1]
+
+
 def test_fresh_plan_shared_across_threads():
     # several threads switching often, all on plans whose kernels are not
-    # built yet: each must get the oracle's output
+    # built yet: each must get the oracle's output, from single vectors
+    # and from batches of its own sizes, so that the threads' scratch
+    # buffers grow while the others run
     ctx = default_field(8)
     vecs = _path_vectors(8, 3)
     oracle = [naive_dft(f, ctx) for f in vecs]
+    batch = _path_vectors(8, 20)[:20]
+    batch_oracle = naive_dft_batch(batch, ctx)
     plans = [build(tag, ctx) for tag in ALL_TAGS]
     workers = 4
     barrier = threading.Barrier(workers)
@@ -1181,7 +1197,10 @@ def test_fresh_plan_shared_across_threads():
 
     def work(k):
         barrier.wait(timeout=30)
-        results[k] = [[apply(plan, f) for f in vecs] for plan in plans]
+        results[k] = [
+            ([apply(plan, f) for f in vecs], [apply_batch(plan, batch[:size]) for size in _batch_sizes(k)])
+            for plan in plans
+        ]
 
     threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
     interval = sys.getswitchinterval()
@@ -1194,7 +1213,85 @@ def test_fresh_plan_shared_across_threads():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
-    assert results == {k: [oracle] * len(plans) for k in range(workers)}
+    for k in range(workers):
+        want = (oracle, [batch_oracle[:size] for size in _batch_sizes(k)])
+        assert results[k] == [want] * len(plans), k
+
+
+def test_kernel_results_do_not_alias_the_scratch():
+    # the kernels share their thread's scratch, but each returns an array
+    # of its own: a result stays as it was through later calls of every
+    # kernel on other inputs, for the block kernel and both binary kernels,
+    # goertzel's transposed R included, and a plan's outputs for the first
+    # input are still the oracle's after a second call
+    ctx = default_field(8)
+    rng = np.random.default_rng(37)
+    vecs = _path_vectors(8, 17)
+    oracle = naive_dft_batch(vecs, ctx)
+    for tag in ("goertzel", "blahut2008"):
+        plan = build(tag, ctx)
+        matrix = matrix_of(plan)
+        kernels = [
+            alg._block_kernel(ctx, plan.stage(BlockStage), None, None),
+            alg._plane_kernel(matrix, ctx.m),
+            alg._binary_kernel(matrix),
+        ]
+        for size in (1, 5, 17):
+            a, a_binary = (
+                rng.integers(0, ctx.n + 1, size=(rows, size), dtype=np.uint16) for rows in (ctx.n, matrix.stored[1])
+            )
+            firsts = [(kernel, x, kernel(x)) for kernel, x in zip(kernels, (a, a_binary, a_binary))]
+            wants = [y.copy() for _, _, y in firsts]
+            for kernel, a, _ in firsts:
+                kernel(rng.integers(0, ctx.n + 1, size=a.shape, dtype=np.uint16))
+            for (kernel, a, y), want in zip(firsts, wants):
+                assert np.array_equal(y, want) and np.array_equal(kernel(a), want), (tag, size)
+            assert np.array_equal(wants[1], wants[2]), (tag, size)  # planes and Four Russians agree
+            first = alg._run_kernels(plan, alg.validate_vectors(ctx, vecs[:size]))
+            alg._run_kernels(plan, alg.validate_vectors(ctx, vecs[-size:][::-1]))
+            assert first.T.tolist() == oracle[:size], (tag, size)
+
+
+_STEADY_FAULTS = """
+import json, resource
+from gfft import algorithms as alg
+from gfft.field import default_field
+ctx = default_field(11)
+rows = alg.validate_vectors(ctx, [[(7 * i + j) % (ctx.n + 1) for i in range(ctx.n)] for j in range(32)])
+faults = {}
+for tag in alg.ALL_TAGS:
+    plan = alg.build(tag, ctx)
+    alg._run_kernels(plan, rows)
+    per_call = []
+    for _ in range(5):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        alg._run_kernels(plan, rows)
+        per_call.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    faults[tag] = sorted(per_call)[2]
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.parametrize("mmap_threshold", [None, "131072"])
+def test_steady_batch_calls_take_no_fresh_pages(mmap_threshold):
+    # 32 vectors at m = 11 through each plan, in a fresh process: after one
+    # call has grown the thread's scratch, the median of five calls takes at
+    # most a handful of minor faults.  glibc maps an allocation above its
+    # mmap threshold afresh on each call, and raises the threshold on its
+    # own after some frees; pinned at its 128 KiB default, kernels that
+    # allocated their temporaries per call took 1700-2500 faults a call,
+    # and 0-320 with the threshold free
+    pytest.importorskip("resource")
+    path = [str(Path(alg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    if mmap_threshold:
+        env["MALLOC_MMAP_THRESHOLD_"] = mmap_threshold
+    child = subprocess.run(
+        [sys.executable, "-c", _STEADY_FAULTS], env=env, capture_output=True, text=True, timeout=300, check=True
+    )
+    faults = json.loads(child.stdout)
+    assert sorted(faults) == sorted(ALL_TAGS)
+    assert max(faults.values()) <= 5, faults
 
 
 def test_twin_builds_across_threads():
