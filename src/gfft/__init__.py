@@ -20,7 +20,6 @@ from .reference import (
     unit_response,
 )
 from .binmat import (
-    FourRussiansPlan,
     binmatvec_four_russians,
     binmatvec_naive,
     default_block_size,

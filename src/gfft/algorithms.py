@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate
-from math import gcd, isqrt
+from math import gcd
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -285,23 +285,14 @@ def _periodic_parts(n: int, partition: CosetPartition) -> list[tuple[int, Sequen
     """The parts of a binary stage, each its row period and its cosets'
     indices: first every coset whose class keeps the full period n, then
     each class that splits, by increasing g.  The class of g = gcd(rep, n)
-    has period n / g (see the kernel comment) and phi(n / g) columns, the
-    i in Z_n with gcd(i, n) = g, and splits when the bits it saves, its
-    columns times n - n / g, exceed _SPLIT_BITS."""
-    factors, rest = [], n
-    for p in range(3, isqrt(n) + 1, 2):  # n is odd
-        while rest % p == 0:
-            factors.append(p)
-            rest //= p
-    factors += [rest] if rest > 1 else []
-    totient: dict[int, int] = {1: 1}  # phi(d) of each divisor d of n, from its prime factors
-    for p in factors:
-        totient |= {d * p: t * (p if d % p == 0 else p - 1) for d, t in totient.items()}
-    splits = sorted(n // d for d, t in totient.items() if d < n and t * (n - d) > _SPLIT_BITS)
-    if not splits:
-        return [(n, range(len(partition.cosets)))]
-    g = np.gcd(np.fromiter((c.leader for c in partition.cosets), np.intp, len(partition.cosets)), n)
-    full = np.flatnonzero(np.all(g[:, None] != splits, axis=1))
+    has period n / g (see the kernel comment), and its columns are its
+    cosets' sizes summed, one per i in Z_n with gcd(i, n) = g.  It splits
+    when g > 1 and the bits it saves, its columns times n - n / g, exceed
+    _SPLIT_BITS; g = n is the class of the coset {0}."""
+    g = np.gcd([coset.leader for coset in partition.cosets], n)
+    cols = np.bincount(g, partition.sizes())  # the columns of each class
+    splits = [c for c in np.flatnonzero(cols).tolist() if c > 1 and cols[c] * (n - n // c) > _SPLIT_BITS]
+    full = np.flatnonzero(np.isin(g, splits, invert=True))
     return ([(n, full)] if len(full) else []) + [(n // c, np.flatnonzero(g == c)) for c in splits]
 
 
@@ -629,14 +620,16 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # x itself), each writing its rows in place.  One part is the dense matrix
 # and runs the loop it ran before the split.  The counts stay structural.
 #
-# The size rule, a property of n: a class splits when the bits it saves,
-# its columns times n - n / g, exceed _SPLIT_BITS = 3 x 2^16.  So m <= 9
-# and m = 11 (whose classes save at most 172 K bits) keep one part; m = 10
+# The size rule, a property of n: a class of g > 1 splits when the bits it
+# saves, its columns times n - n / g, exceed _SPLIT_BITS = 3 x 2^16, its
+# columns being its cosets' sizes summed, read off the partition with the
+# class of each coset by one gcd and one bincount.  So m <= 9, m = 11 and
+# m = 13 (whose classes save at most 172 K bits) keep one part; m = 10
 # splits the multiples of 3 (period 341, 205 K bits) but not the 11- and
 # 31-classes (56 K and 20 K); m = 12 splits 9 of its 23 classes below the
-# full period, m = 14 5 of 7, m = 16 13 of 15.  Binary stage alone, µs,
-# median of 9 alternating runs (2-CPU host, numpy 2.4), dense against the
-# rule's parts and other splits:
+# full period, m = 14 and m = 15 5 of 7, m = 16 13 of 15 (each pinned by a
+# test).  Binary stage alone, µs, median of 9 alternating runs (2-CPU
+# host, numpy 2.4), dense against the rule's parts and other splits:
 #
 #    m  vectors  tag        dense  the rule      other splits
 #    8     1     tf2003        26  (one part)    all 8 parts 61
@@ -1033,12 +1026,10 @@ def _plane_kernel(matrix: BinaryMatrix, m: int) -> _Kernel:
                 )
             if place is not None:
                 continue
-            if acc is None and part_acc.shape[1] == rows:
+            if acc is None and part_acc.shape[1] == rows:  # the stored rows are the largest period: one part has it
                 acc = part_acc
             else:
                 short.append(part_acc)
-        if acc is None:
-            acc = np.zeros((batch * m, rows), dtype=np.uint8)
         for part_acc in short:
             tiled = acc.reshape(batch * m, rows // part_acc.shape[1], part_acc.shape[1])
             tiled ^= part_acc[:, None]

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from collections import Counter
 from itertools import accumulate, permutations
 from math import gcd
 from pathlib import Path
@@ -1063,6 +1064,29 @@ def test_periodic_parts_match_the_dense_stage(m, poly, monkeypatch):
             assert x.dtype == y.dtype and np.array_equal(x, y), (tag, transpose)
         x, y = materialize(split[tag]), materialize(dense[tag])
         assert x.dtype == y.dtype and np.array_equal(x, y), tag
+
+
+# the classes below the full period that the default rule splits, per m
+_SPLIT_CLASSES = {10: 1, 12: 9, 14: 5, 15: 5, 16: 13}
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_periodic_parts_follow_the_size_rule_from_the_definition(m):
+    # at the default _SPLIT_BITS, against a coding from the definition: the
+    # class of i in Z_n is gcd(i, n), and its columns are the number of such
+    # i; a class of g > 1 splits when its columns times n - n / g exceed
+    # _SPLIT_BITS.  The cosets of the classes kept whole come first, at
+    # period n, then each split class at period n / g, by increasing g
+    n = (1 << m) - 1
+    partition = alg.cyclotomic_cosets(n)
+    columns = Counter(gcd(i, n) for i in range(n))
+    splits = sorted(g for g, c in columns.items() if g > 1 and c * (n - n // g) > alg._SPLIT_BITS)
+    classes = [gcd(coset.leader, n) for coset in partition.cosets]
+    want = [(n, [k for k, g in enumerate(classes) if g not in splits])]
+    want += [(n // g, [k for k, c in enumerate(classes) if c == g]) for g in splits]
+    assert [(p, list(ks)) for p, ks in alg._periodic_parts(n, partition)] == want
+    assert len(splits) == _SPLIT_CLASSES.get(m, 0)
+    assert m != 10 or splits == [3]  # the multiples of 3, period 341
 
 
 def test_periodic_parts_hold_at_most_six_tenths_of_the_dense_bytes():

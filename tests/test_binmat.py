@@ -4,7 +4,6 @@ import random
 import pytest
 
 from gfft.binmat import (
-    FourRussiansPlan,
     binmatvec_four_russians,
     binmatvec_naive,
     default_block_size,
@@ -57,8 +56,8 @@ def test_default_block_size():
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        FourRussiansPlan(0)
-    plan = FourRussiansPlan(7)
+        make_plan(0)
+    plan = make_plan(7)
     assert plan.t == 2
     assert plan.groups == 4
     assert plan.predicted_adds(7) == 4 * (4 - 2 - 1) + 7 * 3

@@ -222,6 +222,8 @@ def test_packed_matrix_equals_int_rows(cols):
     packed = np.array([[(r >> 8 * g) & 0xFF for r in rows] for g in range(width)], dtype=np.uint8)
     mat = BinaryMatrix([Part(packed, cols)])
     assert mat == BinaryMatrix.from_rows(rows, cols)
+    # a matrix of another shape is unequal before any bit is read
+    assert mat != BinaryMatrix.from_rows(rows[1:], cols) and mat != BinaryMatrix.from_rows(rows, cols + 1)
     assert mat.rows == rows
     assert mat.bits().tolist() == [[(r >> j) & 1 for j in range(cols)] for r in rows]
     assert mat.bits().sum(axis=1).tolist() == [r.bit_count() for r in rows]
@@ -347,6 +349,7 @@ def test_periodic_parts_tile_into_the_stored_matrix():
         ((6, 3), (5, 8), (None, np.r_[0:13]), "column order"),
         ((6, 3), (8, 8), (None, np.r_[0:15]), "column order"),
         ((6, 3), (8, 8), (np.r_[0:3], None), "row order"),
+        ((), (), (None, None), "needs a part"),
     ],
 )
 def test_periodic_parts_reject_a_bad_layout(periods, widths, order, match):
