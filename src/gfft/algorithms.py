@@ -49,12 +49,17 @@ from .field import FieldContext, OpCount
 from .structure import (
     BinaryMatrix,
     CosetPartition,
+    bit_planes,
     coordinate_matrix,
     coordinate_tables,
     cyclotomic_cosets,
     find_normal_basis,
+    kernel_layout,
+    stacked_input,
     stored_columns,
+    table_kernel,
     transpose_matrix,
+    xor_fold,
 )
 
 GOERTZEL = "goertzel"
@@ -581,8 +586,9 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # once, on first use (Plan._kernels), copying no stage and reading no
 # count.
 #
-# The block kernel and Four Russians lay their temporaries out in one
-# scratch buffer per thread (gfft.scratch), shared by every plan and both
+# The block kernel, Four Russians and the column tables' lookups lay their
+# temporaries out in one scratch buffer per thread (gfft.scratch), shared
+# by every plan and both
 # stages, each from offset 0: a stage's scratch is dead by the time the
 # next stage runs.  Each kernel returns a result it allocates itself, so no
 # output aliases the scratch and a plan stays safe to share across threads.
@@ -596,7 +602,10 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # faults a call in a fresh process (1700-2500 with the threshold pinned at
 # its 128 KiB default), and a 4 s perfbench batch_m11 run 155 K in its
 # rounds, against 2 K now, nearly all of them first calls.  The plane
-# kernel's temporaries stay per call: they are small, and it took no faults.
+# kernel's temporaries stay per call.  From m = 11 on, where it alone runs
+# a few vectors, one vector at m = 11 takes 1408 faults a call with the
+# threshold pinned (none with it free); at m = 10 its AND results were
+# about 327 KB and took 160, where the column tables take none.
 #
 # A binary stage is a tuple of row-periodic parts (structure.BinaryMatrix).
 # Every binary matrix here holds, per coset, the coordinates of a^(i rep),
@@ -654,8 +663,10 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # both stay whole.  A split also assembles each class on its n / g points
 # only: at m = 16 tf2003 builds in 0.9-1.2 s, 1.6-2.1 s dense.
 #
-# The binary stage has two kernels, and each call picks one from its
-# input's shape alone.  The stage is GF(2)-linear, so a call of batch
+# The binary stage has three kernels.  Each call picks bit planes or Four
+# Russians from its input's shape alone, and a call on planes runs on the
+# matrix's column tables where it has them (below).  The stage is
+# GF(2)-linear, so a call of batch
 # vectors of m-bit elements is m batch products over GF(2), one per bit
 # plane.  The plane kernel pays one AND and one XOR per packed byte and
 # plane; Four Russians (a subset-XOR table per byte group, looked up at
@@ -678,6 +689,36 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # Russians from m = 15 on.  One vector at m = 14 stays on planes, though
 # Four Russians was as fast or faster there (70 against 69 ms at host
 # speed 0.60; 49 against 42 for goertzel at 1.13).
+#
+# The column tables (structure.table_kernel) are Four Russians with the
+# tables on the matrix's side: per part, the XOR of every subset of each t
+# consecutive columns, packed over the part's rows.  They depend on the
+# plan alone, so they are built with its kernels, once per packing, and
+# shared by the plans on it (tf2003, fed2006a and fed2006b hold one set);
+# a call looks up (8 / t) rows of ceil(p / 8) bytes per byte group and
+# plane, where the plane kernel ANDs p bytes.  t is the widest of 4 and 2
+# whose tables of the whole matrix take at most _TABLE_BYTES = 2^18: t = 4
+# at m <= 9 (32 KiB at m = 8, 128 KiB at m = 9), t = 2 at m = 10 (208
+# KiB), and none from m = 11 on (2-column tables would take 1 MiB
+# there), where a call on planes ANDs bytes.  The budget bounds what the
+# tables hold, once per matrix, four matrices for the six plans: 4-column
+# tables at m = 10 would take about 420 KiB each.  A take looks up at most
+# _TABLE_BYTES of rows at a time.  Binary stage alone, µs, median of 15
+# alternating rounds (2-CPU host, numpy 2.4), the AND of bytes against the
+# column tables; at m = 11 the 2-column tables were built above the
+# budget, for comparison:
+#
+#    m  tag       t  tables KiB   1 vector      2 vectors     3 or 4
+#    8  tf2003    4     32        30 /  26      53 /  42      80 /  58 (4)
+#    8  goertzel  4     32        28 /  25      53 /  40      81 /  57 (4)
+#   10  tf2003    2    208       162 / 106     339 / 230     524 / 324 (3)
+#   10  goertzel  2    208       174 / 125     377 / 260     557 / 376 (3)
+#   11  tf2003    2   1024       702 / 341    1350 / 767
+#   11  goertzel  2   1024       703 / 388    1539 / 776
+#
+# So the rule is one of memory, not speed: tables would halve a call at
+# m = 11 too, for 1 MiB per matrix.  A cold build takes about 0.06 ms per
+# matrix at m = 8 and 0.2-0.3 ms at m = 10.
 #
 # One budget sizes every kernel's chunks.  A small call is bound by the
 # number of numpy calls it makes, a large one by memory traffic, so each
@@ -741,7 +782,9 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # the median of 5 such runs on a 2-CPU x86-64 host with numpy 2.4 running
 # at 0.63-1.03 (median 0.81) of perfbench's reference speed (hostclock
 # probe, median of 80 per run).  * marks the binary kernel a call of that
-# shape runs; the other is measured for comparison.
+# shape runs; the other is measured for comparison.  The bit planes here
+# are the AND of bytes, which at m = 8 and 10 the column tables have since
+# replaced (their figures are above).
 #
 #          binary stage, Four Russians    binary stage, bit planes     block
 #   m   batch 1     2     4     32      1     2     4      32       1    32
@@ -769,15 +812,8 @@ _GATHER = 1 << 15
 _SPLIT_BITS = 3 << 16
 _PLANES = 32
 _PLANE_BYTES = 1 << 18
+_TABLE_BYTES = 1 << 18
 _Kernel = Callable[[np.ndarray], np.ndarray]
-
-
-def _xor_fold(acc: np.ndarray | None, terms: np.ndarray) -> np.ndarray:
-    """The XOR of terms over their first axis, XORed into acc in place and
-    returned; with acc None, that XOR alone.  A single term goes in
-    directly: a reduce over one would first copy it."""
-    part = terms[0] if len(terms) == 1 else np.bitwise_xor.reduce(terms, axis=0)
-    return part if acc is None else np.bitwise_xor(acc, part, out=acc)
 
 
 def _block_kernel(ctx: FieldContext, stage: BlockStage, before: np.ndarray | None, after: np.ndarray | None) -> _Kernel:
@@ -847,57 +883,6 @@ def _russians_sizes(width: int, rows: int, batch: int) -> tuple[int, int]:
     return s, max(1, min(s, _GATHER // max(rows * batch, 1)))
 
 
-class _Layout(NamedTuple):
-    """How the binary kernels read a matrix's parts.  Part i reads byte
-    groups first[i].. of the kernel's input and writes its rows at out[i]
-    of the output, or, with out[i] None, XORs them into the output tiled.
-    folds lists, for a transposed matrix, the input's folds to stack: the
-    input folded to period p, from row offset (a byte boundary) on; it is
-    empty for a matrix whose parts all read the input as it is."""
-
-    first: list[int]
-    packed: list[np.ndarray]
-    out: list[int | None]
-    folds: list[tuple[int, int]]
-    rows: int  # the output's rows, pads included
-    width: int  # the input's byte groups
-
-
-def _layout(matrix: BinaryMatrix) -> _Layout:
-    """A matrix's parts as the binary kernels read them.  The parts of a
-    transposed matrix (goertzel's R) each read the input folded to their
-    period p, row i of the fold being the XOR of the input's rows i, i + p,
-    ...; the folds are stacked, each from a byte boundary, and each part
-    writes its rows at its offset.  Otherwise each part reads its own byte
-    groups of the input."""
-    packed = [part.packed for part in matrix.parts]
-    if not matrix.transposed:
-        first = [off // 8 for off in matrix.offsets]
-        out = [None] * len(packed)
-        return _Layout(first, packed, out, [], matrix.stored[0], -(-matrix.stored[1] // 8))
-    groups = [-(-part.cols // 8) for part in matrix.parts]
-    first = list(accumulate(groups[:-1], initial=0))
-    folds = [(8 * g, part.cols) for g, part in zip(first, matrix.parts)]
-    return _Layout(first, packed, list(matrix.offsets), folds, matrix.stored[0], sum(groups))
-
-
-def _stacked(x: np.ndarray, layout: _Layout, out: np.ndarray | None = None) -> np.ndarray:
-    """The kernel input for layout: x itself, or its folds stacked.  Given
-    out, an (8 width, lanes >= batch) array, x or its folds go into
-    out[:, :batch] and every other entry of out is set to 0."""
-    if out is None and not layout.folds:
-        return x
-    batch = x.shape[1]
-    out = np.empty((8 * layout.width, batch), dtype=x.dtype) if out is None else out
-    out[...] = 0
-    for at, p in layout.folds or [(0, len(x))]:
-        if p == len(x):
-            out[at : at + p, :batch] = x
-        else:
-            np.bitwise_xor.reduce(x.reshape(len(x) // p, p, batch), axis=0, out=out[at : at + p, :batch])
-    return out
-
-
 def _binary_kernel(matrix: BinaryMatrix, after: np.ndarray | None = None) -> _Kernel:
     """Four Russians on bytes: byte g of a row selects among columns
     8g..8g+7, so out ^= table_g[byte g] over all groups g.  The selectors
@@ -912,7 +897,7 @@ def _binary_kernel(matrix: BinaryMatrix, after: np.ndarray | None = None) -> _Ke
     result is XORed into the output tiled rows / p times.  Every temporary
     lives in the thread's scratch; the output gather after the stage (None
     for none) copies the result out of it."""
-    layout = _layout(matrix)
+    layout = kernel_layout(matrix)
     rows, width = layout.rows, layout.width
     tiled = [sel.shape[1] for sel, at in zip(layout.packed, layout.out) if at is None and sel.shape[1] < rows]
 
@@ -946,7 +931,7 @@ def _binary_kernel(matrix: BinaryMatrix, after: np.ndarray | None = None) -> _Ke
         index, bits, out, tables, looked, short = scratch.arrays((key, batch, _GATHER), specs, batch)
         lanes = out.shape[1]
         cols = index.view(np.uint16)[: 8 * width * lanes].reshape(8 * width, lanes)  # dead once bits holds it
-        np.copyto(bits, _stacked(x, layout, cols).reshape(width, 8, lanes).transpose(1, 0, 2))
+        np.copyto(bits, stacked_input(x, layout, cols).reshape(width, 8, lanes).transpose(1, 0, 2))
         out[...] = 0
         for first, sel, place, (s, k, wide) in zip(layout.first, layout.packed, layout.out, chunks(lanes)):
             groups, p = sel.shape
@@ -977,7 +962,7 @@ def _binary_kernel(matrix: BinaryMatrix, after: np.ndarray | None = None) -> _Ke
                     flat = table.reshape(256 * n, lanes)
                     for h in range(0, n, k):
                         n_tabs = min(k, n - h)
-                        _xor_fold(acc, flat.take(at[h : h + n_tabs], 0, looked_up[:n_tabs], "clip"))
+                        xor_fold(acc, flat.take(at[h : h + n_tabs], 0, looked_up[:n_tabs], "clip"))
             if place is None and p < rows:
                 tiled = out.reshape(rows // p, p, lanes)
                 tiled ^= acc
@@ -999,7 +984,7 @@ def _plane_kernel(matrix: BinaryMatrix, m: int) -> _Kernel:
     parity is bit b of its row's output: one lookup in the (m, 256) table of
     parity(byte) << b puts it in place, and one OR across the planes gives
     the outputs."""
-    layout = _layout(matrix)
+    layout = kernel_layout(matrix)
     rows, width = layout.rows, layout.width
     parts = [
         (first, sel[:, None], max(1, min(len(sel), _GATHER // max(sel.shape[1], 1))), at)
@@ -1011,17 +996,16 @@ def _plane_kernel(matrix: BinaryMatrix, m: int) -> _Kernel:
     rows_of = shifts << 8
 
     def run(x: np.ndarray) -> np.ndarray:
-        x = _stacked(x, layout)
+        x = stacked_input(x, layout)
         batch = x.shape[1]
-        bits = (x.T[:, None, :] >> shifts).astype(np.uint8) & 1
-        planes = np.packbits(bits, axis=2, bitorder="little").reshape(batch * m, width).T[:, :, None]
+        planes = bit_planes(x, shifts, width)[:, :, None]
         acc = np.zeros((batch * m, rows), dtype=np.uint8) if layout.folds else None
         short = []
         for first, sel, k, place in parts:
             part_acc = None if place is None else acc[:, place : place + sel.shape[2]]
             for g0 in range(0, len(sel), k):
                 block = sel[g0 : g0 + k]
-                part_acc = _xor_fold(
+                part_acc = xor_fold(
                     part_acc, np.bitwise_and(block, planes[first + g0 : first + g0 + len(block)], order="C")
                 )
             if place is not None:
@@ -1041,11 +1025,12 @@ def _plane_kernel(matrix: BinaryMatrix, m: int) -> _Kernel:
 def _binary_stage_kernel(matrix: BinaryMatrix, m: int, before: np.ndarray | None, after: np.ndarray | None) -> _Kernel:
     """Per call, bit planes when the call has at most _PLANES planes (m per
     vector) and their accumulator at most _PLANE_BYTES, else Four Russians;
-    the gather before the stage (None for none) runs first, and the one
-    after it last, inside Four Russians, which copies its result out of its
-    scratch so."""
-    planes, russians = _plane_kernel(matrix, m), _binary_kernel(matrix, after)
-    rows = matrix.stored[0]
+    bit planes run on the matrix's column tables when those fit in
+    _TABLE_BYTES, else on the plane kernel.  The gather before the stage
+    (None for none) runs first, and the one after it last, inside Four
+    Russians, which copies its result out of its scratch so."""
+    planes = table_kernel(matrix, m, _TABLE_BYTES, _GATHER) or _plane_kernel(matrix, m)
+    russians, rows = _binary_kernel(matrix, after), matrix.stored[0]
 
     def run(x: np.ndarray) -> np.ndarray:
         x = x if before is None else x.take(before, axis=0)

@@ -10,7 +10,9 @@ factor  -- print one field's factorization (permutations, binary matrix,
 
 Exit codes: 0 all pass, 1 verification failure, 2 usage error (bad flags, an
 m out of range, a bad or non-primitive --poly), 3 internal error (a fault in
-gfft itself; the traceback goes to stderr).
+gfft itself; the traceback goes to stderr), 141 (128 + SIGPIPE) when the
+reader closes standard output early, as `gfft bench | head` does; the
+command then stops quietly, with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -456,7 +458,15 @@ def main(argv: list[str] | None = None, out=sys.stdout) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
+        out.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: what is left goes to devnull, so that the
+        # interpreter's last flush of stdout does not raise again
+        if out is sys.stdout:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

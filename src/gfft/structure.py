@@ -6,17 +6,21 @@ rotation.  Everything downstream (remainder matrices, binary expansion
 matrices, circulant blocks) is assembled from these pieces.  BinaryMatrix
 defines how every binary matrix is packed and is the one place that
 unpacks it; coordinate_matrix assembles a plan's binary matrix in that
-packing, and transpose_matrix transposes one.
+packing, and transpose_matrix transposes one.  kernel_layout says how the
+binary kernels read its parts, and table_kernel runs a few vectors on
+column tables built from them.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import scratch
 from .field import FieldContext
 
 
@@ -477,6 +481,202 @@ def transpose_matrix(matrix: BinaryMatrix, budget: int) -> BinaryMatrix:
         _transpose_into(part.packed, part.rows, out, budget)
         parts.append(Part(out[:, : part.cols], part.rows))
     return BinaryMatrix(parts, matrix.order[::-1], not matrix.transposed)
+
+
+# How the binary kernels (algorithms) read a matrix's parts, and the
+# column-table kernel, which runs a call of a few vectors.  The stage is
+# GF(2)-linear, so a call of batch vectors of m-bit elements is m batch
+# products over GF(2), one per bit plane, each plane packed as the matrix
+# is (bit_planes).  The table kernel holds, per part, the XOR of every
+# subset of each t consecutive columns (t = 4 or 2), packed over the part's
+# rows: the method of Four Russians with the tables on the matrix's side, so
+# that they depend on the plan alone and are built once.  A plane's byte g
+# then splits into 8 / t table indices, and bit b of every row's output is
+# the XOR of the rows those indices pick, one take and one XOR across them
+# for all planes at once, against one AND per matrix byte and plane on the
+# plane kernel.  The columns come from _transpose_into, one pass over the
+# packing (unpacking the bytes and packing them along the rows took 1.9 ms
+# for tf2003's full part at m = 10, against 0.12 ms); each of the t
+# doublings of the subsets is one XOR.  The tables of a packing
+# are kept while it lives, keyed by its identity, so the plans that share
+# a packing (tf2003, fed2006a and fed2006b) share one set, and they go with
+# it.  Each part's XOR over the looked-up rows is unpacked to its p rows and
+# tiled or placed as the plane kernel's accumulator is, and one shift and
+# one OR per plane give the outputs.
+
+
+class KernelLayout(NamedTuple):
+    """How the binary kernels read a matrix's parts.  Part i reads byte
+    groups first[i].. of the kernel's input and writes its rows at out[i]
+    of the output, or, with out[i] None, XORs them into the output tiled.
+    folds lists, for a transposed matrix, the input's folds to stack: the
+    input folded to period p, from row offset (a byte boundary) on; it is
+    empty for a matrix whose parts all read the input as it is."""
+
+    first: list[int]
+    packed: list[np.ndarray]
+    out: list[int | None]
+    folds: list[tuple[int, int]]
+    rows: int  # the output's rows, pads included
+    width: int  # the input's byte groups
+
+
+def kernel_layout(matrix: BinaryMatrix) -> KernelLayout:
+    """A matrix's parts as the binary kernels read them.  The parts of a
+    transposed matrix (goertzel's R) each read the input folded to their
+    period p, row i of the fold being the XOR of the input's rows i, i + p,
+    ...; the folds are stacked, each from a byte boundary, and each part
+    writes its rows at its offset.  Otherwise each part reads its own byte
+    groups of the input."""
+    packed = [part.packed for part in matrix.parts]
+    if not matrix.transposed:
+        first = [off // 8 for off in matrix.offsets]
+        out = [None] * len(packed)
+        return KernelLayout(first, packed, out, [], matrix.stored[0], -(-matrix.stored[1] // 8))
+    groups = [-(-part.cols // 8) for part in matrix.parts]
+    first = list(accumulate(groups[:-1], initial=0))
+    folds = [(8 * g, part.cols) for g, part in zip(first, matrix.parts)]
+    return KernelLayout(first, packed, list(matrix.offsets), folds, matrix.stored[0], sum(groups))
+
+
+def stacked_input(x: np.ndarray, layout: KernelLayout, out: np.ndarray | None = None) -> np.ndarray:
+    """The kernel input for layout: x itself, or its folds stacked.  Given
+    out, an (8 width, lanes >= batch) array, x or its folds go into
+    out[:, :batch] and every other entry of out is set to 0."""
+    if out is None and not layout.folds:
+        return x
+    batch = x.shape[1]
+    out = np.empty((8 * layout.width, batch), dtype=x.dtype) if out is None else out
+    out[...] = 0
+    for at, p in layout.folds or [(0, len(x))]:
+        if p == len(x):
+            out[at : at + p, :batch] = x
+        else:
+            np.bitwise_xor.reduce(x.reshape(len(x) // p, p, batch), axis=0, out=out[at : at + p, :batch])
+    return out
+
+
+def xor_fold(acc: np.ndarray | None, terms: np.ndarray) -> np.ndarray:
+    """The XOR of terms over their first axis, XORed into acc in place and
+    returned; with acc None, that XOR alone.  A single term goes in
+    directly: a reduce over one would first copy it."""
+    part = terms[0] if len(terms) == 1 else np.bitwise_xor.reduce(terms, axis=0)
+    return part if acc is None else np.bitwise_xor(acc, part, out=acc)
+
+
+def bit_planes(x: np.ndarray, shifts: np.ndarray, width: int) -> np.ndarray:
+    """The (width, batch m) bit planes of a kernel input of batch vectors,
+    m = len(shifts), shifts the column 0..m-1: column v m + b packs bit b
+    of vector v's elements, byte g holding bit j of element 8g + j."""
+    bits = (x.T[:, None, :] >> shifts).astype(np.uint8) & 1
+    return np.packbits(bits, axis=2, bitorder="little").reshape(x.shape[1] * len(shifts), width).T
+
+
+def column_tables(packed: np.ndarray, t: int, budget: int) -> np.ndarray:
+    """The column tables of a (groups, rows) packing, t columns a table (t
+    divides 8): a read-only ((8 / t) groups 2^t, ceil(rows / 8)) uint8
+    array whose row (h groups + g) 2^t + s is the XOR of the columns
+    8g + ht + i over the bits i set in s, its bit r (bit r % 8 of byte
+    r // 8) that of row r.  The columns are transposed out of the packing
+    budget blocks at a time."""
+    groups, rows = packed.shape
+    columns = _transposed_packing(8 * groups, rows)
+    _transpose_into(packed, rows, columns, budget)
+    row_bytes = len(columns)
+    # [h, g, i]: column 8g + ht + i, its bits over the rows
+    columns = np.ascontiguousarray(columns.T).reshape(groups, 8 // t, t, row_bytes).transpose(1, 0, 2, 3)
+    table = np.zeros((8 // t, groups, 1 << t, row_bytes), dtype=np.uint8)
+    for i in range(t):
+        np.bitwise_xor(table[:, :, : 1 << i], columns[:, :, i, None], out=table[:, :, 1 << i : 2 << i])
+    table = table.reshape(-1, row_bytes)
+    table.flags.writeable = False
+    return table
+
+
+# (id of a packing, t) -> its column tables, dropped when the packing goes
+_TABLES: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _tables_of(packed: np.ndarray, t: int, budget: int) -> np.ndarray:
+    """The packing's column tables of width t, built on first use."""
+    key = (id(packed), t)
+    table = _TABLES.get(key)
+    if table is None:  # two threads may both build; one table is kept
+        table = _TABLES.setdefault(key, column_tables(packed, t, budget))
+        weakref.finalize(packed, _TABLES.pop, key, None)
+    return table
+
+
+def table_kernel(matrix: BinaryMatrix, m: int, table_bytes: int, budget: int) -> Callable | None:
+    """A kernel of the binary stage on column tables (see above), t columns
+    a table, t the widest of 4 and 2 whose tables of every part take at
+    most table_bytes together, or None when neither fits.  It reads the (8 width, batch) kernel input's m bit planes, and
+    per part takes, as many as give table_bytes at a time, the table rows
+    that each plane's bytes index, (8 / t) groups per plane, and XORs them,
+    in the thread's scratch; bit b of row r of the result is that of the
+    XOR of plane b.  The tables are the ones shared by every kernel on the
+    same packings (_tables_of), transposed budget blocks at a time."""
+    layout = kernel_layout(matrix)
+    sizes = {t: sum((8 // t * len(sel) << t) * -(-sel.shape[1] // 8) for sel in layout.packed) for t in (4, 2)}
+    t = next((t for t, size in sizes.items() if size <= table_bytes), None)
+    if t is None:
+        return None
+    per = 8 // t
+    parts = []  # (first group, index of each h and byte, each group's offset, table, rows, output row or None)
+    for first, sel, place in zip(layout.first, layout.packed, layout.out):
+        groups, p = sel.shape
+        index_of = (np.arange(256, dtype=np.intp) >> t * np.arange(per)[:, None]) & (1 << t) - 1
+        index_of += (np.arange(per) * groups << t)[:, None]
+        parts.append((first, index_of, np.arange(groups, dtype=np.intp)[:, None] << t, _tables_of(sel, t, budget), p, place))
+    rows, width = layout.rows, layout.width
+    shifts = np.arange(m, dtype=np.uint16)[:, None]
+    key = next(scratch.keys)
+
+    def step(n_planes: int, row_bytes: int) -> int:
+        """The table rows a take looks up per plane: as many as give
+        table_bytes, and at least one."""
+        return max(1, table_bytes // max(n_planes * row_bytes, 1))
+
+    def specs(batch: int) -> list[scratch.Spec]:
+        n_planes = m * batch
+        lookups = [per * len(base) for _, _, base, _, _, _ in parts]
+        row_bytes = [len(table[0]) for _, _, _, table, _, _ in parts]
+        looked = max(min(g, step(n_planes, b)) * b for g, b in zip(lookups, row_bytes))
+        return [((max(lookups), n_planes), np.intp), ((looked * n_planes,), np.uint8)]
+
+    def run(x: np.ndarray) -> np.ndarray:
+        x = stacked_input(x, layout)
+        batch = x.shape[1]
+        index, looked = scratch.arrays((key, batch), specs, batch)
+        planes = bit_planes(x, shifts, width)
+        n_planes = planes.shape[1]
+        out = np.zeros((n_planes, rows), dtype=np.uint8) if layout.folds else None
+        short = []
+        for first, index_of, base, table, p, place in parts:
+            groups, p8 = len(base), table.shape[1]
+            k = step(n_planes, p8)
+            idx = index[: per * groups].reshape(per, groups, n_planes)
+            index_of.take(planes[first : first + groups], 1, idx, "clip")
+            idx += base
+            idx = idx.reshape(per * groups, n_planes)
+            acc = None
+            for g0 in range(0, len(idx), k):
+                at = idx[g0 : g0 + k]
+                terms = table.take(at, 0, looked[: at.size * p8].reshape(*at.shape, p8), "clip")
+                acc = np.bitwise_xor.reduce(terms, axis=0) if acc is None else xor_fold(acc, terms)
+            bits = np.unpackbits(acc, axis=1, count=p, bitorder="little")
+            if place is not None:
+                out[:, place : place + p] = bits
+            elif out is None and p == rows:
+                out = bits
+            else:
+                short.append(bits)
+        for bits in short:
+            tiled = out.reshape(n_planes, rows // bits.shape[1], bits.shape[1])
+            tiled ^= bits[:, None]
+        return np.bitwise_or.reduce(np.left_shift(out.reshape(batch, m, rows), shifts, dtype=np.uint16), axis=1).T
+
+    return run
 
 
 def coordinate_matrix(

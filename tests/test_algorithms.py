@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import json
 import os
 import pickle
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from collections import Counter
 from itertools import accumulate, permutations
 from math import gcd
@@ -1024,6 +1026,174 @@ def test_plane_kernel_matches_four_russians(m):
             assert np.array_equal(planes(x), russians(x)), (tag, batch)
 
 
+def _tables_held(matrix):
+    """The widths t of the column tables kept for the matrix's packings."""
+    ids = {id(part.packed) for part in matrix.parts}
+    return {t for packing, t in structure._TABLES if packing in ids}
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_table_kernel_matches_planes_and_four_russians(m, monkeypatch):
+    # on every tag's binary matrix, goertzel's folded R and m = 10's two
+    # parts included, the column-table kernel gives the plane kernel's and
+    # Four Russians' outputs exactly for 1 to 3 vectors: 4-column tables at
+    # m <= 9 and 2-column ones at m = 10 under the default _TABLE_BYTES, and
+    # at m <= 9 2-column ones too, with _TABLE_BYTES lowered to what they
+    # take: per byte group, 4 tables of 4 rows of ceil(rows / 8) bytes
+    rng = np.random.default_rng(m)
+    ctx = default_field(m)
+    default = alg._TABLE_BYTES
+    for tag in ALL_TAGS:
+        matrix = matrix_of(build(tag, ctx))
+        planes, russians = alg._plane_kernel(matrix, m), alg._binary_kernel(matrix)
+        two_columns = sum(16 * len(part.packed) * -(-part.rows // 8) for part in matrix.parts)
+        widths = [(4, default), (2, two_columns)] if m <= 9 else [(2, default)]
+        for k, (t, table_bytes) in enumerate(widths):
+            monkeypatch.setattr(alg, "_TABLE_BYTES", table_bytes)
+            tables = alg.table_kernel(matrix, m, alg._TABLE_BYTES, alg._GATHER)
+            assert _tables_held(matrix) == {t for t, _ in widths[: k + 1]}, tag
+            for batch in (1, 2, 3):
+                x = rng.integers(0, 1 << m, size=(matrix.stored[1], batch), dtype=np.uint16)
+                y = tables(x)
+                assert y.dtype == np.uint16 and y.shape == (matrix.stored[0], batch), (tag, t, batch)
+                assert np.array_equal(y, planes(x)) and np.array_equal(y, russians(x)), (tag, t, batch)
+
+
+@pytest.mark.parametrize("m", [3, 8, 10])
+def test_column_tables_hold_the_xor_of_their_columns(m):
+    # row (h groups + g) 2^t + s of a packing's tables, unpacked over the
+    # part's rows, is the XOR of its columns 8g + ht + i over the bits i of
+    # s, each column read from BinaryMatrix.bits(transpose=True) of the
+    # part; the bits past the last row are clear.  Transposed a byte group
+    # at a time (budget 1) or all at once, for R's parts and A's
+    ctx = default_field(m)
+    for tag in ("goertzel", "tf2003"):
+        for part in matrix_of(build(tag, ctx)).parts:
+            groups, rows = part.packed.shape
+            columns = np.zeros((8 * groups, rows), dtype=np.int64)
+            columns[: part.cols] = BinaryMatrix((part,)).bits(transpose=True)
+            for t, budget in ((4, alg._GATHER), (2, alg._GATHER), (4, 1)):
+                table = structure.column_tables(part.packed, t, budget)
+                subsets = np.arange(1 << t)[:, None] >> np.arange(t) & 1  # bit i of s at [s, i]
+                want = np.einsum("si,ghir->hgsr", subsets, columns.reshape(groups, 8 // t, t, rows)) % 2
+                bits = np.unpackbits(table, axis=1, bitorder="little")
+                assert np.array_equal(bits[:, :rows], want.reshape(-1, rows)), (tag, t, budget)
+                assert not bits[:, rows:].any() and not table.flags.writeable, (tag, t, budget)
+
+
+def test_normal_plans_share_one_set_of_column_tables(monkeypatch):
+    # tf2003, fed2006a and fed2006b hold one packing per part, so their
+    # kernels take one set of column tables, the same objects, built once
+    # per packing; each gives the oracle's outputs
+    ctx = default_field(10)
+    built, taken, held = [], [], {}
+    real_build, real_of = structure.column_tables, structure._tables_of
+    monkeypatch.setattr(structure, "column_tables", lambda packed, *a: built.append(id(packed)) or real_build(packed, *a))
+    monkeypatch.setattr(structure, "_tables_of", lambda *a: taken.append(real_of(*a)) or taken[-1])
+    plans = {tag: build(tag, ctx) for tag in _NORMAL}
+    vecs = _path_vectors(10, 1)
+    oracle = naive_dft_batch(vecs, ctx)
+    for tag, plan in plans.items():
+        start = len(taken)
+        assert [apply(plan, f) for f in vecs] == oracle, tag
+        held[tag] = taken[start:]  # the tables its kernels took
+    packings = _packings(plans["tf2003"])
+    assert len(packings) == 2 and sorted(built) == sorted(map(id, packings))
+    for tag in _NORMAL:
+        assert _packings(plans[tag]) == packings and len(held[tag]) == 2, tag
+        assert all(mine is first for mine, first in zip(held[tag], held["tf2003"])), tag
+
+
+def test_column_tables_go_with_the_last_plan_on_their_packing():
+    # the six plans at m = 10 hold four binary matrices of two parts each
+    # (R, blahut2008's, ft2002's and the normal tags' one), eight packings;
+    # each packing's tables stay while a plan holds it, and once the plans
+    # are dropped the cache holds none of them and the tables are freed
+    ctx = default_field(10)
+    plans = {tag: build(tag, ctx) for tag in ALL_TAGS}
+    for tag in ALL_TAGS:  # no loop variable left holding a plan
+        apply(plans[tag], [1] * ctx.n)
+    keys = {(id(packed), 2) for tag in ALL_TAGS for packed in _packings(plans[tag])}
+    assert len(keys) == 8 and keys <= structure._TABLES.keys()
+    freed = [weakref.ref(structure._TABLES[key]) for key in keys]
+    normal = {(id(packed), 2) for packed in _packings(plans["tf2003"])}
+    del plans["tf2003"], plans["fed2006a"]
+    gc.collect()
+    assert normal <= structure._TABLES.keys()  # fed2006b still holds the packing
+    plans.clear()
+    gc.collect()
+    assert not keys & structure._TABLES.keys()
+    assert all(ref() is None for ref in freed)
+
+
+@pytest.mark.parametrize("m", [11, 12])
+def test_no_column_tables_above_the_budget(m, monkeypatch):
+    # every matrix at m = 11 and 12 would need tables above _TABLE_BYTES
+    # even at 2 columns, so no kernel builds any: single vectors and pairs
+    # run the plane kernel
+    built = []
+    monkeypatch.setattr(structure, "column_tables", lambda *args: built.append(args))
+    ctx = default_field(m)
+    vecs = _path_vectors(m, 1)[:2]
+    for tag in ALL_TAGS:
+        plan = build(tag, ctx)
+        apply(plan, vecs[0])
+        apply_batch(plan, vecs)
+        assert alg.table_kernel(matrix_of(plan), m, alg._TABLE_BYTES, alg._GATHER) is None, tag
+    assert built == []
+
+
+def test_no_column_tables_for_one_vector_at_m16(monkeypatch):
+    # the parts of an m = 16 binary stage as the size rule stores them, on
+    # zero packings that take no memory: the stage's kernels build no
+    # tables, and one vector (16 planes of 65535 rows) runs Four Russians
+    n = (1 << 16) - 1
+    partition = alg.cyclotomic_cosets(n)
+    sizes = np.array(partition.sizes())
+    parts, classes = [], alg._periodic_parts(n, partition)
+    for rows, cosets in classes:
+        cols = int(sizes[cosets].sum())
+        parts.append(structure.Part(np.broadcast_to(np.uint8(0), (-(-cols // 8), rows)), cols))
+    matrix = BinaryMatrix(parts, (None, structure.stored_columns(sizes, [cosets for _, cosets in classes])))
+    ran = []
+    monkeypatch.setattr(structure, "column_tables", lambda *args: ran.append("tables"))
+    monkeypatch.setattr(alg, "_plane_kernel", lambda *args: lambda x: ran.append("planes"))
+    monkeypatch.setattr(alg, "_binary_kernel", lambda *args: lambda x: ran.append("four_russians"))
+    alg._binary_stage_kernel(matrix, 16, None, None)(np.zeros((matrix.stored[1], 1), dtype=np.uint16))
+    assert ran == ["four_russians"]
+
+
+def test_fresh_m10_plans_shared_across_threads():
+    # four threads switching often run single vectors through the six plans
+    # of a fresh m = 10 field, whose kernels and column tables are not
+    # built yet: every output is the oracle's
+    ctx = default_field(10)
+    vecs = _path_vectors(10, 2)
+    oracle = naive_dft_batch(vecs, ctx)
+    plans = [build(tag, ctx) for tag in ALL_TAGS]
+    workers = 4
+    barrier = threading.Barrier(workers)
+    results = {}
+
+    def work(k):
+        barrier.wait(timeout=30)
+        order = plans if k % 2 else plans[::-1]
+        results[k] = {plan.tag: [apply(plan, f) for f in vecs] for plan in order}
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {k: dict.fromkeys(ALL_TAGS, oracle) for k in range(workers)}
+
+
 # m = 2..12 on the default polynomials, and the three others of the goldens
 _SPLIT_FIELDS = [(m, None) for m in range(2, 13)] + [(m, poly) for m, poly in GOLDEN_FIELDS if poly is not None]
 
@@ -1100,32 +1270,38 @@ def test_periodic_parts_hold_at_most_six_tenths_of_the_dense_bytes():
 
 
 def _recording(builder, name, ran):
-    """builder, with each kernel it builds noting (name, batch) in ran when run."""
+    """builder, with each kernel it builds noting (name, batch) in ran when
+    run; a builder's None (no tables) stays None."""
 
     def build_recorded(*args):
         kernel = builder(*args)
-        return lambda x: ran.append((name, x.shape[1])) or kernel(x)
+        return None if kernel is None else lambda x: ran.append((name, x.shape[1])) or kernel(x)
 
     return build_recorded
 
 
-@pytest.mark.parametrize("m, most", [(10, 3), (13, 2), (14, 1)])
+@pytest.mark.parametrize("m, most", [(10, 3), (11, 2), (13, 2), (14, 1)])
 def test_binary_stage_kernel_follows_the_plane_rule(m, most, monkeypatch):
     # a call of up to `most` vectors runs bit planes, one more runs Four
     # Russians: at m <= 13 the 32-plane bound decides, at m = 14 the
-    # accumulator bound; both kernels give the same outputs
+    # accumulator bound.  A call the rule sends to planes runs the column
+    # tables where the matrix has them (m <= 10) and the plane kernel where
+    # they would exceed _TABLE_BYTES (m = 11 and above); all give the same
+    # outputs
     ran = []
+    monkeypatch.setattr(alg, "table_kernel", _recording(alg.table_kernel, "tables", ran))
     monkeypatch.setattr(alg, "_plane_kernel", _recording(alg._plane_kernel, "planes", ran))
     monkeypatch.setattr(alg, "_binary_kernel", _recording(alg._binary_kernel, "four_russians", ran))
     ctx = default_field(m)
     plan = build("tf2003", ctx)
     vecs = _path_vectors(m, most + 1)[: most + 1]
-    expected = [("planes", 1)]
+    few = "tables" if m <= 10 else "planes"
+    expected = [(few, 1)]
     apply(plan, vecs[0])
     outs = {}
     for size in (most, most + 1) + ((32,) if m == 10 else ()):
         outs[size] = apply_batch(plan, (vecs * 32)[:size])
-        expected.append(("planes" if size <= most else "four_russians", size))
+        expected.append((few if size <= most else "four_russians", size))
     assert ran == expected
     assert outs[most + 1][:most] == outs[most]
     if m == 10:
@@ -1245,9 +1421,9 @@ def test_fresh_plan_shared_across_threads():
 def test_kernel_results_do_not_alias_the_scratch():
     # the kernels share their thread's scratch, but each returns an array
     # of its own: a result stays as it was through later calls of every
-    # kernel on other inputs, for the block kernel and both binary kernels,
-    # goertzel's transposed R included, and a plan's outputs for the first
-    # input are still the oracle's after a second call
+    # kernel on other inputs, for the block kernel and the three binary
+    # kernels, goertzel's transposed R included, and a plan's outputs for
+    # the first input are still the oracle's after a second call
     ctx = default_field(8)
     rng = np.random.default_rng(37)
     vecs = _path_vectors(8, 17)
@@ -1259,18 +1435,20 @@ def test_kernel_results_do_not_alias_the_scratch():
             alg._block_kernel(ctx, plan.stage(BlockStage), None, None),
             alg._plane_kernel(matrix, ctx.m),
             alg._binary_kernel(matrix),
+            alg.table_kernel(matrix, ctx.m, alg._TABLE_BYTES, alg._GATHER),
         ]
         for size in (1, 5, 17):
             a, a_binary = (
                 rng.integers(0, ctx.n + 1, size=(rows, size), dtype=np.uint16) for rows in (ctx.n, matrix.stored[1])
             )
-            firsts = [(kernel, x, kernel(x)) for kernel, x in zip(kernels, (a, a_binary, a_binary))]
+            firsts = [(kernel, x, kernel(x)) for kernel, x in zip(kernels, (a, a_binary, a_binary, a_binary))]
             wants = [y.copy() for _, _, y in firsts]
             for kernel, a, _ in firsts:
                 kernel(rng.integers(0, ctx.n + 1, size=a.shape, dtype=np.uint16))
             for (kernel, a, y), want in zip(firsts, wants):
                 assert np.array_equal(y, want) and np.array_equal(kernel(a), want), (tag, size)
-            assert np.array_equal(wants[1], wants[2]), (tag, size)  # planes and Four Russians agree
+            for want in wants[2:]:  # planes, Four Russians and the tables agree
+                assert np.array_equal(wants[1], want), (tag, size)
             first = alg._run_kernels(plan, alg.validate_vectors(ctx, vecs[:size]))
             alg._run_kernels(plan, alg.validate_vectors(ctx, vecs[-size:][::-1]))
             assert first.T.tolist() == oracle[:size], (tag, size)
@@ -1280,9 +1458,9 @@ _STEADY_FAULTS = """
 import json, resource
 from gfft import algorithms as alg
 from gfft.field import default_field
-ctx = default_field(11)
-rows = alg.validate_vectors(ctx, [[(7 * i + j) % (ctx.n + 1) for i in range(ctx.n)] for j in range(32)])
-faults = {}
+ctx = default_field({m})
+rows = alg.validate_vectors(ctx, [[(7 * i + j) % (ctx.n + 1) for i in range(ctx.n)] for j in range({batch})])
+faults = {{}}
 for tag in alg.ALL_TAGS:
     plan = alg.build(tag, ctx)
     alg._run_kernels(plan, rows)
@@ -1296,6 +1474,23 @@ print(json.dumps(faults))
 """
 
 
+def _steady_faults(m, batch, mmap_threshold):
+    """Per tag, the median minor faults of five _run_kernels calls of batch
+    vectors at m, after a first call, in a fresh process.  Its path holds
+    each directory once: the fault counts move with the heap's layout, and
+    a second copy of src on the path hid 160 faults a call of the earlier
+    plane kernel at m = 10 under the pinned threshold."""
+    path = [Path(alg.__file__).parents[1], *os.environ.get("PYTHONPATH", "").split(os.pathsep)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(dict.fromkeys(str(Path(p).resolve()) for p in path if p))}
+    if mmap_threshold:
+        env["MALLOC_MMAP_THRESHOLD_"] = mmap_threshold
+    script = _STEADY_FAULTS.format(m=m, batch=batch)
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=300, check=True)
+    faults = json.loads(child.stdout)
+    assert sorted(faults) == sorted(ALL_TAGS)
+    return faults
+
+
 @pytest.mark.parametrize("mmap_threshold", [None, "131072"])
 def test_steady_batch_calls_take_no_fresh_pages(mmap_threshold):
     # 32 vectors at m = 11 through each plan, in a fresh process: after one
@@ -1306,15 +1501,18 @@ def test_steady_batch_calls_take_no_fresh_pages(mmap_threshold):
     # allocated their temporaries per call took 1700-2500 faults a call,
     # and 0-320 with the threshold free
     pytest.importorskip("resource")
-    path = [str(Path(alg.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-    if mmap_threshold:
-        env["MALLOC_MMAP_THRESHOLD_"] = mmap_threshold
-    child = subprocess.run(
-        [sys.executable, "-c", _STEADY_FAULTS], env=env, capture_output=True, text=True, timeout=300, check=True
-    )
-    faults = json.loads(child.stdout)
-    assert sorted(faults) == sorted(ALL_TAGS)
+    faults = _steady_faults(11, 32, mmap_threshold)
+    assert max(faults.values()) <= 5, faults
+
+
+@pytest.mark.parametrize("mmap_threshold", [None, "131072"])
+def test_steady_single_calls_take_no_fresh_pages(mmap_threshold):
+    # one vector at m = 10 likewise: the column tables' looked-up rows (about
+    # 470 KB a call for tf2003, taken 256 KiB at a time) live in the
+    # thread's scratch.  The plane kernel's per-call AND temporaries of about
+    # 327 KB took 160 faults a call here with the threshold pinned
+    pytest.importorskip("resource")
+    faults = _steady_faults(10, 1, mmap_threshold)
     assert max(faults.values()) <= 5, faults
 
 

@@ -1,9 +1,12 @@
 import csv
 import io
 import json
+import os
 import random
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -435,3 +438,31 @@ def test_readme_examples_run():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {line}")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # `gfft bench | head -1`: once the reader has one line and closes the
+    # pipe, the command stops with 128 + SIGPIPE and says nothing on
+    # stderr, whether stdout is written per line or flushed in blocks.  The
+    # pipe holds one page, so the bench's 6.4 KB cannot all be in it by then
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_SETPIPE_SZ"):
+        pytest.skip("the pipe's size cannot be set here")
+    path = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path), "PYTHONUNBUFFERED": unbuffered}
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    argv = [sys.executable, "-m", "gfft.cli", "bench", "--m", "2..12", "--algo", "all"]
+    with subprocess.Popen(argv, stdout=write_end, stderr=subprocess.PIPE, env=env) as child:
+        os.close(write_end)
+        line = b""
+        while not line.endswith(b"\n"):
+            byte = os.read(read_end, 1)
+            assert byte, line  # the child wrote less than a line
+            line += byte
+        os.close(read_end)
+        _, err = child.communicate(timeout=120)
+    assert line.startswith(b"algo ")
+    assert child.returncode == 141, err
+    assert err == b""
