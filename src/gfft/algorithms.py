@@ -49,15 +49,14 @@ from .field import FieldContext, OpCount
 from .structure import (
     BinaryMatrix,
     CosetPartition,
-    bit_planes,
     coordinate_matrix,
     coordinate_tables,
     cyclotomic_cosets,
     find_normal_basis,
     kernel_layout,
+    plane_kernel,
     stacked_input,
     stored_columns,
-    table_kernel,
     transpose_matrix,
     xor_fold,
 )
@@ -586,26 +585,25 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # once, on first use (Plan._kernels), copying no stage and reading no
 # count.
 #
-# The block kernel, Four Russians and the column tables' lookups lay their
+# The block kernel, Four Russians and the bit-plane kernel lay their
 # temporaries out in one scratch buffer per thread (gfft.scratch), shared
-# by every plan and both
-# stages, each from offset 0: a stage's scratch is dead by the time the
-# next stage runs.  Each kernel returns a result it allocates itself, so no
-# output aliases the scratch and a plan stays safe to share across threads.
-# The buffer grows to the largest call the thread has made and stays: 1.1
-# MiB after 32 vectors at m = 11, 2.3 MiB after 2 at m = 16 and 36 MiB
-# after 32 at m = 16.  A call finds its arrays in the buffer with one
-# lookup, by kernel and batch, not a view per temporary, so a single
-# vector pays nothing for it.  With temporaries allocated per call, those
-# of 128 KiB or more were mapped afresh on each call whenever glibc had not
-# yet raised its mmap threshold: 32 vectors at m = 11 took 0-320 minor
-# faults a call in a fresh process (1700-2500 with the threshold pinned at
-# its 128 KiB default), and a 4 s perfbench batch_m11 run 155 K in its
-# rounds, against 2 K now, nearly all of them first calls.  The plane
-# kernel's temporaries stay per call.  From m = 11 on, where it alone runs
-# a few vectors, one vector at m = 11 takes 1408 faults a call with the
-# threshold pinned (none with it free); at m = 10 its AND results were
-# about 327 KB and took 160, where the column tables take none.
+# by every plan and both stages, each from offset 0: a stage's scratch is
+# dead by the time the next stage runs.  Each kernel returns a result it
+# allocates itself, so no output aliases the scratch and a plan stays safe
+# to share across threads.  The buffer grows to the largest call the thread
+# has made and stays: 1.1 MiB after 32 vectors at m = 11, 2.3 MiB after 2
+# at m = 16 and 36 MiB after 32 at m = 16.  A call finds its arrays in the
+# buffer with one lookup, by kernel and batch, not a view per temporary, so
+# a single vector pays nothing for it.  With temporaries allocated per
+# call, those of 128 KiB or more were mapped afresh on each call whenever
+# glibc had not yet raised its mmap threshold: 32 vectors at m = 11 took
+# 0-320 minor faults a call in a fresh process (1700-2500 with the
+# threshold pinned at its 128 KiB default), and a 4 s perfbench batch_m11
+# run 155 K in its rounds, against 2 K now, nearly all of them first calls.
+# With the threshold pinned, the AND of bytes' chunks (about 360 KB for one
+# vector at m = 11) took 1408 faults a call there and 7132 for two vectors
+# at m = 12, against none and at most about 50 in scratch; at m = 10 they
+# took 160, where the column tables take none.
 #
 # A binary stage is a tuple of row-periodic parts (structure.BinaryMatrix).
 # Every binary matrix here holds, per coset, the coordinates of a^(i rep),
@@ -619,8 +617,8 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # once: the plane kernel packs the planes of all stored columns in one
 # pass, and each part runs its own chunk loop on its p rows; one reshape-
 # XOR folds a short accumulator into the full one, tiled n / p times,
-# before the parity step (the parity of an XOR is the XOR of the
-# parities).  Four Russians builds each part's tables from its own groups,
+# before the AND of bytes' parity step (the parity of an XOR is the XOR of
+# the parities).  Four Russians builds each part's tables from its own groups,
 # looks them up on its p rows and XORs its output tiled.  goertzel's R is
 # the transpose: a class's rows repeat in the input index, so R_k x =
 # R_k,short fold_p(x), fold_p XOR-summing x over the residues mod p.  Its
@@ -663,20 +661,21 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # both stay whole.  A split also assembles each class on its n / g points
 # only: at m = 16 tf2003 builds in 0.9-1.2 s, 1.6-2.1 s dense.
 #
-# The binary stage has three kernels.  Each call picks bit planes or Four
-# Russians from its input's shape alone, and a call on planes runs on the
-# matrix's column tables where it has them (below).  The stage is
-# GF(2)-linear, so a call of batch
-# vectors of m-bit elements is m batch products over GF(2), one per bit
-# plane.  The plane kernel pays one AND and one XOR per packed byte and
-# plane; Four Russians (a subset-XOR table per byte group, looked up at
+# The binary stage has two kernels, bit planes (structure.plane_kernel)
+# and Four Russians.  Each call picks one from its input's shape alone, and
+# the bit-plane kernel folds a part one of two ways, per matrix: on the
+# matrix's column tables where they fit, else by the AND of bytes (below).
+# The stage is GF(2)-linear, so a call of batch vectors of m-bit elements is
+# m batch products over GF(2), one per bit plane.  The AND of bytes pays
+# one AND and one XOR per packed byte and plane; Four Russians (a subset-XOR table per byte group, looked up at
 # each row's byte) pays about one lookup per packed byte and vector, plus
 # building the tables.  So planes win for a few vectors and Four Russians
 # for many: a call runs on planes when it has at most _PLANES = 32 planes
 # and their accumulator (planes x rows bytes) holds at most _PLANE_BYTES =
 # 2^18, that is up to 3 vectors at m = 10, 2 up to m = 13 and one at m =
 # 14.  Up to m = 13 the crossover lay above the bound: at 33-44 planes
-# for m = 11, 36-48 for m = 12 and past 50 for m <= 10.  From m = 14 on
+# for m = 11, 36-48 for m = 12 and past 50 for m <= 10 (all measured on
+# the AND of bytes).  From m = 14 on
 # each table serves 2^14 rows or more and Four Russians costs about the
 # same for one vector or two.  With the kernels below (tf2003, medians of
 # 15, 11 and 5 alternating calls, host speed 1.12 by the probe below),
@@ -690,25 +689,25 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # Four Russians was as fast or faster there (70 against 69 ms at host
 # speed 0.60; 49 against 42 for goertzel at 1.13).
 #
-# The column tables (structure.table_kernel) are Four Russians with the
-# tables on the matrix's side: per part, the XOR of every subset of each t
-# consecutive columns, packed over the part's rows.  They depend on the
-# plan alone, so they are built with its kernels, once per packing, and
-# shared by the plans on it (tf2003, fed2006a and fed2006b hold one set);
-# a call looks up (8 / t) rows of ceil(p / 8) bytes per byte group and
-# plane, where the plane kernel ANDs p bytes.  t is the widest of 4 and 2
-# whose tables of the whole matrix take at most _TABLE_BYTES = 2^18: t = 4
-# at m <= 9 (32 KiB at m = 8, 128 KiB at m = 9), t = 2 at m = 10 (208
-# KiB), and none from m = 11 on (2-column tables would take 1 MiB
-# there), where a call on planes ANDs bytes.  The budget bounds what the
-# tables hold, once per matrix, four matrices for the six plans: 4-column
-# tables at m = 10 would take about 420 KiB each.  A take looks up at most
-# _TABLE_BYTES of rows at a time.  Binary stage alone, µs, median of 15
-# alternating rounds (2-CPU host, numpy 2.4), the AND of bytes against the
-# column tables; at m = 11 the 2-column tables were built above the
-# budget, for comparison:
+# The column tables are Four Russians with the tables on the matrix's
+# side: per part, the XOR of every subset of each t consecutive columns,
+# packed over the part's rows.  They depend on the plan alone, so they are
+# built with its kernels, once per packing, and shared by the plans on it
+# (tf2003, fed2006a and fed2006b hold one set); a call looks up (8 / t)
+# rows of ceil(p / 8) bytes per byte group and plane, where the AND of
+# bytes ANDs p bytes.  t is the widest of 4 and 2 whose tables of the
+# whole matrix take at most _TABLE_BYTES = 2^18: t = 4 at m <= 9 (32 KiB
+# at m = 8, 128 KiB at m = 9), t = 2 at m = 10 (208 KiB), and none from
+# m = 11 on (2-column tables would take 1 MiB there), where the kernel
+# ANDs bytes.  The budget bounds what the tables hold, once per matrix,
+# four matrices for the six plans: 4-column tables at m = 10 would take
+# about 420 KiB each.  A take looks up at most _TABLE_BYTES of rows at a
+# time.  Binary stage alone, µs, median of 15 alternating rounds (2-CPU
+# host, numpy 2.4), each column the AND fold / the table fold; at m = 11
+# the 2-column tables were built above the budget, for comparison:
 #
 #    m  tag       t  tables KiB   1 vector      2 vectors     3 or 4
+#                                 AND / tables  AND / tables  AND / tables
 #    8  tf2003    4     32        30 /  26      53 /  42      80 /  58 (4)
 #    8  goertzel  4     32        28 /  25      53 /  40      81 /  57 (4)
 #   10  tf2003    2    208       162 / 106     339 / 230     524 / 324 (3)
@@ -724,20 +723,19 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # number of numpy calls it makes, a large one by memory traffic, so each
 # kernel runs one loop whose chunk holds as many byte groups or block
 # columns as give _GATHER elements, and at least one: looked-up elements
-# for Four Russians and the block stage, packed matrix bytes for the plane
-# kernel (so at most 32 _GATHER AND results).  One chunk is one take (one
+# for Four Russians and the block stage, packed matrix bytes for the AND of
+# bytes (so at most 32 _GATHER AND results).  One chunk is one take (one
 # AND) and one XOR across its groups or columns.  So a single vector at
 # m = 8 runs each stage as one chunk and the binary stage at m = 10 as 4.
 # Once one group or column looks up more than _GATHER / 2 elements (rows
 # x batch, or l x w x batch for the padded blocks), a chunk is one group or
 # column, the narrowest width: a 32-vector batch at m >= 10 runs there.
-# The plane kernel allocates each chunk's temporaries as it goes, the
-# first chunk's XOR being the accumulator, so a call of one chunk makes no
-# pass beyond its chunk; the block kernel's first round XORs straight into
-# its accumulator.  Both keep every temporary in C order: numpy lays out a
-# broadcast result after its operands' strides, so the plane kernel's AND
-# with the transposed planes would put the byte groups innermost and make
-# the XOR across them 1.3-1.5 times slower.  The block kernel stores its
+# The bit-plane kernel's first chunk's XOR is its accumulator, so a call of
+# one chunk makes no pass beyond its chunk; the block kernel's first round
+# XORs straight into its accumulator.  Both keep every temporary in C
+# order: numpy orders a broadcast operation after its operands' strides, so
+# the AND of bytes with the transposed planes, left to it, would put the
+# byte groups innermost and make the XOR across them 1.3-1.5 times slower.  The block kernel stores its
 # column logs contiguous, which made its add 1.2-1.3 times faster, and runs
 # on a t-major (j, t, l, batch) grid, whose inner loops run over the l
 # cosets rather than a block's w rows.  numpy's take first copies an index
@@ -782,29 +780,28 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # the median of 5 such runs on a 2-CPU x86-64 host with numpy 2.4 running
 # at 0.63-1.03 (median 0.81) of perfbench's reference speed (hostclock
 # probe, median of 80 per run).  * marks the binary kernel a call of that
-# shape runs; the other is measured for comparison.  The bit planes here
-# are the AND of bytes, which at m = 8 and 10 the column tables have since
-# replaced (their figures are above).
+# shape runs; the other is measured for comparison.  The bit-plane columns
+# measure the AND fold; at m = 8 and 10 a call on planes runs the table
+# fold (its figures are above).
 #
-#          binary stage, Four Russians    binary stage, bit planes     block
+#          binary stage, Four Russians    binary stage, AND of bytes   block
 #   m   batch 1     2     4     32      1     2     4      32       1    32
 #   8        66    70    78   207*     35*   62*   98*    738      17   197
 #  10       484   545   654* 2340*    246*  506*  1016   8731      42   911
 #  11      1743  2160  2151* 5627*    736*  1485* 3094  30346      59  1655
 #
-# The plane kernel's parity lookup beats three shift-XOR folds on a small
-# accumulator (6 against 11.5 µs for one vector at m = 8; 5.5 against 8.7
-# on the uint8 accumulator), ties at 10 K bytes (one vector at m = 10:
-# 14.5 against 13.8 µs) and loses at 45 K (two vectors at m = 11: 48
-# against 33 µs, 3% of that call).  A lookup of each byte's parity alone
-# in a 256-entry table, the m bit planes then packed into each output by
-# packbits, took 10.8 against 5.5 µs at m = 8 and 49 against 14.5 µs at
-# m = 10, so the (m, 256) table of shifted parities stays.
+# The AND fold takes each byte's parity in place, by three shifts and XORs
+# that fold its halves down to bit 0, the shifted bytes in scratch.  A
+# lookup in a 256-entry parity table, whose uint8 index take first widens
+# to intp, wins only on a small output (one vector at m = 8: 3 against 6
+# µs), where no call folds by the AND, and loses from 10 K bytes on: one
+# vector at m = 10, 12 against 8 µs; at m = 11, 25 against 12; at m = 12,
+# 44 against 20; two vectors at m = 13, 206 against 79.
 #
 # Budgets of 2^13, 2^14, 2^15, 2^16 and 2^17 elements gave about 1940,
 # 2230, 2360, 2350 and 2180 vectors/s on perfbench's counted_m10 (single
-# vectors at m = 10) with Four Russians, so the budget is 2^15; the plane
-# kernel's binary stage at m = 10 took 334, 285, 270, 259 and 279 µs with
+# vectors at m = 10) with Four Russians, so the budget is 2^15; the AND of
+# bytes' binary stage at m = 10 took 334, 285, 270, 259 and 279 µs with
 # them.
 # ---------------------------------------------------------------------------
 
@@ -972,64 +969,14 @@ def _binary_kernel(matrix: BinaryMatrix, after: np.ndarray | None = None) -> _Ke
     return run
 
 
-def _plane_kernel(matrix: BinaryMatrix, m: int) -> _Kernel:
-    """Bit planes: the stage is GF(2)-linear, so bit b of row r's output is
-    the parity of row r AND plane b, the columns' bit b packed as the
-    matrix is (byte g holds columns 8g..8g+7), in one pass over the whole
-    input.  Per part, per block of k = _GATHER // p byte groups of its p
-    rows, held to 1..groups, one broadcast AND of the block's packed bytes
-    with every plane's byte (one per vector and bit) and one XOR across the
-    block; a part of period p < rows is folded into the full accumulator by
-    one XOR of its (planes, p) bytes tiled rows / p times.  A folded byte's
-    parity is bit b of its row's output: one lookup in the (m, 256) table of
-    parity(byte) << b puts it in place, and one OR across the planes gives
-    the outputs."""
-    layout = kernel_layout(matrix)
-    rows, width = layout.rows, layout.width
-    parts = [
-        (first, sel[:, None], max(1, min(len(sel), _GATHER // max(sel.shape[1], 1))), at)
-        for first, sel, at in zip(layout.first, layout.packed, layout.out)
-    ]  # (first group, (groups, 1, p) selectors, groups per block, output row or None)
-    shifts = np.arange(m, dtype=np.uint16)[:, None]
-    odd = np.unpackbits(np.arange(256, dtype=np.uint8)).reshape(256, 8).sum(axis=1, dtype=np.uint16) & 1
-    parity = (odd << shifts).ravel()  # row b at b << 8
-    rows_of = shifts << 8
-
-    def run(x: np.ndarray) -> np.ndarray:
-        x = stacked_input(x, layout)
-        batch = x.shape[1]
-        planes = bit_planes(x, shifts, width)[:, :, None]
-        acc = np.zeros((batch * m, rows), dtype=np.uint8) if layout.folds else None
-        short = []
-        for first, sel, k, place in parts:
-            part_acc = None if place is None else acc[:, place : place + sel.shape[2]]
-            for g0 in range(0, len(sel), k):
-                block = sel[g0 : g0 + k]
-                part_acc = xor_fold(
-                    part_acc, np.bitwise_and(block, planes[first + g0 : first + g0 + len(block)], order="C")
-                )
-            if place is not None:
-                continue
-            if acc is None and part_acc.shape[1] == rows:  # the stored rows are the largest period: one part has it
-                acc = part_acc
-            else:
-                short.append(part_acc)
-        for part_acc in short:
-            tiled = acc.reshape(batch * m, rows // part_acc.shape[1], part_acc.shape[1])
-            tiled ^= part_acc[:, None]
-        return np.bitwise_or.reduce(parity.take(rows_of | acc.reshape(batch, m, rows)), axis=1).T
-
-    return run
-
-
 def _binary_stage_kernel(matrix: BinaryMatrix, m: int, before: np.ndarray | None, after: np.ndarray | None) -> _Kernel:
     """Per call, bit planes when the call has at most _PLANES planes (m per
     vector) and their accumulator at most _PLANE_BYTES, else Four Russians;
     bit planes run on the matrix's column tables when those fit in
-    _TABLE_BYTES, else on the plane kernel.  The gather before the stage
+    _TABLE_BYTES, else on the AND of bytes.  The gather before the stage
     (None for none) runs first, and the one after it last, inside Four
     Russians, which copies its result out of its scratch so."""
-    planes = table_kernel(matrix, m, _TABLE_BYTES, _GATHER) or _plane_kernel(matrix, m)
+    planes = plane_kernel(matrix, m, _TABLE_BYTES, _GATHER)
     russians, rows = _binary_kernel(matrix, after), matrix.stored[0]
 
     def run(x: np.ndarray) -> np.ndarray:

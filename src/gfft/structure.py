@@ -7,8 +7,8 @@ matrices, circulant blocks) is assembled from these pieces.  BinaryMatrix
 defines how every binary matrix is packed and is the one place that
 unpacks it; coordinate_matrix assembles a plan's binary matrix in that
 packing, and transpose_matrix transposes one.  kernel_layout says how the
-binary kernels read its parts, and table_kernel runs a few vectors on
-column tables built from them.
+binary kernels read its parts, and plane_kernel runs a few vectors on their
+bit planes, on column tables built from the parts where they fit.
 """
 
 from __future__ import annotations
@@ -484,25 +484,29 @@ def transpose_matrix(matrix: BinaryMatrix, budget: int) -> BinaryMatrix:
 
 
 # How the binary kernels (algorithms) read a matrix's parts, and the
-# column-table kernel, which runs a call of a few vectors.  The stage is
+# bit-plane kernel, which runs a call of a few vectors.  The stage is
 # GF(2)-linear, so a call of batch vectors of m-bit elements is m batch
 # products over GF(2), one per bit plane, each plane packed as the matrix
-# is (bit_planes).  The table kernel holds, per part, the XOR of every
-# subset of each t consecutive columns (t = 4 or 2), packed over the part's
-# rows: the method of Four Russians with the tables on the matrix's side, so
-# that they depend on the plan alone and are built once.  A plane's byte g
-# then splits into 8 / t table indices, and bit b of every row's output is
-# the XOR of the rows those indices pick, one take and one XOR across them
-# for all planes at once, against one AND per matrix byte and plane on the
-# plane kernel.  The columns come from _transpose_into, one pass over the
-# packing (unpacking the bytes and packing them along the rows took 1.9 ms
-# for tf2003's full part at m = 10, against 0.12 ms); each of the t
-# doublings of the subsets is one XOR.  The tables of a packing
-# are kept while it lives, keyed by its identity, so the plans that share
-# a packing (tf2003, fed2006a and fed2006b) share one set, and they go with
-# it.  Each part's XOR over the looked-up rows is unpacked to its p rows and
-# tiled or placed as the plane kernel's accumulator is, and one shift and
-# one OR per plane give the outputs.
+# is (bit_planes).  The kernel folds each part on the planes in one of two
+# ways, picked per matrix by its size.  The column tables hold, per part,
+# the XOR of every subset of each t consecutive columns (t = 4 or 2),
+# packed over the part's rows: the method of Four Russians with the tables
+# on the matrix's side, so that they depend on the plan alone and are built
+# once.  A plane's byte g then splits into 8 / t table indices, and bit b of
+# every row's output is the XOR of the rows those indices pick, one take and
+# one XOR across them for all planes at once.  A matrix whose tables would
+# not fit is folded by the AND of bytes instead: each byte group's packed
+# bytes ANDed with that group's byte of every plane, one AND and one XOR per
+# matrix byte and plane, and the parity of each byte of the XOR is the bit.
+# The columns come from _transpose_into, one pass over the packing
+# (unpacking the bytes and packing them along the rows took 1.9 ms for
+# tf2003's full part at m = 10, against 0.12 ms); each of the t doublings of
+# the subsets is one XOR.  The tables of a packing are kept while it lives,
+# keyed by its identity, so the plans that share a packing (tf2003,
+# fed2006a and fed2006b) share one set, and they go with it.  Either fold's
+# XOR is placed at the part's rows or tiled over the output (the parity of
+# an XOR is the XOR of the parities), and one shift and one OR per plane
+# give the outputs.
 
 
 class KernelLayout(NamedTuple):
@@ -607,64 +611,78 @@ def _tables_of(packed: np.ndarray, t: int, budget: int) -> np.ndarray:
     return table
 
 
-def table_kernel(matrix: BinaryMatrix, m: int, table_bytes: int, budget: int) -> Callable | None:
-    """A kernel of the binary stage on column tables (see above), t columns
-    a table, t the widest of 4 and 2 whose tables of every part take at
-    most table_bytes together, or None when neither fits.  It reads the (8 width, batch) kernel input's m bit planes, and
-    per part takes, as many as give table_bytes at a time, the table rows
-    that each plane's bytes index, (8 / t) groups per plane, and XORs them,
-    in the thread's scratch; bit b of row r of the result is that of the
-    XOR of plane b.  The tables are the ones shared by every kernel on the
-    same packings (_tables_of), transposed budget blocks at a time."""
+def plane_kernel(matrix: BinaryMatrix, m: int, table_bytes: int, budget: int) -> Callable:
+    """The bit-plane kernel of the binary stage (see above).  It reads the
+    (8 width, batch) kernel input's m bit planes and folds each part's p
+    rows on them in one of two ways, its temporaries in the thread's
+    scratch.  With column tables, t columns a table, t the widest of 4 and 2
+    whose tables of every part take at most table_bytes together, it takes
+    the table rows that each plane's bytes index, (8 / t) per byte group, as
+    many as give table_bytes at a time, and XORs them: bit r of the XOR for
+    plane b is bit b of row r's output.  Without, it ANDs the part's packed
+    bytes, budget // p groups at a time, with each plane's byte of every
+    group and XORs them: the parity of byte r of the XOR is that bit, taken
+    once the parts are in place.  The tables are the ones shared by every
+    kernel on the same packings (_tables_of), transposed budget blocks at a
+    time."""
     layout = kernel_layout(matrix)
+    rows, width = layout.rows, layout.width
     sizes = {t: sum((8 // t * len(sel) << t) * -(-sel.shape[1] // 8) for sel in layout.packed) for t in (4, 2)}
     t = next((t for t, size in sizes.items() if size <= table_bytes), None)
-    if t is None:
-        return None
-    per = 8 // t
-    parts = []  # (first group, index of each h and byte, each group's offset, table, rows, output row or None)
+    # per part: first group, rows, output row or None, its lookups, the bytes
+    # each gives a plane, what they read, and the tables' index of each byte
+    # and of each group
+    parts = []
     for first, sel, place in zip(layout.first, layout.packed, layout.out):
         groups, p = sel.shape
+        if t is None:
+            parts.append((first, p, place, groups, p, sel[:, None], None, None))
+            continue
+        per = 8 // t
         index_of = (np.arange(256, dtype=np.intp) >> t * np.arange(per)[:, None]) & (1 << t) - 1
         index_of += (np.arange(per) * groups << t)[:, None]
-        parts.append((first, index_of, np.arange(groups, dtype=np.intp)[:, None] << t, _tables_of(sel, t, budget), p, place))
-    rows, width = layout.rows, layout.width
+        base = np.arange(groups, dtype=np.intp)[:, None] << t
+        parts.append((first, p, place, per * groups, -(-p // 8), _tables_of(sel, t, budget), index_of, base))
     shifts = np.arange(m, dtype=np.uint16)[:, None]
     key = next(scratch.keys)
 
-    def step(n_planes: int, row_bytes: int) -> int:
-        """The table rows a take looks up per plane: as many as give
-        table_bytes, and at least one."""
-        return max(1, table_bytes // max(n_planes * row_bytes, 1))
+    def chunk(n_planes: int, row_bytes: int) -> int:
+        """The lookups a chunk folds: as many as give budget bytes a plane
+        (the AND) or table_bytes in all (the tables), and at least one."""
+        return max(1, table_bytes // max(n_planes * row_bytes, 1) if t else budget // row_bytes)
 
-    def specs(batch: int) -> list[scratch.Spec]:
-        n_planes = m * batch
-        lookups = [per * len(base) for _, _, base, _, _, _ in parts]
-        row_bytes = [len(table[0]) for _, _, _, table, _, _ in parts]
-        looked = max(min(g, step(n_planes, b)) * b for g, b in zip(lookups, row_bytes))
-        return [((max(lookups), n_planes), np.intp), ((looked * n_planes,), np.uint8)]
+    def specs(n_planes: int) -> list[scratch.Spec]:
+        looked = max(min(n, chunk(n_planes, b)) * b for _, _, _, n, b, *_ in parts)
+        if t:  # the table rows' index, and the rows looked up
+            return [((max(n for _, _, _, n, *_ in parts) * n_planes,), np.intp), ((looked * n_planes,), np.uint8)]
+        return [((0,), np.intp), ((max(looked, rows) * n_planes,), np.uint8)]  # the ANDs, or the output halved
 
     def run(x: np.ndarray) -> np.ndarray:
         x = stacked_input(x, layout)
         batch = x.shape[1]
-        index, looked = scratch.arrays((key, batch), specs, batch)
+        n_planes = m * batch
+        index, looked = scratch.arrays((key, batch), specs, n_planes)
         planes = bit_planes(x, shifts, width)
-        n_planes = planes.shape[1]
         out = np.zeros((n_planes, rows), dtype=np.uint8) if layout.folds else None
         short = []
-        for first, index_of, base, table, p, place in parts:
-            groups, p8 = len(base), table.shape[1]
-            k = step(n_planes, p8)
-            idx = index[: per * groups].reshape(per, groups, n_planes)
-            index_of.take(planes[first : first + groups], 1, idx, "clip")
-            idx += base
-            idx = idx.reshape(per * groups, n_planes)
-            acc = None
-            for g0 in range(0, len(idx), k):
-                at = idx[g0 : g0 + k]
-                terms = table.take(at, 0, looked[: at.size * p8].reshape(*at.shape, p8), "clip")
+        for first, p, place, lookups, row_bytes, source, index_of, base in parts:
+            if t:  # the table row of each h, group and plane
+                at = index[: lookups * n_planes].reshape(len(index_of), len(base), n_planes)
+                index_of.take(planes[first : first + len(base)], 1, at, "clip")
+                at += base
+                at = at.reshape(lookups, n_planes)
+            else:
+                at = planes[first : first + lookups, :, None]
+            k, acc = chunk(n_planes, row_bytes), None
+            for g0 in range(0, lookups, k):
+                n = min(k, lookups - g0)
+                into = looked[: n * n_planes * row_bytes].reshape(n, n_planes, row_bytes)
+                if t:
+                    terms = source.take(at[g0 : g0 + k], 0, into, "clip")
+                else:
+                    terms = np.bitwise_and(source[g0 : g0 + k], at[g0 : g0 + k], out=into, order="C")
                 acc = np.bitwise_xor.reduce(terms, axis=0) if acc is None else xor_fold(acc, terms)
-            bits = np.unpackbits(acc, axis=1, count=p, bitorder="little")
+            bits = np.unpackbits(acc, axis=1, count=p, bitorder="little") if t else acc
             if place is not None:
                 out[:, place : place + p] = bits
             elif out is None and p == rows:
@@ -674,6 +692,12 @@ def table_kernel(matrix: BinaryMatrix, m: int, table_bytes: int, budget: int) ->
         for bits in short:
             tiled = out.reshape(n_planes, rows // bits.shape[1], bits.shape[1])
             tiled ^= bits[:, None]
+        if not t:  # each byte's parity: its halves XORed, down to bit 0
+            half = looked[: out.size].reshape(out.shape)
+            for shift in (4, 2, 1):
+                np.right_shift(out, shift, out=half)
+                out ^= half
+            out &= 1
         return np.bitwise_or.reduce(np.left_shift(out.reshape(batch, m, rows), shifts, dtype=np.uint16), axis=1).T
 
     return run

@@ -1012,15 +1012,16 @@ def test_chunk_rule_edges(m, monkeypatch):
 
 @pytest.mark.parametrize("m", range(2, 13))
 def test_plane_kernel_matches_four_russians(m):
-    # the two binary-stage kernels agree on every tag's binary matrix for
-    # batches 1 to 32 // m + 1, across the plane rule, and for 8 and 32,
-    # where Four Russians shares takes among groups or gives each its own;
-    # on every stored column and row, pads included
+    # the plane kernel's AND of bytes (forced with no table budget) and Four
+    # Russians agree on every tag's binary matrix for batches 1 to
+    # 32 // m + 1, across the plane rule, and for 8 and 32, where Four
+    # Russians shares takes among groups or gives each its own; on every
+    # stored column and row, pads included
     rng = np.random.default_rng(m)
     ctx = default_field(m)
     for tag in ALL_TAGS:
         matrix = build(tag, ctx).stage(BinaryMatrix)
-        planes, russians = alg._plane_kernel(matrix, m), alg._binary_kernel(matrix)
+        planes, russians = alg.plane_kernel(matrix, m, 0, alg._GATHER), alg._binary_kernel(matrix)
         for batch in sorted({*range(1, 32 // m + 2), 8, 32}):
             x = rng.integers(0, 1 << m, size=(matrix.stored[1], batch), dtype=np.uint16)
             assert np.array_equal(planes(x), russians(x)), (tag, batch)
@@ -1033,24 +1034,24 @@ def _tables_held(matrix):
 
 
 @pytest.mark.parametrize("m", range(2, 11))
-def test_table_kernel_matches_planes_and_four_russians(m, monkeypatch):
+def test_table_kernel_matches_planes_and_four_russians(m):
     # on every tag's binary matrix, goertzel's folded R and m = 10's two
-    # parts included, the column-table kernel gives the plane kernel's and
-    # Four Russians' outputs exactly for 1 to 3 vectors: 4-column tables at
-    # m <= 9 and 2-column ones at m = 10 under the default _TABLE_BYTES, and
-    # at m <= 9 2-column ones too, with _TABLE_BYTES lowered to what they
-    # take: per byte group, 4 tables of 4 rows of ceil(rows / 8) bytes
+    # parts included, the plane kernel on column tables gives its AND of
+    # bytes' (no table budget) and Four Russians' outputs exactly for 1 to
+    # 3 vectors: 4-column tables at m <= 9 and 2-column ones at m = 10 under
+    # the default _TABLE_BYTES, and at m <= 9 2-column ones too, with the
+    # budget lowered to what they take: per byte group, 4 tables of 4 rows
+    # of ceil(rows / 8) bytes
     rng = np.random.default_rng(m)
     ctx = default_field(m)
-    default = alg._TABLE_BYTES
     for tag in ALL_TAGS:
         matrix = matrix_of(build(tag, ctx))
-        planes, russians = alg._plane_kernel(matrix, m), alg._binary_kernel(matrix)
+        planes, russians = alg.plane_kernel(matrix, m, 0, alg._GATHER), alg._binary_kernel(matrix)
+        assert _tables_held(matrix) == set(), tag
         two_columns = sum(16 * len(part.packed) * -(-part.rows // 8) for part in matrix.parts)
-        widths = [(4, default), (2, two_columns)] if m <= 9 else [(2, default)]
+        widths = [(4, alg._TABLE_BYTES), (2, two_columns)] if m <= 9 else [(2, alg._TABLE_BYTES)]
         for k, (t, table_bytes) in enumerate(widths):
-            monkeypatch.setattr(alg, "_TABLE_BYTES", table_bytes)
-            tables = alg.table_kernel(matrix, m, alg._TABLE_BYTES, alg._GATHER)
+            tables = alg.plane_kernel(matrix, m, table_bytes, alg._GATHER)
             assert _tables_held(matrix) == {t for t, _ in widths[: k + 1]}, tag
             for batch in (1, 2, 3):
                 x = rng.integers(0, 1 << m, size=(matrix.stored[1], batch), dtype=np.uint16)
@@ -1130,23 +1131,29 @@ def test_column_tables_go_with_the_last_plan_on_their_packing():
 def test_no_column_tables_above_the_budget(m, monkeypatch):
     # every matrix at m = 11 and 12 would need tables above _TABLE_BYTES
     # even at 2 columns, so no kernel builds any: single vectors and pairs
-    # run the plane kernel
+    # run the plane kernel's AND of bytes, and a plane kernel built at the
+    # default budget gives Four Russians' outputs without tables
     built = []
     monkeypatch.setattr(structure, "column_tables", lambda *args: built.append(args))
     ctx = default_field(m)
     vecs = _path_vectors(m, 1)[:2]
+    oracle = naive_dft_batch(vecs, ctx)
+    rng = np.random.default_rng(m)
     for tag in ALL_TAGS:
         plan = build(tag, ctx)
-        apply(plan, vecs[0])
-        apply_batch(plan, vecs)
-        assert alg.table_kernel(matrix_of(plan), m, alg._TABLE_BYTES, alg._GATHER) is None, tag
+        assert apply(plan, vecs[0]) == oracle[0] and apply_batch(plan, vecs) == oracle, tag
+        matrix = matrix_of(plan)
+        x = rng.integers(0, 1 << m, size=(matrix.stored[1], 2), dtype=np.uint16)
+        planes = alg.plane_kernel(matrix, m, alg._TABLE_BYTES, alg._GATHER)
+        assert np.array_equal(planes(x), alg._binary_kernel(matrix)(x)), tag
     assert built == []
 
 
 def test_no_column_tables_for_one_vector_at_m16(monkeypatch):
     # the parts of an m = 16 binary stage as the size rule stores them, on
-    # zero packings that take no memory: the stage's kernels build no
-    # tables, and one vector (16 planes of 65535 rows) runs Four Russians
+    # zero packings that take no memory: the stage's kernels, the plane
+    # kernel built as it is, build no tables, and one vector (16 planes of
+    # 65535 rows) runs Four Russians
     n = (1 << 16) - 1
     partition = alg.cyclotomic_cosets(n)
     sizes = np.array(partition.sizes())
@@ -1157,7 +1164,7 @@ def test_no_column_tables_for_one_vector_at_m16(monkeypatch):
     matrix = BinaryMatrix(parts, (None, structure.stored_columns(sizes, [cosets for _, cosets in classes])))
     ran = []
     monkeypatch.setattr(structure, "column_tables", lambda *args: ran.append("tables"))
-    monkeypatch.setattr(alg, "_plane_kernel", lambda *args: lambda x: ran.append("planes"))
+    monkeypatch.setattr(alg, "plane_kernel", _recording(alg.plane_kernel, "planes", ran))
     monkeypatch.setattr(alg, "_binary_kernel", lambda *args: lambda x: ran.append("four_russians"))
     alg._binary_stage_kernel(matrix, 16, None, None)(np.zeros((matrix.stored[1], 1), dtype=np.uint16))
     assert ran == ["four_russians"]
@@ -1271,38 +1278,39 @@ def test_periodic_parts_hold_at_most_six_tenths_of_the_dense_bytes():
 
 def _recording(builder, name, ran):
     """builder, with each kernel it builds noting (name, batch) in ran when
-    run; a builder's None (no tables) stays None."""
+    run."""
 
     def build_recorded(*args):
         kernel = builder(*args)
-        return None if kernel is None else lambda x: ran.append((name, x.shape[1])) or kernel(x)
+        return lambda x: ran.append((name, x.shape[1])) or kernel(x)
 
     return build_recorded
 
 
-@pytest.mark.parametrize("m, most", [(10, 3), (11, 2), (13, 2), (14, 1)])
+@pytest.mark.parametrize("m, most", [(8, 4), (10, 3), (11, 2), (12, 2), (13, 2), (14, 1)])
 def test_binary_stage_kernel_follows_the_plane_rule(m, most, monkeypatch):
     # a call of up to `most` vectors runs bit planes, one more runs Four
-    # Russians: at m <= 13 the 32-plane bound decides, at m = 14 the
-    # accumulator bound.  A call the rule sends to planes runs the column
-    # tables where the matrix has them (m <= 10) and the plane kernel where
-    # they would exceed _TABLE_BYTES (m = 11 and above); all give the same
-    # outputs
+    # Russians: at m <= 13 the 32-plane bound decides (at m = 8, rs255's
+    # field, 32 planes against 40), at m = 14 the accumulator bound.  The
+    # plane kernel folds on the matrix's column tables where it has them,
+    # 4-column ones at m <= 9 and 2-column ones at m = 10, and ANDs bytes
+    # where they would exceed _TABLE_BYTES (m = 11 and above), so the
+    # tables kept for the plan's packings say which fold ran; all give the
+    # same outputs
     ran = []
-    monkeypatch.setattr(alg, "table_kernel", _recording(alg.table_kernel, "tables", ran))
-    monkeypatch.setattr(alg, "_plane_kernel", _recording(alg._plane_kernel, "planes", ran))
+    monkeypatch.setattr(alg, "plane_kernel", _recording(alg.plane_kernel, "planes", ran))
     monkeypatch.setattr(alg, "_binary_kernel", _recording(alg._binary_kernel, "four_russians", ran))
     ctx = default_field(m)
     plan = build("tf2003", ctx)
     vecs = _path_vectors(m, most + 1)[: most + 1]
-    few = "tables" if m <= 10 else "planes"
-    expected = [(few, 1)]
+    expected = [("planes", 1)]
     apply(plan, vecs[0])
     outs = {}
     for size in (most, most + 1) + ((32,) if m == 10 else ()):
         outs[size] = apply_batch(plan, (vecs * 32)[:size])
-        expected.append((few if size <= most else "four_russians", size))
+        expected.append(("planes" if size <= most else "four_russians", size))
     assert ran == expected
+    assert _tables_held(matrix_of(plan)) == ({4} if m <= 9 else {2} if m == 10 else set())
     assert outs[most + 1][:most] == outs[most]
     if m == 10:
         assert outs[32] == naive_dft_batch((vecs * 32)[:32], ctx)
@@ -1421,9 +1429,11 @@ def test_fresh_plan_shared_across_threads():
 def test_kernel_results_do_not_alias_the_scratch():
     # the kernels share their thread's scratch, but each returns an array
     # of its own: a result stays as it was through later calls of every
-    # kernel on other inputs, for the block kernel and the three binary
-    # kernels, goertzel's transposed R included, and a plan's outputs for
-    # the first input are still the oracle's after a second call
+    # kernel on other inputs, for the block kernel, the plane kernel's two
+    # folds (the AND of bytes forced with no table budget, and the column
+    # tables) and Four Russians, goertzel's transposed R included, and a
+    # plan's outputs for the first input are still the oracle's after a
+    # second call
     ctx = default_field(8)
     rng = np.random.default_rng(37)
     vecs = _path_vectors(8, 17)
@@ -1433,9 +1443,9 @@ def test_kernel_results_do_not_alias_the_scratch():
         matrix = matrix_of(plan)
         kernels = [
             alg._block_kernel(ctx, plan.stage(BlockStage), None, None),
-            alg._plane_kernel(matrix, ctx.m),
+            alg.plane_kernel(matrix, ctx.m, 0, alg._GATHER),
             alg._binary_kernel(matrix),
-            alg.table_kernel(matrix, ctx.m, alg._TABLE_BYTES, alg._GATHER),
+            alg.plane_kernel(matrix, ctx.m, alg._TABLE_BYTES, alg._GATHER),
         ]
         for size in (1, 5, 17):
             a, a_binary = (
@@ -1447,7 +1457,7 @@ def test_kernel_results_do_not_alias_the_scratch():
                 kernel(rng.integers(0, ctx.n + 1, size=a.shape, dtype=np.uint16))
             for (kernel, a, y), want in zip(firsts, wants):
                 assert np.array_equal(y, want) and np.array_equal(kernel(a), want), (tag, size)
-            for want in wants[2:]:  # planes, Four Russians and the tables agree
+            for want in wants[2:]:  # the AND, Four Russians and the tables agree
                 assert np.array_equal(wants[1], want), (tag, size)
             first = alg._run_kernels(plan, alg.validate_vectors(ctx, vecs[:size]))
             alg._run_kernels(plan, alg.validate_vectors(ctx, vecs[-size:][::-1]))
@@ -1507,13 +1517,16 @@ def test_steady_batch_calls_take_no_fresh_pages(mmap_threshold):
 
 @pytest.mark.parametrize("mmap_threshold", [None, "131072"])
 def test_steady_single_calls_take_no_fresh_pages(mmap_threshold):
-    # one vector at m = 10 likewise: the column tables' looked-up rows (about
-    # 470 KB a call for tf2003, taken 256 KiB at a time) live in the
-    # thread's scratch.  The plane kernel's per-call AND temporaries of about
-    # 327 KB took 160 faults a call here with the threshold pinned
+    # one vector at m = 10 and at m = 11 likewise: the plane kernel's
+    # temporaries live in the thread's scratch, at m = 10 the column tables'
+    # looked-up rows (about 470 KB a call for tf2003, taken 256 KiB at a
+    # time), at m = 11 the AND of bytes' chunks (about 360 KB each) and its
+    # parity lookup's widened index.  Allocated per call, the AND's took 160
+    # faults a call at m = 10 and 1408 at m = 11 with the threshold pinned
     pytest.importorskip("resource")
-    faults = _steady_faults(10, 1, mmap_threshold)
-    assert max(faults.values()) <= 5, faults
+    for m in (10, 11):
+        faults = _steady_faults(m, 1, mmap_threshold)
+        assert max(faults.values()) <= 5, (m, faults)
 
 
 def test_twin_builds_across_threads():
@@ -1695,7 +1708,7 @@ def _no_kernel(*args):
 @pytest.mark.parametrize("m", [3, 6])
 def test_inspection_reads_neither_kernels_nor_field_tables(m, monkeypatch):
     # materialize and coset_block_report compose the stored stage entries
-    # only, so they stay a check on the code under test: with both kernels
+    # only, so they stay a check on the code under test: with every kernel
     # and every field table raising, they still give the W and the reports
     # computed beforehand
     ctx = default_field(m)
@@ -1708,7 +1721,7 @@ def test_inspection_reads_neither_kernels_nor_field_tables(m, monkeypatch):
         no_tables.mul(2, 3)
     monkeypatch.setattr(alg, "_block_kernel", _no_kernel)
     monkeypatch.setattr(alg, "_binary_kernel", _no_kernel)
-    monkeypatch.setattr(alg, "_plane_kernel", _no_kernel)
+    monkeypatch.setattr(alg, "plane_kernel", _no_kernel)
     for tag, plan in plans.items():
         cut_off = dataclasses.replace(plan, ctx=no_tables)
         with pytest.raises(AssertionError, match="kernel"):
