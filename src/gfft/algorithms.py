@@ -690,18 +690,15 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 # speed 0.60; 49 against 42 for goertzel at 1.13).
 #
 # The column tables are Four Russians with the tables on the matrix's
-# side: per part, the XOR of every subset of each t consecutive columns,
+# side: per part, the XOR of every subset of each 4 consecutive columns,
 # packed over the part's rows.  They depend on the plan alone, so they are
 # built with its kernels, once per packing, and shared by the plans on it
-# (tf2003, fed2006a and fed2006b hold one set); a call looks up (8 / t)
-# rows of ceil(p / 8) bytes per byte group and plane, where the AND of
-# bytes ANDs p bytes.  t is the widest of 4 and 2 whose tables of the
-# whole matrix take at most _TABLE_BYTES = 2^18: t = 4 at m <= 9 (32 KiB
-# at m = 8, 128 KiB at m = 9), t = 2 at m = 10 (208 KiB), and none from
-# m = 11 on (2-column tables would take 1 MiB there), where the kernel
-# ANDs bytes.  The budget bounds what the tables hold, once per matrix,
-# four matrices for the six plans: 4-column tables at m = 10 would take
-# about 420 KiB each.  A take looks up at most _TABLE_BYTES of rows at a
+# (tf2003, fed2006a and fed2006b hold one set); a call looks up 2 rows of
+# ceil(p / 8) bytes per byte group and plane, where the AND of bytes ANDs p
+# bytes.  A matrix folds on them when its tables take at most _TABLE_BYTES
+# = 2^19: 32 KiB at m = 8, 128 KiB at m = 9 and 415 KiB at m = 10, four
+# matrices for the six plans; from m = 11 on they would take 2 MiB, and the
+# kernel ANDs bytes.  A take looks up at most _TABLE_BYTES of rows at a
 # time.  Binary stage alone, µs, median of 15 alternating rounds (2-CPU
 # host, numpy 2.4), each column the AND fold / the table fold; at m = 11
 # the 2-column tables were built above the budget, for comparison:
@@ -710,14 +707,16 @@ def coset_block_report(plan: Plan) -> tuple[np.ndarray, np.ndarray]:
 #                                 AND / tables  AND / tables  AND / tables
 #    8  tf2003    4     32        30 /  26      53 /  42      80 /  58 (4)
 #    8  goertzel  4     32        28 /  25      53 /  40      81 /  57 (4)
-#   10  tf2003    2    208       162 / 106     339 / 230     524 / 324 (3)
-#   10  goertzel  2    208       174 / 125     377 / 260     557 / 376 (3)
+#   10  tf2003    4    415       154 /  73     308 / 154     435 / 201 (3)
+#   10  goertzel  4    415       157 /  80     324 / 174     473 / 244 (3)
 #   11  tf2003    2   1024       702 / 341    1350 / 767
 #   11  goertzel  2   1024       703 / 388    1539 / 776
 #
-# So the rule is one of memory, not speed: tables would halve a call at
-# m = 11 too, for 1 MiB per matrix.  A cold build takes about 0.06 ms per
-# matrix at m = 8 and 0.2-0.3 ms at m = 10.
+# At m = 10, 2-column tables (208 KiB) took 106 and 125 µs for one vector.
+# At m = 11 the rule is one of memory, not speed: tables would halve a call
+# there too, for 1 MiB per matrix at 2 columns.  A cold build takes about
+# 0.06 ms per matrix at m = 8 and 0.27-0.35 ms at m = 10 (0.21-0.29 ms at
+# 2 columns).
 #
 # One budget sizes every kernel's chunks.  A small call is bound by the
 # number of numpy calls it makes, a large one by memory traffic, so each
@@ -809,7 +808,7 @@ _GATHER = 1 << 15
 _SPLIT_BITS = 3 << 16
 _PLANES = 32
 _PLANE_BYTES = 1 << 18
-_TABLE_BYTES = 1 << 18
+_TABLE_BYTES = 1 << 19
 _Kernel = Callable[[np.ndarray], np.ndarray]
 
 

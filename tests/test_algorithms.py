@@ -1036,28 +1036,28 @@ def _tables_held(matrix):
 @pytest.mark.parametrize("m", range(2, 11))
 def test_table_kernel_matches_planes_and_four_russians(m):
     # on every tag's binary matrix, goertzel's folded R and m = 10's two
-    # parts included, the plane kernel on column tables gives its AND of
-    # bytes' (no table budget) and Four Russians' outputs exactly for 1 to
-    # 3 vectors: 4-column tables at m <= 9 and 2-column ones at m = 10 under
-    # the default _TABLE_BYTES, and at m <= 9 2-column ones too, with the
-    # budget lowered to what they take: per byte group, 4 tables of 4 rows
-    # of ceil(rows / 8) bytes
+    # parts included, the plane kernel on 4-column tables (every m <= 10
+    # under the default _TABLE_BYTES) gives its AND of bytes' (no table
+    # budget) and Four Russians' outputs exactly for 1 to 3 vectors, and so
+    # does a kernel whose budget is one byte short of what the tables take
+    # (per byte group, 2 tables of 16 rows of ceil(rows / 8) bytes), which
+    # builds none
     rng = np.random.default_rng(m)
     ctx = default_field(m)
     for tag in ALL_TAGS:
         matrix = matrix_of(build(tag, ctx))
         planes, russians = alg.plane_kernel(matrix, m, 0, alg._GATHER), alg._binary_kernel(matrix)
         assert _tables_held(matrix) == set(), tag
-        two_columns = sum(16 * len(part.packed) * -(-part.rows // 8) for part in matrix.parts)
-        widths = [(4, alg._TABLE_BYTES), (2, two_columns)] if m <= 9 else [(2, alg._TABLE_BYTES)]
-        for k, (t, table_bytes) in enumerate(widths):
+        four_columns = sum(32 * len(part.packed) * -(-part.rows // 8) for part in matrix.parts)
+        assert four_columns <= alg._TABLE_BYTES, tag
+        for held, table_bytes in ((set(), four_columns - 1), ({4}, alg._TABLE_BYTES)):
             tables = alg.plane_kernel(matrix, m, table_bytes, alg._GATHER)
-            assert _tables_held(matrix) == {t for t, _ in widths[: k + 1]}, tag
+            assert _tables_held(matrix) == held, tag
             for batch in (1, 2, 3):
                 x = rng.integers(0, 1 << m, size=(matrix.stored[1], batch), dtype=np.uint16)
                 y = tables(x)
-                assert y.dtype == np.uint16 and y.shape == (matrix.stored[0], batch), (tag, t, batch)
-                assert np.array_equal(y, planes(x)) and np.array_equal(y, russians(x)), (tag, t, batch)
+                assert y.dtype == np.uint16 and y.shape == (matrix.stored[0], batch), (tag, held, batch)
+                assert np.array_equal(y, planes(x)) and np.array_equal(y, russians(x)), (tag, held, batch)
 
 
 @pytest.mark.parametrize("m", [3, 8, 10])
@@ -1114,10 +1114,10 @@ def test_column_tables_go_with_the_last_plan_on_their_packing():
     plans = {tag: build(tag, ctx) for tag in ALL_TAGS}
     for tag in ALL_TAGS:  # no loop variable left holding a plan
         apply(plans[tag], [1] * ctx.n)
-    keys = {(id(packed), 2) for tag in ALL_TAGS for packed in _packings(plans[tag])}
+    keys = {(id(packed), 4) for tag in ALL_TAGS for packed in _packings(plans[tag])}
     assert len(keys) == 8 and keys <= structure._TABLES.keys()
     freed = [weakref.ref(structure._TABLES[key]) for key in keys]
-    normal = {(id(packed), 2) for packed in _packings(plans["tf2003"])}
+    normal = {(id(packed), 4) for packed in _packings(plans["tf2003"])}
     del plans["tf2003"], plans["fed2006a"]
     gc.collect()
     assert normal <= structure._TABLES.keys()  # fed2006b still holds the packing
@@ -1129,10 +1129,11 @@ def test_column_tables_go_with_the_last_plan_on_their_packing():
 
 @pytest.mark.parametrize("m", [11, 12])
 def test_no_column_tables_above_the_budget(m, monkeypatch):
-    # every matrix at m = 11 and 12 would need tables above _TABLE_BYTES
-    # even at 2 columns, so no kernel builds any: single vectors and pairs
-    # run the plane kernel's AND of bytes, and a plane kernel built at the
-    # default budget gives Four Russians' outputs without tables
+    # every matrix at m = 11 and 12 would need 4-column tables above
+    # _TABLE_BYTES (2 MiB at m = 11), so no kernel builds any: single
+    # vectors and pairs run the plane kernel's AND of bytes, and a plane
+    # kernel built at the default budget gives Four Russians' outputs
+    # without tables
     built = []
     monkeypatch.setattr(structure, "column_tables", lambda *args: built.append(args))
     ctx = default_field(m)
@@ -1147,6 +1148,32 @@ def test_no_column_tables_above_the_budget(m, monkeypatch):
         planes = alg.plane_kernel(matrix, m, alg._TABLE_BYTES, alg._GATHER)
         assert np.array_equal(planes(x), alg._binary_kernel(matrix)(x)), tag
     assert built == []
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_plane_fold_follows_the_table_budget(m):
+    # the fold rule as it stands, so that a change of _TABLE_BYTES shows
+    # here: after one apply per tag, the binary stage holds 4-column tables
+    # at m <= 10 and none at m = 11 and 12, where it ANDs bytes; at m = 10
+    # each plan's tables take 425,024 bytes, and the six plans hold four
+    # sets, tf2003, fed2006a and fed2006b sharing one; batches of 1 to 3
+    # give the oracle's outputs
+    ctx = default_field(m)
+    vecs = _path_vectors(m, 1)[:3]
+    oracle = naive_dft_batch(vecs, ctx)
+    plans, keys = {}, set()
+    for tag in ALL_TAGS:
+        plans[tag] = plan = build(tag, ctx)
+        assert apply(plan, vecs[0]) == oracle[0], tag
+        assert _tables_held(matrix_of(plan)) == ({4} if m <= 10 else set()), tag
+        mine = {(id(packed), 4) for packed in _packings(plan)} & structure._TABLES.keys()
+        if m == 10:
+            assert sum(structure._TABLES[key].nbytes for key in mine) == 425_024, tag
+        keys |= mine
+        for size in (1, 2, 3):
+            assert apply_batch(plan, vecs[:size]) == oracle[:size], (tag, size)
+    if m == 10:
+        assert sum(structure._TABLES[key].nbytes for key in keys) == 4 * 425_024
 
 
 def test_no_column_tables_for_one_vector_at_m16(monkeypatch):
@@ -1292,11 +1319,10 @@ def test_binary_stage_kernel_follows_the_plane_rule(m, most, monkeypatch):
     # a call of up to `most` vectors runs bit planes, one more runs Four
     # Russians: at m <= 13 the 32-plane bound decides (at m = 8, rs255's
     # field, 32 planes against 40), at m = 14 the accumulator bound.  The
-    # plane kernel folds on the matrix's column tables where it has them,
-    # 4-column ones at m <= 9 and 2-column ones at m = 10, and ANDs bytes
-    # where they would exceed _TABLE_BYTES (m = 11 and above), so the
-    # tables kept for the plan's packings say which fold ran; all give the
-    # same outputs
+    # plane kernel folds on the matrix's 4-column tables where they fit in
+    # _TABLE_BYTES (m <= 10), and ANDs bytes where they would not (m = 11
+    # and above), so the tables kept for the plan's packings say which fold
+    # ran; all give the same outputs
     ran = []
     monkeypatch.setattr(alg, "plane_kernel", _recording(alg.plane_kernel, "planes", ran))
     monkeypatch.setattr(alg, "_binary_kernel", _recording(alg._binary_kernel, "four_russians", ran))
@@ -1310,7 +1336,7 @@ def test_binary_stage_kernel_follows_the_plane_rule(m, most, monkeypatch):
         outs[size] = apply_batch(plan, (vecs * 32)[:size])
         expected.append(("planes" if size <= most else "four_russians", size))
     assert ran == expected
-    assert _tables_held(matrix_of(plan)) == ({4} if m <= 9 else {2} if m == 10 else set())
+    assert _tables_held(matrix_of(plan)) == ({4} if m <= 10 else set())
     assert outs[most + 1][:most] == outs[most]
     if m == 10:
         assert outs[32] == naive_dft_batch((vecs * 32)[:32], ctx)
